@@ -28,7 +28,7 @@ from .errors import (
     QuadratureError,
     TruncationError,
 )
-from .experiments import equidistant_nodes, native_decay_study, run_rate_study
+from .experiments import equidistant_nodes, run_rate_study
 from .interpolation import evaluate, interpolate, native_norm_sq
 from .kernels import KernelSpec, paper_amplitude
 from .mercer import eigen_extend, hk_gram_matrix, nystrom_eig
@@ -212,14 +212,12 @@ def cmd_rates(args):
         os.path.join(out, "rates.svg"), output.render_rate_svg(study)
     )
     n_max = max(counts)
-    finest = equidistant_nodes(args.C, n_max)
-    s = interpolate(kernel, finest, f_exact(finest.points), jitter=args.jitter)
     grid = np.linspace(-args.C, args.C, args.grid)
     output.write_xy_csv(
         os.path.join(out, f"error_N{n_max}.csv"),
         "x,error",
         grid,
-        f_exact(grid) - evaluate(s, grid),
+        f_exact(grid) - evaluate(study.finest, grid),
     )
     if study.global_rate is None:
         print(f"wrote {out}/rates.csv ({len(study.rows)} levels)")
@@ -234,10 +232,7 @@ def cmd_rates(args):
         f"interior rate {study.interior_rate:.3f} (all levels {study.interior_rate_all:.3f})"
     )
     if f_norm_sq is not None:
-        exponent = native_decay_study(
-            kernel, args.C, args.margin, counts, args.grid, f_exact, f_norm_sq
-        )
-        print(f"native-norm error exponent vs N: {exponent:.3f}")
+        print(f"native-norm error exponent vs N: {study.native_exponent:.3f}")
     print(f"wrote {out}/rates.csv, rates.svg, error_N{n_max}.csv")
     return EXIT_OK
 

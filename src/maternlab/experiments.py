@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConditioningError, InsufficientDataError
 from .interpolation import (
+    Interpolant,
     NodeSet,
     evaluate,
     interpolate,
@@ -122,7 +123,8 @@ class RateStudy:
 
     ``global_rate``/``interior_rate`` use the finest-levels fit;
     the ``*_all`` variants fit every usable level.  All four are None when
-    the ladder leaves fewer than two usable levels.
+    the ladder leaves fewer than two usable levels.  ``finest`` is the
+    interpolant of the last level (None for a study assembled by hand).
     """
 
     kernel: object
@@ -135,10 +137,26 @@ class RateStudy:
     interior_rate: Optional[float]
     global_rate_all: Optional[float]
     interior_rate_all: Optional[float]
+    finest: Optional[Interpolant] = None
 
     @property
     def hs(self):
         return np.array([row.h for row in self.rows])
+
+    @property
+    def native_exponent(self):
+        """Fitted exponent of native_err against N; see native_decay_study."""
+        N = np.array([row.N for row in self.rows], dtype=float)
+        e = np.array([row.native_err for row in self.rows])
+        keep = _usable(e)
+        N = N[keep]
+        e = e[keep]
+        if N.size < 2:
+            return math.nan
+        order = np.argsort(N)[::-1]
+        take = order[: _finest_count(N.size)]
+        slope, _ = np.polyfit(np.log(N[take]), np.log(e[take]), 1)
+        return float(slope)
 
 
 def run_rate_study(
@@ -241,6 +259,7 @@ def run_rate_study(
         interior_rate=fits["interior"],
         global_rate_all=fits["global_all"],
         interior_rate_all=fits["interior_all"],
+        finest=s,
     )
 
 
@@ -272,17 +291,7 @@ def native_decay_study(
     study = run_rate_study(
         kernel, C, interior_margin, node_counts, grid_size, reference, f_norm_sq
     )
-    N = np.array([row.N for row in study.rows], dtype=float)
-    e = np.array([row.native_err for row in study.rows])
-    keep = _usable(e)
-    N = N[keep]
-    e = e[keep]
-    if N.size < 2:
-        return math.nan
-    order = np.argsort(N)[::-1]
-    take = order[: _finest_count(N.size)]
-    slope, _ = np.polyfit(np.log(N[take]), np.log(e[take]), 1)
-    return float(slope)
+    return study.native_exponent
 
 
 def bad_part_sup_bound(k, v_outside_norm, R):

@@ -3,9 +3,16 @@
 Among all native-space functions matching the data, the interpolant
 s(x) = sum_j a_j K(|x - x_j|) with A a = values (A the Gram matrix of
 translates) has minimal native norm; its residual is orthogonal to every
-translate at the nodes.  The solve goes through an unpivoted Cholesky
-factorization with an explicit conditioning floor, so failure is a typed
-error naming the pivot instead of a silently regularized answer.
+translate at the nodes.  The solve goes through an unpivoted LAPACK Cholesky
+factorization of the dense Gram matrix with an explicit conditioning floor,
+so failure is a typed error naming the pivot instead of a silently
+regularized answer.
+
+Evaluation never forms the points x nodes kernel matrix.  For the d = 1
+profiles exp(-r) p(r) it combines per-node exponential moments with a
+binomial shift inside each cell: O(N^2) once, then a binary search and
+O(m) work per point.  Bessel profiles are summed in blocks of points of
+bounded size.
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ConditioningError, ConditioningWarning
-from .kernels import kernel_eval
+from .kernels import exp_poly_coeffs, kernel_eval
 
 __all__ = [
     "CONDITIONING_FLOOR",
@@ -35,6 +44,9 @@ __all__ = [
 # Both scale with kernel_eval(k, 0), the common magnitude of Gram diagonals.
 CONDITIONING_FLOOR = 1e-13
 JITTER_SCALE = 1e-12
+
+# Kernel entries per block of points on the Bessel evaluation path (2 MB).
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -100,19 +112,26 @@ def assemble_gram(k, X):
 
 
 def _cholesky_floor(A, floor):
-    # Unpivoted lower Cholesky.  The pivot checked is the diagonal remainder
-    # before its square root; it is what the recursion subtracts, so a value
-    # at or below the floor means the matrix is numerically not PD at scale.
-    n = A.shape[0]
-    L = np.zeros_like(A)
-    for j in range(n):
-        d = A[j, j] - L[j, :j] @ L[j, :j]
-        if d <= floor:
-            raise ConditioningError(j, d, floor)
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
+    # Unpivoted lower Cholesky, done in place in A.  The pivot checked is the
+    # diagonal remainder before its square root, L[j, j]**2; a value at or
+    # below the floor means the matrix is numerically not PD at scale.
+    # dpotrf stops at the first pivot <= 0 (info = j + 1); only the block it
+    # completed before that has final diagonals to check.
+    diag = A.diagonal().copy()
+    # A is symmetric, so its transpose is the same matrix in Fortran order
+    # and LAPACK works on it without a copy.
+    L, info = dpotrf(A.T, lower=1, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dpotrf rejected argument {-info}")
+    done = A.shape[0] if info == 0 else info - 1
+    low = np.flatnonzero(np.diagonal(L)[:done] ** 2 <= floor)
+    if low.size:
+        j = int(low[0])
+    elif info > 0:
+        j = info - 1
+    else:
+        return L
+    raise ConditioningError(j, diag[j] - L[j, :j] @ L[j, :j], floor)
 
 
 def interpolate(k, X, values, jitter=False):
@@ -150,20 +169,102 @@ def interpolate(k, X, values, jitter=False):
             stacklevel=2,
         )
     L = _cholesky_floor(A, CONDITIONING_FLOOR * k0)
-    y = solve_triangular(L, vals, lower=True)
-    a = solve_triangular(L.T, y, lower=False)
+    a = cho_solve((L, True), vals)
     vals.setflags(write=False)
     a.setflags(write=False)
     return Interpolant(kernel=k, nodes=X, coefficients=a, values=vals)
 
 
 def evaluate(s, points):
-    """Evaluate s(x) = sum_j a_j K(|x - x_j|) at the given points."""
+    """Evaluate s(x) = sum_j a_j K(|x - x_j|) at the given points.
+
+    Scalars come back as float, arrays with the shape of ``points``.
+    Memory stays O(N^2 + M) for M points: nothing of size N x M is held.
+
+    Raises
+    ------
+    ValueError
+        When a point is not finite.
+    """
     pts = np.asarray(points, dtype=float)
-    flat = np.atleast_1d(pts)
-    dist = np.abs(flat[:, None] - s.nodes.points[None, :])
-    out = kernel_eval(s.kernel, dist) @ s.coefficients
-    return float(out[0]) if pts.ndim == 0 else out
+    flat = pts.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("evaluation points must be finite")
+    coeffs = exp_poly_coeffs(s.kernel)
+    if coeffs is None:
+        out = _evaluate_blocks(s, flat)
+    else:
+        out = s.kernel.amplitude * _evaluate_exp_poly(coeffs, s, flat)
+    return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
+
+
+def _evaluate_blocks(s, flat):
+    # the dense kernel sum, a bounded number of points at a time
+    X = s.nodes.points
+    rows = max(1, _BLOCK_ENTRIES // X.size)
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, rows):
+        chunk = flat[lo : lo + rows]
+        out[lo : lo + rows] = kernel_eval(s.kernel, np.abs(chunk[:, None] - X)) @ s.coefficients
+    return out
+
+
+def _node_moments(x, a, m):
+    # Left moments  sum_{j <= p} a_j e^{-(x_p - x_j)} (x_p - x_j)^l  and right
+    # moments  sum_{j >= p} a_j e^{-(x_j - x_p)} (x_j - x_p)^l,  l < m, each a
+    # triangular product with one symmetric N x N matrix.  A running
+    # recursion over p would be O(N) but lets rounding drift by ~sqrt(N) eps,
+    # enough to move the measured rates near the error floor.
+    dist = np.subtract.outer(x, x)
+    np.abs(dist, out=dist)
+    w = np.negative(dist)
+    np.exp(w, out=w)
+    left = np.empty((m, x.size))
+    right = np.empty((m, x.size))
+    for l in range(m):
+        if l:
+            w *= dist
+        # w is symmetric, so w.T is w in Fortran order: no copy for BLAS
+        left[l] = dtrmv(w.T, a, lower=1)
+        right[l] = dtrmv(w.T, a, lower=0)
+    return left, right
+
+
+def _shifted(coeffs, moments):
+    # Row i: the coefficient of t^i e^{-t} in sum_j a_j K(d_j + t), where the
+    # moments are taken at distances d_j, from the binomial expansion of p.
+    m = len(coeffs)
+    return np.array(
+        [
+            sum(coeffs[k] * math.comb(k, i) * moments[k - i] for k in range(i, m))
+            for i in range(m)
+        ]
+    )
+
+
+def _evaluate_exp_poly(coeffs, s, flat):
+    # s(x) for K(r) = e^{-r} p(r), with a unit amplitude.  With x_p <= x <
+    # x_{p+1}, the nodes j <= p sit at r = (x_p - x_j) + t, t = x - x_p, and
+    # the nodes j > p at r = (x_j - x_{p+1}) + u, u = x_{p+1} - x.
+    x = s.nodes.points
+    n, m = x.size, len(coeffs)
+    left, right = _node_moments(x, s.coefficients, m)
+    # one zero column each for the points left of x_0 and right of x_{N-1}
+    zero = np.zeros((m, 1))
+    left = np.hstack([zero, _shifted(coeffs, left)])
+    right = np.hstack([_shifted(coeffs, right), zero])
+    idx = np.searchsorted(x, flat, side="right")  # nodes at or left of x
+    t = np.where(idx > 0, flat - x[np.maximum(idx - 1, 0)], 0.0)
+    u = np.where(idx < n, x[np.minimum(idx, n - 1)] - flat, 0.0)
+    out = np.zeros(flat.size)
+    for side, dist in ((left, t), (right, u)):
+        # t^i e^{-t} stays below 1 for any t >= 0, so far points give 0, not inf*0
+        basis = np.exp(-dist)
+        for i in range(m):
+            if i:
+                basis *= dist
+            out += side[i, idx] * basis
+    return out
 
 
 def native_norm_sq(s):

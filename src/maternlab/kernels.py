@@ -28,6 +28,7 @@ __all__ = [
     "KernelSpec",
     "paper_amplitude",
     "kernel_eval",
+    "exp_poly_coeffs",
     "kernel_translate_deriv",
     "fourier_symbol",
     "convolution_root",
@@ -38,6 +39,11 @@ __all__ = [
 # Below this radius the Bessel profile is replaced by its limit value 1;
 # the profile deviates from 1 by O(r^2) there, far under double precision.
 _BESSEL_CUTOFF = 1e-8
+
+# d = 1 profiles of the form exp(-r) * p(r), keyed by m: the coefficients of
+# p, lowest degree first.  kernel_eval and the fast interpolant evaluation
+# both read this table, so they cannot disagree on which profiles qualify.
+_EXP_POLY = {1: (1.0,), 2: (1.0, 1.0)}
 
 
 def paper_amplitude(m, d=1):
@@ -100,6 +106,12 @@ def _bessel_profile(nu, r):
     return np.where(r > _BESSEL_CUTOFF, vals, 1.0)
 
 
+def exp_poly_coeffs(k):
+    """Coefficients of p, lowest degree first, when the profile of k is
+    exp(-r) * p(r) in closed form; None when it goes through the Bessel form."""
+    return _EXP_POLY.get(k.m) if k.d == 1 else None
+
+
 def kernel_eval(k, r):
     """Evaluate ``amplitude * profile(r)`` at radii r >= 0.
 
@@ -111,12 +123,14 @@ def kernel_eval(k, r):
         raise ValueError("radius must be finite")
     if np.any(arr < 0):
         raise ValueError("radius must be nonnegative")
-    if k.d == 1 and k.m == 1:
-        prof = np.exp(-arr)
-    elif k.d == 1 and k.m == 2:
-        prof = (1.0 + arr) * np.exp(-arr)
-    else:
+    coeffs = exp_poly_coeffs(k)
+    if coeffs is None:
         prof = _bessel_profile(k.nu, arr)
+    else:
+        poly = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            poly = poly * arr + c
+        prof = poly * np.exp(-arr)
     out = k.amplitude * prof
     return float(out) if arr.ndim == 0 else out
 

@@ -1,5 +1,7 @@
 """Norm-minimal interpolation: exactness, optimality, conditioning."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from maternlab import (
     f_exact,
     f_native_norm_sq,
     interpolate,
+    kernel_eval,
     kernel_translate_deriv,
     native_error_norm,
     native_norm_sq,
@@ -204,3 +207,130 @@ def test_interpolant_arrays_read_only():
         s.coefficients[0] = 7.0
     with pytest.raises(ValueError):
         s.values[0] = 7.0
+
+
+def _nodes(N, jittered, C=1.0, seed=0):
+    if N == 1:
+        return NodeSet(points=[0.3], halfwidth=C)
+    pts = np.linspace(-C, C, N)
+    if jittered:
+        h = pts[1] - pts[0]
+        pts[1:-1] += np.random.default_rng(seed).uniform(-h / 4, h / 4, N - 2)
+    return NodeSet(points=pts, halfwidth=C)
+
+
+@pytest.mark.parametrize("jittered", [False, True])
+@pytest.mark.parametrize(
+    "m, N",
+    [(m, N) for m in (1, 2) for N in (1, 2, 11, 161, 1281)]
+    # the m = 3 Gram matrix on 1281 nodes is below the conditioning floor
+    + [(3, N) for N in (1, 2, 11, 161)],
+)
+def test_evaluate_matches_dense_oracle(m, N, jittered):
+    # m = 1, 2 take the exponential-moment path, m = 3 the blocked Bessel
+    # sum.  Random data give coefficients up to ~1e9 whose translates cancel
+    # to O(1), so the error is measured against sum_j |a_j| K(|x - x_j|), the
+    # size of the terms both summations round.
+    k = KernelSpec(m=m, amplitude=2.5)
+    X = _nodes(N, jittered, seed=N)
+    rng = np.random.default_rng(7 * N + m)
+    s = interpolate(k, X, rng.standard_normal(N))
+    x = np.concatenate(
+        [
+            np.linspace(-1.0, 1.0, 1001),
+            X.points,
+            rng.uniform(-2.0, 2.0, 200),
+            [-1e3, -50.0, -3.0, 3.0, 50.0, 1e3],
+        ]
+    )
+    K = kernel_eval(k, np.abs(x[:, None] - X.points[None, :]))
+    dense = K @ s.coefficients
+    scale = K @ np.abs(s.coefficients)
+    got = evaluate(s, x)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - dense) <= 1e-12 * scale)
+    assert np.array_equal(evaluate(s, x[None, :]), got[None, :])
+    for x0 in (X.points[-1], 0.123, -7.5):
+        one = evaluate(s, x0)
+        assert isinstance(one, float)
+        assert one == evaluate(s, np.array([x0]))[0]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_evaluate_rejects_non_finite_points(m):
+    k = KernelSpec(m=m)
+    s = interpolate(k, equidistant_nodes(1.0, 5), np.ones(5))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            evaluate(s, bad)
+        with pytest.raises(ValueError):
+            evaluate(s, np.array([0.0, bad, 0.5]))
+
+
+def _row_cholesky_pivot(A, floor):
+    # Reference: the unpivoted row-by-row lower Cholesky.  Returns the index
+    # and value of the first pivot (diagonal remainder before its square
+    # root) at or below the floor, or None when every pivot clears it.
+    n = A.shape[0]
+    L = np.zeros_like(A)
+    for j in range(n):
+        d = A[j, j] - L[j, :j] @ L[j, :j]
+        if d <= floor:
+            return j, d
+        L[j, j] = np.sqrt(d)
+        if j + 1 < n:
+            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return None
+
+
+@pytest.mark.parametrize("m, gap", [(1, 1e-14), (2, 1e-9)])
+@pytest.mark.parametrize("N", [41, 301])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_conditioning_pivot_agrees_with_row_cholesky(m, gap, N, where):
+    # A gap of 1e-14 with m = 1 leaves a pivot near 5e-14, inside (0, floor],
+    # and the LAPACK factorization runs to the end; a gap of 1e-9 with m = 2
+    # leaves a pivot at rounding level, where LAPACK stops (info > 0).
+    k = KernelSpec(m=m, amplitude=2.5)
+    pts = np.linspace(-1.0, 1.0, N)
+    j = {"first": 1, "middle": N // 2, "last": N - 1}[where]
+    pts[j] = pts[j - 1] + gap
+    X = NodeSet(points=pts, halfwidth=1.0)
+    floor = CONDITIONING_FLOOR * k.amplitude
+    want = _row_cholesky_pivot(assemble_gram(k, X), floor)
+    assert want is not None and want[0] == j
+    with pytest.raises(ConditioningError) as info:
+        interpolate(k, X, np.ones(N))
+    assert info.value.pivot_index == j
+    assert info.value.pivot_value <= floor
+    assert info.value.floor == pytest.approx(floor)
+
+
+def test_conditioning_reports_first_low_pivot_before_lapack_stops():
+    # a pivot near 1e-14 at 1, then a rounding-level one at 30 where the
+    # LAPACK factorization stops: the error names the first
+    k = KernelSpec(m=2)
+    pts = np.linspace(-1.0, 1.0, 41)
+    pts[1] = pts[0] + 1e-7
+    pts[30] = pts[29] + 1e-9
+    X = NodeSet(points=pts, halfwidth=1.0)
+    want = _row_cholesky_pivot(assemble_gram(k, X), CONDITIONING_FLOOR)
+    with pytest.raises(ConditioningError) as info:
+        interpolate(k, X, np.ones(41))
+    assert want[0] == info.value.pivot_index == 1
+    assert 0.0 < info.value.pivot_value <= CONDITIONING_FLOOR
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_evaluate_never_holds_an_n_by_m_array(m):
+    # one float64 N x M array would take 400 * 20000 * 8 B = 64 MB
+    k = KernelSpec(m=m)
+    X = equidistant_nodes(1.0, 400)
+    s = interpolate(k, X, f_exact(X.points))
+    x = np.linspace(-1.5, 1.5, 20000)
+    tracemalloc.start()
+    try:
+        evaluate(s, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
