@@ -226,10 +226,14 @@ def hk_gram_matrix(sys, size=None):
     size = sys.n_modes if size is None else size
     if not 1 <= size <= sys.n_modes:
         raise ValueError(f"size must be 1..{sys.n_modes}, got {size}")
+    wphi = sys.rule.weights * sys.eigenfunctions[:size]
+    kappa = sys.eigenvalues
     out = np.empty((size, size))
     for j in range(size):
+        # hk_gram_extended's (w phi_j) A, hoisted; entries stay bit-identical
+        row = wphi[j] @ sys.gram
         for l in range(j, size):
-            out[j, l] = out[l, j] = hk_gram_extended(sys, j, l)
+            out[j, l] = out[l, j] = float(row @ wphi[l]) / (kappa[j] * kappa[l])
     return out
 
 

@@ -122,10 +122,7 @@ def seq_native_norm_sq(space, f):
 
 def epsilon_excluded(space, S):
     """eps = max over excluded n of sqrt(kappa_n); 0 when S covers everything."""
-    excluded = ~_as_mask(space, S)
-    if not excluded.any():
-        return 0.0
-    return float(np.sqrt(np.max(space.kappa[excluded])))
+    return float(np.sqrt(np.max(np.where(_as_mask(space, S), 0.0, space.kappa))))
 
 
 class BoundCheck(NamedTuple):
@@ -135,20 +132,32 @@ class BoundCheck(NamedTuple):
     holds: bool
 
 
+def _check_bounds(kappa, f, keep):
+    """Both bounds for f of shape (..., M) projected onto the coordinates in
+    keep; returns the standard and the superconvergence BoundCheck, whose
+    fields are arrays over the leading axes."""
+    resid = np.where(keep, 0.0, f)
+    lhs = np.sqrt(np.sum(resid * resid, axis=-1))
+    eps = np.sqrt(np.max(np.where(keep, 0.0, kappa), axis=-1))
+    rhs_std = eps * np.sqrt(np.sum(resid * resid / kappa, axis=-1))
+    v = f / kappa
+    rhs_sup = eps * eps * np.sqrt(np.sum(v * v, axis=-1))
+    return tuple(BoundCheck(lhs, eps, rhs, lhs <= rhs + _TOL) for rhs in (rhs_std, rhs_sup))
+
+
+def _scalar(check, i=()):
+    """Entry i of a batched BoundCheck as plain floats and a bool."""
+    lhs, eps, rhs, holds = (field[i] for field in check)
+    return BoundCheck(float(lhs), float(eps), float(rhs), bool(holds))
+
+
 def verify_standard_bound(space, f, S):
     """Check ||f - Pf||_0 <= eps * ||f - Pf||_K for the subset S.
 
     Returns (lhs, eps, rhs, holds) with holds true when the inequality is
     satisfied up to an additive 1e-12.
     """
-    f = _check_f(space, f)
-    mask = _as_mask(space, S)
-    resid = f[~mask]
-    lhs = float(np.linalg.norm(resid))
-    eps = epsilon_excluded(space, mask)
-    resid_k = float(np.sqrt(np.sum(resid * resid / space.kappa[~mask])))
-    rhs = eps * resid_k
-    return BoundCheck(lhs, eps, rhs, lhs <= rhs + _TOL)
+    return _scalar(_check_bounds(space.kappa, _check_f(space, f), _as_mask(space, S))[0])
 
 
 def verify_superconvergence(space, f, S):
@@ -158,13 +167,13 @@ def verify_superconvergence(space, f, S):
     v_f = f./kappa (always well defined at finite M).  Returns
     (lhs, eps, rhs, holds) with the same 1e-12 tolerance.
     """
-    f = _check_f(space, f)
-    mask = _as_mask(space, S)
-    lhs = float(np.linalg.norm(f[~mask]))
-    eps = epsilon_excluded(space, mask)
-    v = f / space.kappa
-    rhs = eps * eps * float(np.linalg.norm(v))
-    return BoundCheck(lhs, eps, rhs, lhs <= rhs + _TOL)
+    return _scalar(_check_bounds(space.kappa, _check_f(space, f), _as_mask(space, S))[1])
+
+
+def _sharpest(check, n):
+    """Largest lhs/rhs over the first n trials with rhs > 0, or 0."""
+    lhs, rhs = check.lhs[:n], check.rhs[:n]
+    return float(np.divide(lhs, rhs, out=np.zeros(n), where=rhs > 0).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -203,54 +212,34 @@ def run_trials(space, n_trials, seed):
     """
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
-    sharpest_std = 0.0
-    sharpest_sup = 0.0
-    std_pass = 0
-    sup_pass = 0
-    counterexample = None
-    children = np.random.SeedSequence(seed).spawn(n_trials)
-    for i, child in enumerate(children):
+    # the random trials, then the extremal case as one more row
+    f = np.zeros((n_trials + (n_trials > 0), space.M))
+    keep = np.ones(f.shape, dtype=bool)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
         rng = np.random.default_rng(child)
-        f = space.kappa * rng.standard_normal(space.M)
-        mask = rng.random(space.M) < 0.5
-        std = verify_standard_bound(space, f, mask)
-        sup = verify_superconvergence(space, f, mask)
-        std_pass += std.holds
-        sup_pass += sup.holds
-        if std.rhs > 0:
-            sharpest_std = max(sharpest_std, std.lhs / std.rhs)
-        if sup.rhs > 0:
-            sharpest_sup = max(sharpest_sup, sup.lhs / sup.rhs)
-        if counterexample is None and not (std.holds and sup.holds):
-            counterexample = {
-                "trial": i,
-                "f": f,
-                "subset": mask,
-                "standard": std,
-                "superconvergence": sup,
-            }
-    extremal_ratio = 1.0
+        f[i] = space.kappa * rng.standard_normal(space.M)
+        keep[i] = rng.random(space.M) < 0.5
     if n_trials > 0:
-        f = np.zeros(space.M)
-        f[0] = 1.0
-        mask = np.ones(space.M, dtype=bool)
-        mask[0] = False
-        sup = verify_superconvergence(space, f, mask)
-        extremal_ratio = sup.lhs / sup.rhs
-        if counterexample is None and not sup.holds:
-            counterexample = {
-                "trial": "extremal",
-                "f": f,
-                "subset": mask,
-                "standard": verify_standard_bound(space, f, mask),
-                "superconvergence": sup,
-            }
+        f[-1, 0] = 1.0
+        keep[-1, 0] = False
+    std, sup = _check_bounds(space.kappa, f, keep)
+    counterexample = None
+    failed = np.flatnonzero(~(std.holds & sup.holds))
+    if failed.size:
+        i = int(failed[0])
+        counterexample = {
+            "trial": i if i < n_trials else "extremal",
+            "f": f[i],
+            "subset": keep[i],
+            "standard": _scalar(std, i),
+            "superconvergence": _scalar(sup, i),
+        }
     return TrialReport(
         trials=n_trials,
-        standard_passes=std_pass,
-        super_passes=sup_pass,
-        sharpest_standard=sharpest_std,
-        sharpest_super=sharpest_sup,
-        extremal_ratio=extremal_ratio,
+        standard_passes=int(np.sum(std.holds[:n_trials])),
+        super_passes=int(np.sum(sup.holds[:n_trials])),
+        sharpest_standard=_sharpest(std, n_trials),
+        sharpest_super=_sharpest(sup, n_trials),
+        extremal_ratio=float(sup.lhs[-1] / sup.rhs[-1]) if n_trials > 0 else 1.0,
         counterexample=counterexample,
     )

@@ -27,13 +27,24 @@ from maternlab import (
 )
 
 
-def _continuous_eigs():
-    w0 = brentq(lambda w: w * np.tan(w) - 1.0, 0.1, 1.5, xtol=1e-15)
-    w1 = brentq(lambda w: np.tan(w) + w, np.pi / 2 + 1e-9, np.pi - 1e-9, xtol=1e-15)
-    return 2.0 / (1.0 + w0 * w0), 2.0 / (1.0 + w1 * w1)
+def _continuous_kappa(n_modes):
+    """Leading eigenvalues 2/(1+omega_n^2), omega_n in (n pi/2, (n+1) pi/2).
+
+    Even n solve omega tan(omega) = 1, written omega sin - cos = 0; odd n
+    solve omega cot(omega) = -1, written omega cos + sin = 0.
+    """
+    out = []
+    for n in range(n_modes):
+        if n % 2 == 0:
+            g = lambda w: w * np.sin(w) - np.cos(w)  # noqa: E731
+        else:
+            g = lambda w: w * np.cos(w) + np.sin(w)  # noqa: E731
+        w = brentq(g, n * np.pi / 2, (n + 1) * np.pi / 2, xtol=1e-15)
+        out.append(2.0 / (1.0 + w * w))
+    return np.array(out)
 
 
-KAPPA_1, KAPPA_2 = _continuous_eigs()
+KAPPA_1, KAPPA_2 = _continuous_kappa(2)
 
 
 def test_gauss_legendre_rule_properties():
@@ -67,6 +78,19 @@ def test_leading_eigenvalues_approach_continuous_values():
     sys_ = nystrom_eig(k, -1.0, 1.0, 200, 3)
     assert abs(sys_.eigenvalues[1] - KAPPA_2) < 5e-5
     assert np.all(np.diff(sys_.eigenvalues) <= 0)  # sorted descending
+
+
+def test_twenty_leading_eigenvalues_match_the_transcendental_roots():
+    # every requested kappa_n, not just the first two, against the roots;
+    # the Nystrom error is second order in 1/Q, so doubling Q must cut
+    # each mode's error by well over half
+    kappa = _continuous_kappa(20)
+    errs = {}
+    for rule in (200, 400):
+        sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, rule, 20)
+        errs[rule] = np.abs(sys_.eigenvalues - kappa)
+    assert np.all(errs[400] < 1e-5), errs[400]
+    assert np.all(errs[400] < errs[200] / 3.0), errs[200] / errs[400]
 
 
 def test_trace_identity():
@@ -164,6 +188,27 @@ def test_native_gram_of_extensions_is_inverse_spectrum():
     assert np.max(np.abs(scaled - np.eye(6))) < 1e-9
     with pytest.raises(ValueError):
         hk_gram_matrix(sys_, size=7)
+
+
+def _gram_double_loop(sys_):
+    # hk_gram_matrix before its rows were hoisted: one hk_gram_extended
+    # quadratic form per upper-triangle entry
+    size = sys_.n_modes
+    out = np.empty((size, size))
+    for j in range(size):
+        for l in range(j, size):
+            out[j, l] = out[l, j] = hk_gram_extended(sys_, j, l)
+    return out
+
+
+@pytest.mark.parametrize("rule,modes", [(200, 10), (400, 40)])
+def test_gram_matrix_is_bit_identical_to_the_double_loop(rule, modes):
+    # the native Gram check sits at the rounding floor (at Q=200, 10 modes
+    # even the long-double max|kappa G - I| is 1.33e-14), so any
+    # reassociation of the products would move it; the hoisted rows must not
+    sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, rule, modes)
+    assert np.array_equal(hk_gram_matrix(sys_), _gram_double_loop(sys_))
+    assert np.array_equal(hk_gram_matrix(sys_, 3), _gram_double_loop(sys_)[:3, :3])
 
 
 def test_multiplier_scales_eigencoefficients():

@@ -149,6 +149,55 @@ def test_run_trials_reports_and_is_deterministic():
     assert different.sharpest_standard != rep1.sharpest_standard
 
 
+def _per_trial_loop(space, n_trials, seed):
+    # the trials of run_trials redrawn one at a time and checked with the
+    # public single-trial verifiers
+    std_pass = sup_pass = 0
+    sharpest_std = sharpest_sup = 0.0
+    for child in np.random.SeedSequence(seed).spawn(n_trials):
+        rng = np.random.default_rng(child)
+        f = space.kappa * rng.standard_normal(space.M)
+        mask = rng.random(space.M) < 0.5
+        std = verify_standard_bound(space, f, mask)
+        sup = verify_superconvergence(space, f, mask)
+        std_pass += std.holds
+        sup_pass += sup.holds
+        if std.rhs > 0:
+            sharpest_std = max(sharpest_std, std.lhs / std.rhs)
+        if sup.rhs > 0:
+            sharpest_sup = max(sharpest_sup, sup.lhs / sup.rhs)
+    return std_pass, sup_pass, sharpest_std, sharpest_sup
+
+
+@pytest.mark.parametrize("space", [sobolev_weights(64), analytic_weights(64), sobolev_weights(5)])
+def test_batched_trials_match_the_per_trial_verifiers(space):
+    rep = run_trials(space, 300, 7)
+    std_pass, sup_pass, sharpest_std, sharpest_sup = _per_trial_loop(space, 300, 7)
+    assert (rep.standard_passes, rep.super_passes) == (std_pass, sup_pass) == (300, 300)
+    assert rep.sharpest_standard == pytest.approx(sharpest_std, rel=1e-12)
+    assert rep.sharpest_super == pytest.approx(sharpest_sup, rel=1e-12)
+
+
+def test_trials_can_fail(monkeypatch):
+    # a negative tolerance no inequality can meet: every trial fails, and
+    # the reported counterexample is the first one with its draw
+    from maternlab import seqmodel
+
+    monkeypatch.setattr(seqmodel, "_TOL", -np.inf)
+    space = sobolev_weights(16)
+    rep = run_trials(space, 50, 42)
+    assert (rep.standard_passes, rep.super_passes) == (0, 0)
+    assert not rep.all_pass
+    cx = rep.counterexample
+    assert cx["trial"] == 0
+    rng = np.random.default_rng(np.random.SeedSequence(42).spawn(1)[0])
+    assert np.array_equal(cx["f"], space.kappa * rng.standard_normal(16))
+    assert np.array_equal(cx["subset"], rng.random(16) < 0.5)
+    assert cx["standard"] == verify_standard_bound(space, cx["f"], cx["subset"])
+    assert cx["superconvergence"] == verify_superconvergence(space, cx["f"], cx["subset"])
+    assert not (cx["standard"].holds or cx["superconvergence"].holds)
+
+
 def test_run_trials_edge_cases():
     space = sobolev_weights(16)
     empty = run_trials(space, 0, 42)

@@ -6,9 +6,12 @@ e^{-0.2} - e^{-2.2}.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maternlab import (
     BREAKPOINTS,
@@ -19,6 +22,7 @@ from maternlab import (
     convolve_with_indicator,
     f_exact,
     f_native_norm_sq,
+    kernel_eval,
 )
 
 F_AT_0 = 4.0 - 6.0 * math.exp(-1.0)
@@ -122,6 +126,86 @@ def test_convolve_respects_quadrature_budget():
         convolve_with_indicator(k, -1.0, 1.0, 0.25, tol=0.0)  # exactness demanded
     with pytest.raises(ValueError):
         convolve_with_indicator(k, 1.0, -1.0, 0.25)
+
+
+def _kernel_antiderivative(m, t):
+    # integral of K(|s|) ds over [0, t] for the closed-form d = 1 kernels
+    r = abs(t)
+    if m == 1:
+        return math.copysign(1.0 - math.exp(-r), t)
+    return math.copysign(2.0 - (2.0 + r) * math.exp(-r), t)
+
+
+@st.composite
+def _interval_and_point(draw):
+    a = draw(st.floats(-6.0, 6.0))
+    b = a + draw(st.floats(1e-6, 8.0))
+    x = draw(st.one_of(st.just(a), st.just(b), st.floats(-12.0, 12.0)))
+    return a, b, x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(m=st.sampled_from([1, 2]), abx=_interval_and_point())
+def test_convolve_matches_elementary_antiderivatives(m, abx):
+    # x at a, at b, inside and outside [a, b]; the exact value is
+    # F(b - x) - F(a - x) with F the kernel's antiderivative from 0
+    a, b, x = abx
+    exact = _kernel_antiderivative(m, b - x) - _kernel_antiderivative(m, a - x)
+    got = convolve_with_indicator(KernelSpec(m=m), a, b, x)
+    assert got == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("a,b,x", [(-1.0, 1.0, 0.3), (-1.0, 1.0, -1.0), (-1.0, 1.0, 2.5), (0.2, 3.0, 1.7)])
+def test_convolve_bessel_kernel_matches_scipy_quad(a, b, x):
+    # the d = 2 profile r K_1(r) has an r^2 log r singularity at y = x,
+    # so refinement concentrates there; quad gets the kink as a breakpoint
+    from scipy.integrate import quad
+
+    k = KernelSpec(m=2, d=2)
+    ref, _ = quad(
+        lambda y: kernel_eval(k, abs(x - y)),
+        a,
+        b,
+        points=[x] if a < x < b else None,
+        epsabs=1e-13,
+        epsrel=0.0,
+        limit=200,
+    )
+    assert convolve_with_indicator(k, a, b, x) == pytest.approx(ref, abs=1e-12)
+
+
+def test_convolve_splits_at_the_kink_and_batches_its_panels(monkeypatch):
+    # both rules of every open panel share one kernel_eval call per level;
+    # with the split at y = x, the analytic pieces pass at the first level
+    from maternlab import testfunctions
+
+    calls = []
+    monkeypatch.setattr(
+        testfunctions, "kernel_eval", lambda k, r: calls.append(r.size) or kernel_eval(k, r)
+    )
+    xs = np.linspace(-2.9, 2.9, 30)
+    for m in (1, 2):
+        calls.clear()
+        for x in xs:
+            convolve_with_indicator(KernelSpec(m=m), -1.0, 1.0, float(x))
+        assert len(calls) <= 2 * xs.size, f"m={m}: {len(calls)} calls"
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-30])
+def test_unreachable_tolerance_raises_within_the_panel_cap(tol):
+    # tol = 0 and a tol below the rounding floor can never be met: the
+    # 10- and 20-point rules agree exactly on many panels, so the strict
+    # comparison and the rounding allowance keep them open, and the panel
+    # cap must stop the bisection (2048 panels, about 2 MB) long before
+    # 40 levels of it
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError, match=r"\[-1, 1\]"):
+            convolve_with_indicator(KernelSpec(m=1), -1.0, 1.0, 0.25, tol=tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_two_constraint_residuals_vanish_for_f_outside_support():
