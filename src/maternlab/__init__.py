@@ -8,139 +8,24 @@ convergence-rate experiments that exhibit doubled interior rates, a
 Nystrom-Mercer eigendecomposition with native-space extension operators, and
 a weighted sequence-space model in which the underlying approximation bounds
 can be verified exactly.
+
+Each module's ``__all__`` is the one list of its public names; this
+package re-exports exactly their union.
 """
 
-from .errors import (
-    ConditioningError,
-    ConditioningWarning,
-    InsufficientDataError,
-    MaternlabError,
-    QuadratureError,
-    TruncationError,
-)
-from .experiments import (
-    RateRow,
-    RateStudy,
-    bad_part_sup_bound,
-    equidistant_nodes,
-    fit_rate,
-    native_decay_study,
-    rms_error,
-    run_rate_study,
-)
-from .interpolation import (
-    CONDITIONING_FLOOR,
-    Interpolant,
-    JITTER_SCALE,
-    NodeSet,
-    assemble_gram,
-    evaluate,
-    interpolate,
-    native_error_norm,
-    native_norm_sq,
-)
-from .kernels import (
-    KernelSpec,
-    boundary_layer_width,
-    convolution_root,
-    fourier_symbol,
-    kernel_eval,
-    kernel_translate_deriv,
-    paper_amplitude,
-    tail_energy,
-)
-from .mercer import (
-    MercerSystem,
-    QuadratureRule,
-    apply_multiplier,
-    eigen_extend,
-    extend_function,
-    gauss_legendre,
-    hk_gram_extended,
-    hk_gram_matrix,
-    nystrom_eig,
-    project_samples,
-)
-from .seqmodel import (
-    BoundCheck,
-    TrialReport,
-    WeightedSeqSpace,
-    analytic_weights,
-    epsilon_excluded,
-    run_trials,
-    seq_native_norm_sq,
-    seq_project,
-    sobolev_weights,
-    verify_standard_bound,
-    verify_superconvergence,
-)
-from .testfunctions import (
-    BREAKPOINTS,
-    bc_chain_residuals,
-    bc_residuals,
-    convolve_with_indicator,
-    f_exact,
-    f_native_norm_sq,
-)
+from . import errors, experiments, interpolation, kernels, mercer, seqmodel, testfunctions
+from .errors import *
+from .experiments import *
+from .interpolation import *
+from .kernels import *
+from .mercer import *
+from .seqmodel import *
+from .testfunctions import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BREAKPOINTS",
-    "BoundCheck",
-    "CONDITIONING_FLOOR",
-    "ConditioningError",
-    "ConditioningWarning",
-    "InsufficientDataError",
-    "Interpolant",
-    "JITTER_SCALE",
-    "KernelSpec",
-    "MaternlabError",
-    "MercerSystem",
-    "NodeSet",
-    "QuadratureError",
-    "QuadratureRule",
-    "RateRow",
-    "RateStudy",
-    "TrialReport",
-    "TruncationError",
-    "WeightedSeqSpace",
-    "analytic_weights",
-    "apply_multiplier",
-    "assemble_gram",
-    "bad_part_sup_bound",
-    "bc_chain_residuals",
-    "bc_residuals",
-    "boundary_layer_width",
-    "convolution_root",
-    "convolve_with_indicator",
-    "eigen_extend",
-    "epsilon_excluded",
-    "equidistant_nodes",
-    "evaluate",
-    "extend_function",
-    "f_exact",
-    "f_native_norm_sq",
-    "fit_rate",
-    "fourier_symbol",
-    "gauss_legendre",
-    "hk_gram_extended",
-    "hk_gram_matrix",
-    "interpolate",
-    "kernel_eval",
-    "kernel_translate_deriv",
-    "native_decay_study",
-    "native_error_norm",
-    "native_norm_sq",
-    "nystrom_eig",
-    "paper_amplitude",
-    "project_samples",
-    "rms_error",
-    "run_rate_study",
-    "seq_native_norm_sq",
-    "seq_project",
-    "sobolev_weights",
-    "tail_energy",
-    "verify_standard_bound",
-    "verify_superconvergence",
-]
+__all__ = sorted(
+    name
+    for module in (errors, experiments, interpolation, kernels, mercer, seqmodel, testfunctions)
+    for name in module.__all__
+)

@@ -191,11 +191,7 @@ def _ensure_outdir(path):
 def cmd_rates(args):
     kernel = parse_kernel(args.kernel)
     counts = _parse_node_ladder(args.nodes)
-    f_norm_sq = None
-    if kernel.m == 2 and kernel.d == 1:
-        # the built-in f is the convolution with the unit-amplitude kernel;
-        # under amplitude c its squared native norm scales by 1/c
-        f_norm_sq = f_native_norm_sq() / kernel.amplitude
+    f_norm_sq = f_native_norm_sq(kernel)
     study = run_rate_study(
         kernel,
         args.C,

@@ -1,5 +1,14 @@
 """Exception and warning types shared across the package."""
 
+__all__ = [
+    "MaternlabError",
+    "ConditioningError",
+    "QuadratureError",
+    "TruncationError",
+    "InsufficientDataError",
+    "ConditioningWarning",
+]
+
 
 class MaternlabError(Exception):
     """Base class for errors raised by this package."""

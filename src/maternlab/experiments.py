@@ -33,7 +33,6 @@ __all__ = [
     "RateRow",
     "RateStudy",
     "equidistant_nodes",
-    "rms_error",
     "fit_rate",
     "run_rate_study",
     "native_decay_study",
@@ -48,25 +47,6 @@ def equidistant_nodes(C, N):
     if N < 2:
         raise ValueError(f"need N >= 2 nodes, got {N}")
     return NodeSet(points=np.linspace(-C, C, N), halfwidth=C)
-
-
-def rms_error(reference, s, grid):
-    """Root-mean-square of reference(x) - s(x) over the grid points."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    diff = np.asarray(reference(grid), dtype=float) - evaluate(s, grid)
-    return float(np.sqrt(np.mean(diff * diff)))
-
-
-def _usable(e):
-    e = np.asarray(e, dtype=float)
-    return np.isfinite(e) & (e >= ERROR_FLOOR)
-
-
-def _finest_count(levels):
-    # finest half of the levels, plus one; never more than all of them
-    return min(levels, math.ceil(levels / 2) + 1)
 
 
 def fit_rate(h, e, all_levels=False):
@@ -87,7 +67,7 @@ def fit_rate(h, e, all_levels=False):
         raise ValueError("h and e must be matching 1-D vectors")
     if np.any(h <= 0):
         raise ValueError("h must be positive")
-    keep = _usable(e)
+    keep = np.isfinite(e) & (e >= ERROR_FLOOR)
     hs = h[keep]
     es = e[keep]
     if hs.size < 2:
@@ -96,8 +76,8 @@ def fit_rate(h, e, all_levels=False):
             f"(errors below {ERROR_FLOOR:g} are dropped)"
         )
     if not all_levels:
-        order = np.argsort(hs)
-        take = order[: _finest_count(hs.size)]
+        # finest half of the levels, plus one; never more than all of them
+        take = np.argsort(hs)[: math.ceil(hs.size / 2) + 1]
         hs = hs[take]
         es = es[take]
     slope, _ = np.polyfit(np.log(hs), np.log(es), 1)
@@ -140,23 +120,16 @@ class RateStudy:
     finest: Optional[Interpolant] = None
 
     @property
-    def hs(self):
-        return np.array([row.h for row in self.rows])
-
-    @property
     def native_exponent(self):
-        """Fitted exponent of native_err against N; see native_decay_study."""
+        """Fitted exponent of native_err against N; see native_decay_study.
+
+        NaN when fewer than two levels lie above the error floor.
+        """
         N = np.array([row.N for row in self.rows], dtype=float)
-        e = np.array([row.native_err for row in self.rows])
-        keep = _usable(e)
-        N = N[keep]
-        e = e[keep]
-        if N.size < 2:
+        try:
+            return -fit_rate(1.0 / N, [row.native_err for row in self.rows])
+        except InsufficientDataError:
             return math.nan
-        order = np.argsort(N)[::-1]
-        take = order[: _finest_count(N.size)]
-        slope, _ = np.polyfit(np.log(N[take]), np.log(e[take]), 1)
-        return float(slope)
 
 
 def run_rate_study(
@@ -285,9 +258,19 @@ def native_decay_study(
     N is about -m (-2.04 for m = 2, C = 1.2 on the 11..161 ladder).  When
     the boundary cuts the support, the data miss part of f and the native
     error stalls: the exponent is near 0 (-0.08 at C = 0.8).
+
+    Without f_norm_sq the closed form f_native_norm_sq(kernel) is used,
+    which exists only for reference f_exact and the m = 2, d = 1 kernel
+    (any amplitude); otherwise ValueError is raised.
     """
     if f_norm_sq is None:
-        f_norm_sq = f_native_norm_sq()
+        if reference is not f_exact:
+            raise ValueError("f_norm_sq is required for a reference other than f_exact")
+        f_norm_sq = f_native_norm_sq(kernel)
+        if f_norm_sq is None:
+            raise ValueError(
+                f"no closed-form native norm of f_exact for {kernel!r}; pass f_norm_sq"
+            )
     study = run_rate_study(
         kernel, C, interior_margin, node_counts, grid_size, reference, f_norm_sq
     )

@@ -165,6 +165,13 @@ def _check_mode(sys, n):
         raise ValueError(f"mode index {n} outside 0..{sys.n_modes - 1}")
 
 
+def _weighted_kernel(sys, x):
+    # w_q K(|x - y_q|), one row per point of x (a scalar counts as one point)
+    flat = np.atleast_1d(np.asarray(x, dtype=float))
+    kx = kernel_eval(sys.kernel, np.abs(flat[:, None] - sys.rule.nodes[None, :]))
+    return kx * sys.rule.weights
+
+
 def eigen_extend(sys, n, x):
     """Extension phi_n^E(x) = (1/kappa_n) sum_q w_q K(|x - y_q|) phi_n(y_q).
 
@@ -173,11 +180,8 @@ def eigen_extend(sys, n, x):
     zero-based.
     """
     _check_mode(sys, n)
-    arr = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(arr)
-    kx = kernel_eval(sys.kernel, np.abs(flat[:, None] - sys.rule.nodes[None, :]))
-    out = (kx * sys.rule.weights) @ sys.eigenfunctions[n] / sys.eigenvalues[n]
-    return float(out[0]) if arr.ndim == 0 else out
+    out = _weighted_kernel(sys, x) @ sys.eigenfunctions[n] / sys.eigenvalues[n]
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def project_samples(sys, samples):
@@ -196,13 +200,10 @@ def extend_function(sys, samples, x):
     claimed, only monotone improvement for native-space functions.
     """
     coeffs = project_samples(sys, samples)
-    arr = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(arr)
-    kx = kernel_eval(sys.kernel, np.abs(flat[:, None] - sys.rule.nodes[None, :]))
     # columns of modes_at_x are phi_n^E at the requested points
-    modes_at_x = (kx * sys.rule.weights) @ sys.eigenfunctions.T / sys.eigenvalues
+    modes_at_x = _weighted_kernel(sys, x) @ sys.eigenfunctions.T / sys.eigenvalues
     out = modes_at_x @ coeffs
-    return float(out[0]) if arr.ndim == 0 else out
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def hk_gram_extended(sys, j, l):

@@ -53,28 +53,15 @@ def atomic_write_text(path, text):
 
 def write_rates_csv(path, study):
     """Rate table: N,h,rms_global,rms_interior,native_err per ladder level."""
-    lines = ["N,h,rms_global,rms_interior,native_err"]
-    for row in study.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.N),
-                    format_value(row.h),
-                    format_value(row.rms_global),
-                    format_value(row.rms_interior),
-                    format_value(row.native_err),
-                ]
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    names = ["N", "h", "rms_global", "rms_interior", "native_err"]
+    write_columns_csv(
+        path, names, [[getattr(row, name) for row in study.rows] for name in names]
+    )
 
 
 def write_xy_csv(path, header, xs, ys):
     """Two-column table with the given `a,b` header line."""
-    lines = [header]
-    for x, y in zip(xs, ys):
-        lines.append(f"{format_value(x)},{format_value(y)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_columns_csv(path, header.split(","), [xs, ys])
 
 
 def write_columns_csv(path, names, columns):

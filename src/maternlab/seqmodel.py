@@ -64,10 +64,10 @@ class WeightedSeqSpace:
         return self.kappa.size
 
 
-def sobolev_weights(M=64, order=4):
-    """Polynomially decaying weights kappa_n = n^(-order), n = 1..M."""
+def sobolev_weights(M=64):
+    """Polynomially decaying weights kappa_n = n^(-4), n = 1..M."""
     n = np.arange(1, M + 1, dtype=float)
-    return WeightedSeqSpace(kappa=n**-order)
+    return WeightedSeqSpace(kappa=n**-4)
 
 
 def analytic_weights(M=64):

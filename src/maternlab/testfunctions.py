@@ -89,13 +89,21 @@ def f_exact(x, order=0):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def f_native_norm_sq():
-    """Exact squared native norm of f for the unit-amplitude m = 2 kernel.
+def f_native_norm_sq(k=None):
+    """Exact squared native norm of f in the native space of kernel k.
 
-    Equals the double integral of (1+|x-y|)e^{-|x-y|} over [-1,1]^2, which
-    reduces to 2(1 + 5 e^{-2}) ~ 3.3533528.
+    For the unit-amplitude m = 2, d = 1 kernel (the default, k=None) it is
+    the double integral of (1+|x-y|)e^{-|x-y|} over [-1,1]^2, which reduces
+    to 2(1 + 5 e^{-2}) ~ 3.3533528.  Under amplitude c the same f is
+    (c K) * (chi / c), so the squared norm scales by 1/c.  Any other kernel
+    has no closed form here and gives None.
     """
-    return 2.0 * (1.0 + 5.0 * math.exp(-2.0))
+    value = 2.0 * (1.0 + 5.0 * math.exp(-2.0))
+    if k is None:
+        return value
+    if k.m != 2 or k.d != 1:
+        return None
+    return value / k.amplitude
 
 
 # A 10-point and a 20-point Gauss-Legendre rule on [-1, 1], nodes stacked

@@ -22,21 +22,29 @@ from maternlab import (
     interpolate,
     kernel_eval,
     native_decay_study,
-    rms_error,
     run_rate_study,
     tail_energy,
 )
 
 
 def test_rms_error_matches_direct_computation():
+    # the study's RMS columns against the same RMS taken directly from a
+    # separately solved interpolant on the study's own grid
     k = KernelSpec(m=2)
     X = equidistant_nodes(1.0, 9)
     s = interpolate(k, X, f_exact(X.points))
     grid = np.linspace(-1, 1, 101)
-    direct = float(np.sqrt(np.mean((f_exact(grid) - s(grid)) ** 2)))
-    assert rms_error(f_exact, s, grid) == pytest.approx(direct, rel=1e-14)
+    err = f_exact(grid) - s(grid)
+    inner = np.abs(grid) <= 1.0 - 0.25
+    (row,) = run_rate_study(k, 1.0, 0.25, [9], 101, f_exact).rows
+    assert row.rms_global == pytest.approx(
+        float(np.sqrt(np.mean(err**2))), rel=1e-14
+    )
+    assert row.rms_interior == pytest.approx(
+        float(np.sqrt(np.mean(err[inner] ** 2))), rel=1e-14
+    )
     with pytest.raises(ValueError):
-        rms_error(f_exact, s, np.array([]))
+        run_rate_study(k, 1.0, 0.25, [9], 0, f_exact)
 
 
 def test_fit_rate_recovers_exact_power_law():
@@ -164,6 +172,53 @@ def test_amplitude_choice_does_not_move_the_decay_exponent():
     )
     assert scaled == pytest.approx(base, abs=1e-12)
     assert base == pytest.approx(-2.14, abs=0.1)
+
+
+def test_decay_study_default_norm_follows_the_kernel():
+    # without f_norm_sq the closed form f_native_norm_sq(kernel) is used, so
+    # the amplitude cannot move the exponent; kernels without one must raise
+    ladder = [11, 21, 41]
+    base = native_decay_study(KernelSpec(m=2), 1.2, 0.4, ladder, 501)
+    scaled = native_decay_study(KernelSpec(m=2, amplitude=4.0), 1.2, 0.4, ladder, 501)
+    assert scaled == pytest.approx(base, abs=1e-12)
+    assert base == pytest.approx(-2.14, abs=0.1)
+    for m in (1, 3):
+        with pytest.raises(ValueError, match=f"m={m}"):
+            native_decay_study(KernelSpec(m=m), 1.2, 0.4, ladder, 501)
+    with pytest.raises(ValueError, match="f_norm_sq"):
+        native_decay_study(KernelSpec(m=2), 1.2, 0.4, ladder, 501, lambda x: f_exact(x))
+
+
+def test_native_norm_closed_form_per_kernel():
+    assert f_native_norm_sq(KernelSpec(m=2)) == f_native_norm_sq()
+    assert f_native_norm_sq(KernelSpec(m=2, amplitude=4.0)) == f_native_norm_sq() / 4.0
+    for k in (KernelSpec(m=1), KernelSpec(m=3), KernelSpec(m=2, d=2)):
+        assert f_native_norm_sq(k) is None
+
+
+def _old_native_exponent(study):
+    # the former RateStudy.native_exponent: its own floor and finest-levels
+    # selection, then a polyfit of log native_err on log N
+    N = np.array([row.N for row in study.rows], dtype=float)
+    e = np.array([row.native_err for row in study.rows])
+    keep = np.isfinite(e) & (e >= 1e-13)
+    N = N[keep]
+    e = e[keep]
+    if N.size < 2:
+        return math.nan
+    take = np.argsort(N)[::-1][: min(N.size, math.ceil(N.size / 2) + 1)]
+    slope, _ = np.polyfit(np.log(N[take]), np.log(e[take]), 1)
+    return float(slope)
+
+
+@pytest.mark.parametrize("C,margin", [(1.2, 0.4), (0.8, 0.2)])
+def test_native_exponent_is_the_shared_rate_fit(C, margin):
+    # the criterion-4 studies: fit_rate on 1/N must reproduce the old fit bit for bit
+    study = run_rate_study(
+        KernelSpec(m=2), C, margin, [11, 21, 41, 81, 161], 2001, f_exact,
+        f_native_norm_sq(),
+    )
+    assert study.native_exponent == _old_native_exponent(study)
 
 
 def test_decay_study_degenerates_to_nan_for_reproduced_references():

@@ -174,6 +174,22 @@ def test_extend_function_is_the_projected_mode_sum():
     assert np.max(np.abs(direct - summed)) < 1e-11
 
 
+def test_extensions_are_bit_identical_to_their_own_kernel_passes():
+    # eigen_extend and extend_function as they were before sharing one
+    # weighted kernel pass, each with its own product order
+    sys_ = nystrom_eig(KernelSpec(m=2), -1.0, 2.0, 120, 6)
+    xs = np.linspace(-2.5, 3.5, 401)
+    kx = kernel_eval(sys_.kernel, np.abs(xs[:, None] - sys_.rule.nodes[None, :]))
+    for n in range(6):
+        old = (kx * sys_.rule.weights) @ sys_.eigenfunctions[n] / sys_.eigenvalues[n]
+        assert np.array_equal(eigen_extend(sys_, n, xs), old)
+    samples = kernel_eval(sys_.kernel, np.abs(sys_.rule.nodes - 0.2))
+    modes_at_x = (kx * sys_.rule.weights) @ sys_.eigenfunctions.T / sys_.eigenvalues
+    old = modes_at_x @ project_samples(sys_, samples)
+    assert np.array_equal(extend_function(sys_, samples, xs), old)
+    assert extend_function(sys_, samples, 0.7) == extend_function(sys_, samples, [0.7])[0]
+
+
 def test_native_gram_of_extensions_is_inverse_spectrum():
     sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 150, 6)
     for j in range(6):

@@ -92,6 +92,49 @@ def test_xy_and_columns_csv(tmp_path):
         write_columns_csv(str(cpath), ["a"], [xs, ys])
 
 
+def _old_rates_text(study):
+    # write_rates_csv before it went through write_columns_csv
+    lines = ["N,h,rms_global,rms_interior,native_err"]
+    for row in study.rows:
+        lines.append(
+            ",".join(
+                [str(row.N)]
+                + [
+                    format_value(v)
+                    for v in (row.h, row.rms_global, row.rms_interior, row.native_err)
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _old_xy_text(header, xs, ys):
+    # write_xy_csv before it went through write_columns_csv
+    lines = [header]
+    for x, y in zip(xs, ys):
+        lines.append(f"{format_value(x)},{format_value(y)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_rates_and_xy_csv_bytes_match_the_row_loops(tmp_path):
+    path = tmp_path / "t.csv"
+    for study in (
+        _small_study(),
+        run_rate_study(KernelSpec(m=2), 1.2, 0.4, [11, 21], 501, f_exact),
+    ):
+        write_rates_csv(str(path), study)
+        assert path.read_bytes() == _old_rates_text(study).encode()
+    rng = np.random.default_rng(5)
+    cases = [
+        ("n,kappa", np.arange(1, 11), 10.0 ** rng.uniform(-12, 0, 10)),
+        ("x,error", np.linspace(-1.2, 1.2, 2001), rng.standard_normal(2001) * 1e-9),
+        ("y,phi", np.array([0.5]), np.array([math.nan])),
+    ]
+    for header, xs, ys in cases:
+        write_xy_csv(str(path), header, xs, ys)
+        assert path.read_bytes() == _old_xy_text(header, xs, ys).encode()
+
+
 def test_matrix_csv_headerless(tmp_path):
     mat = np.array([[1.0, 0.5], [0.25, 2.0]])
     path = tmp_path / "mat.csv"
