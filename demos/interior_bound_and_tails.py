@@ -6,8 +6,7 @@ Whatever part of a convolution K * v is driven from outside the working
 interval is pointwise small inside it: Cauchy-Schwarz against the kernel
 tail gives |K*v(x)| <= ||v||_2 * sqrt(tail_energy(R)) once x keeps
 distance R from the support.  The bound decays exponentially, so the
-influence of the outside world is confined to a boundary layer whose
-width the library can solve for.
+influence of the outside world is confined to a boundary layer.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ import numpy as np
 from maternlab import (
     KernelSpec,
     bad_part_sup_bound,
-    boundary_layer_width,
     convolve_with_indicator,
     tail_energy,
 )
@@ -35,8 +33,4 @@ for m in (1, 2):
         value = abs(convolve_with_indicator(k, 2.0, 3.0, float(x)))
         bound = bad_part_sup_bound(k, 1.0, 2.0 - float(x))
         print(f"  x = {x:5.2f}: |K*v| = {value:.3e} <= {bound:.3e}")
-
-    for tol in (1e-2, 1e-4, 1e-8):
-        width = boundary_layer_width(k, 1.0, tol)
-        print(f"layer width for tol {tol:.0e}: {width:.4f}")
     print()

@@ -145,7 +145,6 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
-        p.add_argument("--seed", type=int, default=42, help="base RNG seed (default 42)")
 
     p = sub.add_parser("rates", help="convergence-rate study of the built-in test function")
     p.add_argument("--kernel", default="matern:m=2", help="kernel spec (default matern:m=2)")
@@ -179,6 +178,7 @@ def build_parser():
     p = sub.add_parser("seqmodel", help="sequence-space inequality verification")
     p.add_argument("--trials", type=int, default=1000, help="random trials per preset (default 1000)")
     p.add_argument("--M", type=int, default=64, help="sequence length (default 64)")
+    p.add_argument("--seed", type=int, default=42, help="base RNG seed (default 42)")
     add_common(p)
     return parser
 
@@ -208,12 +208,11 @@ def cmd_rates(args):
         os.path.join(out, "rates.svg"), output.render_rate_svg(study)
     )
     n_max = max(counts)
-    grid = np.linspace(-args.C, args.C, args.grid)
     output.write_xy_csv(
         os.path.join(out, f"error_N{n_max}.csv"),
         "x,error",
-        grid,
-        f_exact(grid) - evaluate(study.finest, grid),
+        np.linspace(-args.C, args.C, args.grid),
+        study.finest_error,
     )
     if study.global_rate is None:
         print(f"wrote {out}/rates.csv ({len(study.rows)} levels)")
@@ -235,6 +234,8 @@ def cmd_rates(args):
 
 def cmd_interp(args):
     kernel = parse_kernel(args.kernel)
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
     nodes = equidistant_nodes(args.C, args.N)
     s = interpolate(kernel, nodes, f_exact(nodes.points), jitter=args.jitter)
     grid = np.linspace(-args.C, args.C, args.grid)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConditioningError, InsufficientDataError
 from .interpolation import (
-    Interpolant,
     NodeSet,
     evaluate,
     interpolate,
@@ -103,8 +102,9 @@ class RateStudy:
 
     ``global_rate``/``interior_rate`` use the finest-levels fit;
     the ``*_all`` variants fit every usable level.  All four are None when
-    the ladder leaves fewer than two usable levels.  ``finest`` is the
-    interpolant of the last level (None for a study assembled by hand).
+    the ladder leaves fewer than two usable levels.  ``finest_error`` is the
+    signed error f - s of the last level on the evaluation grid (None for a
+    study assembled by hand).
     """
 
     kernel: object
@@ -117,7 +117,7 @@ class RateStudy:
     interior_rate: Optional[float]
     global_rate_all: Optional[float]
     interior_rate_all: Optional[float]
-    finest: Optional[Interpolant] = None
+    finest_error: Optional[np.ndarray] = None
 
     @property
     def native_exponent(self):
@@ -150,7 +150,8 @@ def run_rate_study(
     C : float
         Domain half-width; nodes and evaluation grid live in [-C, C].
     interior_margin : float
-        The interior window is |x| <= C - interior_margin.
+        The interior window is |x| <= C - interior_margin; it must hold at
+        least one grid point.
     node_counts : sequence of int
         Strictly increasing node ladder, each >= 2.
     grid_size : int
@@ -185,6 +186,11 @@ def run_rate_study(
         )
     grid = np.linspace(-C, C, grid_size)
     interior = np.abs(grid) <= C - margin
+    if not interior.any():
+        raise ValueError(
+            f"interior window |x| <= C - margin = {C - margin:g} (margin {margin:g}) "
+            f"holds no point of the {grid_size}-point grid on [-{C:g}, {C:g}]"
+        )
     f_grid = np.asarray(reference(grid), dtype=float)
     rows = []
     for N in counts:
@@ -195,7 +201,8 @@ def run_rate_study(
             raise ConditioningError(
                 exc.pivot_index, exc.pivot_value, exc.floor, detail=f"at N={N}"
             ) from exc
-        diff = np.abs(f_grid - evaluate(s, grid))
+        err = f_grid - evaluate(s, grid)
+        diff = np.abs(err)
         nerr = math.nan
         if f_norm_sq is not None:
             nerr = native_error_norm(f_norm_sq, s)
@@ -232,7 +239,7 @@ def run_rate_study(
         interior_rate=fits["interior"],
         global_rate_all=fits["global_all"],
         interior_rate_all=fits["interior_all"],
-        finest=s,
+        finest_error=err,
     )
 
 

@@ -17,7 +17,6 @@ constructor enforces that.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +28,7 @@ __all__ = [
     "paper_amplitude",
     "kernel_eval",
     "exp_poly_coeffs",
-    "kernel_translate_deriv",
-    "fourier_symbol",
-    "convolution_root",
     "tail_energy",
-    "boundary_layer_width",
 ]
 
 # Below this radius the Bessel profile is replaced by its limit value 1;
@@ -135,79 +130,6 @@ def kernel_eval(k, r):
     return float(out) if arr.ndim == 0 else out
 
 
-def kernel_translate_deriv(k, x, order):
-    """Derivative of x -> kernel_eval(k, |x|) for the m = 2, d = 1 kernel.
-
-    Supported orders are 0..3.  The translate is C^2 on the line; the third
-    derivative jumps at x = 0, where the right-sided limit is returned and a
-    RuntimeWarning flags the one-sidedness.
-
-    Parameters
-    ----------
-    k : KernelSpec
-        Must have m = 2 and d = 1; other members of the family are not C^2.
-    x : float or array_like
-    order : int
-        Derivative order, 0 to 3.
-    """
-    if k.m != 2 or k.d != 1:
-        raise ValueError("translate derivatives are implemented for m=2, d=1 only")
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0..3, got {order!r} (4th derivative jumps at 0)")
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
-    r = np.abs(arr)
-    decay = np.exp(-r)
-    if order == 0:
-        out = (1.0 + r) * decay
-    elif order == 1:
-        out = -arr * decay
-    elif order == 2:
-        out = (r - 1.0) * decay
-    else:
-        if np.any(arr == 0):
-            warnings.warn(
-                "third derivative of the kernel translate is one-sided at x=0; "
-                "returning the right-hand limit",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        out = np.where(arr == 0, 2.0, np.sign(arr) * (2.0 - r) * decay)
-    out = k.amplitude * out
-    return float(out) if arr.ndim == 0 else out
-
-
-def fourier_symbol(k, omega):
-    """Symbol (1 + omega^2)^(-m) of the kernel, normalization constants dropped.
-
-    No 2*pi convention is tracked; the symbol is meaningful only in ratios
-    and identities, never with absolute normalization.
-    """
-    arr = np.asarray(omega, dtype=float)
-    out = (1.0 + arr * arr) ** (-float(k.m))
-    return float(out) if arr.ndim == 0 else out
-
-
-def convolution_root(k):
-    """The kernel whose Fourier symbol squares to the symbol of k.
-
-    Defined for even m provided the root smoothness m/2 still satisfies
-    2(m/2) > d; otherwise the root leaves the pointwise-defined family and a
-    ValueError is raised.  The root amplitude is sqrt(amplitude); profile
-    constants beyond the symbol identity are not tracked.
-    """
-    if k.m % 2 != 0:
-        raise ValueError(f"no convolution root in the family for odd m = {k.m}")
-    half = k.m // 2
-    if 2 * half <= k.d:
-        raise ValueError(
-            f"root smoothness m/2 = {half} violates 2(m/2) > d = {k.d}; "
-            "the root is not pointwise defined"
-        )
-    return KernelSpec(m=half, d=k.d, amplitude=math.sqrt(k.amplitude))
-
-
 def tail_energy(k, R):
     """Integral of K(y)^2 over |y| > R.
 
@@ -230,34 +152,3 @@ def tail_energy(k, R):
     )
     return surf * val
 
-
-def boundary_layer_width(k, v_norm, tol):
-    """Smallest R with v_norm^2 * tail_energy(k, R) <= tol^2.
-
-    Solved by bisection to an interval width of 1e-10.  Returns 0 when the
-    inequality already holds at R = 0 (in particular for v_norm = 0).
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if v_norm < 0:
-        raise ValueError(f"v_norm must be nonnegative, got {v_norm!r}")
-    target = tol * tol
-
-    def satisfied(R):
-        return v_norm * v_norm * tail_energy(k, R) <= target
-
-    if satisfied(0.0):
-        return 0.0
-    hi = 1.0
-    while not satisfied(hi):
-        hi *= 2.0
-        if hi > 2**60:
-            raise ArithmeticError("tail energy does not reach tol; kernel not decaying?")
-    lo = 0.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -29,9 +29,6 @@ __all__ = [
     "WeightedSeqSpace",
     "sobolev_weights",
     "analytic_weights",
-    "seq_project",
-    "seq_native_norm_sq",
-    "epsilon_excluded",
     "BoundCheck",
     "verify_standard_bound",
     "verify_superconvergence",
@@ -102,27 +99,6 @@ def _check_f(space, f):
     if f.shape != (space.M,):
         raise ValueError(f"f must have length {space.M}")
     return f
-
-
-def seq_project(space, f, S):
-    """Coordinate projection of f onto span{e_n : n in S}.
-
-    Zeroing the excluded coordinates is the K-orthogonal, hence norm-minimal,
-    interpolation in this model (the coordinate basis is K-orthogonal).
-    """
-    f = _check_f(space, f)
-    return np.where(_as_mask(space, S), f, 0.0)
-
-
-def seq_native_norm_sq(space, f):
-    """Squared model native norm sum f_n^2 / kappa_n."""
-    f = _check_f(space, f)
-    return float(np.sum(f * f / space.kappa))
-
-
-def epsilon_excluded(space, S):
-    """eps = max over excluded n of sqrt(kappa_n); 0 when S covers everything."""
-    return float(np.sqrt(np.max(np.where(_as_mask(space, S), 0.0, space.kappa))))
 
 
 class BoundCheck(NamedTuple):

@@ -1,5 +1,7 @@
 """Command-line behavior: parsing, outputs, exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,29 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_empty_interior_window_or_grid_maps_to_exit_2(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["rates", "--margin", "1.1999", "--grid", "2000", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "margin 1.1999" in capsys.readouterr().err
+        rc = cli.main(["interp", "--grid", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "error: --grid must be >= 1, got 0" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not list(tmp_path.iterdir())  # nothing written
+
+
+@pytest.mark.parametrize("command", ["rates", "interp", "mercer", "bc-check"])
+def test_seed_only_on_seqmodel(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--seed", "1", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: maternlab")
+    assert "unrecognized arguments: --seed 1" in err
+
+
 def test_interp_writes_table(tmp_path, capsys):
     rc = cli.main(
         ["interp", "--N", "21", "--grid", "501", "--out", str(tmp_path)]
@@ -148,6 +173,9 @@ def test_seqmodel_passes_and_reports(capsys):
     out = capsys.readouterr().out
     assert "sobolev" in out and "analytic" in out
     assert "extremal ratio" in out
+    # --seed reaches the trials: another seed draws other sequences
+    assert cli.main(["seqmodel", "--trials", "50", "--seed", "3"]) == 0
+    assert capsys.readouterr().out != out
 
 
 def test_seqmodel_zero_trials_vacuous(capsys):

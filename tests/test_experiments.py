@@ -6,10 +6,12 @@ plain loops) on the C = 1.2 ladder {11, 21, 41} with a 501-point grid.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from maternlab import experiments
 from maternlab import (
     ConditioningError,
     InsufficientDataError,
@@ -36,7 +38,9 @@ def test_rms_error_matches_direct_computation():
     grid = np.linspace(-1, 1, 101)
     err = f_exact(grid) - s(grid)
     inner = np.abs(grid) <= 1.0 - 0.25
-    (row,) = run_rate_study(k, 1.0, 0.25, [9], 101, f_exact).rows
+    study = run_rate_study(k, 1.0, 0.25, [9], 101, f_exact)
+    (row,) = study.rows
+    assert np.array_equal(study.finest_error, err)
     assert row.rms_global == pytest.approx(
         float(np.sqrt(np.mean(err**2))), rel=1e-14
     )
@@ -151,6 +155,18 @@ def test_rate_study_validation():
         run_rate_study(k, 1.2, 0.4, [], 501, f_exact)
     with pytest.raises(ValueError):
         run_rate_study(k, 1.2, 0.4, [11, 81], 501, f_exact)  # grid too coarse
+
+
+def test_empty_interior_window_raises_before_solving(monkeypatch):
+    # |x| <= 1e-4 holds no point of a 2000-point grid on [-1.2, 1.2]
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating the window")
+
+    monkeypatch.setattr(experiments, "interpolate", no_solve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"margin 1\.1999.*2000-point grid"):
+            run_rate_study(KernelSpec(m=2), 1.2, 1.1999, [11, 21], 2000, f_exact)
 
 
 def test_rate_study_attaches_node_count_to_conditioning_failures():

@@ -18,7 +18,6 @@ from maternlab import (
     f_native_norm_sq,
     interpolate,
     kernel_eval,
-    kernel_translate_deriv,
     native_error_norm,
     native_norm_sq,
 )
@@ -134,6 +133,28 @@ def test_native_norm_equals_quadratic_form():
     assert native_norm_sq(s) == pytest.approx(float(a @ vals), rel=1e-12)
 
 
+def _translate_deriv(k, x, order):
+    # derivative of x -> kernel_eval(k, |x|) for the m = 2, d = 1 kernel:
+    # (1+r) e^{-r}, -x e^{-r} and (r-1) e^{-r} for orders 0, 1, 2
+    r = np.abs(x)
+    poly = (1.0 + r, -x, r - 1.0)[order]
+    return k.amplitude * poly * np.exp(-r)
+
+
+def test_translate_derivatives_match_finite_differences():
+    k = KernelSpec(m=2, amplitude=1.7)
+    h = 1e-6
+    rng = np.random.default_rng(31)
+    xs = rng.uniform(-3, 3, size=25)
+    xs = xs[np.abs(xs) > 1e-3]
+    assert np.allclose(_translate_deriv(k, xs, 0), kernel_eval(k, np.abs(xs)), rtol=1e-15, atol=0)
+    for order in (1, 2):
+        fd = (
+            _translate_deriv(k, xs + h, order - 1) - _translate_deriv(k, xs - h, order - 1)
+        ) / (2 * h)
+        assert np.max(np.abs(fd - _translate_deriv(k, xs, order))) < 1e-8
+
+
 def _direct_native_error(s):
     # |r|_K^2 = 1/4 int_R (r^2 + 2 r'^2 + r''^2) for the unit-amplitude m = 2
     # kernel, from its symbol 4/(1 + w^2)^2.  r = f - s is analytic between
@@ -150,7 +171,7 @@ def _direct_native_error(s):
     wx = (half[:, None] * w).ravel()
     dist = x[:, None] - s.nodes.points[None, :]
     r0, r1, r2 = (
-        f_exact(x, q) - kernel_translate_deriv(s.kernel, dist, q) @ s.coefficients
+        f_exact(x, q) - _translate_deriv(s.kernel, dist, q) @ s.coefficients
         for q in range(3)
     )
     return float(np.sqrt(0.25 * wx @ (r0**2 + 2.0 * r1**2 + r2**2)))

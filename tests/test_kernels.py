@@ -6,7 +6,6 @@ integrals, independently of the library code.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +13,7 @@ from scipy.integrate import quad
 
 from maternlab import (
     KernelSpec,
-    boundary_layer_width,
-    convolution_root,
-    fourier_symbol,
     kernel_eval,
-    kernel_translate_deriv,
     paper_amplitude,
     tail_energy,
 )
@@ -118,77 +113,23 @@ def test_paper_amplitude_known_values():
         paper_amplitude(1, 2)
 
 
-def test_translate_derivatives_match_finite_differences():
-    k = KernelSpec(m=2, amplitude=1.7)
-    h = 1e-6
-    rng = np.random.default_rng(31)
-    xs = rng.uniform(-3, 3, size=25)
-    xs = xs[np.abs(xs) > 1e-3]
-    for order in (1, 2, 3):
-        fd = (
-            kernel_translate_deriv(k, xs + h, order - 1)
-            - kernel_translate_deriv(k, xs - h, order - 1)
-        ) / (2 * h)
-        exact = kernel_translate_deriv(k, xs, order)
-        assert np.max(np.abs(fd - exact)) < 1e-8
-
-
-def test_translate_derivative_values_at_origin():
-    k = KernelSpec(m=2)
-    assert kernel_translate_deriv(k, 0.0, 0) == 1.0
-    assert kernel_translate_deriv(k, 0.0, 1) == 0.0
-    assert kernel_translate_deriv(k, 0.0, 2) == -1.0
-    with pytest.warns(RuntimeWarning):
-        val = kernel_translate_deriv(k, 0.0, 3)
-    assert val == 2.0  # right-hand limit of the jump
-
-
-def test_translate_derivative_third_is_odd_off_origin():
-    k = KernelSpec(m=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no warning away from the kink
-        left = kernel_translate_deriv(k, -0.4, 3)
-        right = kernel_translate_deriv(k, 0.4, 3)
-    assert left == pytest.approx(-right, rel=1e-15)
-
-
-def test_translate_derivative_rejections():
-    with pytest.raises(ValueError):
-        kernel_translate_deriv(KernelSpec(m=1), 0.5, 1)
-    with pytest.raises(ValueError):
-        kernel_translate_deriv(KernelSpec(m=2), 0.5, 4)
-    with pytest.raises(ValueError):
-        kernel_translate_deriv(KernelSpec(m=2), np.nan, 0)
-
-
-def test_fourier_symbol_ratios():
-    # only ratios are meaningful; (1+w^2)^m * symbol == 1 identically
-    rng = np.random.default_rng(5)
+def test_kernel_symbol_ratios_by_quadrature():
+    # the d = 1 Matern kernel has Fourier symbol proportional to
+    # (1 + w^2)^(-m), so the cosine transform of kernel_eval divided by its
+    # value at w = 0 must equal that; m = 3 runs through the Bessel profile
     for m in (1, 2, 3):
         k = KernelSpec(m=m)
-        w = rng.uniform(-8, 8, size=30)
-        assert np.allclose((1 + w * w) ** m * fourier_symbol(k, w), 1.0, rtol=1e-13)
-        assert fourier_symbol(k, 1.0) / fourier_symbol(k, 0.0) == pytest.approx(
-            2.0 ** (-m), rel=1e-15
-        )
+        at_zero, _ = quad(lambda r: kernel_eval(k, r), 0.0, np.inf, epsabs=1e-14)
+        for w in (0.5, 1.0, 3.0):
+            val, _ = quad(lambda r: kernel_eval(k, r), 0.0, np.inf, weight="cos", wvar=w)
+            assert val / at_zero == pytest.approx((1.0 + w * w) ** (-m), rel=1e-9)
 
 
-def test_convolution_root_halves_the_symbol_exponent():
-    k = KernelSpec(m=2, amplitude=4.0)
-    root = convolution_root(k)
-    assert root.m == 1
-    assert root.d == 1
-    assert root.amplitude == pytest.approx(2.0, rel=1e-15)
-    w = np.linspace(-3, 3, 21)
-    assert np.allclose(
-        fourier_symbol(root, w) ** 2, fourier_symbol(k, w), rtol=1e-13
-    )
-
-
-def test_convolution_root_reproduces_kernel_by_convolution():
+def test_m1_kernel_self_convolution_is_the_m2_kernel():
+    # the m = 1 kernel is the convolution root of the m = 2 kernel:
     # (e^{-|.|} * e^{-|.|})(x) = (1+|x|) e^{-|x|}; checked by quadrature
     k = KernelSpec(m=2)
-    root = convolution_root(k)
+    root = KernelSpec(m=1)
     for x in (0.0, 0.7, 1.9):
         val, _ = quad(
             lambda t: kernel_eval(root, abs(x - t)) * kernel_eval(root, abs(t)),
@@ -198,15 +139,6 @@ def test_convolution_root_reproduces_kernel_by_convolution():
             limit=200,
         )
         assert val == pytest.approx(kernel_eval(k, x), abs=1e-10)
-
-
-def test_convolution_root_rejects_odd_or_too_rough():
-    with pytest.raises(ValueError):
-        convolution_root(KernelSpec(m=1))
-    with pytest.raises(ValueError):
-        convolution_root(KernelSpec(m=3))
-    with pytest.raises(ValueError):
-        convolution_root(KernelSpec(m=2, d=2))  # root m=1 fails 2m > d
 
 
 def test_tail_energy_closed_forms():
@@ -247,23 +179,3 @@ def test_tail_energy_decreasing_and_validated():
     with pytest.raises(ValueError):
         tail_energy(k, np.nan)
 
-
-def test_boundary_layer_width_satisfies_its_definition():
-    k = KernelSpec(m=2)
-    v = 2.0
-    tol = 1e-3
-    R = boundary_layer_width(k, v, tol)
-    assert v * v * tail_energy(k, R) <= tol * tol
-    # R is minimal up to the 1e-10 bisection width
-    assert v * v * tail_energy(k, R - 1e-6) > tol * tol
-
-
-def test_boundary_layer_width_zero_cases():
-    k = KernelSpec(m=2)
-    assert boundary_layer_width(k, 0.0, 1e-6) == 0.0
-    # already satisfied at R = 0 when tol is huge
-    assert boundary_layer_width(k, 1.0, 100.0) == 0.0
-    with pytest.raises(ValueError):
-        boundary_layer_width(k, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        boundary_layer_width(k, -1.0, 1e-3)

@@ -14,10 +14,7 @@ import pytest
 from maternlab import (
     WeightedSeqSpace,
     analytic_weights,
-    epsilon_excluded,
     run_trials,
-    seq_native_norm_sq,
-    seq_project,
     sobolev_weights,
     verify_standard_bound,
     verify_superconvergence,
@@ -49,31 +46,39 @@ def test_space_validation():
 
 
 def test_projection_zeroes_the_complement():
+    # the residual f - Pf keeps exactly the excluded coordinates, whether S
+    # comes as an index list or as a boolean mask
     space = sobolev_weights(6)
     f = np.arange(1.0, 7.0)
-    p = seq_project(space, f, [0, 2, 4])
-    assert np.allclose(p, [1, 0, 3, 0, 5, 0])
+    by_index = verify_standard_bound(space, f, [0, 2, 4])  # residual (0,2,0,4,0,6)
+    assert by_index.lhs == pytest.approx(math.sqrt(56.0), rel=1e-14)
+    assert by_index.rhs == pytest.approx(math.sqrt(50816.0) / 4.0, rel=1e-14)
     mask = np.array([True, True, False, False, True, True])
-    q = seq_project(space, f, mask)
-    assert np.allclose(q, [1, 2, 0, 0, 5, 6])
+    by_mask = verify_standard_bound(space, f, mask)  # residual (0,0,3,4,0,0)
+    assert by_mask.lhs == pytest.approx(5.0, rel=1e-14)
+    assert by_mask.rhs == pytest.approx(math.sqrt(4825.0) / 9.0, rel=1e-14)
     with pytest.raises(ValueError):
-        seq_project(space, f, [7])  # index out of range
+        verify_standard_bound(space, f, [7])  # index out of range
     with pytest.raises(ValueError):
-        seq_project(space, np.ones(5), mask)  # length mismatch
+        verify_standard_bound(space, np.ones(5), mask)  # length mismatch
 
 
 def test_native_norm_hand_value():
+    # with S empty, eps = 1 and the right side is the full native norm
     space = sobolev_weights(4)
     f = np.array([1.0, 1.0, 1.0, 1.0])
     # 1/1 + 16 + 81 + 256
-    assert seq_native_norm_sq(space, f) == pytest.approx(354.0, rel=1e-14)
+    chk = verify_standard_bound(space, f, [])
+    assert chk.eps == 1.0
+    assert chk.rhs**2 == pytest.approx(354.0, rel=1e-14)
 
 
 def test_epsilon_is_largest_excluded_root():
     space = sobolev_weights(4)
-    assert epsilon_excluded(space, [0, 1]) == pytest.approx(1.0 / 9.0, rel=1e-14)
-    assert epsilon_excluded(space, [1, 2, 3]) == 1.0  # mode 0 excluded
-    assert epsilon_excluded(space, [0, 1, 2, 3]) == 0.0  # nothing excluded
+    f = np.ones(4)
+    assert verify_standard_bound(space, f, [0, 1]).eps == pytest.approx(1.0 / 9.0, rel=1e-14)
+    assert verify_standard_bound(space, f, [1, 2, 3]).eps == 1.0  # mode 0 excluded
+    assert verify_standard_bound(space, f, [0, 1, 2, 3]).eps == 0.0  # nothing excluded
 
 
 def test_standard_bound_hand_example():
