@@ -28,7 +28,7 @@ for n in range(5):
     print(f"  kappa_{n + 1} = {system.eigenvalues[n]:.8f}")
 print(f"trace of the discretized operator: {np.sum(system.full_spectrum):.10f}")
 
-gram = hk_gram_matrix(system, 5) * system.eigenvalues[None, :5]
+gram = hk_gram_matrix(system)[:5, :5] * system.eigenvalues[None, :5]
 print(f"native Gram, scaled by kappa: off-identity {np.max(np.abs(gram - np.eye(5))):.2e}")
 
 # extensions live on the whole line and decay; sample one
@@ -38,7 +38,7 @@ print("phi_1^E at selected points:", np.round(eigen_extend(system, 0, xs), 5))
 # truncated eigen-extension of a native function: keeping more modes
 # shrinks the residual against the true kernel translate
 target = lambda x: kernel_eval(kernel, np.abs(x - 0.3))
-samples = target(system.rule.nodes)
+samples = target(system.nodes)
 probe = np.linspace(-0.9, 0.9, 181)
 print("extension residual vs modes kept:")
 for keep in (5, 10, 20, 40):

@@ -270,7 +270,7 @@ def cmd_mercer(args):
         output.write_xy_csv(
             os.path.join(out, f"eigenfunction_{n + 1:02d}.csv"),
             "y,phi",
-            sys_.rule.nodes,
+            sys_.nodes,
             sys_.eigenfunctions[n],
         )
     # scaled Gram kappa_l * (phi_j^E, phi_l^E)_K; identity when orthogonality
@@ -279,7 +279,7 @@ def cmd_mercer(args):
     output.write_matrix_csv(os.path.join(out, "hk_gram.csv"), gram)
     pad = 0.5 * (b - a)
     xs = np.linspace(a - pad, b + pad, 401)
-    cols = [xs] + [eigen_extend(sys_, n, xs) for n in range(sys_.n_modes)]
+    cols = [xs, *eigen_extend(sys_, range(sys_.n_modes), xs).T]
     output.write_columns_csv(
         os.path.join(out, "extensions.csv"),
         ["x"] + [f"phiE_{n + 1}" for n in range(sys_.n_modes)],

@@ -162,7 +162,7 @@ def interpolate(k, X, values, jitter=False):
     A = assemble_gram(k, X)
     k0 = kernel_eval(k, 0.0)
     if jitter:
-        A = A + (JITTER_SCALE * k0) * np.eye(len(X))
+        A[np.diag_indices_from(A)] += JITTER_SCALE * k0
         warnings.warn(
             f"added diagonal jitter {JITTER_SCALE * k0:.3e} to the Gram matrix",
             ConditioningWarning,

@@ -23,8 +23,6 @@ from .errors import TruncationError
 from .kernels import kernel_eval
 
 __all__ = [
-    "QuadratureRule",
-    "gauss_legendre",
     "MercerSystem",
     "nystrom_eig",
     "eigen_extend",
@@ -37,47 +35,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and positive weights of a rule on some interval [a, b]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
-            raise ValueError("nodes and weights must be matching nonempty 1-D vectors")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise ValueError("rule data must be finite")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self):
-        return self.nodes.size
-
-
-def gauss_legendre(a, b, n):
-    """Gauss-Legendre rule with n points on [a, b]; exact through degree 2n-1."""
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    if n < 1:
-        raise ValueError(f"rule size must be >= 1, got {n}")
-    t, w = leggauss(n)
-    half = 0.5 * (b - a)
-    return QuadratureRule(nodes=half * t + 0.5 * (a + b), weights=half * w)
-
-
-@dataclass(frozen=True)
 class MercerSystem:
     """Nystrom eigenpairs of the kernel operator on [a, b].
 
     Fields
     ------
+    nodes, weights : (rule_size,) read-only Gauss-Legendre nodes and
+        positive weights on [a, b].
     eigenvalues : (n_modes,) nonincreasing positive kappa_n.
     eigenfunctions : (n_modes, rule_size) samples of phi_n at the rule
         nodes, discretely L2-orthonormal, sign-fixed so phi_n >= 0 at the
@@ -90,7 +54,8 @@ class MercerSystem:
     kernel: object
     a: float
     b: float
-    rule: QuadratureRule
+    nodes: np.ndarray
+    weights: np.ndarray
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     full_spectrum: np.ndarray
@@ -126,9 +91,10 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
         raise ValueError(f"need finite a < b, got a={a}, b={b}")
     if not 1 <= n_modes <= rule_size:
         raise ValueError(f"need 1 <= n_modes <= rule_size, got {n_modes}, {rule_size}")
-    rule = gauss_legendre(a, b, rule_size)
-    y = rule.nodes
-    w = rule.weights
+    t, w = leggauss(rule_size)
+    half = 0.5 * (b - a)
+    y = half * t + 0.5 * (a + b)
+    w = half * w
     A = kernel_eval(k, np.abs(y[:, None] - y[None, :]))
     sw = np.sqrt(w)
     B = sw[:, None] * A * sw[None, :]
@@ -146,13 +112,14 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     flip = phi[:, 0] < 0
     phi[flip] *= -1.0
     eigvals = vals[:n_modes].copy()
-    for arr in (eigvals, phi, vals, A):
+    for arr in (y, w, eigvals, phi, vals, A):
         arr.setflags(write=False)
     return MercerSystem(
         kernel=k,
         a=a,
         b=b,
-        rule=rule,
+        nodes=y,
+        weights=w,
         eigenvalues=eigvals,
         eigenfunctions=phi,
         full_spectrum=vals,
@@ -161,15 +128,8 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
 
 
 def _check_mode(sys, n):
-    if not 0 <= n < sys.n_modes:
+    if np.any((np.asarray(n) < 0) | (np.asarray(n) >= sys.n_modes)):
         raise ValueError(f"mode index {n} outside 0..{sys.n_modes - 1}")
-
-
-def _weighted_kernel(sys, x):
-    # w_q K(|x - y_q|), one row per point of x (a scalar counts as one point)
-    flat = np.atleast_1d(np.asarray(x, dtype=float))
-    kx = kernel_eval(sys.kernel, np.abs(flat[:, None] - sys.rule.nodes[None, :]))
-    return kx * sys.rule.weights
 
 
 def eigen_extend(sys, n, x):
@@ -177,19 +137,23 @@ def eigen_extend(sys, n, x):
 
     Agrees with phi_n on [a, b] (exactly at rule nodes, by the discrete
     eigenvalue equation) and decays to 0 as |x| grows.  Mode indices are
-    zero-based.
+    zero-based.  A sequence of indices n gives one column per mode, all
+    from a single kernel evaluation at the points of x.
     """
+    n = np.asarray(n)
     _check_mode(sys, n)
-    out = _weighted_kernel(sys, x) @ sys.eigenfunctions[n] / sys.eigenvalues[n]
-    return float(out[0]) if np.ndim(x) == 0 else out
+    flat = np.atleast_1d(np.asarray(x, dtype=float))
+    kx = kernel_eval(sys.kernel, np.abs(flat[:, None] - sys.nodes[None, :]))
+    out = (kx * sys.weights) @ sys.eigenfunctions[n].T / sys.eigenvalues[n]
+    return out[0] if np.ndim(x) == 0 else out
 
 
 def project_samples(sys, samples):
     """Coefficients c_n = sum_q w_q samples_q phi_n(y_q) of a sample vector."""
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != sys.rule.nodes.shape:
+    if samples.shape != sys.nodes.shape:
         raise ValueError("samples must be given at the rule nodes")
-    return sys.eigenfunctions @ (sys.rule.weights * samples)
+    return sys.eigenfunctions @ (sys.weights * samples)
 
 
 def extend_function(sys, samples, x):
@@ -200,9 +164,7 @@ def extend_function(sys, samples, x):
     claimed, only monotone improvement for native-space functions.
     """
     coeffs = project_samples(sys, samples)
-    # columns of modes_at_x are phi_n^E at the requested points
-    modes_at_x = _weighted_kernel(sys, x) @ sys.eigenfunctions.T / sys.eigenvalues
-    out = modes_at_x @ coeffs
+    out = eigen_extend(sys, range(sys.n_modes), np.atleast_1d(x)) @ coeffs
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
@@ -216,24 +178,21 @@ def hk_gram_extended(sys, j, l):
     """
     _check_mode(sys, j)
     _check_mode(sys, l)
-    w = sys.rule.weights
+    w = sys.weights
     lhs = w * sys.eigenfunctions[j]
     rhs = w * sys.eigenfunctions[l]
     return float(lhs @ sys.gram @ rhs) / (sys.eigenvalues[j] * sys.eigenvalues[l])
 
 
-def hk_gram_matrix(sys, size=None):
-    """Matrix of hk_gram_extended over the leading ``size`` modes."""
-    size = sys.n_modes if size is None else size
-    if not 1 <= size <= sys.n_modes:
-        raise ValueError(f"size must be 1..{sys.n_modes}, got {size}")
-    wphi = sys.rule.weights * sys.eigenfunctions[:size]
+def hk_gram_matrix(sys):
+    """Matrix of hk_gram_extended over all modes of the system."""
+    wphi = sys.weights * sys.eigenfunctions
     kappa = sys.eigenvalues
-    out = np.empty((size, size))
-    for j in range(size):
+    out = np.empty((kappa.size, kappa.size))
+    for j in range(kappa.size):
         # hk_gram_extended's (w phi_j) A, hoisted; entries stay bit-identical
         row = wphi[j] @ sys.gram
-        for l in range(j, size):
+        for l in range(j, kappa.size):
             out[j, l] = out[l, j] = float(row @ wphi[l]) / (kappa[j] * kappa[l])
     return out
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import maternlab.cli as cli
-from maternlab import KernelSpec
+from maternlab import KernelSpec, kernel_eval, mercer
 from maternlab.seqmodel import BoundCheck, TrialReport
 
 
@@ -143,6 +143,20 @@ def test_mercer_writes_spectral_outputs(tmp_path, capsys):
     ext = (tmp_path / "extensions.csv").read_text().strip().split("\n")
     assert ext[0] == "x,phiE_1,phiE_2,phiE_3,phiE_4"
     assert "kappa_1" in capsys.readouterr().out
+
+
+def test_mercer_extends_all_modes_in_one_kernel_pass(tmp_path, monkeypatch):
+    sizes = []
+
+    def counted(k, r):
+        sizes.append(np.size(r))
+        return kernel_eval(k, r)
+
+    monkeypatch.setattr(mercer, "kernel_eval", counted)
+    assert cli.main(["mercer", "--modes", "10", "--out", str(tmp_path)]) == 0
+    # 401 extension points against the default 200-point rule, once for
+    # all ten modes; the other call is the rule's own 200 x 200 matrix
+    assert sizes.count(401 * 200) == 1, sizes
 
 
 def test_mercer_truncation_maps_to_exit_3(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Norm-minimal interpolation: exactness, optimality, conditioning."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from maternlab import (
     CONDITIONING_FLOOR,
+    JITTER_SCALE,
     ConditioningError,
     ConditioningWarning,
     KernelSpec,
@@ -21,6 +24,7 @@ from maternlab import (
     native_error_norm,
     native_norm_sq,
 )
+from maternlab import interpolation
 
 
 def test_nodeset_validation():
@@ -209,6 +213,34 @@ def test_jitter_rescues_with_warning():
         s = interpolate(k, X, [1.0, 1.0, 0.5], jitter=True)
     # the regularized solve still reproduces well-separated data closely
     assert evaluate(s, 0.5) == pytest.approx(0.5, abs=1e-5)
+
+
+def test_jitter_goes_onto_the_diagonal_in_place(monkeypatch):
+    k = KernelSpec(m=2)
+    X = equidistant_nodes(1.2, 1281)
+    vals = f_exact(X.points)
+    # the coefficients of the old out-of-place A + c I, solved the same way
+    k0 = kernel_eval(k, 0.0)
+    old_A = assemble_gram(k, X) + (JITTER_SCALE * k0) * np.eye(len(X))
+    L = interpolation._cholesky_floor(old_A, CONDITIONING_FLOOR * k0)
+    with pytest.warns(ConditioningWarning):
+        s = interpolate(k, X, vals, jitter=True)
+    assert np.array_equal(s.coefficients, cho_solve((L, True), vals))
+
+    # and no N x N array beyond the plain solve's (one is 13 MB here).  The
+    # assembly's own temporaries peak higher than an out-of-place A + c I
+    # would, so the Gram matrix is handed in ready-made.
+    gram = assemble_gram(k, X)
+    monkeypatch.setattr(interpolation, "assemble_gram", lambda k, X: gram.copy())
+    peaks = {}
+    for jitter in (False, True):
+        tracemalloc.start()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            interpolate(k, X, vals, jitter=jitter)
+        peaks[jitter] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peaks[True] - peaks[False] < 1 << 20, peaks
 
 
 def test_interpolate_validates_values():

@@ -2,23 +2,23 @@
 
 The continuous eigenvalues of the exponential kernel operator on [-1, 1]
 are 2/(1+omega^2) with omega tan(omega) = 1 for even modes and
-tan(omega) = -omega for odd modes; the root-finder below supplies them
-independently of the Nystrom code.
+tan(omega) = -omega for odd modes, and the eigenfunctions are cos(omega x)
+and sin(omega x); the root-finder below supplies them independently of the
+Nystrom code.
 """
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from maternlab import (
     KernelSpec,
     MercerSystem,
-    QuadratureRule,
     TruncationError,
     apply_multiplier,
     eigen_extend,
     extend_function,
-    gauss_legendre,
     hk_gram_extended,
     hk_gram_matrix,
     kernel_eval,
@@ -27,8 +27,8 @@ from maternlab import (
 )
 
 
-def _continuous_kappa(n_modes):
-    """Leading eigenvalues 2/(1+omega_n^2), omega_n in (n pi/2, (n+1) pi/2).
+def _continuous_omega(n_modes):
+    """Leading frequencies omega_n in (n pi/2, (n+1) pi/2).
 
     Even n solve omega tan(omega) = 1, written omega sin - cos = 0; odd n
     solve omega cot(omega) = -1, written omega cos + sin = 0.
@@ -39,32 +39,27 @@ def _continuous_kappa(n_modes):
             g = lambda w: w * np.sin(w) - np.cos(w)  # noqa: E731
         else:
             g = lambda w: w * np.cos(w) + np.sin(w)  # noqa: E731
-        w = brentq(g, n * np.pi / 2, (n + 1) * np.pi / 2, xtol=1e-15)
-        out.append(2.0 / (1.0 + w * w))
+        out.append(brentq(g, n * np.pi / 2, (n + 1) * np.pi / 2, xtol=1e-15))
     return np.array(out)
 
 
+def _continuous_kappa(n_modes):
+    """Leading eigenvalues 2/(1+omega_n^2)."""
+    return 2.0 / (1.0 + _continuous_omega(n_modes) ** 2)
+
+
+def _continuous_phi(n_modes, y):
+    """L2(-1, 1)-normalized cos(omega_n y) (even n) and sin(omega_n y) (odd n)."""
+    rows = []
+    for n, w in enumerate(_continuous_omega(n_modes)):
+        if n % 2 == 0:
+            rows.append(np.cos(w * y) / np.sqrt(1.0 + np.sin(2 * w) / (2 * w)))
+        else:
+            rows.append(np.sin(w * y) / np.sqrt(1.0 - np.sin(2 * w) / (2 * w)))
+    return np.array(rows)
+
+
 KAPPA_1, KAPPA_2 = _continuous_kappa(2)
-
-
-def test_gauss_legendre_rule_properties():
-    rule = gauss_legendre(-1.0, 1.0, 12)
-    assert rule.nodes.shape == (12,)
-    assert np.all(rule.weights > 0)
-    assert np.sum(rule.weights) == pytest.approx(2.0, rel=1e-14)
-    # degree-2n-1 exactness, checked on x^2 and x^7
-    assert np.sum(rule.weights * rule.nodes**2) == pytest.approx(2.0 / 3.0, rel=1e-13)
-    assert np.sum(rule.weights * rule.nodes**7) == pytest.approx(0.0, abs=1e-14)
-    shifted = gauss_legendre(0.0, 3.0, 8)
-    assert np.sum(shifted.weights) == pytest.approx(3.0, rel=1e-14)
-    assert np.all((shifted.nodes > 0) & (shifted.nodes < 3))
-
-
-def test_quadrature_rule_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([1.0]))
 
 
 def test_leading_eigenvalues_approach_continuous_values():
@@ -100,12 +95,37 @@ def test_trace_identity():
     assert float(np.sum(sys_.full_spectrum)) == pytest.approx(2.0, abs=1e-12)
     wide = nystrom_eig(KernelSpec(m=2, amplitude=1.5), -0.5, 2.5, 80, 5)
     assert float(np.sum(wide.full_spectrum)) == pytest.approx(3.0 * 1.5, abs=1e-12)
+    # the rule mapped onto [a, b]: interior nodes, positive weights, and
+    # exactness through degree 2Q - 1 on the shifted interval
+    assert np.all((wide.nodes > -0.5) & (wide.nodes < 2.5) & (wide.weights > 0))
+    exact = (2.5**8 - 0.5**8) / 8.0
+    assert float(np.sum(wide.weights * wide.nodes**7)) == pytest.approx(exact, rel=1e-13)
+
+
+def _phi_deviation(rule, n_modes):
+    # max over the rule nodes of |phi_n - continuous phi_n|, up to sign
+    sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, rule, n_modes)
+    exact = _continuous_phi(n_modes, sys_.nodes)
+    plus = np.max(np.abs(sys_.eigenfunctions - exact), axis=1)
+    minus = np.max(np.abs(sys_.eigenfunctions + exact), axis=1)
+    return np.minimum(plus, minus)
+
+
+def test_eigenfunctions_match_the_closed_form_modes():
+    # measured at Q = 200: 1.5e-5 (mode 1) rising to 3.9e-3 (mode 10); the
+    # bound 2e-5 (n+1)^2.5 sits 1.3-2.6x above each mode's value
+    dev200 = _phi_deviation(200, 10)
+    bound = 2e-5 * np.arange(1, 11) ** 2.5
+    assert np.all(dev200 < bound), dev200 / bound
+    # second order in 1/Q: doubling Q cuts every mode's deviation about 4x
+    dev400 = _phi_deviation(400, 10)
+    assert np.all(dev400 < dev200 / 3.5), dev200 / dev400
 
 
 def test_discrete_orthonormality_and_eigen_equation():
     k = KernelSpec(m=1)
     sys_ = nystrom_eig(k, -1.0, 1.0, 120, 8)
-    w = sys_.rule.weights
+    w = sys_.weights
     G = (sys_.eigenfunctions * w) @ sys_.eigenfunctions.T
     assert np.max(np.abs(G - np.eye(8))) < 1e-12
     # integral operator applied at the nodes reproduces kappa_n phi_n
@@ -143,7 +163,7 @@ def test_nystrom_validation():
 def test_extension_agrees_at_nodes_and_decays():
     sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 100, 6)
     for n in (0, 2, 5):
-        at_nodes = eigen_extend(sys_, n, sys_.rule.nodes)
+        at_nodes = eigen_extend(sys_, n, sys_.nodes)
         assert np.max(np.abs(at_nodes - sys_.eigenfunctions[n])) < 1e-12
     far = eigen_extend(sys_, 0, np.array([6.0, 10.0]))
     assert np.all(np.abs(far) < 1e-2)
@@ -151,6 +171,28 @@ def test_extension_agrees_at_nodes_and_decays():
     assert isinstance(eigen_extend(sys_, 0, 0.5), float)
     with pytest.raises(ValueError):
         eigen_extend(sys_, 6, 0.5)
+
+
+def test_several_modes_extend_to_one_column_each():
+    sys_ = nystrom_eig(KernelSpec(m=2), -1.0, 2.0, 120, 6)
+    xs = np.linspace(-2.5, 3.5, 401)
+    terms = np.abs(kernel_eval(sys_.kernel, np.abs(xs[:, None] - sys_.nodes[None, :])))
+    terms *= sys_.weights
+    for modes in ([4, 0, 2], (1, 5), range(6)):
+        cols = eigen_extend(sys_, modes, xs)
+        assert cols.shape == (401, len(modes))
+        for c, n in enumerate(modes):
+            # one matrix product for all modes sums in another order than
+            # the per-mode product: allow the a-priori bound Q eps sum|terms|
+            bound = 120 * np.finfo(float).eps * (terms @ np.abs(sys_.eigenfunctions[n]))
+            diff = np.abs(cols[:, c] - eigen_extend(sys_, n, xs))
+            assert np.all(diff <= bound / sys_.eigenvalues[n])
+    at_point = eigen_extend(sys_, [3, 1], 0.5)
+    assert at_point.shape == (2,)
+    assert np.allclose(at_point, [eigen_extend(sys_, 3, 0.5), eigen_extend(sys_, 1, 0.5)])
+    for bad in ([0, 6], [-1, 2], (2, 7)):
+        with pytest.raises(ValueError):
+            eigen_extend(sys_, bad, xs)
 
 
 def test_projection_recovers_eigenfunction_coefficients():
@@ -166,7 +208,7 @@ def test_projection_recovers_eigenfunction_coefficients():
 
 def test_extend_function_is_the_projected_mode_sum():
     sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 80, 8)
-    samples = kernel_eval(sys_.kernel, np.abs(sys_.rule.nodes - 0.2))
+    samples = kernel_eval(sys_.kernel, np.abs(sys_.nodes - 0.2))
     xs = np.linspace(-1.8, 1.8, 31)
     direct = extend_function(sys_, samples, xs)
     coeffs = project_samples(sys_, samples)
@@ -175,16 +217,16 @@ def test_extend_function_is_the_projected_mode_sum():
 
 
 def test_extensions_are_bit_identical_to_their_own_kernel_passes():
-    # eigen_extend and extend_function as they were before sharing one
-    # weighted kernel pass, each with its own product order
+    # eigen_extend of one mode and extend_function as they were when each
+    # built its own weighted kernel matrix, each with its own product order
     sys_ = nystrom_eig(KernelSpec(m=2), -1.0, 2.0, 120, 6)
     xs = np.linspace(-2.5, 3.5, 401)
-    kx = kernel_eval(sys_.kernel, np.abs(xs[:, None] - sys_.rule.nodes[None, :]))
+    kx = kernel_eval(sys_.kernel, np.abs(xs[:, None] - sys_.nodes[None, :]))
     for n in range(6):
-        old = (kx * sys_.rule.weights) @ sys_.eigenfunctions[n] / sys_.eigenvalues[n]
+        old = (kx * sys_.weights) @ sys_.eigenfunctions[n] / sys_.eigenvalues[n]
         assert np.array_equal(eigen_extend(sys_, n, xs), old)
-    samples = kernel_eval(sys_.kernel, np.abs(sys_.rule.nodes - 0.2))
-    modes_at_x = (kx * sys_.rule.weights) @ sys_.eigenfunctions.T / sys_.eigenvalues
+    samples = kernel_eval(sys_.kernel, np.abs(sys_.nodes - 0.2))
+    modes_at_x = (kx * sys_.weights) @ sys_.eigenfunctions.T / sys_.eigenvalues
     old = modes_at_x @ project_samples(sys_, samples)
     assert np.array_equal(extend_function(sys_, samples, xs), old)
     assert extend_function(sys_, samples, 0.7) == extend_function(sys_, samples, [0.7])[0]
@@ -202,8 +244,33 @@ def test_native_gram_of_extensions_is_inverse_spectrum():
     assert np.allclose(G, G.T, rtol=0, atol=0)
     scaled = G * sys_.eigenvalues[None, :]
     assert np.max(np.abs(scaled - np.eye(6))) < 1e-9
-    with pytest.raises(ValueError):
-        hk_gram_matrix(sys_, size=7)
+
+
+@pytest.mark.parametrize("rule", [100, 200])
+def test_native_gram_from_the_h1_norm(rule):
+    # For K = exp(-|x|) the native inner product is the H1 form
+    # (f, g)_K = 1/2 integral over R of (f g + f' g').  Integrate the
+    # extensions and their derivatives, written here from the kernel, with
+    # Gauss-Legendre panels split at +-1 and at every rule node (the kinks),
+    # out to 40 units past the interval, where exp(-80) is negligible.
+    n_modes = 8
+    sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, rule, n_modes)
+    cuts = np.concatenate(
+        [np.arange(-41.0, -1.0), [-1.0], sys_.nodes, [1.0], np.arange(2.0, 42.0)]
+    )
+    t, w = leggauss(20)
+    lo, hi = cuts[:-1, None], cuts[1:, None]
+    x = (0.5 * (hi - lo) * t + 0.5 * (hi + lo)).ravel()
+    wx = (0.5 * (hi - lo) * w).ravel()
+    g = eigen_extend(sys_, range(n_modes), x)
+    d = x[:, None] - sys_.nodes[None, :]
+    dk = -np.sign(d) * np.exp(-np.abs(d)) * sys_.weights
+    dg = dk @ sys_.eigenfunctions.T / sys_.eigenvalues
+    H = 0.5 * ((wx[:, None] * g).T @ g + (wx[:, None] * dg).T @ dg)
+    kappa = sys_.eigenvalues[None, :]
+    # measured 8e-15 and 3e-15 at Q = 100 and 200
+    assert np.max(np.abs(H * kappa - np.eye(n_modes))) <= 1e-12
+    assert np.max(np.abs((H - hk_gram_matrix(sys_)) * kappa)) <= 1e-12
 
 
 def _gram_double_loop(sys_):
@@ -224,7 +291,6 @@ def test_gram_matrix_is_bit_identical_to_the_double_loop(rule, modes):
     # reassociation of the products would move it; the hoisted rows must not
     sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, rule, modes)
     assert np.array_equal(hk_gram_matrix(sys_), _gram_double_loop(sys_))
-    assert np.array_equal(hk_gram_matrix(sys_, 3), _gram_double_loop(sys_)[:3, :3])
 
 
 def test_multiplier_scales_eigencoefficients():
@@ -249,3 +315,7 @@ def test_system_is_frozen_and_read_only():
         sys_.eigenvalues[0] = 5.0
     with pytest.raises(ValueError):
         sys_.eigenfunctions[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        sys_.nodes[0] = 5.0
+    with pytest.raises(ValueError):
+        sys_.weights[0] = 5.0

@@ -2,6 +2,7 @@
 
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -47,6 +48,22 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(str(target), "replaced\n")
     assert target.read_text() == "replaced\n"
     assert os.listdir(tmp_path) == ["data.txt"]
+
+
+def test_atomic_write_gives_the_umask_default_mode(tmp_path):
+    # the temporary file starts 0600; the renamed result must carry the mode
+    # a plain open() would have given it, with the bytes unchanged
+    old = os.umask(0o022)
+    try:
+        for name, text in (("a.csv", "x,y\n1,2.5\n"), ("b.txt", "\u03ba_1\n")):
+            atomic_write_text(str(tmp_path / name), text)
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+        os.umask(0o077)
+        write_matrix_csv(str(tmp_path / "m.csv"), np.eye(2))
+        assert stat.S_IMODE(os.stat(tmp_path / "m.csv").st_mode) == 0o600
+    finally:
+        os.umask(old)
 
 
 def test_rates_csv_layout_and_round_trip(tmp_path):

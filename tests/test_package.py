@@ -1,5 +1,9 @@
 """The package's public surface: one list per module, re-exported whole."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import maternlab
 from maternlab import (
     errors,
@@ -31,3 +35,34 @@ def test_star_import_binds_every_public_name():
     exec("from maternlab import *", namespace)
     assert namespace["run_trials"] is seqmodel.run_trials
     assert set(maternlab.__all__) <= set(namespace)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_names_the_benchmark_uses_resolve():
+    # bench/spans.py wraps (module, function) pairs for --trace 1 and
+    # bench/workloads.py calls ml.<name> on the package; a rename here
+    # would break the benchmark without failing any other test
+    spans = ast.parse((BENCH / "spans.py").read_text())
+    targets = next(
+        node.value
+        for node in spans.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert len(pairs) >= 10
+    for module, name in pairs:
+        assert callable(getattr(importlib.import_module(f"maternlab.{module}"), name))
+    workloads = ast.parse((BENCH / "workloads.py").read_text())
+    called = {
+        node.attr
+        for node in ast.walk(workloads)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ml"
+    }
+    assert {"nystrom_eig", "eigen_extend", "hk_gram_matrix"} <= called
+    for name in called:
+        assert hasattr(maternlab, name), name
