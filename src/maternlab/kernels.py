@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import kv
 
 __all__ = [
     "KernelSpec",
@@ -36,8 +34,10 @@ __all__ = [
 _BESSEL_CUTOFF = 1e-8
 
 # d = 1 profiles of the form exp(-r) * p(r), keyed by m: the coefficients of
-# p, lowest degree first.  kernel_eval and the fast interpolant evaluation
-# both read this table, so they cannot disagree on which profiles qualify.
+# p, lowest degree first.  Each is the covariance of a Gauss-Markov process
+# whose state is f and its first m - 1 derivatives.  kernel_eval and the
+# state-space interpolation solver both read this table, so they cannot
+# disagree on which profiles qualify.
 _EXP_POLY = {1: (1.0,), 2: (1.0, 1.0)}
 
 
@@ -95,6 +95,8 @@ class KernelSpec:
 def _bessel_profile(nu, r):
     # r^nu K_nu(r) tends to 2^(nu-1) Gamma(nu) as r -> 0; divide that out
     # so the profile is 1 at the origin, and guard the K_nu overflow there.
+    from scipy.special import kv
+
     lim = 2.0 ** (nu - 1.0) * math.gamma(nu)
     safe = np.where(r > _BESSEL_CUTOFF, r, 1.0)
     vals = safe**nu * kv(nu, safe) / lim
@@ -145,6 +147,8 @@ def tail_energy(k, R):
     if k.d == 1 and k.m == 2:
         u = 1.0 + R
         return amp2 * math.exp(-2.0 * R) * (u * u + u + 0.5)
+    from scipy.integrate import quad
+
     # surface measure of the unit sphere times the radial integral
     surf = 2.0 * math.pi ** (k.d / 2.0) / math.gamma(k.d / 2.0)
     val, _ = quad(

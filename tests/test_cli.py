@@ -1,10 +1,16 @@
 """Command-line behavior: parsing, outputs, exit codes."""
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maternlab
 import maternlab.cli as cli
 from maternlab import KernelSpec, kernel_eval, mercer
 from maternlab.seqmodel import BoundCheck, TrialReport
@@ -225,3 +231,41 @@ def test_seqmodel_validation(capsys):
     assert cli.main(["seqmodel", "--trials", "-3"]) == 2
     assert cli.main(["seqmodel", "--M", "0"]) == 2
     capsys.readouterr()
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import maternlab.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = {"import": scipy_modules()}
+for command in ("rates", "interp", "mercer", "bc-check", "seqmodel"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--out", sys.argv[1]])
+    seen[command] = [code, scipy_modules()]
+print(json.dumps(seen))
+"""
+
+
+def test_cli_defaults_load_no_scipy(tmp_path):
+    # Every subcommand at its defaults runs on numpy alone (the d = 1,
+    # m <= 2 solve, closed-form tails), so a fresh process never pays the
+    # scipy import; the dense solve and the Bessel profiles load it lazily.
+    env = dict(os.environ)
+    src = str(Path(maternlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+        check=True,
+    )
+    seen = json.loads(proc.stdout)
+    assert seen.pop("import") == []
+    assert seen == {
+        command: [0, []] for command in ("rates", "interp", "mercer", "bc-check", "seqmodel")
+    }

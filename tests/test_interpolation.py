@@ -216,8 +216,11 @@ def test_jitter_rescues_with_warning():
 
 
 def test_jitter_goes_onto_the_diagonal_in_place(monkeypatch):
-    k = KernelSpec(m=2)
-    X = equidistant_nodes(1.2, 1281)
+    # the dense path (m = 3; m <= 2 takes the state-space solve).  481 is
+    # near the largest equidistant m = 3 ladder on [-1.2, 1.2] that factors
+    # without jitter, and one N x N array (1.8 MB) still exceeds the bound.
+    k = KernelSpec(m=3)
+    X = equidistant_nodes(1.2, 481)
     vals = f_exact(X.points)
     # the coefficients of the old out-of-place A + c I, solved the same way
     k0 = kernel_eval(k, 0.0)
@@ -227,9 +230,9 @@ def test_jitter_goes_onto_the_diagonal_in_place(monkeypatch):
         s = interpolate(k, X, vals, jitter=True)
     assert np.array_equal(s.coefficients, cho_solve((L, True), vals))
 
-    # and no N x N array beyond the plain solve's (one is 13 MB here).  The
-    # assembly's own temporaries peak higher than an out-of-place A + c I
-    # would, so the Gram matrix is handed in ready-made.
+    # and no N x N array beyond the plain solve's.  The assembly's own
+    # temporaries peak higher than an out-of-place A + c I would, so the
+    # Gram matrix is handed in ready-made.
     gram = assemble_gram(k, X)
     monkeypatch.setattr(interpolation, "assemble_gram", lambda k, X: gram.copy())
     peaks = {}
@@ -260,6 +263,8 @@ def test_interpolant_arrays_read_only():
         s.coefficients[0] = 7.0
     with pytest.raises(ValueError):
         s.values[0] = 7.0
+    with pytest.raises(ValueError):
+        s.states[0, 1] = 7.0
 
 
 def _nodes(N, jittered, C=1.0, seed=0):
@@ -280,7 +285,7 @@ def _nodes(N, jittered, C=1.0, seed=0):
     + [(3, N) for N in (1, 2, 11, 161)],
 )
 def test_evaluate_matches_dense_oracle(m, N, jittered):
-    # m = 1, 2 take the exponential-moment path, m = 3 the blocked Bessel
+    # m = 1, 2 take the state-space path, m = 3 the blocked Bessel
     # sum.  Random data give coefficients up to ~1e9 whose translates cancel
     # to O(1), so the error is measured against sum_j |a_j| K(|x - x_j|), the
     # size of the terms both summations round.
@@ -320,20 +325,29 @@ def test_evaluate_rejects_non_finite_points(m):
             evaluate(s, np.array([0.0, bad, 0.5]))
 
 
-def _row_cholesky_pivot(A, floor):
-    # Reference: the unpivoted row-by-row lower Cholesky.  Returns the index
-    # and value of the first pivot (diagonal remainder before its square
-    # root) at or below the floor, or None when every pivot clears it.
+def _row_cholesky_pivots(A, floor):
+    # Reference: the unpivoted row-by-row lower Cholesky.  Returns the pivots
+    # (diagonal remainders before their square roots) up to and including
+    # the first one at or below the floor.
     n = A.shape[0]
     L = np.zeros_like(A)
+    pivots = []
     for j in range(n):
         d = A[j, j] - L[j, :j] @ L[j, :j]
+        pivots.append(d)
         if d <= floor:
-            return j, d
+            break
         L[j, j] = np.sqrt(d)
         if j + 1 < n:
             L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return None
+    return np.array(pivots)
+
+
+def _row_cholesky_pivot(A, floor):
+    # index and value of the first pivot at or below the floor, or None
+    # when every pivot clears it
+    pivots = _row_cholesky_pivots(A, floor)
+    return (pivots.size - 1, pivots[-1]) if pivots[-1] <= floor else None
 
 
 @pytest.mark.parametrize("m, gap", [(1, 1e-14), (2, 1e-9)])
@@ -387,3 +401,159 @@ def test_evaluate_never_holds_an_n_by_m_array(m):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _family(name, N):
+    if name == "sine":
+        # graded toward both ends: gaps near h^2 there
+        return NodeSet(points=np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, N)), halfwidth=1.0)
+    if name == "wide":
+        # cells of 40 length scales: mid-cell values near e^{-20} of the data
+        return NodeSet(points=np.linspace(-200.0, 200.0, N), halfwidth=200.0)
+    return _nodes(N, name == "jittered", seed=N)
+
+
+@pytest.mark.parametrize("jitter", [False, True])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize(
+    "family, N",
+    [(f, N) for f in ("uniform", "jittered") for N in (1, 2, 11, 161, 1281)]
+    + [("sine", N) for N in (2, 11, 41, 161, 321, 1281)]
+    + [("wide", 11)],
+)
+def test_state_space_solve_matches_dense_oracle(family, N, m, jitter):
+    # The d = 1, m <= 2 solve against the dense Cholesky of A (+ c I),
+    # random data, amplitude 2.5.  Errors are measured against the size of
+    # the terms both sides round, as in test_evaluate_matches_dense_oracle.
+    k = KernelSpec(m=m, amplitude=2.5)
+    X = _family(family, N)
+    x = X.points
+    rng = np.random.default_rng(7 * N + m)
+    y = rng.standard_normal(N)
+    k0 = kernel_eval(k, 0.0)
+    noise = JITTER_SCALE * k0 if jitter else 0.0
+    floor = CONDITIONING_FLOOR * k0
+    A = assemble_gram(k, X)
+    A[np.diag_indices_from(A)] += noise
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        try:
+            L = interpolation._cholesky_floor(A.copy(), floor)
+        except ConditioningError as exc:
+            # past the dense oracle's reach, both refuse at the same pivot
+            with pytest.raises(ConditioningError) as info:
+                interpolate(k, X, y, jitter=jitter)
+            assert info.value.pivot_index == exc.pivot_index
+            return
+        s = interpolate(k, X, y, jitter=jitter)
+    a = cho_solve((L, True), y)
+
+    mid = 0.5 * (x[1:] + x[:-1])
+    pts = np.concatenate(
+        [x, mid, rng.uniform(-2.0, 2.0, 300), [-1e3, -50.0, 50.0, 1e3]]
+    )
+    K = kernel_eval(k, np.abs(pts[:, None] - x[None, :]))
+    # On sine-graded m = 2 nodes from N = 161 the dense solve is the less
+    # accurate side: against a 50-digit solve at N = 161 it is off by
+    # 2.5e-13 of the scale, the state-space solve by 6e-21.
+    tol = 1e-10 if (family, m) == ("sine", 2) and N >= 161 else 1e-12
+    for got in (evaluate(s, pts), K @ s.coefficients):
+        assert np.all(np.abs(got - K @ a) <= tol * (K @ np.abs(a)))
+
+    # the node slopes belong to the same interpolant as the coefficients
+    if m == 2:
+        D = x[:, None] - x[None, :]
+        Kp = -k0 * D * np.exp(-np.abs(D))
+        c = s.coefficients
+        assert np.all(np.abs(s.states[:, 1] - Kp @ c) <= 1e-12 * (np.abs(Kp) @ np.abs(c)))
+    assert native_norm_sq(s) == pytest.approx(
+        a @ y, abs=1e-12 * (np.abs(a) @ A @ np.abs(a))
+    )
+
+    # innovation variances are the Cholesky pivots; the dense ones carry an
+    # absolute rounding near N eps K(0) (9e-15 K(0) at most, measured), which
+    # dominates for the m = 2 sine-graded pivots near 1e-11 K(0)
+    solve = {1: interpolation._solve_ou, 2: interpolation._solve_m2}[m]
+    pivots = solve(x, y, k0, noise, floor)[3]
+    if N <= 161:
+        want = _row_cholesky_pivots(A, floor)
+        assert want.size == N
+        assert np.all(np.abs(pivots - want) <= 1e-7 * want + 2e-14 * k0)
+    if m == 1 and not jitter:
+        gaps = np.diff(x)
+        assert pivots[0] == k0
+        assert np.allclose(pivots[1:], k0 * -np.expm1(-2.0 * gaps), rtol=1e-15, atol=0)
+
+
+def test_state_space_jitter_matches_the_dense_jittered_solve():
+    # the case jitter exists for: a near-duplicate pair that fails without it
+    for m, gap in ((1, 1e-14), (2, 1e-9)):
+        k = KernelSpec(m=m, amplitude=2.5)
+        pts = np.linspace(-1.0, 1.0, 41)
+        pts[20] = pts[19] + gap
+        X = NodeSet(points=pts, halfwidth=1.0)
+        y = f_exact(pts)
+        with pytest.raises(ConditioningError):
+            interpolate(k, X, y)
+        k0 = kernel_eval(k, 0.0)
+        A = assemble_gram(k, X) + JITTER_SCALE * k0 * np.eye(41)
+        a = cho_solve((interpolation._cholesky_floor(A, CONDITIONING_FLOOR * k0), True), y)
+        with pytest.warns(ConditioningWarning):
+            s = interpolate(k, X, y, jitter=True)
+        grid = np.linspace(-1.5, 1.5, 601)
+        K = kernel_eval(k, np.abs(grid[:, None] - pts[None, :]))
+        assert np.all(np.abs(evaluate(s, grid) - K @ a) <= 1e-12 * (K @ np.abs(a)))
+        assert native_norm_sq(s) == pytest.approx(a @ y, rel=1e-9)
+        # the data are smoothed, not reproduced: the pair disagrees in f
+        assert np.max(np.abs(s.states[:, 0] - y)) > 0.0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_state_space_path_runs_at_sizes_the_dense_path_cannot_hold():
+    # One N x N float64 array at N = 1e5 would take 80 GB, one N x grid array
+    # 800 GB.  The m = 1 error must keep its h^2 decay from 1e4 to 1e5 nodes.
+    k = KernelSpec(m=1)
+    rms = {}
+    for N in (10**4, 10**5):
+        X = equidistant_nodes(1.2, N)
+        y = f_exact(X.points)
+        grid = np.linspace(-1.2, 1.2, 10 * N)
+        f_grid = f_exact(grid)
+        values, peak = _traced_peak(lambda: evaluate(interpolate(k, X, y), grid))
+        rms[N] = np.sqrt(np.mean((values - f_grid) ** 2))
+    assert peak < 32 * 2**20, peak  # the 8 MB result plus O(N) state
+    rate = np.log(rms[10**4] / rms[10**5]) / np.log((10**5 - 1) / (10**4 - 1))
+    assert rate == pytest.approx(2.0, abs=0.01)
+
+    k = KernelSpec(m=2)
+    X = equidistant_nodes(1.2, 3 * 10**4)
+    y = f_exact(X.points)
+    grid = np.linspace(-1.2, 1.2, 3 * 10**5)
+    s, peak = _traced_peak(lambda: interpolate(k, X, y))
+    values, peak_eval = _traced_peak(lambda: evaluate(s, grid))
+    assert max(peak, peak_eval) < 16 * 2**20, (peak, peak_eval)
+    assert np.array_equal(evaluate(s, X.points), y)
+    assert np.max(np.abs(values - f_exact(grid))) < 1e-14
+
+
+def test_state_space_floor_trips_where_the_dense_pivot_would():
+    # m = 2 on 1e5 nodes of [-0.8, 0.8]: the third pivot, about gap^3, sits
+    # below the floor.  The leading pivots of A depend on the leading nodes
+    # only, so the dense row Cholesky on the first three nodes is the oracle.
+    k = KernelSpec(m=2)
+    X = equidistant_nodes(0.8, 10**5)
+    with pytest.raises(ConditioningError) as info:
+        interpolate(k, X, f_exact(X.points))
+    assert info.value.pivot_index == 2
+    assert 0.0 < info.value.pivot_value <= CONDITIONING_FLOOR
+    head = NodeSet(points=X.points[:3], halfwidth=0.8)
+    want = _row_cholesky_pivot(assemble_gram(k, head), CONDITIONING_FLOOR)
+    assert want is not None and want[0] == 2
