@@ -14,7 +14,9 @@ hk_gram_extended verifies discretely.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -66,6 +68,15 @@ class MercerSystem:
         return self.eigenvalues.size
 
 
+@lru_cache(maxsize=8)
+def _unit_rule(rule_size):
+    """Read-only Gauss-Legendre rule on [-1, 1]; numpy builds it by a dense eigensolve."""
+    t, w = leggauss(rule_size)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 def nystrom_eig(k, a, b, rule_size, n_modes):
     """Discretize the kernel operator on [a, b] and return leading eigenpairs.
 
@@ -89,9 +100,11 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     b = float(b)
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got a={a}, b={b}")
+    # before the rule lookup: 20.0 hashes like 20 and would hit its cached rule
+    rule_size, n_modes = operator.index(rule_size), operator.index(n_modes)
     if not 1 <= n_modes <= rule_size:
         raise ValueError(f"need 1 <= n_modes <= rule_size, got {n_modes}, {rule_size}")
-    t, w = leggauss(rule_size)
+    t, w = _unit_rule(rule_size)
     half = 0.5 * (b - a)
     y = half * t + 0.5 * (a + b)
     w = half * w
@@ -101,14 +114,13 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     vals, vecs = np.linalg.eigh(B)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
-    vecs = vecs[:, order]
     if vals[n_modes - 1] <= 0:
         bad = int(np.argmax(vals[:n_modes] <= 0))
         raise TruncationError(
             f"eigenvalue {bad + 1} of {n_modes} requested modes is nonpositive "
             f"({vals[bad]:.3e}); ask for fewer modes"
         )
-    phi = (vecs[:, :n_modes] / sw[:, None]).T
+    phi = (vecs[:, order[:n_modes]] / sw[:, None]).T
     flip = phi[:, 0] < 0
     phi[flip] *= -1.0
     eigvals = vals[:n_modes].copy()
@@ -128,7 +140,10 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
 
 
 def _check_mode(sys, n):
-    if np.any((np.asarray(n) < 0) | (np.asarray(n) >= sys.n_modes)):
+    idx = np.asarray(n)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"mode index {n!r} is not an integer")
+    if np.any((idx < 0) | (idx >= sys.n_modes)):
         raise ValueError(f"mode index {n} outside 0..{sys.n_modes - 1}")
 
 
@@ -140,8 +155,8 @@ def eigen_extend(sys, n, x):
     zero-based.  A sequence of indices n gives one column per mode, all
     from a single kernel evaluation at the points of x.
     """
-    n = np.asarray(n)
     _check_mode(sys, n)
+    n = np.asarray(n)
     flat = np.atleast_1d(np.asarray(x, dtype=float))
     kx = kernel_eval(sys.kernel, np.abs(flat[:, None] - sys.nodes[None, :]))
     out = (kx * sys.weights) @ sys.eigenfunctions[n].T / sys.eigenvalues[n]

@@ -21,6 +21,7 @@ here check them with a 1e-12 additive tolerance and report the pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -173,6 +174,20 @@ class TrialReport:
         )
 
 
+@lru_cache(maxsize=1)
+def _draws(n_trials, M, entropy):
+    """Read-only normals g and coin flips of each trial, shared by presets of one seed."""
+    g = np.empty((n_trials, M))
+    coin = np.empty((n_trials, M), dtype=bool)
+    for i, child in enumerate(np.random.SeedSequence(entropy).spawn(n_trials)):
+        rng = np.random.default_rng(child)
+        g[i] = rng.standard_normal(M)
+        coin[i] = rng.random(M) < 0.5
+    g.setflags(write=False)
+    coin.setflags(write=False)
+    return g, coin
+
+
 def run_trials(space, n_trials, seed):
     """Randomized verification of both inequalities on one weight preset.
 
@@ -188,13 +203,14 @@ def run_trials(space, n_trials, seed):
     """
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
+    # resolved first: seed=None draws afresh on every call; a list seed is unhashable
+    entropy = np.random.SeedSequence(seed).entropy
+    g, coin = _draws(n_trials, space.M, entropy if np.ndim(entropy) == 0 else tuple(entropy))
     # the random trials, then the extremal case as one more row
     f = np.zeros((n_trials + (n_trials > 0), space.M))
     keep = np.ones(f.shape, dtype=bool)
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
-        rng = np.random.default_rng(child)
-        f[i] = space.kappa * rng.standard_normal(space.M)
-        keep[i] = rng.random(space.M) < 0.5
+    np.multiply(space.kappa, g, out=f[:n_trials])
+    keep[:n_trials] = coin
     if n_trials > 0:
         f[-1, 0] = 1.0
         keep[-1, 0] = False

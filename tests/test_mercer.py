@@ -7,6 +7,8 @@ and sin(omega x); the root-finder below supplies them independently of the
 Nystrom code.
 """
 
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -160,6 +162,72 @@ def test_nystrom_validation():
         nystrom_eig(k, -1.0, 1.0, 50, 0)
 
 
+def test_sizes_must_be_integers_whether_or_not_the_rule_is_cached():
+    from maternlab import mercer
+
+    k = KernelSpec(m=1)
+    mercer._unit_rule.cache_clear()
+    for _ in range(2):  # with no rule cached, then with the size-20 rule cached
+        with pytest.raises(TypeError):
+            nystrom_eig(k, -1.0, 1.0, 20.0, 4)
+        with pytest.raises(TypeError):
+            nystrom_eig(k, -1.0, 1.0, 20, 4.0)
+        assert nystrom_eig(k, -1.0, 1.0, np.int64(20), np.int32(4)).n_modes == 4
+
+
+def test_each_rule_size_is_built_once(monkeypatch):
+    from maternlab import mercer
+
+    built = []
+    mercer._unit_rule.cache_clear()
+    monkeypatch.setattr(mercer, "leggauss", lambda q: built.append(q) or leggauss(q))
+    nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 200, 4)
+    nystrom_eig(KernelSpec(m=1), 0.0, 3.0, 200, 4)
+    nystrom_eig(KernelSpec(m=2), -1.0, 1.0, 200, 4)
+    assert built == [200]
+    t, w = mercer._unit_rule(200)
+    assert not (t.flags.writeable or w.flags.writeable)
+    t0, w0 = leggauss(200)
+    assert np.array_equal(t, t0) and np.array_equal(w, w0)
+
+
+def _nystrom_fresh_rule(k, a, b, rule_size, n_modes):
+    # nystrom_eig with a rule built on every call and all Q eigenvector
+    # columns reordered before the leading ones are kept
+    t, w = leggauss(rule_size)
+    half = 0.5 * (b - a)
+    y = half * t + 0.5 * (a + b)
+    w = half * w
+    A = kernel_eval(k, np.abs(y[:, None] - y[None, :]))
+    sw = np.sqrt(w)
+    vals, vecs = np.linalg.eigh(sw[:, None] * A * sw[None, :])
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    vecs = vecs[:, order]
+    phi = (vecs[:, :n_modes] / sw[:, None]).T
+    phi[phi[:, 0] < 0] *= -1.0
+    return {
+        "nodes": y,
+        "weights": w,
+        "eigenvalues": vals[:n_modes],
+        "eigenfunctions": phi,
+        "full_spectrum": vals,
+        "gram": A,
+    }
+
+
+@pytest.mark.parametrize(
+    "m,a,b,rule,modes", [(1, -1.0, 1.0, 1600, 48), (2, -1.0, 2.0, 120, 6), (1, -1.0, 1.0, 201, 10)]
+)
+def test_cached_rule_is_bit_identical_to_a_fresh_one(m, a, b, rule, modes):
+    k = KernelSpec(m=m)
+    oracle = _nystrom_fresh_rule(k, a, b, rule, modes)
+    for _ in range(2):  # the first call may build the rule, the second reads it
+        sys_ = nystrom_eig(k, a, b, rule, modes)
+        for field, want in oracle.items():
+            assert np.array_equal(getattr(sys_, field), want), field
+
+
 def test_extension_agrees_at_nodes_and_decays():
     sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 100, 6)
     for n in (0, 2, 5):
@@ -193,6 +261,16 @@ def test_several_modes_extend_to_one_column_each():
     for bad in ([0, 6], [-1, 2], (2, 7)):
         with pytest.raises(ValueError):
             eigen_extend(sys_, bad, xs)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, np.float64(2.0)])
+def test_mode_indices_must_be_integers(bad):
+    sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 40, 3)
+    named = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=named):
+        eigen_extend(sys_, bad, 0.5)
+    with pytest.raises(ValueError, match=named):
+        hk_gram_extended(sys_, 0, bad)
 
 
 def test_projection_recovers_eigenfunction_coefficients():

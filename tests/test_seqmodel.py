@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from maternlab import (
+    TrialReport,
     WeightedSeqSpace,
     analytic_weights,
     run_trials,
@@ -154,9 +155,9 @@ def test_run_trials_reports_and_is_deterministic():
     assert different.sharpest_standard != rep1.sharpest_standard
 
 
-def _per_trial_loop(space, n_trials, seed):
-    # the trials of run_trials redrawn one at a time and checked with the
-    # public single-trial verifiers
+def _per_trial_report(space, n_trials, seed):
+    # the trials of run_trials redrawn one at a time, each from its own
+    # generator, and checked with the public single-trial verifiers
     std_pass = sup_pass = 0
     sharpest_std = sharpest_sup = 0.0
     for child in np.random.SeedSequence(seed).spawn(n_trials):
@@ -171,16 +172,49 @@ def _per_trial_loop(space, n_trials, seed):
             sharpest_std = max(sharpest_std, std.lhs / std.rhs)
         if sup.rhs > 0:
             sharpest_sup = max(sharpest_sup, sup.lhs / sup.rhs)
-    return std_pass, sup_pass, sharpest_std, sharpest_sup
+    e1 = np.zeros(space.M)
+    e1[0] = 1.0
+    extremal = verify_superconvergence(space, e1, range(1, space.M))
+    return TrialReport(
+        n_trials, std_pass, sup_pass, sharpest_std, sharpest_sup, extremal.lhs / extremal.rhs, None
+    )
 
 
 @pytest.mark.parametrize("space", [sobolev_weights(64), analytic_weights(64), sobolev_weights(5)])
 def test_batched_trials_match_the_per_trial_verifiers(space):
     rep = run_trials(space, 300, 7)
-    std_pass, sup_pass, sharpest_std, sharpest_sup = _per_trial_loop(space, 300, 7)
-    assert (rep.standard_passes, rep.super_passes) == (std_pass, sup_pass) == (300, 300)
-    assert rep.sharpest_standard == pytest.approx(sharpest_std, rel=1e-12)
-    assert rep.sharpest_super == pytest.approx(sharpest_sup, rel=1e-12)
+    assert rep == _per_trial_report(space, 300, 7)
+    assert rep.all_pass
+
+
+def test_presets_sharing_a_seed_draw_once(monkeypatch):
+    from maternlab import seqmodel
+
+    seqmodel._draws.cache_clear()
+    spaces = (sobolev_weights(64), analytic_weights(64))
+    made = []
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(s) or real(s))
+    reports = [run_trials(space, 200, 11) for space in spaces]
+    assert len(made) == 200
+    monkeypatch.undo()
+    assert reports == [_per_trial_report(space, 200, 11) for space in spaces]
+    run_trials(spaces[0], 200, 12)
+    assert seqmodel._draws.cache_info().currsize == 1
+
+
+def test_unseeded_trials_draw_afresh_on_every_call():
+    space = sobolev_weights(16)
+    first, second = run_trials(space, 50, None), run_trials(space, 50, None)
+    assert first.sharpest_standard != second.sharpest_standard
+    assert first.sharpest_super != second.sharpest_super
+
+
+@pytest.mark.parametrize("seed", [[1, 2], np.array([1, 2])])
+def test_sequence_seeds_are_accepted(seed):
+    space = analytic_weights(16)
+    assert run_trials(space, 50, seed) == _per_trial_report(space, 50, [1, 2])
+    assert run_trials(space, 50, seed) == run_trials(space, 50, (1, 2))
 
 
 def test_trials_can_fail(monkeypatch):
