@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -68,15 +67,6 @@ class MercerSystem:
         return self.eigenvalues.size
 
 
-@lru_cache(maxsize=8)
-def _unit_rule(rule_size):
-    """Read-only Gauss-Legendre rule on [-1, 1]; numpy builds it by a dense eigensolve."""
-    t, w = leggauss(rule_size)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w
-
-
 def nystrom_eig(k, a, b, rule_size, n_modes):
     """Discretize the kernel operator on [a, b] and return leading eigenpairs.
 
@@ -100,11 +90,11 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     b = float(b)
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got a={a}, b={b}")
-    # before the rule lookup: 20.0 hashes like 20 and would hit its cached rule
+    # before any work: a float n_modes would only fail as an index after eigh
     rule_size, n_modes = operator.index(rule_size), operator.index(n_modes)
     if not 1 <= n_modes <= rule_size:
         raise ValueError(f"need 1 <= n_modes <= rule_size, got {n_modes}, {rule_size}")
-    t, w = _unit_rule(rule_size)
+    t, w = leggauss(rule_size)
     half = 0.5 * (b - a)
     y = half * t + 0.5 * (a + b)
     w = half * w

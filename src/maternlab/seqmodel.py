@@ -174,17 +174,24 @@ class TrialReport:
         )
 
 
-@lru_cache(maxsize=1)
-def _draws(n_trials, M, entropy):
-    """Read-only normals g and coin flips of each trial, shared by presets of one seed."""
-    g = np.empty((n_trials, M))
-    coin = np.empty((n_trials, M), dtype=bool)
-    for i, child in enumerate(np.random.SeedSequence(entropy).spawn(n_trials)):
+def _draw(seed, g, coin):
+    """Standard normals into g and coin flips into coin, one row per trial."""
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(len(g))):
         rng = np.random.default_rng(child)
-        g[i] = rng.standard_normal(M)
-        coin[i] = rng.random(M) < 0.5
-    g.setflags(write=False)
-    coin.setflags(write=False)
+        g[i] = rng.standard_normal(g.shape[1])
+        coin[i] = rng.random(g.shape[1]) < 0.5
+
+
+# draws of at most this many n_trials * M entries (4.5 MB) outlive the call
+_MEMO_ENTRIES = 1 << 19
+
+
+@lru_cache(maxsize=1)
+def _memo_draws(n_trials, M, entropy):
+    """Read-only draws of one seed, shared by the presets that use it."""
+    g, coin = np.empty((n_trials, M)), np.empty((n_trials, M), dtype=bool)
+    _draw(entropy, g, coin)
+    g.flags.writeable = coin.flags.writeable = False
     return g, coin
 
 
@@ -203,14 +210,17 @@ def run_trials(space, n_trials, seed):
     """
     if n_trials < 0:
         raise ValueError(f"n_trials must be >= 0, got {n_trials}")
-    # resolved first: seed=None draws afresh on every call; a list seed is unhashable
-    entropy = np.random.SeedSequence(seed).entropy
-    g, coin = _draws(n_trials, space.M, entropy if np.ndim(entropy) == 0 else tuple(entropy))
     # the random trials, then the extremal case as one more row
     f = np.zeros((n_trials + (n_trials > 0), space.M))
     keep = np.ones(f.shape, dtype=bool)
-    np.multiply(space.kappa, g, out=f[:n_trials])
-    keep[:n_trials] = coin
+    if n_trials * space.M <= _MEMO_ENTRIES:
+        # resolved first: seed=None draws afresh on every call; a list seed is unhashable
+        entropy = np.random.SeedSequence(seed).entropy
+        key = entropy if np.ndim(entropy) == 0 else tuple(entropy)
+        f[:n_trials], keep[:n_trials] = _memo_draws(n_trials, space.M, key)
+    else:
+        _draw(seed, f[:n_trials], keep[:n_trials])
+    f[:n_trials] *= space.kappa
     if n_trials > 0:
         f[-1, 0] = 1.0
         keep[-1, 0] = False

@@ -162,38 +162,18 @@ def test_nystrom_validation():
         nystrom_eig(k, -1.0, 1.0, 50, 0)
 
 
-def test_sizes_must_be_integers_whether_or_not_the_rule_is_cached():
-    from maternlab import mercer
-
+def test_sizes_must_be_integers():
     k = KernelSpec(m=1)
-    mercer._unit_rule.cache_clear()
-    for _ in range(2):  # with no rule cached, then with the size-20 rule cached
-        with pytest.raises(TypeError):
-            nystrom_eig(k, -1.0, 1.0, 20.0, 4)
-        with pytest.raises(TypeError):
-            nystrom_eig(k, -1.0, 1.0, 20, 4.0)
-        assert nystrom_eig(k, -1.0, 1.0, np.int64(20), np.int32(4)).n_modes == 4
+    with pytest.raises(TypeError):
+        nystrom_eig(k, -1.0, 1.0, 20.0, 4)
+    with pytest.raises(TypeError):
+        nystrom_eig(k, -1.0, 1.0, 20, 4.0)
+    assert nystrom_eig(k, -1.0, 1.0, np.int64(20), np.int32(4)).n_modes == 4
 
 
-def test_each_rule_size_is_built_once(monkeypatch):
-    from maternlab import mercer
-
-    built = []
-    mercer._unit_rule.cache_clear()
-    monkeypatch.setattr(mercer, "leggauss", lambda q: built.append(q) or leggauss(q))
-    nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 200, 4)
-    nystrom_eig(KernelSpec(m=1), 0.0, 3.0, 200, 4)
-    nystrom_eig(KernelSpec(m=2), -1.0, 1.0, 200, 4)
-    assert built == [200]
-    t, w = mercer._unit_rule(200)
-    assert not (t.flags.writeable or w.flags.writeable)
-    t0, w0 = leggauss(200)
-    assert np.array_equal(t, t0) and np.array_equal(w, w0)
-
-
-def _nystrom_fresh_rule(k, a, b, rule_size, n_modes):
-    # nystrom_eig with a rule built on every call and all Q eigenvector
-    # columns reordered before the leading ones are kept
+def _nystrom_full_reorder(k, a, b, rule_size, n_modes):
+    # nystrom_eig with all Q eigenvector columns reordered before the
+    # leading ones are kept
     t, w = leggauss(rule_size)
     half = 0.5 * (b - a)
     y = half * t + 0.5 * (a + b)
@@ -219,13 +199,11 @@ def _nystrom_fresh_rule(k, a, b, rule_size, n_modes):
 @pytest.mark.parametrize(
     "m,a,b,rule,modes", [(1, -1.0, 1.0, 1600, 48), (2, -1.0, 2.0, 120, 6), (1, -1.0, 1.0, 201, 10)]
 )
-def test_cached_rule_is_bit_identical_to_a_fresh_one(m, a, b, rule, modes):
+def test_kept_columns_match_the_full_reorder(m, a, b, rule, modes):
     k = KernelSpec(m=m)
-    oracle = _nystrom_fresh_rule(k, a, b, rule, modes)
-    for _ in range(2):  # the first call may build the rule, the second reads it
-        sys_ = nystrom_eig(k, a, b, rule, modes)
-        for field, want in oracle.items():
-            assert np.array_equal(getattr(sys_, field), want), field
+    sys_ = nystrom_eig(k, a, b, rule, modes)
+    for field, want in _nystrom_full_reorder(k, a, b, rule, modes).items():
+        assert np.array_equal(getattr(sys_, field), want), field
 
 
 def test_extension_agrees_at_nodes_and_decays():

@@ -7,12 +7,12 @@ sqrt(72354)/81.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from maternlab import (
-    TrialReport,
     WeightedSeqSpace,
     analytic_weights,
     run_trials,
@@ -155,9 +155,9 @@ def test_run_trials_reports_and_is_deterministic():
     assert different.sharpest_standard != rep1.sharpest_standard
 
 
-def _per_trial_report(space, n_trials, seed):
-    # the trials of run_trials redrawn one at a time, each from its own
-    # generator, and checked with the public single-trial verifiers
+def _per_trial_loop(space, n_trials, seed):
+    # the trials of run_trials redrawn one at a time and checked with the
+    # public single-trial verifiers
     std_pass = sup_pass = 0
     sharpest_std = sharpest_sup = 0.0
     for child in np.random.SeedSequence(seed).spawn(n_trials):
@@ -172,35 +172,61 @@ def _per_trial_report(space, n_trials, seed):
             sharpest_std = max(sharpest_std, std.lhs / std.rhs)
         if sup.rhs > 0:
             sharpest_sup = max(sharpest_sup, sup.lhs / sup.rhs)
-    e1 = np.zeros(space.M)
-    e1[0] = 1.0
-    extremal = verify_superconvergence(space, e1, range(1, space.M))
-    return TrialReport(
-        n_trials, std_pass, sup_pass, sharpest_std, sharpest_sup, extremal.lhs / extremal.rhs, None
-    )
+    return std_pass, sup_pass, sharpest_std, sharpest_sup
 
 
 @pytest.mark.parametrize("space", [sobolev_weights(64), analytic_weights(64), sobolev_weights(5)])
 def test_batched_trials_match_the_per_trial_verifiers(space):
     rep = run_trials(space, 300, 7)
-    assert rep == _per_trial_report(space, 300, 7)
-    assert rep.all_pass
+    std_pass, sup_pass, sharpest_std, sharpest_sup = _per_trial_loop(space, 300, 7)
+    assert (rep.standard_passes, rep.super_passes) == (std_pass, sup_pass) == (300, 300)
+    assert rep.sharpest_standard == pytest.approx(sharpest_std, rel=1e-12)
+    assert rep.sharpest_super == pytest.approx(sharpest_sup, rel=1e-12)
+
+
+def _cold(space, n_trials, seed):
+    # run_trials with no draws kept from an earlier call
+    from maternlab import seqmodel
+
+    seqmodel._memo_draws.cache_clear()
+    return run_trials(space, n_trials, seed)
 
 
 def test_presets_sharing_a_seed_draw_once(monkeypatch):
     from maternlab import seqmodel
 
-    seqmodel._draws.cache_clear()
     spaces = (sobolev_weights(64), analytic_weights(64))
+    cold = [_cold(space, 200, 11) for space in spaces]
+    seqmodel._memo_draws.cache_clear()
     made = []
     real = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(s) or real(s))
-    reports = [run_trials(space, 200, 11) for space in spaces]
+    assert [run_trials(space, 200, 11) for space in spaces] == cold
     assert len(made) == 200
     monkeypatch.undo()
-    assert reports == [_per_trial_report(space, 200, 11) for space in spaces]
     run_trials(spaces[0], 200, 12)
-    assert seqmodel._draws.cache_info().currsize == 1
+    assert seqmodel._memo_draws.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n_trials", [200, 8193])  # from the memo, and drawn in place
+def test_trial_rows_are_the_per_trial_draws(monkeypatch, n_trials):
+    # f = kappa .* g and the subsets, bit for bit as each trial's own generator gives them
+    from maternlab import seqmodel
+
+    space = sobolev_weights(64)
+    seen = []
+    check = seqmodel._check_bounds
+    monkeypatch.setattr(
+        seqmodel,
+        "_check_bounds",
+        lambda kappa, f, keep: seen.append((f, keep)) or check(kappa, f, keep),
+    )
+    run_trials(space, n_trials, 3)
+    f, keep = seen[0]
+    for i, child in enumerate(np.random.SeedSequence(3).spawn(n_trials)):
+        rng = np.random.default_rng(child)
+        assert np.array_equal(f[i], space.kappa * rng.standard_normal(64))
+        assert np.array_equal(keep[i], rng.random(64) < 0.5)
 
 
 def test_unseeded_trials_draw_afresh_on_every_call():
@@ -213,8 +239,31 @@ def test_unseeded_trials_draw_afresh_on_every_call():
 @pytest.mark.parametrize("seed", [[1, 2], np.array([1, 2])])
 def test_sequence_seeds_are_accepted(seed):
     space = analytic_weights(16)
-    assert run_trials(space, 50, seed) == _per_trial_report(space, 50, [1, 2])
-    assert run_trials(space, 50, seed) == run_trials(space, 50, (1, 2))
+    rep = run_trials(space, 50, seed)
+    assert rep == _cold(space, 50, (1, 2))
+    std_pass, sup_pass, sharpest_std, sharpest_sup = _per_trial_loop(space, 50, [1, 2])
+    assert (rep.standard_passes, rep.super_passes) == (std_pass, sup_pass)
+    assert rep.sharpest_standard == pytest.approx(sharpest_std, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_trials", [5000, 20000])
+def test_only_small_draws_outlive_the_call(n_trials):
+    from maternlab import seqmodel
+
+    space = sobolev_weights(64)
+    f_bytes = (n_trials + 1) * 64 * 8
+    memo_bytes = n_trials * 64 * 9 if n_trials * 64 <= seqmodel._MEMO_ENTRIES else 0
+    seqmodel._memo_draws.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = run_trials(space, n_trials, 5)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.all_pass
+    assert kept < memo_bytes + 2**20
+    # the batch f, its mask and the temporaries of the bound checks
+    assert peak < 4.5 * f_bytes + memo_bytes
 
 
 def test_trials_can_fail(monkeypatch):
