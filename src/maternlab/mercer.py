@@ -9,7 +9,9 @@ phi_n = W^{-1/2} u_n are then discretely orthonormal in L2(a, b).
 The eigenfunctions extend off the interval through the eigenvalue equation
 itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
 native-space orthogonality kappa_l (phi_j^E, phi_l^E)_K = delta_jl, which
-hk_gram_extended verifies discretely.
+hk_gram_extended verifies discretely.  For the closed-form d = 1 kernels
+(m = 1, 2) running exponential moments over the sorted nodes give the
+extension at M points in O(Q + M) per mode; other kernels form M x Q.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import TruncationError
-from .kernels import kernel_eval
+from .kernels import exp_poly_coeffs, kernel_eval
 
 __all__ = [
     "MercerSystem",
@@ -41,7 +43,7 @@ class MercerSystem:
 
     Fields
     ------
-    nodes, weights : (rule_size,) read-only Gauss-Legendre nodes and
+    nodes, weights : (rule_size,) read-only ascending Gauss-Legendre nodes and
         positive weights on [a, b].
     eigenvalues : (n_modes,) nonincreasing positive kappa_n.
     eigenfunctions : (n_modes, rule_size) samples of phi_n at the rule
@@ -140,17 +142,71 @@ def _check_mode(sys, n):
 def eigen_extend(sys, n, x):
     """Extension phi_n^E(x) = (1/kappa_n) sum_q w_q K(|x - y_q|) phi_n(y_q).
 
-    Agrees with phi_n on [a, b] (exactly at rule nodes, by the discrete
-    eigenvalue equation) and decays to 0 as |x| grows.  Mode indices are
-    zero-based.  A sequence of indices n gives one column per mode, all
-    from a single kernel evaluation at the points of x.
+    Agrees with phi_n on [a, b] (at the rule nodes to the rounding of the
+    eigensolve, by the discrete eigenvalue equation) and decays to 0 as |x|
+    grows.  Mode indices are zero-based; a sequence of indices n gives one
+    column per mode.  At M points, Q rule nodes and K modes the closed-form
+    kernels (d = 1, m = 1, 2) take O((Q + M) K) time and memory, any other
+    kernel one M x Q kernel matrix.  Raises ValueError for a mode index out
+    of range, a point that is not finite or x of more than one dimension.
     """
     _check_mode(sys, n)
     n = np.asarray(n)
     flat = np.atleast_1d(np.asarray(x, dtype=float))
-    kx = kernel_eval(sys.kernel, np.abs(flat[:, None] - sys.nodes[None, :]))
-    out = (kx * sys.weights) @ sys.eigenfunctions[n].T / sys.eigenvalues[n]
+    if flat.ndim != 1 or not np.all(np.isfinite(flat)):
+        raise ValueError("extension points must be finite, as a scalar or 1-D array")
+    coeffs = exp_poly_coeffs(sys.kernel)
+    if coeffs is None:
+        kx = kernel_eval(sys.kernel, np.abs(flat[:, None] - sys.nodes[None, :]))
+        out = (kx * sys.weights) @ sys.eigenfunctions[n].T / sys.eigenvalues[n]
+    else:
+        c = (sys.weights * sys.eigenfunctions[n]).T / sys.eigenvalues[n]
+        out = sys.kernel.amplitude * _exp_poly_sum(coeffs, sys.nodes, c, flat)
     return out[0] if np.ndim(x) == 0 else out
+
+
+def _exp_poly_sum(coeffs, y, c, x):
+    """sum_q c_q e^{-r} p(r), r = |x - y_q|, for ascending y and c of shape
+    (Q,) or (Q, K), where p = p0 + p1 r has the coefficients ``coeffs``.
+
+    The nodes at or left of a point enter through the moments
+    L_j = sum_{q <= p} c_q d^j e^{-d}, d = y_p - y_q, of the nearest one, y_p,
+    at distance t: p(t + d) = p(t) + p1 d makes their sum
+    e^{-t} (p(t) L_0 + p1 L_1).  Mirrored moments serve the nodes right of it.
+    """
+    p0, p1 = (*coeffs, 0.0)[:2]
+
+    def moments(y, c):
+        # Per block of nodes less than 1 past its first node y_lo, s = y - y_lo:
+        # L_0 = e^{-s} cumsum(c e^s) and L_1 = s L_0 - e^{-s} cumsum(c s e^s)
+        # (only when p1 needs it), plus the node before the block carried in
+        # with e^{-d}.  So e^{+-s} cannot overflow and s L_0 - S_1 rounds to
+        # at most s eps of its terms.  Row 0 stands for "no node".
+        out = np.zeros((2, y.size + 1, c.shape[1]))
+        cuts = np.flatnonzero(np.diff(np.floor(y - y[0]))) + 1
+        bounds = [0, *cuts, y.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            s = (y[lo:hi] - y[lo])[:, None]
+            d = (y[lo:hi] - y[max(lo - 1, 0)])[:, None]
+            prev, grown = out[:, lo], c[lo:hi] * np.exp(s)
+            l0 = np.exp(-s) * np.cumsum(grown, axis=0)
+            out[0, lo + 1 : hi + 1] = l0 + np.exp(-d) * prev[0]
+            if p1:
+                l1 = s * l0 - np.exp(-s) * np.cumsum(s * grown, axis=0)
+                out[1, lo + 1 : hi + 1] = l1 + np.exp(-d) * (prev[1] + d * prev[0])
+        return out
+
+    cols = c.reshape(y.size, -1)
+    idx = np.searchsorted(y, x, side="right")  # nodes at or left of each point
+    left = moments(y, cols)[:, idx]
+    right = moments(-y[::-1], cols[::-1])[:, ::-1][:, idx]
+    ypad = np.r_[y[0], y, y[-1]]
+    out = 0.0
+    # t < 0 only where the zero row stands for a missing node
+    for mom, t in ((left, x - ypad[idx]), (right, ypad[idx + 1] - x)):
+        t = np.maximum(t, 0.0)[:, None]
+        out = out + np.exp(-t) * ((p0 + p1 * t) * mom[0] + p1 * mom[1])
+    return out.reshape(x.shape + c.shape[1:])
 
 
 def project_samples(sys, samples):

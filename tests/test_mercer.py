@@ -8,9 +8,12 @@ Nystrom code.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
@@ -25,6 +28,7 @@ from maternlab import (
     hk_gram_matrix,
     kernel_eval,
     nystrom_eig,
+    paper_amplitude,
     project_samples,
 )
 
@@ -272,20 +276,151 @@ def test_extend_function_is_the_projected_mode_sum():
     assert np.max(np.abs(direct - summed)) < 1e-11
 
 
-def test_extensions_are_bit_identical_to_their_own_kernel_passes():
-    # eigen_extend of one mode and extend_function as they were when each
-    # built its own weighted kernel matrix, each with its own product order
-    sys_ = nystrom_eig(KernelSpec(m=2), -1.0, 2.0, 120, 6)
-    xs = np.linspace(-2.5, 3.5, 401)
+def _dense_extension(sys_, n, xs):
+    # eigen_extend as the weighted M x Q kernel matrix times the mode(s)
     kx = kernel_eval(sys_.kernel, np.abs(xs[:, None] - sys_.nodes[None, :]))
+    return (kx * sys_.weights) @ sys_.eigenfunctions[n].T / sys_.eigenvalues[n]
+
+
+def _rounding_bound(k, centres, c, xs):
+    # a-priori bound on the rounding of sum_q c_q K(r_q), r_q = |x - y_q|,
+    # per point and column: Q eps of the summed |terms| for the sum, eps r_q
+    # per term for each path's rounding of r_q inside e^{-r_q} (condition
+    # number r_q), and 4 eps per term for the exp and products
+    r = np.abs(xs[:, None] - centres[None, :])
+    terms = np.abs(kernel_eval(k, r))
+    eps = np.finfo(float).eps
+    return eps * ((terms * (centres.size + 4 + 2 * r)) @ np.abs(c))
+
+
+def _points_around(nodes, rng):
+    # left of, on, between and right of the nodes, in unsorted order
+    mid = 0.5 * (nodes[1:] + nodes[:-1])
+    span = nodes[-1] - nodes[0]
+    left = nodes[0] - span * rng.uniform(0, 1, 7)
+    right = nodes[-1] + span * rng.uniform(0, 1, 7)
+    return rng.permutation(np.concatenate([left, nodes[::3], mid[::3], right]))
+
+
+def test_extensions_match_their_dense_kernel_sums():
+    # the Bessel path keeps the dense expression bit for bit
+    sys3 = nystrom_eig(KernelSpec(m=3), -1.0, 2.0, 120, 6)
+    xs = np.linspace(-2.5, 3.5, 401)
     for n in range(6):
-        old = (kx * sys_.weights) @ sys_.eigenfunctions[n] / sys_.eigenvalues[n]
-        assert np.array_equal(eigen_extend(sys_, n, xs), old)
-    samples = kernel_eval(sys_.kernel, np.abs(sys_.nodes - 0.2))
-    modes_at_x = (kx * sys_.weights) @ sys_.eigenfunctions.T / sys_.eigenvalues
-    old = modes_at_x @ project_samples(sys_, samples)
-    assert np.array_equal(extend_function(sys_, samples, xs), old)
-    assert extend_function(sys_, samples, 0.7) == extend_function(sys_, samples, [0.7])[0]
+        assert np.array_equal(eigen_extend(sys3, n, xs), _dense_extension(sys3, n, xs))
+    assert np.array_equal(eigen_extend(sys3, range(6), xs), _dense_extension(sys3, range(6), xs))
+    rng = np.random.default_rng(7)
+    for m, amp in ((1, 1.0), (2, 1.0), (1, paper_amplitude(1)), (2, paper_amplitude(2))):
+        sys_ = nystrom_eig(KernelSpec(m=m, amplitude=amp), -1.0, 2.0, 120, 6)
+        pts = _points_around(sys_.nodes, rng)
+        terms = np.abs(kernel_eval(sys_.kernel, np.abs(pts[:, None] - sys_.nodes[None, :])))
+        terms *= sys_.weights
+        cols = eigen_extend(sys_, range(6), pts)
+        for n in range(6):
+            # the structured sum adds in another order than the matrix
+            # product: allow the a-priori bound Q eps sum|terms| / kappa
+            bound = 120 * np.finfo(float).eps * (terms @ np.abs(sys_.eigenfunctions[n]))
+            bound /= sys_.eigenvalues[n]
+            dense = _dense_extension(sys_, n, pts)
+            assert np.all(np.abs(eigen_extend(sys_, n, pts) - dense) <= bound)
+            assert np.all(np.abs(cols[:, n] - dense) <= bound)
+    # extend_function is its own composition, bit for bit, on both paths
+    for sys_ in (sys3, nystrom_eig(KernelSpec(m=2), -1.0, 2.0, 120, 6)):
+        samples = kernel_eval(sys_.kernel, np.abs(sys_.nodes - 0.2))
+        old = eigen_extend(sys_, range(6), xs) @ project_samples(sys_, samples)
+        assert np.array_equal(extend_function(sys_, samples, xs), old)
+        assert extend_function(sys_, samples, 0.7) == extend_function(sys_, samples, [0.7])[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extension_points_must_be_finite(m, bad):
+    sys_ = nystrom_eig(KernelSpec(m=m), -1.0, 1.0, 40, 3)
+    for x in (bad, np.array([0.5, bad, 2.0])):
+        with pytest.raises(ValueError, match="finite"):
+            eigen_extend(sys_, 0, x)
+        with pytest.raises(ValueError, match="finite"):
+            eigen_extend(sys_, [0, 2], x)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_extension_points_are_a_scalar_or_a_vector(m):
+    # a 2 x 3 array with as many columns as modes must not broadcast into
+    # a wrong-shaped result
+    sys_ = nystrom_eig(KernelSpec(m=m), -1.0, 1.0, 40, 3)
+    x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    with pytest.raises(ValueError, match="1-D"):
+        eigen_extend(sys_, range(3), x)
+    with pytest.raises(ValueError, match="1-D"):
+        extend_function(sys_, np.ones(40), x)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_long_intervals_extend_like_the_dense_sum(m):
+    # one anchor for the moment sums would overflow e^{y - a} past ~700
+    sys_ = nystrom_eig(KernelSpec(m=m), 0.0, 1500.0, 300, 4)
+    pts = _points_around(sys_.nodes, np.random.default_rng(m))
+    c = (sys_.weights * sys_.eigenfunctions).T / sys_.eigenvalues
+    got = eigen_extend(sys_, range(4), pts)
+    assert np.all(np.isfinite(got))
+    bound = _rounding_bound(sys_.kernel, sys_.nodes, c, pts)
+    assert np.all(np.abs(got - _dense_extension(sys_, range(4), pts)) <= bound)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_extension_never_holds_a_points_by_rule_array(m):
+    # one float64 M x Q array would take 1e5 * 1600 * 8 B = 1.28 GB
+    sys_ = nystrom_eig(KernelSpec(m=m), -1.0, 1.0, 1600, 1)
+    x = np.linspace(-2.0, 2.0, 100_000)
+    tracemalloc.start()
+    try:
+        eigen_extend(sys_, 0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@st.composite
+def _sums(draw):
+    # ascending centres (ties allowed), signed coefficient columns, and points
+    # at the centres, near them and far out.  Coefficients are 0 or of size
+    # 1e-3..1e3 and points stay within 620 of every centre, so no term is
+    # subnormal, where the relative rounding bound would not hold.
+    centres = np.sort(draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=12)))
+    cols = draw(st.integers(1, 3))
+    coef = st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+    row = st.lists(coef, min_size=cols, max_size=cols)
+    c = np.array(draw(st.lists(row, min_size=centres.size, max_size=centres.size)))
+    near = draw(st.lists(st.floats(-25.0, 25.0), max_size=10))
+    far = draw(st.lists(st.floats(30.0, 600.0), max_size=4))
+    on = draw(st.lists(st.sampled_from(list(centres)), max_size=4))
+    xs = np.array(near + on + far + [-v for v in far], dtype=float)
+    return centres, c, draw(st.permutations(list(xs))) if xs.size else [0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sums(), st.sampled_from([1, 2]), st.sampled_from([1.0, float(np.sqrt(np.pi / 2))]))
+def test_structured_sum_matches_the_dense_oracle(case, m, amp):
+    centres, c, xs = case
+    xs = np.array(xs, dtype=float)
+    k = KernelSpec(m=m, amplitude=amp)
+    # unit weights and eigenvalues make the extension the plain sum over c
+    ones = np.ones(c.shape[1])
+    sys_ = MercerSystem(
+        kernel=k,
+        a=centres[0],
+        b=centres[-1],
+        nodes=centres,
+        weights=np.ones(centres.size),
+        eigenvalues=ones,
+        eigenfunctions=c.T,
+        full_spectrum=ones,
+        gram=None,
+    )
+    got = eigen_extend(sys_, range(c.shape[1]), xs)
+    want = kernel_eval(k, np.abs(xs[:, None] - centres[None, :])) @ c
+    assert np.all(np.abs(got - want) <= _rounding_bound(k, centres, c, xs))
 
 
 def test_native_gram_of_extensions_is_inverse_spectrum():
