@@ -17,12 +17,14 @@ class MaternlabError(Exception):
 class ConditioningError(MaternlabError):
     """A Gram factorization hit a pivot at or below the conditioning floor.
 
+    On the d = 1 path the pivot is its bound K(0)(1 - rho(gap)^2), checked first.
+
     Attributes
     ----------
     pivot_index : int
         Zero-based index of the offending pivot.
     pivot_value : float
-        The diagonal remainder that fell below the floor.
+        The diagonal remainder (or its bound) that fell below the floor.
     floor : float
         The absolute threshold that was in force.
     """

@@ -3,33 +3,29 @@
 Among all native-space functions matching the data, the interpolant
 s(x) = sum_j a_j K(|x - x_j|) with A a = values (A the Gram matrix of
 translates) has minimal native norm; its residual is orthogonal to every
-translate at the nodes.  Failure is a typed error naming the first
-factorization pivot at or below the conditioning floor, never a silently
-regularized answer.
+translate at the nodes.  Failure is a typed error naming the node where the
+problem is numerically singular, never a silently regularized answer.
 
 Two solvers, chosen by the kernel alone:
 
-* The d = 1 kernels exp(-r) and (1 + r) exp(-r) are the covariances of
-  Gauss-Markov processes with state f and (f, f').  A Kalman filter with
-  exact observations of f runs forward over the nodes; its innovation
-  variances are the Cholesky pivots of A.  A backward (Bryson-Frazier)
-  pass gives the coefficients and the node states.  Evaluation works cell
-  by cell from the two node states around each point.  Time and memory
-  are O(N) for the solve and O(N + M) for M points: nothing of size
-  N x N or N x M exists.
-* Every other kernel assembles the dense Gram matrix and factors it with
-  an unpivoted LAPACK Cholesky, O(N^3) time and O(N^2) memory, and sums
-  the translates in blocks of points of bounded size.  This path is also
-  the test oracle for the first.
+* Every d = 1 kernel e^{-r} p_m(r) is the covariance of a Gauss-Markov
+  process with state (f, f', ..., f^(m-1)).  The node states minimize its
+  Markov energy with the node values held, one block-tridiagonal solve by
+  cyclic reduction; the minimum is ||s||^2.  Evaluation conditions the
+  process on the two node states around each point.  O(N) time and memory
+  for the solve, O(N + M) for M points: nothing is N x N or N x M.
+* Every other kernel (d >= 2), and any solve with jitter, factors the dense
+  Gram matrix with an unpivoted LAPACK Cholesky, O(N^3) time and O(N^2)
+  memory, and sums the translates in blocks of points of bounded size.
+  This path is also the test oracle for the first.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -54,7 +50,7 @@ CONDITIONING_FLOOR = 1e-13
 JITTER_SCALE = 1e-12
 
 # Kernel entries per block of points on the dense evaluation path (2 MB);
-# the cell path takes 1/16 as many points per block.
+# the cell path takes 1/32 as many points, so its work arrays fit in cache.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -105,9 +101,11 @@ class NodeSet:
 class Interpolant:
     """A solved interpolant.
 
-    ``states`` holds s(x_j) (and s'(x_j) for m = 2) per node, shape
-    (N, m), on the d = 1, m <= 2 path, and is None on the dense path.
-    ``norm_sq`` is the squared native norm y^T A^{-1} y.
+    ``states`` holds s(x_j), s'(x_j), ..., s^(m-1)(x_j) per node, shape
+    (N, m), on the d = 1 state-space path, and is None on the dense path.
+    ``norm_sq`` is the squared native norm y^T A^{-1} y.  ``coefficients``
+    a = A^{-1} y carry cond(A) eps relative error (the state-space path
+    derives them from the states and never reads them).
     """
 
     kernel: object
@@ -152,142 +150,146 @@ def _cholesky_floor(A, floor):
     raise ConditioningError(j, diag[j] - L[j, :j] @ L[j, :j], floor)
 
 
-def _gamma_p(n, x):
-    # 1 - e^{-x} sum_{i<n} x^i / i!, the regularized incomplete gamma
-    # function P(n, x), for n >= 2 and x >= 0.  The difference cancels below
-    # x = 1, so there it is summed as e^{-x} sum_{i>=n} x^i / i!, with terms
-    # until x^i / i! falls below 2^-60 of the first at the largest such x.
-    small = x < 1.0
-    xs = x[small]
-    top = float(xs.max(initial=0.0))
-    terms, size = 0, 1.0
-    while size > 2.0**-60:
-        terms += 1
-        size *= top / (n + terms)
-    series = np.ones_like(xs)
-    for i in range(n + terms, n, -1):
-        series = 1.0 + series * xs / i
-    out = np.empty_like(x)
-    out[small] = np.exp(-xs) * xs**n / math.factorial(n) * series
-    xl = x[~small]
-    out[~small] = 1.0 - np.exp(-xl) * sum(xl**i / math.factorial(i) for i in range(n))
+@lru_cache(maxsize=None)
+def _process(m):
+    # The unit-variance process with covariance e^{-r} p_m(r) solves
+    # (D + 1)^m f = white noise of intensity q, state z = (f, ..., f^(m-1)).
+    # N = F + I, F its companion matrix, is nilpotent: Phi(d) = e^{-d}
+    # sum_{k<m} (N d)^k/k!, and Q(d) = sum_n I_n(d) H_n, H_n = q sum_{i+j=n}
+    # v_i v_j^T, v_i = N^i e_m/i!, tends to P as I_n -> n!/2^(n+1).
+    F = np.diag(np.ones(m - 1), 1)
+    F[-1] -= [math.comb(m, b) for b in range(m)]
+    N = F + np.eye(m)
+    npow = np.array([np.linalg.matrix_power(N, k) / math.factorial(k) for k in range(m)])
+    q = 2.0 ** (2 * m - 1) * math.factorial(m - 1) ** 2 / math.factorial(2 * m - 2)
+    H = np.zeros((2 * m - 1, m, m))
+    for i in range(m):
+        for j in range(m):
+            H[i + j] += q * np.outer(npow[i, :, -1], npow[j, :, -1])
+    P = np.tensordot([math.factorial(n) / 2.0 ** (n + 1) for n in range(2 * m - 1)], H, 1)
+    out = (npow, H, np.linalg.inv(P))
+    for arr in out:
+        arr.setflags(write=False)  # cached: every caller shares them
     return out
 
 
-def _m2_transitions(d):
-    # Per-gap transition Phi(d) and process covariance Q(d) = I - Phi Phi^T
-    # of the unit-amplitude m = 2 process (stationary covariance I), as the
-    # arrays (Phi11 - 1, Phi12, Phi21, Phi22 - 1, Q11, Q12, Q22).  Entries
-    # near 1 are carried as their distance from 1, and none is formed by
-    # cancellation.  (m = 1: Phi - 1 = expm1(-d), Q = -expm1(-2d).)
-    e = np.exp(-d)
-    de = d * e
-    return (
-        -_gamma_p(2, d),
-        de,
-        -de,
-        np.expm1(-d) - de,
-        _gamma_p(3, 2.0 * d),
-        2.0 * de * de,
-        -np.expm1(-2.0 * d) + 2.0 * (1.0 - d) * de * e,
-    )
+def _exp_moments(x, top):
+    # I_n(x) = int_0^x s^n e^{-2s} ds, n = 0..top, shape (top + 1,) + x.shape,
+    # without cancellation: below x = top/2 the top one from its positive
+    # series e^{-2x} x^(top+1)/(top+1) sum_k (2x)^k/((top+2)...(top+k+1)) to
+    # 2^-60, the rest downward, I_{n-1} = (2 I_n + x^n e^{-2x})/n; above it
+    # upward from I_0 = -expm1(-2x)/2, I_n = (n I_{n-1} - x^n e^{-2x})/2.
+    small = x < 0.5 * top
+    if small.any() and not small.all():
+        out = np.empty((top + 1,) + x.shape)
+        out[:, small] = _exp_moments(x[small], top)
+        out[:, ~small] = _exp_moments(x[~small], top)
+        return out
+    out, pw = np.empty((top + 1,) + x.shape), [np.exp(-2.0 * x)]  # x^n e^{-2x}
+    for n in range(top + 1):
+        pw.append(pw[-1] * x)
+    if not small.all():
+        out[0] = -0.5 * np.expm1(-2.0 * x)
+        for n in range(1, top + 1):
+            out[n] = (n * out[n - 1] - pw[n]) / 2.0
+        return out
+    terms, size, z = 0, 1.0, 2.0 * float(x.max(initial=0.0))
+    while size > 2.0**-60:
+        terms += 1
+        size *= z / (top + 1 + terms)
+    series = np.ones_like(x)
+    for i in range(top + 1 + terms, top + 1, -1):
+        series = 1.0 + series * x * (2.0 / i)
+    out[top] = pw.pop() / (top + 1) * series
+    for n in range(top, 0, -1):
+        out[n - 1] = (2.0 * out[n] + pw.pop()) / n
+    return out
 
 
-# Both recursions below run a Kalman filter forward over the nodes, with
-# exact observations of f (or noise variance r under jitter): innovation
-# e_j = y_j - E[y_j | y_<j] with variance S_j, the j-th Cholesky pivot of
-# A + rI; gain G_j; filtered mean and covariance.  The innovation is taken
-# in difference form, (y_j - y_{j-1}) minus the predicted change, which
-# keeps it accurate when consecutive data nearly agree.  The backward
-# (Bryson-Frazier) pass carries the adjoint l_j = sum_{i>j} Phi(x_i, x_j)^T
-# H^T a_i and gives a_j = e_j / S_j - G_j . l_j and the smoothed node state
-# (filtered mean + filtered covariance l_j).  Pivots scale with k0 = K(0).
-# Each returns the coefficients, the node states, the innovations and the
-# pivots.
+def _transitions(d, m):
+    # Phi(d) - I and Q(d)^{-1} for gaps d, each (d.size, m, m).  Phi - I as
+    # expm1(-d) I + e^{-d} sum_{k>=1} (N d)^k / k! and Q from the moments
+    # above: near d = 0 neither is formed by cancellation.
+    npow, H, _ = _process(m)
+    dphi = np.exp(-d)[:, None] * (d[:, None] ** np.arange(1, m) @ npow[1:].reshape(m - 1, m * m))
+    dphi = dphi.reshape(-1, m, m) + np.expm1(-d)[:, None, None] * np.eye(m)
+    Q = (_exp_moments(d, 2 * m - 2).T @ H.reshape(2 * m - 1, m * m)).reshape(-1, m, m)
+    return dphi, _spd_solve(Q, np.broadcast_to(np.eye(m), Q.shape), np.arange(1, d.size + 1))
 
 
-def _solve_ou(x, y, k0, noise, floor):
-    # m = 1: the Ornstein-Uhlenbeck process, state f
-    d = np.diff(x)
-    phim1, q = (array("d", v.tobytes()) for v in (np.expm1(-d), -np.expm1(-2.0 * d)))
-    y = array("d", y.tobytes())
-    fwd = array("d")
-    p, mu, c = k0, 0.0, 0.0
-    for j, yj in enumerate(y):
-        if j:
-            phi = 1.0 + phim1[j - 1]
-            p = phi * phi * cv + k0 * q[j - 1]
-            e = (yj - y[j - 1]) + c - phim1[j - 1] * mu
-        else:
-            e = yj
-        s = p + noise
-        if not s > floor:
-            raise ConditioningError(j, s, floor)
-        c = noise * e / s
-        mu = yj - c
-        cv = p * noise / s
-        fwd.extend((e, s, p / s, mu, cv))
-    bwd = array("d")
-    lam = 0.0
-    for j in range(len(y) - 1, -1, -1):
-        e, s, g, mu, cv = fwd[5 * j : 5 * j + 5]
-        a = e / s - g * lam
-        bwd.extend((a, mu + cv * lam))
-        lam = (1.0 + phim1[j - 1]) * (lam + a) if j else 0.0
-    fwd = np.frombuffer(fwd).reshape(-1, 5)
-    bwd = np.frombuffer(bwd).reshape(-1, 2)[::-1]
-    return bwd[:, 0].copy(), bwd[:, 1:].copy(), fwd[:, 0], fwd[:, 1]
+def _spd_solve(A, b, ids):
+    # A^{-1} b for stacks of small SPD A (n, h, h) and b (n, h, r): Cholesky
+    # over the h x h entries, one operation on the stack per step.  It
+    # ignores diagonal scaling, so Q(d), diagonal d^(2m-1) ... d, inverts as
+    # well as a unit diagonal.  A pivot <= 0 raises naming ids[i].
+    L, x = np.zeros_like(A), np.array(b, dtype=float)
+    for j in range(A.shape[-1]):
+        L[:, j:, j] = A[:, j:, j] - np.einsum("nik,nk->ni", L[:, j:, :j], L[:, j, :j])
+        bad = np.flatnonzero(~(L[:, j, j] > 0))
+        if bad.size:
+            raise ConditioningError(ids[bad[0]], L[bad[0], j, j], 0.0, detail="banded solve")
+        L[:, j:, j] /= np.sqrt(L[:, j, j, None])
+        x[:, j] = (x[:, j] - np.einsum("nk,nkr->nr", L[:, j, :j], x[:, :j])) / L[:, j, j, None]
+    for j in range(A.shape[-1] - 1, -1, -1):
+        x[:, j] -= np.einsum("nk,nkr->nr", L[:, j + 1 :, j], x[:, j + 1 :])
+        x[:, j] /= L[:, j, j, None]
+    return x
 
 
-def _solve_m2(x, y, k0, noise, floor):
-    # m = 2: state (f, f'), the 2 x 2 blocks written out; (P11, P12, P22)
-    # is the filtered covariance, (p11, p12, p22) the predicted one
-    f11m1, f12, f21, f22m1, q11, q12, q22 = (
-        array("d", v.tobytes()) for v in _m2_transitions(np.diff(x))
-    )
-    y = array("d", y.tobytes())
-    fwd = array("d")
-    p11, p12, p22 = k0, 0.0, k0
-    mu1 = mu2 = c = 0.0
-    for j, yj in enumerate(y):
-        if j:
-            i = j - 1
-            f11, f22 = 1.0 + f11m1[i], 1.0 + f22m1[i]
-            b11 = f11 * P11 + f12[i] * P12
-            b12 = f11 * P12 + f12[i] * P22
-            b21 = f21[i] * P11 + f22 * P12
-            b22 = f21[i] * P12 + f22 * P22
-            p11 = b11 * f11 + b12 * f12[i] + k0 * q11[i]
-            p12 = b11 * f21[i] + b12 * f22 + k0 * q12[i]
-            p22 = b21 * f21[i] + b22 * f22 + k0 * q22[i]
-            e = (yj - y[i]) + c - (f11m1[i] * mu1 + f12[i] * mu2)
-            n2 = f21[i] * mu1 + f22 * mu2
-        else:
-            e, n2 = yj, 0.0
-        s = p11 + noise
-        if not s > floor:
-            raise ConditioningError(j, s, floor)
-        g2 = p12 / s
-        c = noise * e / s
-        mu1, mu2 = yj - c, n2 + g2 * e
-        P11, P12, P22 = p11 * noise / s, p12 * noise / s, p22 - p12 * g2
-        fwd.extend((e, s, p11 / s, g2, mu1, mu2, P11, P12, P22))
-    bwd = array("d")
-    l1 = l2 = 0.0
-    for j in range(len(y) - 1, -1, -1):
-        e, s, g1, g2, mu1, mu2, P11, P12, P22 = fwd[9 * j : 9 * j + 9]
-        a = e / s - (g1 * l1 + g2 * l2)
-        bwd.extend((a, mu1 + P11 * l1 + P12 * l2, mu2 + P12 * l1 + P22 * l2))
-        l1 += a
-        if j:
-            i = j - 1
-            l1, l2 = (
-                (1.0 + f11m1[i]) * l1 + f21[i] * l2,
-                f12[i] * l1 + (1.0 + f22m1[i]) * l2,
-            )
-    fwd = np.frombuffer(fwd).reshape(-1, 9)
-    bwd = np.frombuffer(bwd).reshape(-1, 3)[::-1]
-    return bwd[:, 0].copy(), bwd[:, 1:].copy(), fwd[:, 0], fwd[:, 1]
+def _block_tridiagonal_solve(D, S, b, ids):
+    # The SPD block-tridiagonal system with diagonal blocks D (n, h, h),
+    # blocks S_j (n - 1, h, h) at row j + 1, column j, and right side b
+    # (n, h), by cyclic reduction: eliminate the odd-numbered unknowns, solve
+    # the even-numbered half the same way, substitute back.
+    n, h = b.shape
+    if n == 1:
+        return _spd_solve(D, b[..., None], ids)[..., 0]
+    k, ne = n // 2, (n + 1) // 2
+    left, right = S[0::2][:k], np.concatenate([S, np.zeros((1, h, h))])[1::2]
+    rhs = np.concatenate([left, right.transpose(0, 2, 1), b[1::2, :, None]], axis=2)
+    Y = _spd_solve(D[1::2], rhs, ids[1::2])
+    YL, YR, yb = Y[..., :h], Y[..., h : 2 * h], Y[..., 2 * h :]
+    De, be, lt = D[0::2].copy(), b[0::2].copy(), left.transpose(0, 2, 1)
+    De[:k] -= lt @ YL
+    be[:k] -= (lt @ yb)[..., 0]
+    De[1:] -= (right @ YR)[: ne - 1]
+    be[1:] -= (right @ yb)[: ne - 1, :, 0]
+    xe = _block_tridiagonal_solve(De, -(right @ YL)[: ne - 1], be, ids[0::2])
+    xr = np.concatenate([xe[1:], np.zeros((1, h))])[:k, :, None]
+    x = np.empty_like(b)
+    x[0::2], x[1::2] = xe, (yb - YL @ xe[:k, :, None] - YR @ xr)[..., 0]
+    return x
+
+
+def _solve_markov(x, y, m, k0):
+    # The node states z_j = (f, ..., f^(m-1))(x_j) minimize
+    # E = z_0^T P^{-1} z_0 + sum_j r_j^T W_j r_j (amplitude 1) over the
+    # derivatives u with f_j = y_j, r_j = z_{j+1} - Phi_j z_j in difference
+    # form, W_j = Q_j^{-1}; min E = k0 y^T A^{-1} y.  Half its gradient at
+    # node j, w_{j-1} - Phi_j^T w_j (w_j = W_j r_j, P^{-1} z_0 for w_{-1},
+    # w_{N-1} = 0), has f-part k0 a.  A stiff block beside soft ones
+    # (near-coincident nodes) rounds the soft directions of the Hessian away,
+    # so u is refined once against the gradient.
+    n, h = y.size, m - 1
+    _, _, Pinv = _process(m)
+    dphi, W = _transitions(np.diff(x), m)
+    B = dphi[..., 1:] + np.eye(m)[:, 1:]  # Phi's derivative columns
+    WB = W @ B
+    D = np.concatenate([Pinv[None, 1:, 1:], W[:, 1:, 1:]])
+    D[:-1] += B.transpose(0, 2, 1) @ WB
+
+    def gradient(u):
+        z = np.column_stack([y, u])
+        r = np.diff(z, axis=0) - np.einsum("nij,nj->ni", dphi, z[:-1])
+        w = np.einsum("nij,nj->ni", W, r)
+        back = w + np.einsum("nji,nj->ni", dphi, w)  # Phi_j^T w_j
+        return z, r, w, np.vstack([Pinv @ z[0], w]) - np.vstack([back, np.zeros(m)])
+
+    u = np.zeros((n, h))
+    for _ in range(2):
+        u = u - _block_tridiagonal_solve(D, -WB[:, 1:], gradient(u)[3][:, 1:], np.arange(n))
+    z, r, w, grad = gradient(u)
+    return z, grad[:, 0] / k0, float(z[0] @ Pinv @ z[0] + np.sum(r * w)) / k0
 
 
 def _solve_dense(k, X, vals, noise, floor):
@@ -309,16 +311,17 @@ def interpolate(k, X, values, jitter=False):
     values : array_like
         Data, one value per node.
     jitter : bool, optional
-        When True, 1e-12 * K(0) is added to the Gram diagonal before
-        factorization (on the d = 1, m <= 2 path: as observation noise of
-        that variance) and a ConditioningWarning records the change.  Off by
-        default: a hard ConditioningError beats silent smoothing.
+        When True, 1e-12 * K(0) is added to the Gram diagonal and the dense
+        path solves, O(N^3) time and O(N^2) memory for every kernel, and a
+        ConditioningWarning records the change.  Off by default: a hard
+        ConditioningError beats silent smoothing.
 
     Raises
     ------
     ConditioningError
-        When a factorization pivot falls to or below 1e-13 * K(0); the error
-        carries the offending pivot index.
+        When Cholesky pivot j of A falls to or below 1e-13 * K(0); on the
+        d = 1 path, before any solve, when its bound
+        K(0) (1 - rho(x_j - x_{j-1})^2), rho the profile, does.
     """
     vals = np.array(values, dtype=float)
     if vals.shape != (len(X),):
@@ -335,13 +338,21 @@ def interpolate(k, X, values, jitter=False):
         )
     floor = CONDITIONING_FLOOR * k0
     coeffs = exp_poly_coeffs(k)
-    if coeffs is None:
+    if coeffs is None or jitter:
         a, states = _solve_dense(k, X, vals, noise, floor), None
         norm_sq = float(a @ vals)
     else:
-        solve = {1: _solve_ou, 2: _solve_m2}[len(coeffs)]
-        a, states, e, pivots = solve(X.points, vals, k0, noise, floor)
-        norm_sq = float(np.sum(e * e / pivots))
+        # K(0)(1 - rho(gap)^2) = Var(f_j | f_{j-1}) caps pivot j (is it for
+        # m = 1); 1 - rho = -(expm1(-d) + e^{-d} (p(d) - 1)) near d = 0.
+        d, poly = np.diff(X.points), 0.0
+        for c in coeffs[:0:-1]:
+            poly = (poly + c) * d
+        one_minus = -(np.expm1(-d) + np.exp(-d) * poly)
+        bounds = k0 * one_minus * (2.0 - one_minus)
+        low = np.flatnonzero(bounds <= floor)
+        if low.size:
+            raise ConditioningError(low[0] + 1, bounds[low[0]], floor)
+        states, a, norm_sq = _solve_markov(X.points, vals, len(coeffs), k0)
         states.setflags(write=False)
     vals.setflags(write=False)
     a.setflags(write=False)
@@ -368,7 +379,7 @@ def evaluate(s, points):
     if s.states is None:
         rows, block = max(1, _BLOCK_ENTRIES // len(s.nodes)), partial(_sum_translates, s)
     else:
-        rows, block = _BLOCK_ENTRIES // 16, _cell_evaluator(s.nodes.points, s.states)
+        rows, block = _BLOCK_ENTRIES // 32, _cell_evaluator(s.nodes.points, s.states)
     out = np.empty(flat.size)
     for lo in range(0, flat.size, rows):
         out[lo : lo + rows] = block(flat[lo : lo + rows])
@@ -381,60 +392,36 @@ def _sum_translates(s, pts):
 
 
 def _cell_evaluator(x, states):
-    # With no node on one side, s(x_0 - t) and s(x_{N-1} + t) are the
-    # process's prediction from that end node's state.  Between nodes p and
-    # p + 1 it is the bridge conditioned on both states z_p, z_{p+1}:
-    #   s(x_p + t) = [Phi(t) z_p + Q(t) Phi(u)^T Q(d)^{-1} (z_{p+1} - Phi(d) z_p)]_1
-    # with d = x_{p+1} - x_p and u = d - t.  The amplitude cancels.  The
-    # per-cell factors are formed once; the returned function maps points
-    # to values with O(1) work arrays per point (about 16).
-    n, order = states.shape
-    v = states[:, 0]
-    d = np.diff(x)
-    if order == 1:
-        denom = np.expm1(-2.0 * d)
-    else:
-        s1 = states[:, 1]
-        f11m1, f12, f21, f22m1, q11, q12, q22 = _m2_transitions(d)
-        # z_{p+1} - Phi(d) z_p per cell, in difference form, then Q(d)^{-1} of it
-        r1 = np.diff(v) - (f11m1 * v[:-1] + f12 * s1[:-1])
-        r2 = np.diff(s1) - (f21 * v[:-1] + f22m1 * s1[:-1])
-        det = q11 * q22 - q12 * q12
-        w1 = (q22 * r1 - q12 * r2) / det
-        w2 = (q11 * r2 - q12 * r1) / det
+    # Between nodes p and p + 1, s is the process bridge conditioned on both
+    # node states:  s(x_p + t) = [Phi(t) z_p + Q(t) Phi(u)^T w_p]_1 with
+    # w_p = Q(d)^{-1} (z_{p+1} - Phi(d) z_p), d = x_{p+1} - x_p, u = d - t;
+    # beyond the end nodes, the prediction from the end state (w = 0; odd
+    # derivatives flip on the left).  A point's cell is its count of nodes
+    # at or left of it; cell factors are formed once.  The amplitude cancels.
+    n, m = states.shape
+    npow, H, _ = _process(m)
+    dphi, W = _transitions(np.diff(x), m)
+    r = np.diff(states, axis=0) - np.einsum("nij,nj->ni", dphi, states[:-1])
+    w = np.vstack([np.zeros(m), np.einsum("nij,nj->ni", W, r), np.zeros(m)])
+    z = np.vstack([states[0] * (-1.0) ** np.arange(m), states])
+    near, far = np.r_[x[0], x], np.r_[x[0], x[1:], x[-1]]  # the cells' anchors
+    rows = npow[:, 0, :] @ z.T  # [N^k/k! z]_1 per cell, component first
+    back = (npow.transpose(0, 2, 1).reshape(m * m, m) @ w.T).reshape(m, m, -1)
 
     def block(pts):
-        idx = np.searchsorted(x, pts, side="right")  # nodes at or left of each point
-        out = np.empty(pts.size)
-        for end, j, sign in ((idx == 0, 0, -1.0), (idx == n, n - 1, 1.0)):
-            t = np.abs(pts[end] - x[j])
-            if order == 1:
-                out[end] = np.exp(-t) * v[j]
-            else:
-                out[end] = np.exp(-t) * (v[j] + t * (v[j] + sign * s1[j]))
-        inside = (idx > 0) & (idx < n)
-        p = idx[inside] - 1
-        t = pts[inside] - x[p]
-        u = x[p + 1] - pts[inside]
-        if order == 1:
-            # (v_p sinh u + v_{p+1} sinh t) / sinh d, in decaying exponentials
-            out[inside] = (
-                v[p] * np.exp(-t) * np.expm1(-2.0 * u)
-                + v[p + 1] * np.exp(-u) * np.expm1(-2.0 * t)
-            ) / denom[p]
-            return out
-        a11m1, a12, _, _, b11, b12, _ = _m2_transitions(t)
-        # [Phi(t) z_p]_1: in difference form near x_p, where it stays close
-        # to v_p; directly in wide cells, where it decays like e^{-t}
-        near = v[p] + (a11m1 * v[p] + a12 * s1[p])
-        far = np.exp(-t) * ((1.0 + t) * v[p] + t * s1[p])
-        eu = np.exp(-u)
-        out[inside] = (
-            np.where(t < 1.0, near, far)
-            + (b11 * (1.0 + u) + b12 * u) * eu * w1[p]
-            + (b12 * (1.0 - u) - b11 * u) * eu * w2[p]
-        )
-        return out
+        c = np.searchsorted(x, pts, side="right")
+        t, u = np.abs(pts - near.take(c)), np.abs(far.take(c) - pts)
+        acc = back[m - 1].take(c, axis=-1)  # Phi(u)^T w = e^{-u} sum_k u^k (N^k/k!)^T w
+        for k in range(m - 2, -1, -1):
+            acc = acc * u + back[k].take(c, axis=-1)
+        bridge = np.exp(-u) * np.sum((H[:, 0, :].T @ _exp_moments(t, 2 * m - 2)) * acc, axis=0)
+        rz, hi = rows.take(c, axis=-1), 0.0  # Phi(t) z = e^{-t} sum_k t^k [N^k/k! z]_1
+        for k in range(m - 1, 0, -1):
+            hi = (hi + rz[k]) * t
+        # in difference form near x_p, where it stays close to v_p; directly
+        # in wide cells, where it decays like e^{-t}
+        v, et = rz[0], np.exp(-t)
+        return np.where(t < 1.0, v + (np.expm1(-t) * v + et * hi), et * (v + hi)) + bridge
 
     return block
 
@@ -442,8 +429,8 @@ def _cell_evaluator(x, states):
 def native_norm_sq(s):
     """Squared native norm y^T A^{-1} y = a^T A a of the interpolant.
 
-    The d = 1, m <= 2 solve sums e_j^2 / S_j over its innovations; the dense
-    solve takes a . values.
+    The d = 1 solve takes the minimized Markov energy, a sum of
+    nonnegative terms; the dense solve takes a . values.
     """
     return max(s.norm_sq, 0.0)
 

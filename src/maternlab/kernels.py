@@ -1,13 +1,14 @@
 """Whittle-Matern kernel family.
 
 Radial profiles are normalized so the profile value at r = 0 is 1, and the
-kernel value is ``amplitude * profile(r)``.  For d = 1 the two smoothness
-indices used throughout the experiments carry closed forms,
+kernel value is ``amplitude * profile(r)``.  For d = 1 every m has the
+closed form exp(-r) p_m(r), p_m the reverse Bessel polynomial,
 
     m = 1:  exp(-r)
     m = 2:  (1 + r) exp(-r)
+    m = 3:  (1 + r + r^2/3) exp(-r)
 
-while other (m, d) pairs are evaluated through the modified Bessel profile
+while d >= 2 is evaluated through the modified Bessel profile
 r^nu K_nu(r) / (2^(nu-1) Gamma(nu)) with nu = m - d/2.  The native space of
 the kernel with smoothness index m is norm-equivalent to the Sobolev space
 W_2^m, which embeds into continuous functions exactly when 2m > d; the
@@ -33,12 +34,14 @@ __all__ = [
 # the profile deviates from 1 by O(r^2) there, far under double precision.
 _BESSEL_CUTOFF = 1e-8
 
-# d = 1 profiles of the form exp(-r) * p(r), keyed by m: the coefficients of
-# p, lowest degree first.  Each is the covariance of a Gauss-Markov process
-# whose state is f and its first m - 1 derivatives.  kernel_eval and the
-# state-space interpolation solver both read this table, so they cannot
-# disagree on which profiles qualify.
-_EXP_POLY = {1: (1.0,), 2: (1.0, 1.0)}
+
+def _exp_poly(m):
+    # The d = 1 profile exp(-r) p(r): the reverse Bessel coefficients
+    # c_k = (2m-2-k)! (m-1)! 2^k / ((2m-2)! k! (m-1-k)!) of p, lowest degree
+    # first, each rounded once (integer true division).  kernel_eval and the
+    # state-space solver both read them, so they cannot disagree.
+    f, n = math.factorial, 2 * m - 2
+    return tuple(f(n - k) * f(m - 1) * 2**k / (f(n) * f(k) * f(m - 1 - k)) for k in range(m))
 
 
 def paper_amplitude(m, d=1):
@@ -105,8 +108,8 @@ def _bessel_profile(nu, r):
 
 def exp_poly_coeffs(k):
     """Coefficients of p, lowest degree first, when the profile of k is
-    exp(-r) * p(r) in closed form; None when it goes through the Bessel form."""
-    return _EXP_POLY.get(k.m) if k.d == 1 else None
+    exp(-r) * p(r) in closed form (d = 1); None for the Bessel form."""
+    return _exp_poly(int(k.m)) if k.d == 1 else None
 
 
 def kernel_eval(k, r):

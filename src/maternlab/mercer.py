@@ -10,14 +10,15 @@ The eigenfunctions extend off the interval through the eigenvalue equation
 itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
 native-space orthogonality kappa_l (phi_j^E, phi_l^E)_K = delta_jl, which
 hk_gram_extended verifies discretely.  For the closed-form d = 1 kernels
-(m = 1, 2) running exponential moments over the sorted nodes give the
-extension at M points in O(Q + M) per mode; other kernels form M x Q.
+running exponential moments over the sorted nodes give the extension at M
+points in O(Q + M) per mode; the d >= 2 kernels form M x Q.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import comb, factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -146,8 +147,8 @@ def eigen_extend(sys, n, x):
     eigensolve, by the discrete eigenvalue equation) and decays to 0 as |x|
     grows.  Mode indices are zero-based; a sequence of indices n gives one
     column per mode.  At M points, Q rule nodes and K modes the closed-form
-    kernels (d = 1, m = 1, 2) take O((Q + M) K) time and memory, any other
-    kernel one M x Q kernel matrix.  Raises ValueError for a mode index out
+    kernels (d = 1) take O((Q + M) K m) time and memory, the d >= 2 kernels
+    one M x Q kernel matrix.  Raises ValueError for a mode index out
     of range, a point that is not finite or x of more than one dimension.
     """
     _check_mode(sys, n)
@@ -167,33 +168,38 @@ def eigen_extend(sys, n, x):
 
 def _exp_poly_sum(coeffs, y, c, x):
     """sum_q c_q e^{-r} p(r), r = |x - y_q|, for ascending y and c of shape
-    (Q,) or (Q, K), where p = p0 + p1 r has the coefficients ``coeffs``.
+    (Q,) or (Q, K), where p(r) = sum_{k<m} coeffs[k] r^k.
 
     The nodes at or left of a point enter through the moments
-    L_j = sum_{q <= p} c_q d^j e^{-d}, d = y_p - y_q, of the nearest one, y_p,
-    at distance t: p(t + d) = p(t) + p1 d makes their sum
-    e^{-t} (p(t) L_0 + p1 L_1).  Mirrored moments serve the nodes right of it.
+    L_j = sum_{q <= p} c_q d^j e^{-d}, d = y_p - y_q, j < m, of the nearest
+    one, y_p, at distance t: p(t + d) = sum_j p^(j)(t) d^j / j! makes their
+    sum e^{-t} sum_j p^(j)(t) L_j / j!.  Mirrored moments serve the rest.
     """
-    p0, p1 = (*coeffs, 0.0)[:2]
+    m, poly = len(coeffs), np.polynomial.Polynomial(coeffs)
 
     def moments(y, c):
         # Per block of nodes less than 1 past its first node y_lo, s = y - y_lo:
-        # L_0 = e^{-s} cumsum(c e^s) and L_1 = s L_0 - e^{-s} cumsum(c s e^s)
-        # (only when p1 needs it), plus the node before the block carried in
-        # with e^{-d}.  So e^{+-s} cannot overflow and s L_0 - S_1 rounds to
-        # at most s eps of its terms.  Row 0 stands for "no node".
-        out = np.zeros((2, y.size + 1, c.shape[1]))
+        # L_j = sum_i C(j, i) s^(j-i) (-1)^i e^{-s} cumsum(c s^i e^s), plus the
+        # node before the block carried in with e^{-d} sum_i C(j, i) d^(j-i) L_i.
+        # So e^{+-s} cannot overflow and the binomial sum rounds to at most
+        # 2^j eps of its terms.  Row 0 stands for "no node".
+        out = np.zeros((m, y.size + 1, c.shape[1]))
         cuts = np.flatnonzero(np.diff(np.floor(y - y[0]))) + 1
         bounds = [0, *cuts, y.size]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             s = (y[lo:hi] - y[lo])[:, None]
             d = (y[lo:hi] - y[max(lo - 1, 0)])[:, None]
             prev, grown = out[:, lo], c[lo:hi] * np.exp(s)
-            l0 = np.exp(-s) * np.cumsum(grown, axis=0)
-            out[0, lo + 1 : hi + 1] = l0 + np.exp(-d) * prev[0]
-            if p1:
-                l1 = s * l0 - np.exp(-s) * np.cumsum(s * grown, axis=0)
-                out[1, lo + 1 : hi + 1] = l1 + np.exp(-d) * (prev[1] + d * prev[0])
+            es, sums = np.exp(-s), []
+            for i in range(m):
+                sums.append(es * np.cumsum(grown, axis=0))
+                grown = grown * s
+            for j in range(m):
+                lj, carry = sums[0], prev[j]  # Horner in s over the binomial sum
+                for i in range(1, j + 1):
+                    lj = lj * s + (-1) ** i * comb(j, i) * sums[i]
+                    carry = carry + comb(j, j - i) * d**i * prev[j - i]
+                out[j, lo + 1 : hi + 1] = lj + np.exp(-d) * carry
         return out
 
     cols = c.reshape(y.size, -1)
@@ -205,7 +211,8 @@ def _exp_poly_sum(coeffs, y, c, x):
     # t < 0 only where the zero row stands for a missing node
     for mom, t in ((left, x - ypad[idx]), (right, ypad[idx + 1] - x)):
         t = np.maximum(t, 0.0)[:, None]
-        out = out + np.exp(-t) * ((p0 + p1 * t) * mom[0] + p1 * mom[1])
+        total = sum(poly.deriv(j)(t) / factorial(j) * mom[j] for j in range(m))
+        out = out + np.exp(-t) * total
     return out.reshape(x.shape + c.shape[1:])
 
 

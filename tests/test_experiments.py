@@ -264,3 +264,12 @@ def test_bad_part_bound_formula_and_monotonicity():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         bad_part_sup_bound(k, -1.0, 1.0)
+
+
+def test_m3_ladder_runs_past_the_dense_stop_at_rate_m_plus_half():
+    # the dense m = 3 Cholesky stopped near N = 481 on [-0.8, 0.8]; the
+    # state-space solve runs the ladder to 641, and the global RMS error
+    # decays like h^(m + 1/2) = h^3.5, limited by the boundary layer
+    study = run_rate_study(KernelSpec(m=3), 0.8, 0.2, [41, 81, 161, 321, 641], 6410, f_exact)
+    assert [row.N for row in study.rows] == [41, 81, 161, 321, 641]
+    assert 3.4 <= study.global_rate <= 3.6

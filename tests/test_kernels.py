@@ -61,6 +61,23 @@ def test_bessel_profile_reduces_to_closed_forms():
     assert np.max(np.abs(_bessel_profile(0.5, guarded) - np.exp(-guarded))) <= 1e-8
 
 
+def test_generated_closed_forms_match_the_bessel_profile():
+    # (1 + r + r^2/3) e^{-r} and (1 + r + 2r^2/5 + r^3/15) e^{-r}, by hand,
+    # against r^nu K_nu(r) normalized, nu = 5/2 and 7/2, and against the
+    # reverse Bessel coefficients the kernel generates
+    from maternlab.kernels import _bessel_profile
+
+    r = np.linspace(0.0, 40.0, 4001)[1:]
+    by_hand = {
+        3: (1.0 + r + r * r / 3.0) * np.exp(-r),
+        4: (1.0 + r + 2.0 * r * r / 5.0 + r**3 / 15.0) * np.exp(-r),
+    }
+    for m, want in by_hand.items():
+        assert np.max(np.abs(_bessel_profile(m - 0.5, r) / want - 1.0)) <= 2e-15
+        assert np.max(np.abs(kernel_eval(KernelSpec(m=m), r) / want - 1.0)) <= 2e-15
+    assert KernelSpec(m=3).d == 1 and kernel_eval(KernelSpec(m=3), 0.0) == 1.0
+
+
 def test_profile_continuous_at_bessel_cutoff():
     k = KernelSpec(m=2, d=2)
     below = kernel_eval(k, 0.999e-8)
@@ -116,8 +133,8 @@ def test_paper_amplitude_known_values():
 def test_kernel_symbol_ratios_by_quadrature():
     # the d = 1 Matern kernel has Fourier symbol proportional to
     # (1 + w^2)^(-m), so the cosine transform of kernel_eval divided by its
-    # value at w = 0 must equal that; m = 3 runs through the Bessel profile
-    for m in (1, 2, 3):
+    # value at w = 0 must equal that; this checks the generated closed forms
+    for m in (1, 2, 3, 4):
         k = KernelSpec(m=m)
         at_zero, _ = quad(lambda r: kernel_eval(k, r), 0.0, np.inf, epsabs=1e-14)
         for w in (0.5, 1.0, 3.0):

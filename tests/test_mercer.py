@@ -303,14 +303,18 @@ def _points_around(nodes, rng):
 
 
 def test_extensions_match_their_dense_kernel_sums():
-    # the Bessel path keeps the dense expression bit for bit
-    sys3 = nystrom_eig(KernelSpec(m=3), -1.0, 2.0, 120, 6)
+    # the Bessel path (d = 2; every d = 1 kernel has a closed form) keeps
+    # the dense expression bit for bit
+    sys3 = nystrom_eig(KernelSpec(m=2, d=2), -1.0, 2.0, 120, 6)
     xs = np.linspace(-2.5, 3.5, 401)
     for n in range(6):
         assert np.array_equal(eigen_extend(sys3, n, xs), _dense_extension(sys3, n, xs))
     assert np.array_equal(eigen_extend(sys3, range(6), xs), _dense_extension(sys3, range(6), xs))
     rng = np.random.default_rng(7)
-    for m, amp in ((1, 1.0), (2, 1.0), (1, paper_amplitude(1)), (2, paper_amplitude(2))):
+    for m, amp in (
+        (1, 1.0), (2, 1.0), (1, paper_amplitude(1)), (2, paper_amplitude(2)),
+        (3, 1.0), (3, paper_amplitude(3)),
+    ):
         sys_ = nystrom_eig(KernelSpec(m=m, amplitude=amp), -1.0, 2.0, 120, 6)
         pts = _points_around(sys_.nodes, rng)
         terms = np.abs(kernel_eval(sys_.kernel, np.abs(pts[:, None] - sys_.nodes[None, :])))
@@ -355,7 +359,7 @@ def test_extension_points_are_a_scalar_or_a_vector(m):
         extend_function(sys_, np.ones(40), x)
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_long_intervals_extend_like_the_dense_sum(m):
     # one anchor for the moment sums would overflow e^{y - a} past ~700
     sys_ = nystrom_eig(KernelSpec(m=m), 0.0, 1500.0, 300, 4)
@@ -367,7 +371,7 @@ def test_long_intervals_extend_like_the_dense_sum(m):
     assert np.all(np.abs(got - _dense_extension(sys_, range(4), pts)) <= bound)
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_extension_never_holds_a_points_by_rule_array(m):
     # one float64 M x Q array would take 1e5 * 1600 * 8 B = 1.28 GB
     sys_ = nystrom_eig(KernelSpec(m=m), -1.0, 1.0, 1600, 1)
@@ -400,7 +404,7 @@ def _sums(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_sums(), st.sampled_from([1, 2]), st.sampled_from([1.0, float(np.sqrt(np.pi / 2))]))
+@given(_sums(), st.sampled_from([1, 2, 3]), st.sampled_from([1.0, float(np.sqrt(np.pi / 2))]))
 def test_structured_sum_matches_the_dense_oracle(case, m, amp):
     centres, c, xs = case
     xs = np.array(xs, dtype=float)
