@@ -10,10 +10,11 @@ Two solvers, chosen by the kernel alone:
 
 * Every d = 1 kernel e^{-r} p_m(r) is the covariance of a Gauss-Markov
   process with state (f, f', ..., f^(m-1)).  The node states minimize its
-  Markov energy with the node values held, one block-tridiagonal solve by
-  cyclic reduction; the minimum is ||s||^2.  Evaluation conditions the
-  process on the two node states around each point.  O(N) time and memory
-  for the solve, O(N + M) for M points: nothing is N x N or N x M.
+  Markov energy with the node values held: one block-tridiagonal system,
+  factored once by cyclic reduction and applied twice; the minimum is
+  ||s||^2.  Evaluation conditions the process on the two node states around
+  each point with the solve's bridge weights.  O(N) time and memory for the
+  solve, O(N + M) for M points: nothing is N x N or N x M.
 * Every other kernel (d >= 2), and any solve with jitter, factors the dense
   Gram matrix with an unpivoted LAPACK Cholesky, O(N^3) time and O(N^2)
   memory, and sums the translates in blocks of points of bounded size.
@@ -102,7 +103,9 @@ class Interpolant:
     """A solved interpolant.
 
     ``states`` holds s(x_j), s'(x_j), ..., s^(m-1)(x_j) per node, shape
-    (N, m), on the d = 1 state-space path, and is None on the dense path.
+    (N, m), on the d = 1 state-space path, and ``bridge_weights`` the cells'
+    w_j = Q(d_j)^{-1} (z_{j+1} - Phi(d_j) z_j), shape (N - 1, m), which
+    evaluate reads; both are None on the dense path.
     ``norm_sq`` is the squared native norm y^T A^{-1} y.  ``coefficients``
     a = A^{-1} y carry cond(A) eps relative error (the state-space path
     derives them from the states and never reads them).
@@ -113,6 +116,7 @@ class Interpolant:
     coefficients: np.ndarray
     values: np.ndarray
     states: Optional[np.ndarray]
+    bridge_weights: Optional[np.ndarray]
     norm_sq: float
 
     def __call__(self, points):
@@ -214,51 +218,69 @@ def _transitions(d, m):
     dphi = np.exp(-d)[:, None] * (d[:, None] ** np.arange(1, m) @ npow[1:].reshape(m - 1, m * m))
     dphi = dphi.reshape(-1, m, m) + np.expm1(-d)[:, None, None] * np.eye(m)
     Q = (_exp_moments(d, 2 * m - 2).T @ H.reshape(2 * m - 1, m * m)).reshape(-1, m, m)
-    return dphi, _spd_solve(Q, np.broadcast_to(np.eye(m), Q.shape), np.arange(1, d.size + 1))
+    eye = np.broadcast_to(np.eye(m), Q.shape)
+    return dphi, _cholesky_solve(_cholesky(Q, np.arange(1, d.size + 1)), eye)
 
 
-def _spd_solve(A, b, ids):
-    # A^{-1} b for stacks of small SPD A (n, h, h) and b (n, h, r): Cholesky
-    # over the h x h entries, one operation on the stack per step.  It
-    # ignores diagonal scaling, so Q(d), diagonal d^(2m-1) ... d, inverts as
-    # well as a unit diagonal.  A pivot <= 0 raises naming ids[i].
-    L, x = np.zeros_like(A), np.array(b, dtype=float)
+def _cholesky(A, ids):
+    # Lower Cholesky factors of a stack of small SPD A (n, h, h), one
+    # operation on the stack per entry.  It ignores diagonal scaling, so
+    # Q(d), diagonal d^(2m-1) ... d, factors as well as a unit diagonal.
+    # A pivot <= 0 raises naming ids[i].
+    L = np.zeros_like(A)
     for j in range(A.shape[-1]):
         L[:, j:, j] = A[:, j:, j] - np.einsum("nik,nk->ni", L[:, j:, :j], L[:, j, :j])
         bad = np.flatnonzero(~(L[:, j, j] > 0))
         if bad.size:
             raise ConditioningError(ids[bad[0]], L[bad[0], j, j], 0.0, detail="banded solve")
         L[:, j:, j] /= np.sqrt(L[:, j, j, None])
+    return L
+
+
+def _cholesky_solve(L, b):
+    # A^{-1} b for the factors L of _cholesky and b (n, h, r)
+    x = np.array(b, dtype=float)
+    for j in range(L.shape[-1]):
         x[:, j] = (x[:, j] - np.einsum("nk,nkr->nr", L[:, j, :j], x[:, :j])) / L[:, j, j, None]
-    for j in range(A.shape[-1] - 1, -1, -1):
+    for j in range(L.shape[-1] - 1, -1, -1):
         x[:, j] -= np.einsum("nk,nkr->nr", L[:, j + 1 :, j], x[:, j + 1 :])
         x[:, j] /= L[:, j, j, None]
     return x
 
 
-def _block_tridiagonal_solve(D, S, b, ids):
-    # The SPD block-tridiagonal system with diagonal blocks D (n, h, h),
-    # blocks S_j (n - 1, h, h) at row j + 1, column j, and right side b
-    # (n, h), by cyclic reduction: eliminate the odd-numbered unknowns, solve
-    # the even-numbered half the same way, substitute back.
-    n, h = b.shape
+def _cyclic_factor(D, S, ids):
+    # Cyclic reduction of the SPD block-tridiagonal matrix with diagonal
+    # blocks D (n, h, h) and blocks S_j (n - 1, h, h) at row j + 1, column j:
+    # factor the odd-numbered diagonal blocks and the Schur complement on the
+    # even-numbered unknowns, once.  Returns the solve for right sides (n, h).
+    n, h = D.shape[:2]
     if n == 1:
-        return _spd_solve(D, b[..., None], ids)[..., 0]
+        L = _cholesky(D, ids)
+        return lambda b: _cholesky_solve(L, b[..., None])[..., 0]
     k, ne = n // 2, (n + 1) // 2
-    left, right = S[0::2][:k], np.concatenate([S, np.zeros((1, h, h))])[1::2]
-    rhs = np.concatenate([left, right.transpose(0, 2, 1), b[1::2, :, None]], axis=2)
-    Y = _spd_solve(D[1::2], rhs, ids[1::2])
-    YL, YR, yb = Y[..., :h], Y[..., h : 2 * h], Y[..., 2 * h :]
-    De, be, lt = D[0::2].copy(), b[0::2].copy(), left.transpose(0, 2, 1)
+    left, right = S[0::2][:k], np.concatenate([S[1::2], np.zeros((1 - n % 2, h, h))])
+    L = _cholesky(D[1::2], ids[1::2])
+    Y = _cholesky_solve(L, np.concatenate([left, right.transpose(0, 2, 1)], axis=2))
+    YL, YR, lt = Y[..., :h], Y[..., h:], left.transpose(0, 2, 1)
+    De = D[0::2].copy()
     De[:k] -= lt @ YL
-    be[:k] -= (lt @ yb)[..., 0]
     De[1:] -= (right @ YR)[: ne - 1]
-    be[1:] -= (right @ yb)[: ne - 1, :, 0]
-    xe = _block_tridiagonal_solve(De, -(right @ YL)[: ne - 1], be, ids[0::2])
-    xr = np.concatenate([xe[1:], np.zeros((1, h))])[:k, :, None]
-    x = np.empty_like(b)
-    x[0::2], x[1::2] = xe, (yb - YL @ xe[:k, :, None] - YR @ xr)[..., 0]
-    return x
+    solve_even = _cyclic_factor(De, -(right @ YL)[: ne - 1], ids[0::2])
+
+    def solve(b):
+        # eliminate the odd-numbered unknowns, solve for the even-numbered
+        # ones, substitute back
+        yb = _cholesky_solve(L, b[1::2, :, None])
+        be = b[0::2].copy()
+        be[:k] -= (lt @ yb)[..., 0]
+        be[1:] -= (right @ yb)[: ne - 1, :, 0]
+        xe = solve_even(be)
+        xr = np.concatenate([xe[1:], np.zeros((1, h))])[:k, :, None]
+        x = np.empty_like(b)
+        x[0::2], x[1::2] = xe, (yb - YL @ xe[:k, :, None] - YR @ xr)[..., 0]
+        return x
+
+    return solve
 
 
 def _solve_markov(x, y, m, k0):
@@ -269,14 +291,10 @@ def _solve_markov(x, y, m, k0):
     # node j, w_{j-1} - Phi_j^T w_j (w_j = W_j r_j, P^{-1} z_0 for w_{-1},
     # w_{N-1} = 0), has f-part k0 a.  A stiff block beside soft ones
     # (near-coincident nodes) rounds the soft directions of the Hessian away,
-    # so u is refined once against the gradient.
+    # so u is refined once against the gradient, by the same factors.
     n, h = y.size, m - 1
     _, _, Pinv = _process(m)
     dphi, W = _transitions(np.diff(x), m)
-    B = dphi[..., 1:] + np.eye(m)[:, 1:]  # Phi's derivative columns
-    WB = W @ B
-    D = np.concatenate([Pinv[None, 1:, 1:], W[:, 1:, 1:]])
-    D[:-1] += B.transpose(0, 2, 1) @ WB
 
     def gradient(u):
         z = np.column_stack([y, u])
@@ -286,10 +304,16 @@ def _solve_markov(x, y, m, k0):
         return z, r, w, np.vstack([Pinv @ z[0], w]) - np.vstack([back, np.zeros(m)])
 
     u = np.zeros((n, h))
-    for _ in range(2):
-        u = u - _block_tridiagonal_solve(D, -WB[:, 1:], gradient(u)[3][:, 1:], np.arange(n))
+    if h:  # m = 1 has no unknowns
+        B = dphi[..., 1:] + np.eye(m)[:, 1:]  # Phi's derivative columns
+        WB = W @ B
+        D = np.concatenate([Pinv[None, 1:, 1:], W[:, 1:, 1:]])
+        D[:-1] += B.transpose(0, 2, 1) @ WB
+        solve = _cyclic_factor(D, -WB[:, 1:], np.arange(n))
+        for _ in range(2):
+            u = u - solve(gradient(u)[3][:, 1:])
     z, r, w, grad = gradient(u)
-    return z, grad[:, 0] / k0, float(z[0] @ Pinv @ z[0] + np.sum(r * w)) / k0
+    return z, w, grad[:, 0] / k0, float(z[0] @ Pinv @ z[0] + np.sum(r * w)) / k0
 
 
 def _solve_dense(k, X, vals, noise, floor):
@@ -339,7 +363,7 @@ def interpolate(k, X, values, jitter=False):
     floor = CONDITIONING_FLOOR * k0
     coeffs = exp_poly_coeffs(k)
     if coeffs is None or jitter:
-        a, states = _solve_dense(k, X, vals, noise, floor), None
+        a, states, bridge = _solve_dense(k, X, vals, noise, floor), None, None
         norm_sq = float(a @ vals)
     else:
         # K(0)(1 - rho(gap)^2) = Var(f_j | f_{j-1}) caps pivot j (is it for
@@ -352,12 +376,14 @@ def interpolate(k, X, values, jitter=False):
         low = np.flatnonzero(bounds <= floor)
         if low.size:
             raise ConditioningError(low[0] + 1, bounds[low[0]], floor)
-        states, a, norm_sq = _solve_markov(X.points, vals, len(coeffs), k0)
+        states, bridge, a, norm_sq = _solve_markov(X.points, vals, len(coeffs), k0)
         states.setflags(write=False)
+        bridge.setflags(write=False)
     vals.setflags(write=False)
     a.setflags(write=False)
     return Interpolant(
-        kernel=k, nodes=X, coefficients=a, values=vals, states=states, norm_sq=norm_sq
+        kernel=k, nodes=X, coefficients=a, values=vals, states=states, bridge_weights=bridge,
+        norm_sq=norm_sq,
     )
 
 
@@ -379,7 +405,8 @@ def evaluate(s, points):
     if s.states is None:
         rows, block = max(1, _BLOCK_ENTRIES // len(s.nodes)), partial(_sum_translates, s)
     else:
-        rows, block = _BLOCK_ENTRIES // 32, _cell_evaluator(s.nodes.points, s.states)
+        rows = _BLOCK_ENTRIES // 32
+        block = _cell_evaluator(s.nodes.points, s.states, s.bridge_weights)
     out = np.empty(flat.size)
     for lo in range(0, flat.size, rows):
         out[lo : lo + rows] = block(flat[lo : lo + rows])
@@ -391,18 +418,16 @@ def _sum_translates(s, pts):
     return kernel_eval(s.kernel, np.abs(pts[:, None] - s.nodes.points)) @ s.coefficients
 
 
-def _cell_evaluator(x, states):
+def _cell_evaluator(x, states, weights):
     # Between nodes p and p + 1, s is the process bridge conditioned on both
-    # node states:  s(x_p + t) = [Phi(t) z_p + Q(t) Phi(u)^T w_p]_1 with
-    # w_p = Q(d)^{-1} (z_{p+1} - Phi(d) z_p), d = x_{p+1} - x_p, u = d - t;
-    # beyond the end nodes, the prediction from the end state (w = 0; odd
-    # derivatives flip on the left).  A point's cell is its count of nodes
-    # at or left of it; cell factors are formed once.  The amplitude cancels.
-    n, m = states.shape
+    # node states:  s(x_p + t) = [Phi(t) z_p + Q(t) Phi(u)^T w_p]_1 with the
+    # solve's bridge weights w_p, d = x_{p+1} - x_p, u = d - t; beyond the
+    # end nodes, the prediction from the end state (w = 0; odd derivatives
+    # flip on the left).  A point's cell is its count of nodes at or left of
+    # it; cell factors are formed once.  The amplitude cancels.
+    m = states.shape[1]
     npow, H, _ = _process(m)
-    dphi, W = _transitions(np.diff(x), m)
-    r = np.diff(states, axis=0) - np.einsum("nij,nj->ni", dphi, states[:-1])
-    w = np.vstack([np.zeros(m), np.einsum("nij,nj->ni", W, r), np.zeros(m)])
+    w = np.vstack([np.zeros(m), weights, np.zeros(m)])
     z = np.vstack([states[0] * (-1.0) ** np.arange(m), states])
     near, far = np.r_[x[0], x], np.r_[x[0], x[1:], x[-1]]  # the cells' anchors
     rows = npow[:, 0, :] @ z.T  # [N^k/k! z]_1 per cell, component first

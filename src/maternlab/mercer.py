@@ -11,7 +11,7 @@ itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
 native-space orthogonality kappa_l (phi_j^E, phi_l^E)_K = delta_jl, which
 hk_gram_extended verifies discretely.  For the closed-form d = 1 kernels
 running exponential moments over the sorted nodes give the extension at M
-points in O(Q + M) per mode; the d >= 2 kernels form M x Q.
+points in O(Q + M) per mode; the d >= 2 kernels sum in blocks of points.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import TruncationError
+from .interpolation import _BLOCK_ENTRIES
 from .kernels import exp_poly_coeffs, kernel_eval
 
 __all__ = [
@@ -148,8 +149,8 @@ def eigen_extend(sys, n, x):
     grows.  Mode indices are zero-based; a sequence of indices n gives one
     column per mode.  At M points, Q rule nodes and K modes the closed-form
     kernels (d = 1) take O((Q + M) K m) time and memory, the d >= 2 kernels
-    one M x Q kernel matrix.  Raises ValueError for a mode index out
-    of range, a point that is not finite or x of more than one dimension.
+    O(M Q K) time in blocks of points.  Raises ValueError for a mode index
+    out of range, a point that is not finite or x of more than one dimension.
     """
     _check_mode(sys, n)
     n = np.asarray(n)
@@ -158,8 +159,11 @@ def eigen_extend(sys, n, x):
         raise ValueError("extension points must be finite, as a scalar or 1-D array")
     coeffs = exp_poly_coeffs(sys.kernel)
     if coeffs is None:
-        kx = kernel_eval(sys.kernel, np.abs(flat[:, None] - sys.nodes[None, :]))
-        out = (kx * sys.weights) @ sys.eigenfunctions[n].T / sys.eigenvalues[n]
+        rows = max(1, _BLOCK_ENTRIES // sys.nodes.size)
+        out = np.empty(flat.shape + n.shape)
+        for lo in range(0, flat.size, rows):
+            kx = kernel_eval(sys.kernel, np.abs(flat[lo : lo + rows, None] - sys.nodes[None, :]))
+            out[lo : lo + rows] = (kx * sys.weights) @ sys.eigenfunctions[n].T / sys.eigenvalues[n]
     else:
         c = (sys.weights * sys.eigenfunctions[n]).T / sys.eigenvalues[n]
         out = sys.kernel.amplitude * _exp_poly_sum(coeffs, sys.nodes, c, flat)

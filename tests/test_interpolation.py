@@ -269,6 +269,8 @@ def test_interpolant_arrays_read_only():
         s.values[0] = 7.0
     with pytest.raises(ValueError):
         s.states[0, 1] = 7.0
+    with pytest.raises(ValueError):
+        s.bridge_weights[0, 1] = 7.0
 
 
 def _nodes(N, jittered, C=1.0, seed=0):
@@ -695,14 +697,65 @@ def test_banded_factorization_failure_is_a_conditioning_error():
     D = np.array([[[2.0]], [[-1.0]], [[2.0]]])
     S = np.array([[[1.5]], [[0.1]]])
     with pytest.raises(ConditioningError) as info:
-        interpolation._block_tridiagonal_solve(D, S, np.ones((3, 1)), np.array([4, 5, 6]))
+        interpolation._cyclic_factor(D, S, np.array([4, 5, 6]))
     assert info.value.pivot_index == 5
     assert info.value.pivot_value == -1.0
     # the same system, positive definite, against a dense solve
     D[1] = 3.0
     full = np.diag(D[:, 0, 0]) + np.diag(S[:, 0, 0], -1) + np.diag(S[:, 0, 0], 1)
-    got = interpolation._block_tridiagonal_solve(D, S, np.ones((3, 1)), np.arange(3))
+    got = interpolation._cyclic_factor(D, S, np.arange(3))(np.ones((3, 1)))
     assert np.allclose(got[:, 0], np.linalg.solve(full, np.ones(3)), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 33, 100])
+def test_one_cyclic_factorization_solves_many_right_sides(h, n):
+    # random SPD block-tridiagonal systems, diagonally dominant by blocks,
+    # against np.linalg.solve on the assembled dense matrix
+    rng = np.random.default_rng(100 * h + n)
+    G = rng.standard_normal((n, h, h))
+    S = rng.standard_normal((n - 1, h, h))
+    D = G @ G.transpose(0, 2, 1) + 4.0 * h * np.eye(h)
+    full = np.zeros((n * h, n * h))
+    for j in range(n):
+        full[j * h : (j + 1) * h, j * h : (j + 1) * h] = D[j]
+    for j in range(n - 1):
+        full[(j + 1) * h : (j + 2) * h, j * h : (j + 1) * h] = S[j]
+        full[j * h : (j + 1) * h, (j + 1) * h : (j + 2) * h] = S[j].T
+    solve = interpolation._cyclic_factor(D, S, np.arange(n))
+    for b in rng.standard_normal((2, n, h)):
+        got = solve(b)
+        want = np.linalg.solve(full, b.ravel()).reshape(n, h)
+        assert np.allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_interpolate_factors_once_and_evaluate_recomputes_nothing(m, monkeypatch):
+    # the factorization recurses on the even-numbered half: one factorization
+    # of 161 blocks is one call per size 161, 81, ..., 1
+    transitions, factor = interpolation._transitions, interpolation._cyclic_factor
+    calls = {"transitions": 0, "factor sizes": []}
+
+    def counted_transitions(d, m):
+        calls["transitions"] += 1
+        return transitions(d, m)
+
+    def counted_factor(D, S, ids):
+        calls["factor sizes"].append(D.shape[0])
+        return factor(D, S, ids)
+
+    monkeypatch.setattr(interpolation, "_transitions", counted_transitions)
+    monkeypatch.setattr(interpolation, "_cyclic_factor", counted_factor)
+    X = _nodes(161, jittered=True, seed=3)
+    s = interpolate(KernelSpec(m=m, amplitude=2.5), X, f_exact(X.points))
+    once = {"transitions": 1, "factor sizes": [] if m == 1 else [161, 81, 41, 21, 11, 6, 3, 2, 1]}
+    assert calls == once
+    evaluate(s, np.linspace(-1.5, 1.5, 3001))
+    assert calls == once
+    # the stored weights are W_j r_j of the stored states, bit for bit
+    dphi, W = transitions(np.diff(X.points), m)
+    r = np.diff(s.states, axis=0) - np.einsum("nij,nj->ni", dphi, s.states[:-1])
+    assert np.array_equal(s.bridge_weights, np.einsum("nij,nj->ni", W, r))
 
 
 def test_dense_evaluate_blocks_its_rows():

@@ -385,6 +385,29 @@ def test_extension_never_holds_a_points_by_rule_array(m):
     assert peak < 16 * 2**20
 
 
+def test_bessel_extension_sums_in_blocks_of_points():
+    # d = 2: one M x Q kernel matrix takes 2e4 * 200 * 8 B = 32 MB, and its
+    # Bessel evaluation peaks at 125.9 MiB; blocks of points stay near 11 MiB.
+    # BLAS rounds a block's product apart from the whole one in the last bits
+    # (812 of the 6e4 entries here, by at most 1.2e-15 of their summed
+    # |terms|), so the a-priori bound Q eps sum|terms| / kappa applies.
+    sys_ = nystrom_eig(KernelSpec(m=2, d=2), -1.0, 1.0, 200, 3)
+    x = np.linspace(-2.0, 2.0, 20_000)
+    tracemalloc.start()
+    try:
+        got = eigen_extend(sys_, range(3), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    xs, got = x[::10], got[::10]  # the dense oracle at every 10th point
+    terms = np.abs(kernel_eval(sys_.kernel, np.abs(xs[:, None] - sys_.nodes[None, :])))
+    bound = 200 * np.finfo(float).eps * (terms * sys_.weights) @ np.abs(sys_.eigenfunctions.T)
+    bound /= sys_.eigenvalues
+    assert np.all(np.abs(got - _dense_extension(sys_, range(3), xs)) <= bound)
+    assert np.all(np.abs(eigen_extend(sys_, 1, xs) - got[:, 1]) <= bound[:, 1])
+
+
 @st.composite
 def _sums(draw):
     # ascending centres (ties allowed), signed coefficient columns, and points
