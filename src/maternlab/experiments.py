@@ -64,8 +64,8 @@ def fit_rate(h, e, all_levels=False):
     e = np.asarray(e, dtype=float)
     if h.shape != e.shape or h.ndim != 1:
         raise ValueError("h and e must be matching 1-D vectors")
-    if np.any(h <= 0):
-        raise ValueError("h must be positive")
+    if not np.all(np.isfinite(h) & (h > 0)):
+        raise ValueError("h must be finite and positive")
     keep = np.isfinite(e) & (e >= ERROR_FLOOR)
     hs = h[keep]
     es = e[keep]

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConditioningError, ConditioningWarning
-from .kernels import exp_poly_coeffs, kernel_eval
+from .kernels import _horner, exp_poly_coeffs, kernel_eval
 
 __all__ = [
     "CONDITIONING_FLOOR",
@@ -368,10 +368,8 @@ def interpolate(k, X, values, jitter=False):
     else:
         # K(0)(1 - rho(gap)^2) = Var(f_j | f_{j-1}) caps pivot j (is it for
         # m = 1); 1 - rho = -(expm1(-d) + e^{-d} (p(d) - 1)) near d = 0.
-        d, poly = np.diff(X.points), 0.0
-        for c in coeffs[:0:-1]:
-            poly = (poly + c) * d
-        one_minus = -(np.expm1(-d) + np.exp(-d) * poly)
+        d = np.diff(X.points)
+        one_minus = -(np.expm1(-d) + np.exp(-d) * _horner((0.0,) + coeffs[1:], d))
         bounds = k0 * one_minus * (2.0 - one_minus)
         low = np.flatnonzero(bounds <= floor)
         if low.size:

@@ -44,6 +44,22 @@ def _exp_poly(m):
     return tuple(f(n - k) * f(m - 1) * 2**k / (f(n) * f(k) * f(m - 1 - k)) for k in range(m))
 
 
+def _exp_tail(q, a):
+    # Every d = 1 closed form rests on this: the integral of exp(-a r) q(r) over
+    # r > u is exp(-a u) t(u), t = sum_k q^(k) / a^(k+1): a t_k = q_k + (k+1) t_(k+1).
+    t = [0.0] * (len(q) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        t[k] = (q[k] + (k + 1) * t[k + 1]) / a
+    return t[:-1]
+
+
+def _horner(coeffs, r):
+    poly = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        poly = poly * r + c
+    return poly
+
+
 def paper_amplitude(m, d=1):
     """Amplitude 2^(nu-1) * Gamma(nu) for nu = m - d/2.
 
@@ -127,29 +143,23 @@ def kernel_eval(k, r):
     if coeffs is None:
         prof = _bessel_profile(k.nu, arr)
     else:
-        poly = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            poly = poly * arr + c
-        prof = poly * np.exp(-arr)
+        prof = _horner(coeffs, arr) * np.exp(-arr)
     out = k.amplitude * prof
     return float(out) if arr.ndim == 0 else out
 
 
 def tail_energy(k, R):
-    """Integral of K(y)^2 over |y| > R.
-
-    Closed forms cover d = 1 with m in {1, 2}; everything else integrates
-    the squared profile numerically.  Strictly decreasing in R, tending to 0.
+    """Integral of K(y)^2 over |y| > R: 2 amplitude^2 exp(-2R) t(R) for
+    d = 1, t = sum_k (p^2)^(k) / 2^(k+1); d >= 2 integrates the squared
+    profile numerically.  Strictly decreasing in R, tending to 0.
     """
     R = float(R)
     if not (np.isfinite(R) and R >= 0):
         raise ValueError(f"R must be finite and nonnegative, got {R!r}")
     amp2 = k.amplitude**2
-    if k.d == 1 and k.m == 1:
-        return amp2 * math.exp(-2.0 * R)
-    if k.d == 1 and k.m == 2:
-        u = 1.0 + R
-        return amp2 * math.exp(-2.0 * R) * (u * u + u + 0.5)
+    p = exp_poly_coeffs(k)
+    if p is not None:
+        return float(2 * amp2 * math.exp(-2 * R) * _horner(_exp_tail(np.convolve(p, p), 2.0), R))
     from scipy.integrate import quad
 
     # surface measure of the unit sphere times the radial integral
@@ -158,4 +168,3 @@ def tail_energy(k, R):
         lambda r: kernel_eval(k, r) ** 2 * r ** (k.d - 1), R, np.inf, epsabs=1e-13
     )
     return surf * val
-

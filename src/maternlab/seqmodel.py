@@ -78,7 +78,7 @@ def _as_mask(space, S):
     """Normalize an index subset to a boolean mask.
 
     Accepts a boolean array of length M or an iterable of zero-based
-    indices.  Duplicate indices are allowed and collapse.
+    integer indices.  Duplicate indices are allowed and collapse.
     """
     mask = np.zeros(space.M, dtype=bool)
     S = np.asarray(list(S) if not isinstance(S, np.ndarray) else S)
@@ -88,10 +88,11 @@ def _as_mask(space, S):
         if S.shape != (space.M,):
             raise ValueError(f"boolean subset must have length {space.M}")
         return S.copy()
-    idx = S.astype(int)
-    if np.any(idx < 0) or np.any(idx >= space.M):
+    if S.dtype.kind not in "iu":
+        raise ValueError(f"subset indices {S!r} are not integers")
+    if np.any(S < 0) or np.any(S >= space.M):
         raise ValueError("subset indices out of range")
-    mask[idx] = True
+    mask[S] = True
     return mask
 
 

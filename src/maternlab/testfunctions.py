@@ -1,25 +1,29 @@
-"""The explicit convolution test function and boundary-condition residuals.
+"""Box convolutions, the explicit test function and boundary-condition residuals.
 
-The function f = K * chi_[-1,1] for the unit-amplitude (1+r)e^{-r} kernel
-has three analytic branches meeting with C^3 smoothness at x = -1 and
-x = +1 (the fourth derivative jumps there, since the convolved density is
-the indicator).  Its native norm has a closed form, and outside [-1, 1] it
-solves the homogeneous equation (Id - D^2)^2 f = 0 with decay, which is
-what the boundary-condition residuals check.
+For a d = 1 kernel K the box convolution K * chi_[-1,1] has a closed form
+in every derivative order 0..2m-1 (order 2m jumps at x = -1 and x = +1,
+since the convolved density is the indicator).  The test function f_exact
+is its unit-amplitude m = 2 instance.  Its native norm has a closed form,
+and outside [-1, 1] it solves the homogeneous equation (Id - D^2)^2 f = 0
+with decay, which is what the boundary-condition residuals check.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
-from .kernels import kernel_eval
+from .interpolation import _BLOCK_ENTRIES
+from .kernels import KernelSpec, _exp_poly, _exp_tail, _horner, kernel_eval
 
 __all__ = [
     "BREAKPOINTS",
+    "box_convolution",
     "f_exact",
     "f_native_norm_sq",
     "convolve_with_indicator",
@@ -30,63 +34,50 @@ __all__ = [
 BREAKPOINTS = (-1.0, 1.0)
 
 
-def _left(x, order):
-    # x <= -1: f lies in span{e^x, x e^x}
-    if order == 0:
-        return np.exp(x - 1) * (x - 3) + np.exp(x + 1) * (1 - x)
-    if order == 1:
-        return np.exp(x - 1) * (x - 2) - x * np.exp(x + 1)
-    if order == 2:
-        return np.exp(x - 1) * (x - 1) - (1 + x) * np.exp(x + 1)
-    return x * np.exp(x - 1) - (2 + x) * np.exp(x + 1)
+@lru_cache(maxsize=None)
+def _box_terms(m, order):
+    # (c, q) with H(u) = s(u) (c + exp(-|u|) q(|u|)), s = sgn(u) at even orders,
+    # 1 at odd: c = T(0), q = -T at order 0, else c = 0, q = (D - 1)^(order-1) p.
+    q = np.array(_exp_poly(m)) if order else -np.array(_exp_tail(_exp_poly(m), 1.0))
+    for _ in range(order - 1):
+        q = np.append(q[1:] * np.arange(1, q.size), 0.0) - q
+    return (0.0 if order else -q[0]), tuple(q.tolist())
 
 
-def _middle(x, order):
-    # -1 <= x <= 1
-    if order == 0:
-        return np.exp(x - 1) * (x - 3) - np.exp(-1 - x) * (x + 3) + 4.0
-    if order == 1:
-        return np.exp(x - 1) * (x - 2) + np.exp(-1 - x) * (x + 2)
-    if order == 2:
-        return np.exp(x - 1) * (x - 1) - np.exp(-1 - x) * (x + 1)
-    return x * np.exp(x - 1) + x * np.exp(-1 - x)
-
-
-def _right(x, order):
-    # x >= 1: f lies in span{e^{-x}, x e^{-x}}
-    if order == 0:
-        return np.exp(1 - x) * (1 + x) - np.exp(-1 - x) * (x + 3)
-    if order == 1:
-        return -x * np.exp(1 - x) + np.exp(-1 - x) * (x + 2)
-    if order == 2:
-        return (x - 1) * np.exp(1 - x) - (x + 1) * np.exp(-1 - x)
-    return (2 - x) * np.exp(1 - x) + x * np.exp(-1 - x)
-
-
-def f_exact(x, order=0):
-    """Evaluate f = K * chi_[-1,1] or one of its first three derivatives.
-
-    Parameters
-    ----------
-    x : float or array_like
-    order : int, optional
-        Derivative order 0..3.  Order 4 does not exist as a continuous
-        function (the fourth derivative jumps at the breakpoints).
+def box_convolution(k, x, order=0):
+    """(K * chi_[-1,1])^(order)(x) = H(x + 1) - H(x - 1) for the d = 1 kernel
+    K(u) = amplitude exp(-|u|) p(|u|): H = sgn(u) (T(0) - exp(-|u|) T(|u|)),
+    T = sum_k p^(k), at order 0, and K^(order - 1) at orders 1..2m-1; the
+    constants cancel exactly outside [-1, 1].  Scalars come back as float.
+    Raises ValueError for d >= 2, non-finite x, or an order that is not an
+    integer in 0..2m-1 (a bool or a float raises too).
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0..3, got {order!r}")
+    if k.d != 1:
+        raise ValueError(f"no closed-form box convolution for {k!r}; need d = 1")
+    try:
+        j = -1 if isinstance(order, bool) else operator.index(order)
+    except TypeError:
+        j = -1
+    if not 0 <= j < 2 * k.m:
+        raise ValueError(f"order must be an integer 0..{2 * int(k.m) - 1}, got {order!r}")
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
-    flat = np.atleast_1d(arr)
-    out = np.empty_like(flat)
-    left = flat < -1.0
-    right = flat > 1.0
-    mid = ~(left | right)
-    out[left] = _left(flat[left], order)
-    out[mid] = _middle(flat[mid], order)
-    out[right] = _right(flat[right], order)
-    return float(out[0]) if arr.ndim == 0 else out
+    const, q = _box_terms(int(k.m), j)
+    flat, rows = arr.ravel(), _BLOCK_ENTRIES // 64  # (2, rows) work arrays stay in cache
+    out = np.empty(flat.size)
+    for lo in range(0, flat.size, rows):
+        u = flat[lo : lo + rows] + np.array([[1.0], [-1.0]])
+        r = np.abs(u)
+        s = np.sign(u) if j % 2 == 0 else np.ones_like(u)
+        h = s * (_horner(q, r) * np.exp(-r))
+        out[lo : lo + rows] = k.amplitude * (h[0] - h[1] + const * (s[0] - s[1]))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def f_exact(x, order=0):
+    """f = K * chi_[-1,1] or its derivative of order 0..3, K = (1 + r) e^{-r}."""
+    return box_convolution(KernelSpec(m=2), x, order)
 
 
 def f_native_norm_sq(k=None):

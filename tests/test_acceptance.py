@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.optimize import brentq
 
 import maternlab.cli as cli
@@ -29,7 +30,6 @@ from maternlab import (
     run_trials,
     sobolev_weights,
 )
-from maternlab.testfunctions import _left, _middle, _right
 
 LADDER = [11, 21, 41, 81, 161]
 GRID = 2001
@@ -163,17 +163,26 @@ def test_criterion_7_closed_form_consistency():
         abs(f_exact(float(x)) - convolve_with_indicator(k, -1.0, 1.0, float(x)))
         for x in xs
     )
-    branch_err = 0.0
-    for order in range(4):
-        branch_err = max(branch_err, abs(_left(-1.0, order) - _middle(-1.0, order)))
-        branch_err = max(branch_err, abs(_middle(1.0, order) - _right(1.0, order)))
+    # f^(j)(+-1), orders 0..3, against the defining integral of K^(j) over
+    # [x - 1, x + 1] in 30 digits; mp.diff differentiates (1 + r) e^{-r}
+    with mp.workdps(30):
+
+        def kernel_deriv(u, j):
+            g = mp.diff(lambda r: (1 + r) * mp.exp(-r), abs(u), j)
+            return -g if u < 0 and j % 2 else g
+
+        breakpoint_err = max(
+            abs(f_exact(x, j) - float(mp.quad(lambda u: kernel_deriv(u, j), [x - 1, x + 1])))
+            for x in (-1.0, 1.0)
+            for j in range(4)
+        )
     bc_err = max(abs(v) for v in bc_residuals(f_exact, -1.2, 1.2))
-    ok = quad_err <= 1e-10 and branch_err <= 1e-12 and bc_err <= 1e-10
+    ok = quad_err <= 1e-10 and breakpoint_err <= 1e-12 and bc_err <= 1e-10
     assert _verdict(
         7,
         ok,
-        f"quad err {quad_err:.2e}, branch err {branch_err:.2e}, bc err {bc_err:.2e}",
-    ), f"tolerances 1e-10 / 1e-12 / 1e-10 exceeded: {quad_err:.2e}, {branch_err:.2e}, {bc_err:.2e}"
+        f"quad err {quad_err:.2e}, breakpoint err {breakpoint_err:.2e}, bc err {bc_err:.2e}",
+    ), f"tolerances 1e-10 / 1e-12 / 1e-10 exceeded: {quad_err:.2e}, {breakpoint_err:.2e}, {bc_err:.2e}"
 
 
 def test_criterion_8_bad_part_bound_soundness():

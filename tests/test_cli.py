@@ -249,23 +249,46 @@ print(json.dumps(seen))
 """
 
 
-def test_cli_defaults_load_no_scipy(tmp_path):
-    # Every subcommand at its defaults runs on numpy alone (the d = 1,
-    # m <= 2 solve, closed-form tails), so a fresh process never pays the
-    # scipy import; the dense solve and the Bessel profiles load it lazily.
+def _run_probe(script, *args):
     env = dict(os.environ)
     src = str(Path(maternlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
         check=True,
     )
-    seen = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_cli_defaults_load_no_scipy(tmp_path):
+    # Every subcommand at its defaults runs on numpy alone (the d = 1,
+    # m <= 2 solve, closed-form tails), so a fresh process never pays the
+    # scipy import; the dense solve and the Bessel profiles load it lazily.
+    seen = _run_probe(_SCIPY_PROBE, str(tmp_path))
     assert seen.pop("import") == []
     assert seen == {
         command: [0, []] for command in ("rates", "interp", "mercer", "bc-check", "seqmodel")
     }
+
+
+_CLOSED_FORM_PROBE = """
+import json, sys
+from maternlab import KernelSpec, box_convolution, f_exact, tail_energy
+
+f_exact([-2.0, 0.0, 1.0], 3)
+for m in (1, 2, 3, 4):
+    for order in range(2 * m):
+        box_convolution(KernelSpec(m=m), [-2.0, 0.0, 1.0], order)
+    tail_energy(KernelSpec(m=m, amplitude=2.0), 1.0)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_d1_closed_forms_load_no_scipy():
+    # box convolutions and tail energies of every d = 1 kernel are closed
+    # forms; only d >= 2 tails integrate numerically
+    assert _run_probe(_CLOSED_FORM_PROBE) == []

@@ -85,6 +85,15 @@ def test_fit_rate_drops_floor_levels_and_validates():
         fit_rate(-h, e)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_fit_rate_rejects_non_finite_spacings(bad, capfd):
+    # a non-finite h used to reach the least-squares solve, which raised
+    # LinAlgError and printed LAPACK errors to stderr
+    with pytest.raises(ValueError, match="finite"):
+        fit_rate([1.0, bad, 0.5], [1e-2, 1e-3, 1e-4])
+    assert capfd.readouterr().err == ""
+
+
 FROZEN_ROWS = {
     # N: (rms_global, rms_interior)
     11: (2.4989140857182422e-05, 2.1222675604085742e-05),

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.integrate import quad
 
 from maternlab import (
@@ -169,6 +170,22 @@ def test_tail_energy_closed_forms():
         assert tail_energy(KernelSpec(m=2), R) == pytest.approx(
             math.exp(-2 * R) * (u * u + u + 0.5), rel=1e-14
         )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_tail_energy_matches_30_digits(m):
+    # 2 int_R^inf (e^{-r} p(r))^2 dr with the exact reverse Bessel p; one
+    # closed form serves every m, m >= 3 included, without quadrature
+    f = math.factorial
+    with mp.workdps(30):
+        p = [mp.mpf(f(2 * m - 2 - k) * f(m - 1) * 2**k) / (f(2 * m - 2) * f(k) * f(m - 1 - k))
+             for k in range(m)]
+        for R in (0.0, 0.8, 1.5, 3.0, 10.0):
+            ref = 2 * mp.quad(lambda r: (mp.exp(-r) * mp.polyval(p[::-1], r)) ** 2, [R, mp.inf])
+            assert tail_energy(KernelSpec(m=m), R) == pytest.approx(float(ref), rel=1e-14)
+            assert tail_energy(KernelSpec(m=m, amplitude=1.5), R) == pytest.approx(
+                2.25 * float(ref), rel=1e-14
+            )
 
 
 def test_tail_energy_matches_direct_quadrature():

@@ -64,6 +64,26 @@ def test_projection_zeroes_the_complement():
         verify_standard_bound(space, np.ones(5), mask)  # length mismatch
 
 
+@pytest.mark.parametrize("subset", [[1.7], np.array([1.0, 2.0]), [0, 2.5], ["1"]])
+def test_non_integer_indices_are_rejected(subset):
+    # [1.7] used to be truncated to the subset {1}; the error names the array
+    space = sobolev_weights(4)
+    f = np.arange(1.0, 5.0)
+    with pytest.raises(ValueError, match="not integers") as err:
+        verify_standard_bound(space, f, subset)
+    assert repr(np.asarray(subset)) in str(err.value)
+    with pytest.raises(ValueError, match="not integers"):
+        verify_superconvergence(space, f, subset)
+
+
+def test_integer_indices_of_any_width_and_boolean_masks_agree():
+    space = sobolev_weights(4)
+    f = np.arange(1.0, 5.0)
+    expect = verify_standard_bound(space, f, [False, True, False, False])
+    for subset in ([1], np.array([1], dtype=np.uint8), np.array([1, 1], dtype=np.int32)):
+        assert verify_standard_bound(space, f, subset) == expect
+
+
 def test_native_norm_hand_value():
     # with S empty, eps = 1 and the right side is the full native norm
     space = sobolev_weights(4)

@@ -1,7 +1,7 @@
 """The piecewise-exponential test function and boundary-condition residuals.
 
-Frozen oracle values were derived by hand from the branch formulas:
-f(0) = 4 - 6 e^{-1}, f(1) = 2 - 4 e^{-2}, and the chain gap at 1.2 equals
+Frozen oracle values were derived by hand from the antiderivative
+2 - (2 + r) e^{-r} of (1 + r) e^{-r}: f(0) = 4 - 6 e^{-1}, f(1) = 2 - 4 e^{-2}, and the chain gap at 1.2 equals
 e^{-0.2} - e^{-2.2}.
 """
 
@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from maternlab import (
     BREAKPOINTS,
     KernelSpec,
     QuadratureError,
     bc_chain_residuals,
+    box_convolution,
     bc_residuals,
     convolve_with_indicator,
     f_exact,
@@ -87,6 +89,29 @@ def test_invalid_order_rejected():
         f_exact(0.5, order=-1)
 
 
+@pytest.mark.parametrize("order", [True, False, 1.0, np.float64(2.0), "1", None, np.True_])
+def test_order_must_be_a_true_integer(order):
+    # 1.0 in range(4) and True == 1 both hold in Python, so a range check
+    # alone would silently return a derivative for these
+    with pytest.raises(ValueError, match="order must be an integer"):
+        f_exact(0.5, order)
+    with pytest.raises(ValueError, match="order must be an integer"):
+        box_convolution(KernelSpec(m=3), 0.5, order)
+
+
+def test_integer_like_orders_and_the_order_range():
+    assert f_exact(0.5, np.int64(1)) == f_exact(0.5, 1)
+    for m in (1, 2, 3, 4):
+        k = KernelSpec(m=m)
+        box_convolution(k, 0.5, 2 * m - 1)
+        with pytest.raises(ValueError, match=f"0..{2 * m - 1}"):
+            box_convolution(k, 0.5, 2 * m)  # jumps at +-1
+    with pytest.raises(ValueError, match="d = 1"):
+        box_convolution(KernelSpec(m=2, d=2), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        box_convolution(KernelSpec(m=2), [0.0, np.inf])
+
+
 def test_scalar_and_array_forms():
     out = f_exact(0.5)
     assert isinstance(out, float)
@@ -104,6 +129,69 @@ def test_f_matches_independent_convolution_oracle():
     for x in xs:
         oracle = convolve_with_indicator(k, -1.0, 1.0, x)
         assert f_exact(float(x)) == pytest.approx(oracle, abs=1e-11)
+
+
+def _mp_box(m, order, x):
+    # The defining integral of K^(order) over [x - 1, x + 1], split at the
+    # kink u = 0; K^(j)(u) = sgn(u)^j e^{-|u|} sum_i C(j, i) (-1)^(j-i)
+    # p^(i)(|u|) by Leibniz, with the exact reverse Bessel coefficients of p.
+    f = math.factorial
+    p = [mp.mpf(f(2 * m - 2 - k) * f(m - 1) * 2**k) / (f(2 * m - 2) * f(k) * f(m - 1 - k))
+         for k in range(m)]
+
+    def kernel_deriv(u):
+        r = abs(u)
+        s = mp.fsum(math.comb(order, i) * (-1) ** (order - i) * p[k] * math.perm(k, i) * r ** (k - i)
+                    for i in range(order + 1) for k in range(i, m))
+        return (-1 if u < 0 and order % 2 else 1) * mp.exp(-r) * s
+
+    x = mp.mpf(x)
+    return mp.quad(kernel_deriv, [x - 1, 0, x + 1] if abs(x) < 1 else [x - 1, x + 1])
+
+
+_BOX_XS = [0.0, 0.3, -0.7, 1.0, -1.0, 0.999, 1.001, 1.7, -3.2, 40.0, -40.0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_box_convolution_matches_the_adaptive_quadrature(m):
+    k = KernelSpec(m=m)
+    got = box_convolution(k, _BOX_XS)
+    for x, value in zip(_BOX_XS, got):
+        assert value == pytest.approx(convolve_with_indicator(k, -1.0, 1.0, x), abs=1e-11)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_box_convolution_every_order_matches_30_digits(m):
+    k = KernelSpec(m=m)
+    with mp.workdps(30):
+        for order in range(2 * m):
+            got = box_convolution(k, _BOX_XS, order)
+            for x, value in zip(_BOX_XS, got):
+                ref = float(_mp_box(m, order, x))
+                assert abs(value - ref) <= 2e-15, (order, x, value, ref)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_box_convolution_parity_continuity_and_amplitude(m):
+    # K * chi is even, so order j has parity (-1)^j, and it holds bit for
+    # bit: x -> -x only swaps and negates the two radii.  Every order up
+    # to 2m - 1 is continuous across +-1, and the amplitude scales exactly.
+    k = KernelSpec(m=m)
+    x = np.r_[np.random.default_rng(77).uniform(-5.0, 5.0, 200), -1.0, 0.0, 1.0]
+    eps = 1e-9
+    for order in range(2 * m):
+        assert np.array_equal(box_convolution(k, -x, order), (-1) ** order * box_convolution(k, x, order))
+        for bp in BREAKPOINTS:
+            around = box_convolution(k, [bp - eps, bp, bp + eps], order)
+            assert np.max(np.abs(np.diff(around))) < 1e-7, (order, bp, around)
+        assert np.array_equal(
+            box_convolution(KernelSpec(m=m, amplitude=2.5), x, order),
+            2.5 * box_convolution(k, x, order),
+        )
+    # order 1 is K(x + 1) - K(x - 1) from the kernel's own coefficients
+    assert np.array_equal(
+        box_convolution(k, x, 1), kernel_eval(k, np.abs(x + 1.0)) - kernel_eval(k, np.abs(x - 1.0))
+    )
 
 
 def test_native_norm_equals_integral_of_f():
