@@ -54,9 +54,10 @@ def _exp_tail(q, a):
 
 
 def _horner(coeffs, r):
-    poly = coeffs[-1]
+    poly = np.full(np.shape(r), coeffs[-1])  # in place: one array of r's shape
     for c in coeffs[-2::-1]:
-        poly = poly * r + c
+        poly *= r
+        poly += c
     return poly
 
 
@@ -141,10 +142,13 @@ def kernel_eval(k, r):
         raise ValueError("radius must be nonnegative")
     coeffs = exp_poly_coeffs(k)
     if coeffs is None:
-        prof = _bessel_profile(k.nu, arr)
+        out = _bessel_profile(k.nu, arr)
     else:
-        prof = _horner(coeffs, arr) * np.exp(-arr)
-    out = k.amplitude * prof
+        out = np.empty(arr.shape)  # built in place: one array beyond it at most
+        np.exp(np.negative(arr, out=out), out=out)
+        if len(coeffs) > 1:
+            out *= _horner(coeffs, arr)
+    out *= k.amplitude
     return float(out) if arr.ndim == 0 else out
 
 

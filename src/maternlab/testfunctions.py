@@ -15,11 +15,11 @@ import operator
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
 from .interpolation import _BLOCK_ENTRIES
 from .kernels import KernelSpec, _exp_poly, _exp_tail, _horner, kernel_eval
+from .mercer import _gauss_legendre
 
 __all__ = [
     "BREAKPOINTS",
@@ -99,8 +99,8 @@ def f_native_norm_sq(k=None):
 
 # A 10-point and a 20-point Gauss-Legendre rule on [-1, 1], nodes stacked
 # so one kernel_eval call serves both.
-_T10, _W10 = leggauss(10)
-_T20, _W20 = leggauss(20)
+_T10, _W10 = _gauss_legendre(10)
+_T20, _W20 = _gauss_legendre(20)
 _NODES = np.concatenate([_T10, _T20])
 _MAX_DEPTH = 40
 _MAX_PANELS = 2048

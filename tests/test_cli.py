@@ -292,3 +292,10 @@ def test_d1_closed_forms_load_no_scipy():
     # box convolutions and tail energies of every d = 1 kernel are closed
     # forms; only d >= 2 tails integrate numerically
     assert _run_probe(_CLOSED_FORM_PROBE) == []
+
+
+def test_import_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rule and the derivatives of p are the package's own,
+    # so the import does not pay for numpy.polynomial
+    probe = "import json, sys, maternlab\nprint(json.dumps('numpy.polynomial' in sys.modules))"
+    assert _run_probe(probe) is False

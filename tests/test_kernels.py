@@ -6,6 +6,7 @@ integrals, independently of the library code.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,3 +214,16 @@ def test_tail_energy_decreasing_and_validated():
     with pytest.raises(ValueError):
         tail_energy(k, np.nan)
 
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_kernel_eval_holds_at_most_one_array_beyond_its_output(m):
+    # Built in place: exp(-r) in the output, and one Horner array for m >= 2
+    # only (before, two arrays for m = 1 and three for m >= 2).
+    r = np.abs(np.subtract.outer(np.linspace(-1, 1, 400), np.linspace(-1, 1, 400)))
+    tracemalloc.start()
+    try:
+        out = kernel_eval(KernelSpec(m=m, amplitude=1.5), r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 + (m > 1)) * out.nbytes + 2**16

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
@@ -31,6 +32,7 @@ from maternlab import (
     paper_amplitude,
     project_samples,
 )
+from maternlab.mercer import _gauss_legendre
 
 
 def _continuous_omega(n_modes):
@@ -173,12 +175,88 @@ def test_sizes_must_be_integers():
     with pytest.raises(TypeError):
         nystrom_eig(k, -1.0, 1.0, 20, 4.0)
     assert nystrom_eig(k, -1.0, 1.0, np.int64(20), np.int32(4)).n_modes == 4
+    # operator.index takes True for 1, which would build a one-point system
+    with pytest.raises(TypeError):
+        nystrom_eig(k, -1.0, 1.0, True, True)
+    with pytest.raises(TypeError):
+        nystrom_eig(k, -1.0, 1.0, 20, True)
+
+
+def _mp_rule_error(t, w, idx):
+    # Largest node error against the roots of P_n polished by Newton steps at
+    # 40 digits, and largest relative weight error against the weight formula
+    # at the given double node.  Rounding a node near +-1 by d moves its exact
+    # weight by 2d/(1 - x^2), 4.7e-11 relative at Q = 1600's end nodes, so
+    # that weight is the one a double rule can be held to.
+    n = t.size
+
+    def legendre(x):  # P_n(x) and P_n'(x) by the recurrence at 40 digits
+        prev, p = mp.mpf(1), x
+        for j in range(2, n + 1):
+            prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+        return p, n * (prev - x * p) / (1 - x * x)
+
+    node_err = weight_err = 0.0
+    with mp.workdps(40):
+        for i in idx:
+            x = root = mp.mpf(float(t[i]))
+            for _ in range(3):
+                p, dp = legendre(root)
+                root -= p / dp
+            exact = 2 / ((1 - x * x) * legendre(x)[1] ** 2)
+            node_err = max(node_err, abs(float(x - root)))
+            weight_err = max(weight_err, abs(float((w[i] - exact) / exact)))
+    return node_err, weight_err
+
+
+# A scan of all 1600 weights gives 1.26e-12 at the third node from each end
+# and at most 5.7e-13 elsewhere; numpy's leggauss is off by 3.7e-8 at the ends.
+RULE_WEIGHT_TOL = 2e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 200, 1600])
+def test_rule_matches_40_digit_values(n):
+    t, w = _gauss_legendre(n)
+    # at Q = 1600 the four outermost nodes at each end and 4 interior ones
+    idx = range(n) if n <= 200 else [0, 1, 2, 3, 400, 799, 800, 1200, 1596, 1597, 1598, 1599]
+    node_err, weight_err = _mp_rule_error(t, w, idx)
+    assert node_err <= 2.3e-16
+    assert weight_err <= RULE_WEIGHT_TOL
+    if n == 1600:
+        assert _mp_rule_error(*leggauss(n), [0, n - 1])[1] > RULE_WEIGHT_TOL
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 200, 1601, 4000])
+def test_rule_is_symmetric_ascending_and_sums_to_two(n):
+    t, w = _gauss_legendre(n)
+    assert t.shape == w.shape == (n,)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(t) > 0) and np.all(w > 0)
+    assert abs(w.sum() - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_rule_integrates_monomials_to_degree_2n_minus_1(n):
+    t, w = _gauss_legendre(n)
+    for k in range(2 * n):
+        assert abs(w @ t**k - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 1e-14
+
+
+def test_rule_memory_is_linear_in_its_size():
+    # numpy's companion-matrix rule holds a 4000 x 4000 matrix, 122 MiB
+    tracemalloc.start()
+    try:
+        _gauss_legendre(4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _nystrom_full_reorder(k, a, b, rule_size, n_modes):
     # nystrom_eig with all Q eigenvector columns reordered before the
     # leading ones are kept
-    t, w = leggauss(rule_size)
+    t, w = _gauss_legendre(rule_size)
     half = 0.5 * (b - a)
     y = half * t + 0.5 * (a + b)
     w = half * w
