@@ -17,14 +17,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConditioningError, InsufficientDataError
+from .errors import InsufficientDataError
 from .interpolation import (
     NodeSet,
+    _interpolate_levels,
     evaluate,
     interpolate,
     native_error_norm,
 )
-from .kernels import tail_energy
+from .kernels import exp_poly_coeffs, tail_energy
 from .testfunctions import f_exact, f_native_norm_sq
 
 __all__ = [
@@ -157,17 +158,22 @@ def run_rate_study(
     grid_size : int
         Evaluation grid resolution; must be >= 10x the largest node count.
     reference : callable
-        Vectorized function being interpolated.
+        Vectorized function being interpolated; it must give one finite
+        value per grid point and per node.
     f_norm_sq : float, optional
         Exact squared native norm of the reference; enables the native_err
         column (left as NaN otherwise).
     jitter : bool, optional
-        Forwarded to the interpolation solver.
+        Forwarded to the interpolation solver.  Without it, a d = 1 kernel
+        solves every level at once, as one stacked banded system.
 
     Raises
     ------
+    ValueError
+        Before any solve, for a bad configuration, an empty interior window
+        or a reference value that is missing or not finite.
     ConditioningError
-        From the solver, re-raised with the offending node count attached.
+        From the solver, naming the offending node count.
     """
     C = float(C)
     margin = float(interior_margin)
@@ -185,36 +191,35 @@ def run_rate_study(
             f"grid_size {grid_size} too coarse for N = {max(counts)}; need >= 10x"
         )
     grid = np.linspace(-C, C, grid_size)
-    interior = np.abs(grid) <= C - margin
-    if not interior.any():
+    # the interior window |x| <= C - margin is a slice of the sorted grid
+    lo = int(np.searchsorted(grid, -(C - margin), side="left"))
+    hi = int(np.searchsorted(grid, C - margin, side="right"))
+    if hi <= lo:
         raise ValueError(
             f"interior window |x| <= C - margin = {C - margin:g} (margin {margin:g}) "
             f"holds no point of the {grid_size}-point grid on [-{C:g}, {C:g}]"
         )
-    f_grid = np.asarray(reference(grid), dtype=float)
+    f_grid = _reference_values(reference, grid, "grid points")
+    sets = [equidistant_nodes(C, N) for N in counts]
+    values = [_reference_values(reference, X.points, f"nodes of level N={len(X)}") for X in sets]
+    if jitter or exp_poly_coeffs(kernel) is None:
+        solved = [interpolate(kernel, X, y, jitter=jitter) for X, y in zip(sets, values)]
+    else:
+        solved = _interpolate_levels(kernel, sets, values)
     rows = []
-    for N in counts:
-        nodes = equidistant_nodes(C, N)
-        try:
-            s = interpolate(kernel, nodes, reference(nodes.points), jitter=jitter)
-        except ConditioningError as exc:
-            raise ConditioningError(
-                exc.pivot_index, exc.pivot_value, exc.floor, detail=f"at N={N}"
-            ) from exc
+    for N, s in zip(counts, solved):
         err = f_grid - evaluate(s, grid)
-        diff = np.abs(err)
-        nerr = math.nan
-        if f_norm_sq is not None:
-            nerr = native_error_norm(f_norm_sq, s)
+        sq, diff = err * err, np.abs(err)
+        nerr = math.nan if f_norm_sq is None else native_error_norm(f_norm_sq, s)
         rows.append(
             RateRow(
                 N=N,
                 h=2.0 * C / (N - 1),
-                rms_global=float(np.sqrt(np.mean(diff**2))),
-                rms_interior=float(np.sqrt(np.mean(diff[interior] ** 2))),
+                rms_global=float(np.sqrt(np.mean(sq))),
+                rms_interior=float(np.sqrt(np.mean(sq[lo:hi]))),
                 native_err=nerr,
                 maxabs_global=float(diff.max()),
-                maxabs_interior=float(diff[interior].max()),
+                maxabs_interior=float(diff[lo:hi].max()),
             )
         )
     hs = np.array([row.h for row in rows])
@@ -241,6 +246,19 @@ def run_rate_study(
         interior_rate_all=fits["interior_all"],
         finest_error=err,
     )
+
+
+def _reference_values(reference, x, where):
+    # the reference at x: one finite value per point, or ValueError naming
+    # the first point that has none
+    vals = np.asarray(reference(x), dtype=float)
+    if vals.shape != x.shape:
+        raise ValueError(f"reference returned shape {vals.shape} for {x.size} {where}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"reference is {vals[i]} at point {i} of {x.size} {where}, x = {x[i]:g}")
+    return vals
 
 
 def native_decay_study(

@@ -129,7 +129,7 @@ def assemble_gram(k, X):
     return kernel_eval(k, np.abs(pts[:, None] - pts[None, :]))
 
 
-def _cholesky_floor(A, floor):
+def _cholesky_floor(A, floor, detail=""):
     # Unpivoted lower Cholesky, done in place in A.  The pivot checked is the
     # diagonal remainder before its square root, L[j, j]**2; a value at or
     # below the floor means the matrix is numerically not PD at scale.
@@ -151,7 +151,7 @@ def _cholesky_floor(A, floor):
         j = info - 1
     else:
         return L
-    raise ConditioningError(j, diag[j] - L[j, :j] @ L[j, :j], floor)
+    raise ConditioningError(j, diag[j] - L[j, :j] @ L[j, :j], floor, detail)
 
 
 @lru_cache(maxsize=None)
@@ -283,7 +283,7 @@ def _cyclic_factor(D, S, ids):
     return solve
 
 
-def _solve_markov(x, y, m, k0):
+def _solve_markov(d, y, m, k0, starts):
     # The node states z_j = (f, ..., f^(m-1))(x_j) minimize
     # E = z_0^T P^{-1} z_0 + sum_j r_j^T W_j r_j (amplitude 1) over the
     # derivatives u with f_j = y_j, r_j = z_{j+1} - Phi_j z_j in difference
@@ -292,28 +292,67 @@ def _solve_markov(x, y, m, k0):
     # w_{N-1} = 0), has f-part k0 a.  A stiff block beside soft ones
     # (near-coincident nodes) rounds the soft directions of the Hessian away,
     # so u is refined once against the gradient, by the same factors.
+    # Levels starting at nodes ``starts`` stack into one system: the cell
+    # before a start (any gap d > 0) gets W = 0 and the start the prior.
     n, h = y.size, m - 1
     _, _, Pinv = _process(m)
-    dphi, W = _transitions(np.diff(x), m)
+    dphi, W = _transitions(d, m)
+    W[starts[1:] - 1] = 0.0
 
     def gradient(u):
         z = np.column_stack([y, u])
         r = np.diff(z, axis=0) - np.einsum("nij,nj->ni", dphi, z[:-1])
         w = np.einsum("nij,nj->ni", W, r)
         back = w + np.einsum("nji,nj->ni", dphi, w)  # Phi_j^T w_j
-        return z, r, w, np.vstack([Pinv @ z[0], w]) - np.vstack([back, np.zeros(m)])
+        g = np.vstack([np.zeros(m), w])
+        for s in starts:
+            g[s] = Pinv @ z[s]
+        return z, r, w, g - np.vstack([back, np.zeros(m)])
 
     u = np.zeros((n, h))
     if h:  # m = 1 has no unknowns
         B = dphi[..., 1:] + np.eye(m)[:, 1:]  # Phi's derivative columns
         WB = W @ B
         D = np.concatenate([Pinv[None, 1:, 1:], W[:, 1:, 1:]])
+        D[starts] = Pinv[1:, 1:]
         D[:-1] += B.transpose(0, 2, 1) @ WB
         solve = _cyclic_factor(D, -WB[:, 1:], np.arange(n))
         for _ in range(2):
             u = u - solve(gradient(u)[3][:, 1:])
     z, r, w, grad = gradient(u)
-    return z, w, grad[:, 0] / k0, float(z[0] @ Pinv @ z[0] + np.sum(r * w)) / k0
+    rw, a = r * w, grad[:, 0] / k0
+    for arr in (z, w, a):
+        arr.setflags(write=False)  # and so every level's view
+    return [  # (z, w, a, E / k0) per level
+        (z[i:j], w[i : j - 1], a[i:j], float(z[i] @ Pinv @ z[i] + np.sum(rw[i : j - 1])) / k0)
+        for i, j in zip(starts, [*starts[1:], n])
+    ]
+
+
+def _interpolate_levels(k, sets, values):
+    # One Interpolant per d = 1 node set from one stacked solve; every pivot
+    # bound is checked first, and a refusal names the set's N and local node.
+    k0, coeffs = kernel_eval(k, 0.0), exp_poly_coeffs(k)
+    floor = CONDITIONING_FLOOR * k0
+    sizes = np.array([len(X) for X in sets])
+    starts = np.cumsum(sizes) - sizes
+    d = np.diff(np.concatenate([X.points for X in sets]))
+    d[starts[1:] - 1] = 1.0  # the seams between sets
+    # K(0)(1 - rho(gap)^2) = Var(f_j | f_{j-1}) caps pivot j (is it for
+    # m = 1); 1 - rho = -(expm1(-d) + e^{-d} (p(d) - 1)) near d = 0.
+    one_minus = -(np.expm1(-d) + np.exp(-d) * _horner((0.0,) + coeffs[1:], d))
+    bounds = k0 * one_minus * (2.0 - one_minus)
+    low = np.flatnonzero(bounds <= floor)
+    if low.size:
+        j = low[0] + 1
+        i = np.searchsorted(starts, j, side="right") - 1
+        raise ConditioningError(j - starts[i], bounds[low[0]], floor, detail=f"at N={sizes[i]}")
+    y = np.concatenate(values)
+    y.setflags(write=False)
+    return [
+        Interpolant(k, X, a, y[i : i + len(X)], z, w, e)
+        for X, i, (z, w, a, e) in zip(sets, starts, _solve_markov(d, y, len(coeffs), k0, starts))
+    ]
 
 
 def _solve_dense(k, X, vals, noise, floor):
@@ -321,7 +360,7 @@ def _solve_dense(k, X, vals, noise, floor):
 
     A = assemble_gram(k, X)
     A[np.diag_indices_from(A)] += noise
-    L = _cholesky_floor(A, floor)
+    L = _cholesky_floor(A, floor, f"at N={len(X)}")
     return cho_solve((L, True), vals)
 
 
@@ -352,6 +391,8 @@ def interpolate(k, X, values, jitter=False):
         raise ValueError(f"expected {len(X)} values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
+    if exp_poly_coeffs(k) is not None and not jitter:
+        return _interpolate_levels(k, [X], [vals])[0]
     k0 = kernel_eval(k, 0.0)
     noise = JITTER_SCALE * k0 if jitter else 0.0
     if jitter:
@@ -360,29 +401,10 @@ def interpolate(k, X, values, jitter=False):
             ConditioningWarning,
             stacklevel=2,
         )
-    floor = CONDITIONING_FLOOR * k0
-    coeffs = exp_poly_coeffs(k)
-    if coeffs is None or jitter:
-        a, states, bridge = _solve_dense(k, X, vals, noise, floor), None, None
-        norm_sq = float(a @ vals)
-    else:
-        # K(0)(1 - rho(gap)^2) = Var(f_j | f_{j-1}) caps pivot j (is it for
-        # m = 1); 1 - rho = -(expm1(-d) + e^{-d} (p(d) - 1)) near d = 0.
-        d = np.diff(X.points)
-        one_minus = -(np.expm1(-d) + np.exp(-d) * _horner((0.0,) + coeffs[1:], d))
-        bounds = k0 * one_minus * (2.0 - one_minus)
-        low = np.flatnonzero(bounds <= floor)
-        if low.size:
-            raise ConditioningError(low[0] + 1, bounds[low[0]], floor)
-        states, bridge, a, norm_sq = _solve_markov(X.points, vals, len(coeffs), k0)
-        states.setflags(write=False)
-        bridge.setflags(write=False)
-    vals.setflags(write=False)
-    a.setflags(write=False)
-    return Interpolant(
-        kernel=k, nodes=X, coefficients=a, values=vals, states=states, bridge_weights=bridge,
-        norm_sq=norm_sq,
-    )
+    a = _solve_dense(k, X, vals, noise, CONDITIONING_FLOOR * k0)
+    for arr in (vals, a):
+        arr.setflags(write=False)
+    return Interpolant(k, X, a, vals, None, None, float(a @ vals))
 
 
 def evaluate(s, points):

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from maternlab import experiments
+from maternlab import experiments, interpolation
 from maternlab import (
     ConditioningError,
     InsufficientDataError,
@@ -166,23 +166,151 @@ def test_rate_study_validation():
         run_rate_study(k, 1.2, 0.4, [11, 81], 501, f_exact)  # grid too coarse
 
 
-def test_empty_interior_window_raises_before_solving(monkeypatch):
-    # |x| <= 1e-4 holds no point of a 2000-point grid on [-1.2, 1.2]
+def _forbid_solves(monkeypatch):
+    # every solver a rate study can reach raises when called
     def no_solve(*args, **kwargs):
-        raise AssertionError("solved before validating the window")
+        raise AssertionError("solved before validating")
 
     monkeypatch.setattr(experiments, "interpolate", no_solve)
+    monkeypatch.setattr(experiments, "_interpolate_levels", no_solve)
+
+
+def test_empty_interior_window_raises_before_solving(monkeypatch):
+    # |x| <= 1e-4 holds no point of a 2000-point grid on [-1.2, 1.2]
+    _forbid_solves(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"margin 1\.1999.*2000-point grid"):
             run_rate_study(KernelSpec(m=2), 1.2, 1.1999, [11, 21], 2000, f_exact)
+    # the patches cover the solves these studies reach: the stacked d = 1
+    # solve, and interpolate for a jittered or d = 2 study
+    for kernel, jitter in ((KernelSpec(m=2), False), (KernelSpec(m=2), True), (KernelSpec(m=2, d=2), False)):
+        with pytest.raises(AssertionError, match="solved before validating"):
+            run_rate_study(kernel, 1.2, 0.4, [11, 21], 2000, f_exact, jitter=jitter)
 
 
-def test_rate_study_attaches_node_count_to_conditioning_failures():
+def _nan_at(x0):
+    def reference(x):
+        out = f_exact(x)
+        out[x == x0] = np.nan
+        return out
+
+    return reference
+
+
+_GRID = np.linspace(-1.2, 1.2, 501)
+
+
+@pytest.mark.parametrize(
+    "reference, named",
+    [
+        # one NaN on the grid: before, every rms_global was NaN, global_rate
+        # None, and the interior rate still came out near 4
+        (_nan_at(_GRID[7]), r"nan at point 7 of 501 grid points, x = -1\.166"),
+        (_nan_at(_GRID[250]), r"nan at point 250 of 501 grid points, x = 0$"),
+        # a grid result of the wrong length used to fail only after the
+        # first solve, inside numpy broadcasting
+        (lambda x: f_exact(x)[:-1], r"shape \(500,\) for 501 grid points"),
+        (lambda x: f_exact(x[:-1]) if x.size == 11 else f_exact(x),
+         r"shape \(10,\) for 11 nodes of level N=11"),
+        (lambda x: np.where(x.size == 41, np.inf, f_exact(x)),
+         r"inf at point 0 of 41 nodes of level N=41, x = -1\.2"),
+        (lambda x: np.full(x.size, 1.0) if x.size == 501 else 1.0, r"shape \(\) for 11 nodes"),
+    ],
+)
+def test_a_bad_reference_is_refused_before_solving(monkeypatch, reference, named):
+    _forbid_solves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            run_rate_study(KernelSpec(m=2), 1.2, 0.4, [11, 21, 41], 501, reference)
+
+
+def test_rate_study_attaches_node_count_to_conditioning_failures(monkeypatch):
     # microscopic domain: spacing ~1e-7 collapses the Gram pivots
     with pytest.raises(ConditioningError) as info:
         run_rate_study(KernelSpec(m=2), 1e-6, 0.0, [11, 21], 501, f_exact)
     assert "N=11" in str(info.value)
+    # C = 2.2e-6: N = 11 has gaps 4.4e-7, above the m = 2 gap bound near
+    # 3.1e-7; N = 21 has 2.2e-7, below it.  The second level is named, at
+    # its own first pivot, and nothing was factored before the refusal.
+    factor = []
+    monkeypatch.setattr(interpolation, "_cyclic_factor", lambda *a: factor.append(a))
+    with pytest.raises(ConditioningError) as info:
+        run_rate_study(KernelSpec(m=2), 2.2e-6, 0.0, [11, 21, 41], 501, f_exact)
+    assert "N=21" in str(info.value) and info.value.pivot_index == 1
+    assert factor == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_a_d1_study_forms_and_factors_its_ladder_once(m, monkeypatch):
+    # one _transitions call for the whole ladder, and one factorization of
+    # the stacked 11 + 21 + 41 = 73 blocks: the recursion halves it, so the
+    # sizes are one chain 73, 37, ..., 1 (none for m = 1)
+    transitions, factor = interpolation._transitions, interpolation._cyclic_factor
+    calls = {"transitions": 0, "factor sizes": [], "interpolate": 0}
+
+    def counted_transitions(d, m):
+        calls["transitions"] += 1
+        return transitions(d, m)
+
+    def counted_factor(D, S, ids):
+        calls["factor sizes"].append(D.shape[0])
+        return factor(D, S, ids)
+
+    def counted_interpolate(*args, **kwargs):
+        calls["interpolate"] += 1
+        return interpolate(*args, **kwargs)
+
+    monkeypatch.setattr(interpolation, "_transitions", counted_transitions)
+    monkeypatch.setattr(interpolation, "_cyclic_factor", counted_factor)
+    monkeypatch.setattr(experiments, "interpolate", counted_interpolate)
+    run_rate_study(KernelSpec(m=m), 1.2, 0.4, [11, 21, 41], 501, f_exact)
+    chain = [] if m == 1 else [73, 37, 19, 10, 5, 3, 2, 1]
+    assert calls == {"transitions": 1, "factor sizes": chain, "interpolate": 0}
+
+
+@pytest.mark.parametrize("kernel, jitter", [(KernelSpec(m=2), True), (KernelSpec(m=2, d=2), False)])
+def test_dense_studies_solve_each_level_on_its_own(kernel, jitter, monkeypatch):
+    solved = []
+
+    def counted_interpolate(k, X, values, jitter=False):
+        solved.append((len(X), jitter))
+        return interpolate(k, X, values, jitter=jitter)
+
+    monkeypatch.setattr(experiments, "interpolate", counted_interpolate)
+    monkeypatch.setattr(experiments, "_interpolate_levels", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_rate_study(kernel, 1.2, 0.4, [11, 21, 41], 501, f_exact, jitter=jitter)
+    assert solved == [(11, jitter), (21, jitter), (41, jitter)]
+
+
+@pytest.mark.parametrize(
+    "m, C, margin, ladder, grid_size",
+    [
+        (1, 1.2, 0.4, (161, 321, 641, 1281, 2561), 25610),
+        (2, 1.0, 0.25, (9,), 101),
+        (2, 1.0, 0.5, (11,), 201),  # +-0.5 are grid points
+        (3, 0.8, 0.0, (21,), 211),
+    ],
+)
+def test_rate_rows_equal_the_masked_statistics(m, C, margin, ladder, grid_size):
+    # the window slice and the single squaring against the former
+    # boolean-mask statistics, on interpolants the study solves bit for bit
+    # alike (one level, or m = 1, where the stack factors nothing)
+    k = KernelSpec(m=m)
+    study = run_rate_study(k, C, margin, ladder, grid_size, f_exact, f_native_norm_sq(k))
+    grid = np.linspace(-C, C, grid_size)
+    inner = np.abs(grid) <= C - margin
+    for N, row in zip(ladder, study.rows):
+        X = equidistant_nodes(C, N)
+        s = interpolate(k, X, f_exact(X.points))
+        diff = np.abs(f_exact(grid) - s(grid))
+        assert row.rms_global == float(np.sqrt(np.mean(diff**2)))
+        assert row.rms_interior == float(np.sqrt(np.mean(diff[inner] ** 2)))
+        assert row.maxabs_global == float(diff.max())
+        assert row.maxabs_interior == float(diff[inner].max())
 
 
 def test_amplitude_choice_does_not_move_the_decay_exponent():

@@ -855,3 +855,133 @@ def test_a_pair_inside_the_gap_bound_is_refused(case, m, frac, data):
         p = {1: 1, 2: 1 + g, 3: 1 + g + g**2 / 3}[m]
         want = float(2.5 * (1 - (mp.exp(-g) * p) ** 2))
     assert err.pivot_value == pytest.approx(want, rel=1e-6, abs=0)
+
+
+# ---------------------------------------------------------------- ladders
+
+
+def _one_level_markov_solve(m, x, y, k0):
+    # The single-level d = 1 solve as it was written before levels could be
+    # stacked: the prior on node 0, every cell weighted, one factorization
+    # applied twice.  Built from the package's own pieces, so the stacked
+    # solve's one-level case must repeat its arithmetic bit for bit.
+    n, h = y.size, m - 1
+    _, _, Pinv = interpolation._process(m)
+    dphi, W = interpolation._transitions(np.diff(x), m)
+
+    def gradient(u):
+        z = np.column_stack([y, u])
+        r = np.diff(z, axis=0) - np.einsum("nij,nj->ni", dphi, z[:-1])
+        w = np.einsum("nij,nj->ni", W, r)
+        back = w + np.einsum("nji,nj->ni", dphi, w)
+        return z, r, w, np.vstack([Pinv @ z[0], w]) - np.vstack([back, np.zeros(m)])
+
+    u = np.zeros((n, h))
+    if h:
+        B = dphi[..., 1:] + np.eye(m)[:, 1:]
+        WB = W @ B
+        D = np.concatenate([Pinv[None, 1:, 1:], W[:, 1:, 1:]])
+        D[:-1] += B.transpose(0, 2, 1) @ WB
+        solve = interpolation._cyclic_factor(D, -WB[:, 1:], np.arange(n))
+        for _ in range(2):
+            u = u - solve(gradient(u)[3][:, 1:])
+    z, r, w, grad = gradient(u)
+    return z, w, grad[:, 0] / k0, float(z[0] @ Pinv @ z[0] + np.sum(r * w)) / k0
+
+
+def _ladder_family(name, N, seed=0):
+    # equidistant, sine-graded, and jittered with one pair 1e-6 apart
+    u = np.linspace(-1.0, 1.0, N)
+    if name == "sine":
+        u = np.sin(0.5 * np.pi * u)
+    elif name == "pair":
+        u[1:-1] += np.random.default_rng(seed).uniform(-0.25, 0.25, N - 2) * (u[1] - u[0])
+        u[N // 2] = u[N // 2 - 1] + 1e-6
+    return NodeSet(points=u, halfwidth=1.0)
+
+
+@pytest.mark.parametrize("family", ["uniform", "sine", "pair"])
+@pytest.mark.parametrize("N", [2, 3, 41, 161])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_level_solve_repeats_the_single_level_arithmetic(family, N, m):
+    k = KernelSpec(m=m, amplitude=2.5)
+    X = _ladder_family(family, N, seed=N)
+    y = np.cos(3.0 * X.points) + np.random.default_rng(N + m).uniform(-0.1, 0.1, N)
+    s = interpolate(k, X, y)
+    z, w, a, norm_sq = _one_level_markov_solve(m, X.points, y, kernel_eval(k, 0.0))
+    assert np.array_equal(s.states, z)
+    assert np.array_equal(s.bridge_weights, w)
+    assert np.array_equal(s.coefficients, a)
+    assert s.norm_sq == norm_sq
+    oracle = interpolation.Interpolant(k, X, a, y, z, w, norm_sq)
+    grid = np.linspace(-1.5, 1.5, 10 * N)
+    assert np.array_equal(evaluate(s, grid), evaluate(oracle, grid))
+
+
+@pytest.mark.parametrize(
+    "m, C, ladder",
+    [
+        (1, 1.2, (161, 321, 641, 1281, 2561)),
+        (2, 0.8, (161, 321, 641, 1281, 2561)),
+        (2, 1.2, (11, 21, 41, 81, 161)),
+        (3, 0.8, (41, 81, 161, 321, 641)),
+    ],
+)
+def test_stacked_levels_agree_with_separate_solves(m, C, ladder):
+    # a level's interpolant does not depend on the levels stacked beside
+    # it; only the order in which cyclic reduction eliminates its unknowns
+    # changes, so the agreement is to rounding
+    k = KernelSpec(m=m)
+    sets = [equidistant_nodes(C, N) for N in ladder]
+    values = [f_exact(X.points) for X in sets]
+    grid = np.linspace(-C, C, 10 * ladder[-1])
+    stacked = interpolation._interpolate_levels(k, sets, values)
+    for X, y, s in zip(sets, values, stacked):
+        alone = interpolate(k, X, y)
+        assert s.nodes is X and np.array_equal(s.values, y)
+        for arr in (s.values, s.states, s.bridge_weights, s.coefficients):
+            assert not arr.flags.writeable
+        assert np.max(np.abs(evaluate(s, grid) - evaluate(alone, grid))) <= 1e-15
+        if m <= 2:
+            assert s.norm_sq == pytest.approx(alone.norm_sq, rel=2e-16, abs=0)
+    if m == 1:  # nothing is factored: every level is the one-level solve
+        assert all(np.array_equal(s.states, interpolate(k, X, y).states)
+                   for X, y, s in zip(sets, values, stacked))
+
+
+def test_stacked_m3_levels_match_a_50_digit_gram_solve():
+    # the m = 3 cases of test_structured_solve_matches_a_50_digit_gram_solve,
+    # stacked with an equidistant level between them, to the same bounds
+    k = KernelSpec(m=3, amplitude=2.5)
+    xs = [_pair(21, 1e-6), np.linspace(-1.0, 1.0, 11), np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, 81))]
+    sets = [NodeSet(points=x, halfwidth=1.0) for x in xs]
+    values = [np.cos(3.0 * x) for x in xs]
+    for x, y, s in zip(xs, values, interpolation._interpolate_levels(k, sets, values)):
+        pts = np.concatenate([0.5 * (x[1:] + x[:-1]), [-3.0, -1.2, 1.2, 3.0]])
+        states, _, norm_sq, vals = _gram_oracle(3, x, y, pts, amplitude=2.5)
+        err = np.max(np.abs(s.states - states), axis=0) / np.max(np.abs(states), axis=0)
+        assert np.all(err <= 1e-13), err
+        assert np.max(np.abs(evaluate(s, pts) - vals)) <= 2e-13 * np.max(np.abs(vals))
+        assert s.norm_sq == pytest.approx(norm_sq, rel=1e-13, abs=0)
+
+
+def test_stacked_levels_are_refused_before_anything_is_solved(monkeypatch):
+    # the second and third levels hold a pair inside the m = 2 gap bound
+    # (node 10 of each): the refusal names the second level's size and the
+    # node's index in it, as its own solve would, and no transition was
+    # formed and nothing factored
+    k = KernelSpec(m=2)
+    sets = [equidistant_nodes(1.0, 11), NodeSet(points=_pair(21, 1e-7), halfwidth=1.0),
+            NodeSet(points=_pair(31, 1e-8), halfwidth=1.0)]
+    with pytest.raises(ConditioningError) as alone:
+        interpolate(k, sets[1], np.ones(21))
+
+    def no_solve(*args):
+        raise AssertionError("solved before every level was checked")
+
+    monkeypatch.setattr(interpolation, "_transitions", no_solve)
+    monkeypatch.setattr(interpolation, "_cyclic_factor", no_solve)
+    with pytest.raises(ConditioningError, match=r"\(at N=21\)") as info:
+        interpolation._interpolate_levels(k, sets, [np.ones(len(X)) for X in sets])
+    assert info.value.pivot_index == alone.value.pivot_index == 10
+    assert info.value.pivot_value == alone.value.pivot_value
