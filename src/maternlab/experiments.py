@@ -24,6 +24,7 @@ from .interpolation import (
     evaluate,
     interpolate,
     native_error_norm,
+    native_norm_sq,
 )
 from .kernels import exp_poly_coeffs, tail_energy
 from .testfunctions import f_exact, f_native_norm_sq
@@ -86,7 +87,12 @@ def fit_rate(h, e, all_levels=False):
 
 @dataclass(frozen=True)
 class RateRow:
-    """One ladder level: node count, spacing, and error measurements."""
+    """One ladder level: node count, spacing, and error measurements.
+
+    ``node_residual`` is max_j |s(x_j) - y_j| as evaluated, and
+    ``norm_ratio`` the cancellation ratio ||s||^2 / ||f||^2 of the
+    Pythagoras split (NaN without f_norm_sq, or for a row made by hand).
+    """
 
     N: int
     h: float
@@ -95,6 +101,8 @@ class RateRow:
     native_err: float
     maxabs_global: float
     maxabs_interior: float
+    node_residual: float = math.nan
+    norm_ratio: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -211,6 +219,7 @@ def run_rate_study(
         err = f_grid - evaluate(s, grid)
         sq, diff = err * err, np.abs(err)
         nerr = math.nan if f_norm_sq is None else native_error_norm(f_norm_sq, s)
+        ratio = math.nan if f_norm_sq is None else native_norm_sq(s) / f_norm_sq
         rows.append(
             RateRow(
                 N=N,
@@ -220,6 +229,8 @@ def run_rate_study(
                 native_err=nerr,
                 maxabs_global=float(diff.max()),
                 maxabs_interior=float(diff[lo:hi].max()),
+                node_residual=float(np.max(np.abs(evaluate(s, s.nodes.points) - s.values))),
+                norm_ratio=ratio,
             )
         )
     hs = np.array([row.h for row in rows])

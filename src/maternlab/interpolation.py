@@ -14,7 +14,8 @@ Two solvers, chosen by the kernel alone:
   factored once by cyclic reduction and applied twice; the minimum is
   ||s||^2.  Evaluation conditions the process on the two node states around
   each point with the solve's bridge weights.  O(N) time and memory for the
-  solve, O(N + M) for M points: nothing is N x N or N x M.
+  solve; for M points O(M + N log M) when they ascend and O(M log N)
+  otherwise, O(N + M) memory: nothing is N x N or N x M.
 * Every other kernel (d >= 2), and any solve with jitter, factors the dense
   Gram matrix with an unpivoted LAPACK Cholesky, O(N^3) time and O(N^2)
   memory, and sums the translates in blocks of points of bounded size.
@@ -51,7 +52,7 @@ CONDITIONING_FLOOR = 1e-13
 JITTER_SCALE = 1e-12
 
 # Kernel entries per block of points on the dense evaluation path (2 MB);
-# the cell path takes 1/32 as many points, so its work arrays fit in cache.
+# the cell path takes 1/64 as many points, so its work arrays fit in cache.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -107,13 +108,13 @@ class Interpolant:
     w_j = Q(d_j)^{-1} (z_{j+1} - Phi(d_j) z_j), shape (N - 1, m), which
     evaluate reads; both are None on the dense path.
     ``norm_sq`` is the squared native norm y^T A^{-1} y.  ``coefficients``
-    a = A^{-1} y carry cond(A) eps relative error (the state-space path
-    derives them from the states and never reads them).
+    a = A^{-1} y, with cond(A) eps relative error, are what the dense path
+    sums; they are None on the state-space path, which never forms them.
     """
 
     kernel: object
     nodes: NodeSet
-    coefficients: np.ndarray
+    coefficients: Optional[np.ndarray]
     values: np.ndarray
     states: Optional[np.ndarray]
     bridge_weights: Optional[np.ndarray]
@@ -180,9 +181,9 @@ def _process(m):
 def _exp_moments(x, top):
     # I_n(x) = int_0^x s^n e^{-2s} ds, n = 0..top, shape (top + 1,) + x.shape,
     # without cancellation: below x = top/2 the top one from its positive
-    # series e^{-2x} x^(top+1)/(top+1) sum_k (2x)^k/((top+2)...(top+k+1)) to
-    # 2^-60, the rest downward, I_{n-1} = (2 I_n + x^n e^{-2x})/n; above it
-    # upward from I_0 = -expm1(-2x)/2, I_n = (n I_{n-1} - x^n e^{-2x})/2.
+    # series e^{-2x} x^(top+1)/(top+1) S_top(x), the rest downward,
+    # I_{n-1} = (2 I_n + x^n e^{-2x})/n; above it upward from
+    # I_0 = -expm1(-2x)/2, I_n = (n I_{n-1} - x^n e^{-2x})/2.
     small = x < 0.5 * top
     if small.any() and not small.all():
         out = np.empty((top + 1,) + x.shape)
@@ -197,17 +198,19 @@ def _exp_moments(x, top):
         for n in range(1, top + 1):
             out[n] = (n * out[n - 1] - pw[n]) / 2.0
         return out
-    terms, size, z = 0, 1.0, 2.0 * float(x.max(initial=0.0))
-    while size > 2.0**-60:
-        terms += 1
-        size *= z / (top + 1 + terms)
-    series = np.ones_like(x)
-    for i in range(top + 1 + terms, top + 1, -1):
-        series = 1.0 + series * x * (2.0 / i)
-    out[top] = pw.pop() / (top + 1) * series
+    out[top] = pw.pop() / (top + 1) * _horner(_series(top, x.max(initial=0.0)), x)
     for n in range(top, 0, -1):
         out[n - 1] = (2.0 * out[n] + pw.pop()) / n
     return out
+
+
+def _series(top, xmax):
+    # coefficients of S_top(x) = sum_k (2x)^k / ((top+2)...(top+k+1)), all
+    # positive, to the first term below 2^-60 at x = xmax
+    coeffs = [1.0]
+    while coeffs[-1] * xmax ** (len(coeffs) - 1) > 2.0**-60:
+        coeffs.append(coeffs[-1] * 2.0 / (top + 1 + len(coeffs)))
+    return coeffs
 
 
 def _transitions(d, m):
@@ -288,8 +291,8 @@ def _solve_markov(d, y, m, k0, starts):
     # E = z_0^T P^{-1} z_0 + sum_j r_j^T W_j r_j (amplitude 1) over the
     # derivatives u with f_j = y_j, r_j = z_{j+1} - Phi_j z_j in difference
     # form, W_j = Q_j^{-1}; min E = k0 y^T A^{-1} y.  Half its gradient at
-    # node j, w_{j-1} - Phi_j^T w_j (w_j = W_j r_j, P^{-1} z_0 for w_{-1},
-    # w_{N-1} = 0), has f-part k0 a.  A stiff block beside soft ones
+    # node j is w_{j-1} - Phi_j^T w_j (w_j = W_j r_j, P^{-1} z_0 for w_{-1},
+    # w_{N-1} = 0).  A stiff block beside soft ones
     # (near-coincident nodes) rounds the soft directions of the Hessian away,
     # so u is refined once against the gradient, by the same factors.
     # Levels starting at nodes ``starts`` stack into one system: the cell
@@ -299,15 +302,18 @@ def _solve_markov(d, y, m, k0, starts):
     dphi, W = _transitions(d, m)
     W[starts[1:] - 1] = 0.0
 
-    def gradient(u):
+    def residuals(u):
         z = np.column_stack([y, u])
         r = np.diff(z, axis=0) - np.einsum("nij,nj->ni", dphi, z[:-1])
-        w = np.einsum("nij,nj->ni", W, r)
-        back = w + np.einsum("nji,nj->ni", dphi, w)  # Phi_j^T w_j
+        return z, r, np.einsum("nij,nj->ni", W, r)
+
+    def gradient(u):  # its derivative part
+        z, _, w = residuals(u)
         g = np.vstack([np.zeros(m), w])
         for s in starts:
             g[s] = Pinv @ z[s]
-        return z, r, w, g - np.vstack([back, np.zeros(m)])
+        g[:-1] -= w + np.einsum("nji,nj->ni", dphi, w)  # Phi_j^T w_j
+        return g[:, 1:]
 
     u = np.zeros((n, h))
     if h:  # m = 1 has no unknowns
@@ -318,13 +324,13 @@ def _solve_markov(d, y, m, k0, starts):
         D[:-1] += B.transpose(0, 2, 1) @ WB
         solve = _cyclic_factor(D, -WB[:, 1:], np.arange(n))
         for _ in range(2):
-            u = u - solve(gradient(u)[3][:, 1:])
-    z, r, w, grad = gradient(u)
-    rw, a = r * w, grad[:, 0] / k0
-    for arr in (z, w, a):
+            u = u - solve(gradient(u))
+    z, r, w = residuals(u)
+    rw = r * w
+    for arr in (z, w):
         arr.setflags(write=False)  # and so every level's view
-    return [  # (z, w, a, E / k0) per level
-        (z[i:j], w[i : j - 1], a[i:j], float(z[i] @ Pinv @ z[i] + np.sum(rw[i : j - 1])) / k0)
+    return [  # (z, w, E / k0) per level
+        (z[i:j], w[i : j - 1], float(z[i] @ Pinv @ z[i] + np.sum(rw[i : j - 1])) / k0)
         for i, j in zip(starts, [*starts[1:], n])
     ]
 
@@ -350,8 +356,8 @@ def _interpolate_levels(k, sets, values):
     y = np.concatenate(values)
     y.setflags(write=False)
     return [
-        Interpolant(k, X, a, y[i : i + len(X)], z, w, e)
-        for X, i, (z, w, a, e) in zip(sets, starts, _solve_markov(d, y, len(coeffs), k0, starts))
+        Interpolant(k, X, None, y[i : i + len(X)], z, w, e)
+        for X, i, (z, w, e) in zip(sets, starts, _solve_markov(d, y, len(coeffs), k0, starts))
     ]
 
 
@@ -411,7 +417,10 @@ def evaluate(s, points):
     """Evaluate s(x) = sum_j a_j K(|x - x_j|) at the given points.
 
     Scalars come back as float, arrays with the shape of ``points``.
-    Nothing of size N x M is held for M points.
+    Nothing of size N x M is held for M points.  On the d = 1 path each
+    point is found among the N nodes by one merge when the points ascend,
+    O(M + N log M) in all, or by binary search otherwise, O(M log N); the
+    rest is O(1) per point.  The dense path costs O(N M).
 
     Raises
     ------
@@ -423,50 +432,94 @@ def evaluate(s, points):
     if not np.all(np.isfinite(flat)):
         raise ValueError("evaluation points must be finite")
     if s.states is None:
-        rows, block = max(1, _BLOCK_ENTRIES // len(s.nodes)), partial(_sum_translates, s)
+        rows, block = max(1, _BLOCK_ENTRIES // len(s.nodes)), partial(_sum_translates, s, flat)
     else:
-        rows = _BLOCK_ENTRIES // 32
-        block = _cell_evaluator(s.nodes.points, s.states, s.bridge_weights)
+        rows = _BLOCK_ENTRIES // 64
+        block = _cell_evaluator(s.nodes.points, s.states, s.bridge_weights, flat)
     out = np.empty(flat.size)
     for lo in range(0, flat.size, rows):
-        out[lo : lo + rows] = block(flat[lo : lo + rows])
+        out[lo : lo + rows] = block(slice(lo, lo + rows))
     return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
 
-def _sum_translates(s, pts):
-    # the dense kernel sum
-    return kernel_eval(s.kernel, np.abs(pts[:, None] - s.nodes.points)) @ s.coefficients
+def _sum_translates(s, flat, b):
+    # the dense kernel sum at the points flat[b]
+    return kernel_eval(s.kernel, np.abs(flat[b, None] - s.nodes.points)) @ s.coefficients
 
 
-def _cell_evaluator(x, states, weights):
+def _cells(x, pts):
+    # np.searchsorted(x, pts, side="right"), the count of nodes at or left of
+    # each point.  Ascending points merge with the nodes in their range in
+    # O(M + N log M): a run of points per node.  Others search, O(M log N).
+    if pts.ndim == 1 and pts.size > 1 and (pts[1:] >= pts[:-1]).all():
+        lo, hi = np.searchsorted(x, pts[[0, -1]], side="right")
+        runs = np.diff(np.concatenate(([0], np.searchsorted(pts, x[lo:hi]), [pts.size])))
+        return np.repeat(np.arange(lo, hi + 1), runs)
+    return np.searchsorted(x, pts, side="right")
+
+
+def _cell_evaluator(x, states, weights, flat):
     # Between nodes p and p + 1, s is the process bridge conditioned on both
-    # node states:  s(x_p + t) = [Phi(t) z_p + Q(t) Phi(u)^T w_p]_1 with the
-    # solve's bridge weights w_p, d = x_{p+1} - x_p, u = d - t; beyond the
-    # end nodes, the prediction from the end state (w = 0; odd derivatives
-    # flip on the left).  A point's cell is its count of nodes at or left of
-    # it; cell factors are formed once.  The amplitude cancels.
-    m = states.shape[1]
+    # node states: with d = x_{p+1} - x_p, u = d - t and, as [H_n]_1 = 0 for
+    # n < m - 1, v_k = [N^k/k! z_p]_1 and G_jk = [H_{m-1+j}]_1 (N^k/k!)^T w_p,
+    #   s(x_p + t) = e^{-t} sum_k v_k t^k + e^{-u} sum_j I_{m-1+j}(t) sum_k G_jk u^k
+    # (beyond the end nodes w = 0, and odd derivatives flip on the left).
+    # Points with t >= 1 are summed so.  Nearer x_p, e^{-u} I_i = e^{-d-t} J_i
+    # with J_i = e^{2t} I_i = sum_{k>i} 2^(k-i-1) i!/k! t^k, whose terms past
+    # top = 2m - 2 are 2^(top-i) i!/(top+1)! t^(top+1) S_top(t).  So in
+    # difference form s = v_0 + (expm1(-t) v_0 + e^{-t} R), R = sum_{k=1}^{top}
+    # a_k t^k + t^(top+1) S_top(t) a_E, a_k = v_k for k < m; each cell folds
+    # the other a, polynomials in u, from e^{-d} G once.
+    n, m, top = x.size, states.shape[1], 2 * states.shape[1] - 2
     npow, H, _ = _process(m)
-    w = np.vstack([np.zeros(m), weights, np.zeros(m)])
-    z = np.vstack([states[0] * (-1.0) ** np.arange(m), states])
-    near, far = np.r_[x[0], x], np.r_[x[0], x[1:], x[-1]]  # the cells' anchors
-    rows = npow[:, 0, :] @ z.T  # [N^k/k! z]_1 per cell, component first
-    back = (npow.transpose(0, 2, 1).reshape(m * m, m) @ w.T).reshape(m, m, -1)
+    gmap = np.einsum("ji,kli->jkl", H[m - 1 :, 0], npow)  # G_jk = gmap[j, k] @ w_p
+    fold = np.zeros((m, m))  # a_m, ..., a_top, a_E from J_i, i = m - 1 + j
+    for j, i in enumerate(range(m - 1, top + 1)):
+        for k in range(i + 1, top + 2):  # k = top + 1: t^(top+1) S_top(t)
+            fold[k - m, j] = 2.0 ** (k - i - 1) / math.perm(k, k - i)
+    w = np.zeros((n + 1, m))  # one row per cell, 0 beyond the end nodes
+    w[1:-1] = weights
+    table = np.empty((2 + m + m * m, n + 1))  # x_p, x_{p+1}, v_k, a_k and a_E per cell
+    table[0, 0], table[0, 1:], table[1, :-1], table[1, -1] = x[0], x, x, x[-1]
+    table[2 : 2 + m, 0] = npow[:, 0] @ (states[0] * (-1.0) ** np.arange(m))
+    table[2 : 2 + m, 1:] = npow[:, 0] @ states.T
+    table[2 + m :] = (fold @ gmap.reshape(m, -1)).reshape(m * m, m) @ w.T
+    table[2 + m :] *= np.exp(table[0] - table[1])  # e^{-d}
+    cells = _cells(x, flat)
 
-    def block(pts):
-        c = np.searchsorted(x, pts, side="right")
-        t, u = np.abs(pts - near.take(c)), np.abs(far.take(c) - pts)
-        acc = back[m - 1].take(c, axis=-1)  # Phi(u)^T w = e^{-u} sum_k u^k (N^k/k!)^T w
-        for k in range(m - 2, -1, -1):
-            acc = acc * u + back[k].take(c, axis=-1)
-        bridge = np.exp(-u) * np.sum((H[:, 0, :].T @ _exp_moments(t, 2 * m - 2)) * acc, axis=0)
-        rz, hi = rows.take(c, axis=-1), 0.0  # Phi(t) z = e^{-t} sum_k t^k [N^k/k! z]_1
-        for k in range(m - 1, 0, -1):
-            hi = (hi + rz[k]) * t
-        # in difference form near x_p, where it stays close to v_p; directly
-        # in wide cells, where it decays like e^{-t}
-        v, et = rz[0], np.exp(-t)
-        return np.where(t < 1.0, v + (np.expm1(-t) * v + et * hi), et * (v + hi)) + bridge
+    def near(pts, t, tmax, cols):
+        v, a = cols[2 : 2 + m], cols[2 + m :]
+        if m == 1:  # t S_0(t) = expm1(2t)/2
+            r = np.expm1(2.0 * t) * a[0] * 0.5
+        else:  # Horner in t, t^(top+1) S_top(t) a_E innermost
+            u = cols[1] - pts
+            r = _horner(_series(top, tmax), t) * _horner(a[-m:], u)
+            for k in range(top, 0, -1):
+                r *= t
+                r += _horner(a[(k - m) * m : (k + 1 - m) * m], u) if k >= m else v[k]
+            r *= t
+        t = -t
+        r *= np.exp(t)
+        out = np.expm1(t, out=t)
+        out *= v[0]
+        out += r
+        out += v[0]
+        return out
+
+    def block(b):
+        pts, c = flat[b], cells[b]
+        cols = table.take(c, axis=1)
+        t = np.abs(pts - cols[0])
+        tmax = t.max(initial=0.0)
+        if tmax < 1.0:
+            return near(pts, t, tmax, cols)
+        out, inner, far = np.empty_like(t), np.flatnonzero(t < 1.0), np.flatnonzero(t >= 1.0)
+        out[inner] = near(pts[inner], t[inner], t[inner].max(initial=0.0), cols[:, inner])
+        pts, t, cols, g = pts[far], t[far], cols[:, far], gmap.reshape(m * m, m) @ w[c[far]].T
+        moments, u = _exp_moments(t, top)[m - 1 :], np.abs(cols[1] - pts)
+        total = sum(moments[j] * _horner(g[j * m : (j + 1) * m], u) for j in range(m))
+        out[far] = np.exp(-t) * _horner(cols[2 : 2 + m], t) + np.exp(-u) * total
+        return out
 
     return block
 

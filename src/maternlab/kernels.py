@@ -54,8 +54,11 @@ def _exp_tail(q, a):
 
 
 def _horner(coeffs, r):
-    poly = np.full(np.shape(r), coeffs[-1])  # in place: one array of r's shape
-    for c in coeffs[-2::-1]:
+    if len(coeffs) == 1:
+        return np.full(np.shape(r), coeffs[0])
+    poly = coeffs[-1] * r  # then in place: one array of r's shape
+    poly += coeffs[-2]
+    for c in coeffs[-3::-1]:
         poly *= r
         poly += c
     return poly

@@ -24,7 +24,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import TruncationError
-from .interpolation import _BLOCK_ENTRIES
+from .interpolation import _BLOCK_ENTRIES, _cells
 from .kernels import _horner, exp_poly_coeffs, kernel_eval
 
 __all__ = [
@@ -228,7 +228,7 @@ def _exp_poly_sum(coeffs, y, c, x):
         return out
 
     cols = c.reshape(y.size, -1)
-    idx = np.searchsorted(y, x, side="right")  # nodes at or left of each point
+    idx = _cells(y, x)  # nodes at or left of each point
     left = moments(y, cols)[:, idx]
     right = moments(-y[::-1], cols[::-1])[:, ::-1][:, idx]
     ypad = np.r_[y[0], y, y[-1]]

@@ -5,6 +5,7 @@ prototype (dense solve via numpy.linalg.solve, errors accumulated with
 plain loops) on the C = 1.2 ladder {11, 21, 41} with a 501-point grid.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -14,6 +15,7 @@ import pytest
 from maternlab import experiments, interpolation
 from maternlab import (
     ConditioningError,
+    ConditioningWarning,
     InsufficientDataError,
     KernelSpec,
     bad_part_sup_bound,
@@ -311,6 +313,42 @@ def test_rate_rows_equal_the_masked_statistics(m, C, margin, ladder, grid_size):
         assert row.rms_interior == float(np.sqrt(np.mean(diff[inner] ** 2)))
         assert row.maxabs_global == float(diff.max())
         assert row.maxabs_interior == float(diff[inner].max())
+
+
+def test_rate_rows_carry_the_node_residual_and_the_norm_ratio(monkeypatch):
+    # The residual is the evaluator's own at the nodes: exactly 0 for the
+    # banded solve, whose states hold the data; a rounding residual on the
+    # dense path; the data's smoothing with jitter.  The norm ratio is the
+    # Pythagoras split's cancellation ||s||^2 / ||f||^2.
+    k, f_sq = KernelSpec(m=2), f_native_norm_sq()
+    study = run_rate_study(k, 1.2, 0.4, [11, 21, 41], 501, f_exact, f_norm_sq=f_sq)
+    for row, s in zip(study.rows, [interpolate(k, X, f_exact(X.points)) for X in
+                                   (equidistant_nodes(1.2, N) for N in (11, 21, 41))]):
+        assert row.node_residual == 0.0
+        assert row.norm_ratio == pytest.approx(s.norm_sq / f_sq, rel=1e-15, abs=0)
+        assert 1.0 - 2e-5 < row.norm_ratio < 1.0
+    plain = run_rate_study(k, 1.2, 0.4, [11, 21], 501, f_exact)
+    assert all(math.isnan(row.norm_ratio) for row in plain.rows)
+    dense = run_rate_study(KernelSpec(m=2, d=2), 1.2, 0.4, [11, 21], 501, f_exact).rows
+    assert all(0.0 <= row.node_residual <= 1e-14 for row in dense)
+    with pytest.warns(ConditioningWarning):
+        smoothed = run_rate_study(k, 1.2, 0.4, [11, 21], 501, f_exact, jitter=True).rows
+    assert all(1e-14 < row.node_residual < 1e-11 for row in smoothed)
+
+    # one stored state of the second level off by 1e-6: the check sees it
+    levels = experiments._interpolate_levels
+
+    def corrupted(kernel, sets, values):
+        out = levels(kernel, sets, values)
+        states = out[1].states.copy()
+        states[5, 0] += 1e-6
+        out[1] = dataclasses.replace(out[1], states=states)
+        return out
+
+    monkeypatch.setattr(experiments, "_interpolate_levels", corrupted)
+    rows = run_rate_study(k, 1.2, 0.4, [11, 21, 41], 501, f_exact, f_norm_sq=f_sq).rows
+    assert [row.node_residual == 0.0 for row in rows] == [True, False, True]
+    assert rows[1].node_residual == pytest.approx(1e-6, rel=1e-9)
 
 
 def test_amplitude_choice_does_not_move_the_decay_exponent():
