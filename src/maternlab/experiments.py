@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .interpolation import (
+    CONDITIONING_FLOOR,
     NodeSet,
     _interpolate_levels,
     evaluate,
@@ -26,7 +27,7 @@ from .interpolation import (
     native_error_norm,
     native_norm_sq,
 )
-from .kernels import exp_poly_coeffs, tail_energy
+from .kernels import exp_poly_coeffs, kernel_eval, tail_energy
 from .testfunctions import f_exact, f_native_norm_sq
 
 __all__ = [
@@ -92,6 +93,8 @@ class RateRow:
     ``node_residual`` is max_j |s(x_j) - y_j| as evaluated, and
     ``norm_ratio`` the cancellation ratio ||s||^2 / ||f||^2 of the
     Pythagoras split (NaN without f_norm_sq, or for a row made by hand).
+    ``min_pivot`` is the solve's smallest Cholesky pivot, on the d = 1 path
+    its bound K(0)(1 - rho^2), and ``pivot_margin`` = min_pivot / (1e-13 K(0)).
     """
 
     N: int
@@ -103,6 +106,8 @@ class RateRow:
     maxabs_interior: float
     node_residual: float = math.nan
     norm_ratio: float = math.nan
+    min_pivot: float = math.nan
+    pivot_margin: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,7 @@ def run_rate_study(
         solved = [interpolate(kernel, X, y, jitter=jitter) for X, y in zip(sets, values)]
     else:
         solved = _interpolate_levels(kernel, sets, values)
-    rows = []
+    rows, floor = [], CONDITIONING_FLOOR * kernel_eval(kernel, 0.0)
     for N, s in zip(counts, solved):
         err = f_grid - evaluate(s, grid)
         sq, diff = err * err, np.abs(err)
@@ -231,6 +236,8 @@ def run_rate_study(
                 maxabs_interior=float(diff[lo:hi].max()),
                 node_residual=float(np.max(np.abs(evaluate(s, s.nodes.points) - s.values))),
                 norm_ratio=ratio,
+                min_pivot=s._min_pivot,
+                pivot_margin=s._min_pivot / floor,
             )
         )
     hs = np.array([row.h for row in rows])

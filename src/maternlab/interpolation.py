@@ -10,12 +10,14 @@ Two solvers, chosen by the kernel alone:
 
 * Every d = 1 kernel e^{-r} p_m(r) is the covariance of a Gauss-Markov
   process with state (f, f', ..., f^(m-1)).  The node states minimize its
-  Markov energy with the node values held: one block-tridiagonal system,
-  factored once by cyclic reduction and applied twice; the minimum is
-  ||s||^2.  Evaluation conditions the process on the two node states around
-  each point with the solve's bridge weights.  O(N) time and memory for the
-  solve; for M points O(M + N log M) when they ascend and O(M log N)
-  otherwise, O(N + M) memory: nothing is N x N or N x M.
+  Markov energy with the node values held: one block-tridiagonal system in
+  h = m - 1 unknowns per node, factored once by cyclic reduction and
+  applied twice; the minimum is ||s||^2.  Its blocks are held entry-major,
+  (h, h, N), one length-N array per entry: a solve is O(N) ufunc work over
+  O(log N) reduction levels.  Evaluation conditions the process on the two
+  node states around each point with the solve's bridge weights.  O(N)
+  memory for the solve; for M points O(M + N log M) when they ascend and
+  O(M log N) otherwise, O(N + M) memory: nothing is N x N or N x M.
 * Every other kernel (d >= 2), and any solve with jitter, factors the dense
   Gram matrix with an unpivoted LAPACK Cholesky, O(N^3) time and O(N^2)
   memory, and sums the translates in blocks of points of bounded size.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Optional
 
@@ -110,6 +112,8 @@ class Interpolant:
     ``norm_sq`` is the squared native norm y^T A^{-1} y.  ``coefficients``
     a = A^{-1} y, with cond(A) eps relative error, are what the dense path
     sums; they are None on the state-space path, which never forms them.
+    ``_min_pivot`` is the smallest Cholesky pivot (on the state-space path
+    its bound K(0)(1 - rho^2)); ``_table`` caches evaluate's cell table.
     """
 
     kernel: object
@@ -119,6 +123,8 @@ class Interpolant:
     states: Optional[np.ndarray]
     bridge_weights: Optional[np.ndarray]
     norm_sq: float
+    _min_pivot: float = field(default=math.nan, compare=False, repr=False)
+    _table: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __call__(self, points):
         return evaluate(self, points)
@@ -213,124 +219,124 @@ def _series(top, xmax):
     return coeffs
 
 
+def _mul(A, B):
+    # the block products A_j B_j of entry-major stacks A (p, q, n), B (q, r, n)
+    out = A[:, 0, None] * B[0]
+    for k in range(1, len(B)):
+        out += A[:, k, None] * B[k]
+    return out
+
+
 def _transitions(d, m):
-    # Phi(d) - I and Q(d)^{-1} for gaps d, each (d.size, m, m).  Phi - I as
+    # Phi(d) - I and Q(d)^{-1} for gaps d, each (m, m, d.size).  Phi - I as
     # expm1(-d) I + e^{-d} sum_{k>=1} (N d)^k / k! and Q from the moments
     # above: near d = 0 neither is formed by cancellation.
     npow, H, _ = _process(m)
-    dphi = np.exp(-d)[:, None] * (d[:, None] ** np.arange(1, m) @ npow[1:].reshape(m - 1, m * m))
-    dphi = dphi.reshape(-1, m, m) + np.expm1(-d)[:, None, None] * np.eye(m)
-    Q = (_exp_moments(d, 2 * m - 2).T @ H.reshape(2 * m - 1, m * m)).reshape(-1, m, m)
-    eye = np.broadcast_to(np.eye(m), Q.shape)
-    return dphi, _cholesky_solve(_cholesky(Q, np.arange(1, d.size + 1)), eye)
+    dphi = np.exp(-d) * np.tensordot(npow[1:], d ** np.arange(1, m)[:, None], (0, 0))
+    dphi[range(m), range(m)] += np.expm1(-d)
+    Q = np.tensordot(H, _exp_moments(d, 2 * m - 2), (0, 0))
+    return dphi, _inverse(Q, np.arange(1, d.size + 1))
 
 
-def _cholesky(A, ids):
-    # Lower Cholesky factors of a stack of small SPD A (n, h, h), one
-    # operation on the stack per entry.  It ignores diagonal scaling, so
-    # Q(d), diagonal d^(2m-1) ... d, factors as well as a unit diagonal.
-    # A pivot <= 0 raises naming ids[i].
-    L = np.zeros_like(A)
-    for j in range(A.shape[-1]):
-        L[:, j:, j] = A[:, j:, j] - np.einsum("nik,nk->ni", L[:, j:, :j], L[:, j, :j])
-        bad = np.flatnonzero(~(L[:, j, j] > 0))
-        if bad.size:
-            raise ConditioningError(ids[bad[0]], L[bad[0], j, j], 0.0, detail="banded solve")
-        L[:, j:, j] /= np.sqrt(L[:, j, j, None])
-    return L
-
-
-def _cholesky_solve(L, b):
-    # A^{-1} b for the factors L of _cholesky and b (n, h, r)
-    x = np.array(b, dtype=float)
-    for j in range(L.shape[-1]):
-        x[:, j] = (x[:, j] - np.einsum("nk,nkr->nr", L[:, j, :j], x[:, :j])) / L[:, j, j, None]
-    for j in range(L.shape[-1] - 1, -1, -1):
-        x[:, j] -= np.einsum("nk,nkr->nr", L[:, j + 1 :, j], x[:, j + 1 :])
-        x[:, j] /= L[:, j, j, None]
+def _inverse(A, ids):
+    # The inverses of the SPD blocks of A (h, h, n), read from its lower
+    # triangle: Cholesky factors L, column by column, then forward
+    # substitution with L and with L^T on the reversed unknowns.  It ignores
+    # diagonal scaling, so Q(d), diagonal d^(2m-1) ... d, inverts as well as
+    # a unit diagonal.  A pivot <= 0 raises naming ids[i].
+    L, x = np.array(A, dtype=float), np.zeros_like(A)
+    for j in range(len(L)):
+        L[j:, j] -= sum(L[j:, k] * L[j, k] for k in range(j))
+        if not (L[j, j] > 0).all():
+            i = np.argmin(L[j, j] > 0)
+            raise ConditioningError(ids[i], L[j, j, i], 0.0, detail="banded solve")
+        L[j:, j] /= np.sqrt(L[j, j])
+        x[j, j] = 1.0
+    for M, y in ((L, x), (L.transpose(1, 0, 2)[::-1, ::-1], x[::-1])):
+        for j in range(len(M)):
+            for k in range(j):
+                y[j] -= M[j, k] * y[k]
+            y[j] /= M[j, j]
     return x
 
 
 def _cyclic_factor(D, S, ids):
     # Cyclic reduction of the SPD block-tridiagonal matrix with diagonal
-    # blocks D (n, h, h) and blocks S_j (n - 1, h, h) at row j + 1, column j:
+    # blocks D (h, h, n) and blocks S_j (h, h, n - 1) at row j + 1, column j:
     # factor the odd-numbered diagonal blocks and the Schur complement on the
-    # even-numbered unknowns, once.  Returns the solve for right sides (n, h).
-    n, h = D.shape[:2]
+    # even-numbered unknowns, once.  Returns the solve for b (h, r, n).
+    n = D.shape[-1]
     if n == 1:
-        L = _cholesky(D, ids)
-        return lambda b: _cholesky_solve(L, b[..., None])[..., 0]
-    k, ne = n // 2, (n + 1) // 2
-    left, right = S[0::2][:k], np.concatenate([S[1::2], np.zeros((1 - n % 2, h, h))])
-    L = _cholesky(D[1::2], ids[1::2])
-    Y = _cholesky_solve(L, np.concatenate([left, right.transpose(0, 2, 1)], axis=2))
-    YL, YR, lt = Y[..., :h], Y[..., h:], left.transpose(0, 2, 1)
-    De = D[0::2].copy()
-    De[:k] -= lt @ YL
-    De[1:] -= (right @ YR)[: ne - 1]
-    solve_even = _cyclic_factor(De, -(right @ YL)[: ne - 1], ids[0::2])
+        return partial(_mul, _inverse(D, ids))
+    k, r = n // 2, (n - 1) // 2  # odd-numbered unknowns, those with a right neighbour
+    left, lt, right = S[..., 0::2], S[..., 0::2].transpose(1, 0, 2), S[..., 1::2]
+    Di = _inverse(D[..., 1::2], ids[1::2])
+    YL, YR = _mul(Di, left), _mul(Di[..., :r], right.transpose(1, 0, 2))
+    De = D[..., 0::2].copy()
+    De[..., :k] -= _mul(lt, YL)
+    De[..., 1:] -= _mul(right, YR)
+    solve_even = _cyclic_factor(De, -_mul(right, YL[..., :r]), ids[0::2])
 
     def solve(b):
         # eliminate the odd-numbered unknowns, solve for the even-numbered
         # ones, substitute back
-        yb = _cholesky_solve(L, b[1::2, :, None])
-        be = b[0::2].copy()
-        be[:k] -= (lt @ yb)[..., 0]
-        be[1:] -= (right @ yb)[: ne - 1, :, 0]
+        yb = _mul(Di, b[..., 1::2])
+        be = b[..., 0::2].copy()
+        be[..., :k] -= _mul(lt, yb)
+        be[..., 1:] -= _mul(right, yb[..., :r])
         xe = solve_even(be)
-        xr = np.concatenate([xe[1:], np.zeros((1, h))])[:k, :, None]
         x = np.empty_like(b)
-        x[0::2], x[1::2] = xe, (yb - YL @ xe[:k, :, None] - YR @ xr)[..., 0]
+        x[..., 0::2], x[..., 1::2] = xe, yb - _mul(YL, xe[..., :k])
+        x[..., 1 : 2 * r : 2] -= _mul(YR, xe[..., 1:])
         return x
 
     return solve
 
 
 def _solve_markov(d, y, m, k0, starts):
-    # The node states z_j = (f, ..., f^(m-1))(x_j) minimize
-    # E = z_0^T P^{-1} z_0 + sum_j r_j^T W_j r_j (amplitude 1) over the
-    # derivatives u with f_j = y_j, r_j = z_{j+1} - Phi_j z_j in difference
-    # form, W_j = Q_j^{-1}; min E = k0 y^T A^{-1} y.  Half its gradient at
-    # node j is w_{j-1} - Phi_j^T w_j (w_j = W_j r_j, P^{-1} z_0 for w_{-1},
-    # w_{N-1} = 0).  A stiff block beside soft ones
-    # (near-coincident nodes) rounds the soft directions of the Hessian away,
-    # so u is refined once against the gradient, by the same factors.
-    # Levels starting at nodes ``starts`` stack into one system: the cell
-    # before a start (any gap d > 0) gets W = 0 and the start the prior.
+    # The node states z_j = (f, ..., f^(m-1))(x_j) minimize E = z_0^T P^{-1} z_0
+    # + sum_j r_j^T W_j r_j (amplitude 1) over the derivatives u with f_j = y_j,
+    # r_j = z_{j+1} - Phi_j z_j in difference form, W_j = Q_j^{-1}; min E =
+    # k0 y^T A^{-1} y.  Half its gradient at node j is w_{j-1} - Phi_j^T w_j
+    # (w_j = W_j r_j, P^{-1} z_0 for w_{-1}, w_{N-1} = 0).  A stiff block
+    # beside soft ones (near-coincident nodes) rounds the soft directions of
+    # the Hessian away, so u is refined once against the gradient, by the
+    # same factors.  Levels starting at nodes ``starts`` stack into one
+    # system: the cell before a start (any gap d > 0) gets W = 0 and the
+    # start the prior.  Vectors are (m, 1, n) and blocks (m, m, n).
     n, h = y.size, m - 1
     _, _, Pinv = _process(m)
     dphi, W = _transitions(d, m)
-    W[starts[1:] - 1] = 0.0
+    W[..., starts[1:] - 1] = 0.0
 
     def residuals(u):
-        z = np.column_stack([y, u])
-        r = np.diff(z, axis=0) - np.einsum("nij,nj->ni", dphi, z[:-1])
-        return z, r, np.einsum("nij,nj->ni", W, r)
+        z = np.concatenate([y[None, None], u])
+        r = np.diff(z) - _mul(dphi, z[..., :-1])
+        return z, r, _mul(W, r)
 
     def gradient(u):  # its derivative part
         z, _, w = residuals(u)
-        g = np.vstack([np.zeros(m), w])
-        for s in starts:
-            g[s] = Pinv @ z[s]
-        g[:-1] -= w + np.einsum("nji,nj->ni", dphi, w)  # Phi_j^T w_j
-        return g[:, 1:]
+        g = np.dstack([np.zeros((m, 1, 1)), w])
+        g[:, 0, starts] = Pinv @ z[:, 0, starts]
+        g[..., :-1] -= w + _mul(dphi.transpose(1, 0, 2), w)  # Phi_j^T w_j
+        return g[1:]
 
-    u = np.zeros((n, h))
+    u = np.zeros((h, 1, n))
     if h:  # m = 1 has no unknowns
-        B = dphi[..., 1:] + np.eye(m)[:, 1:]  # Phi's derivative columns
-        WB = W @ B
-        D = np.concatenate([Pinv[None, 1:, 1:], W[:, 1:, 1:]])
-        D[starts] = Pinv[1:, 1:]
-        D[:-1] += B.transpose(0, 2, 1) @ WB
-        solve = _cyclic_factor(D, -WB[:, 1:], np.arange(n))
+        B = dphi[:, 1:] + np.eye(m)[:, 1:, None]  # Phi's derivative columns
+        WB = _mul(W, B)
+        D = np.dstack([Pinv[1:, 1:, None], W[1:, 1:]])
+        D[..., starts] = Pinv[1:, 1:, None]
+        D[..., :-1] += _mul(B.transpose(1, 0, 2), WB)
+        solve = _cyclic_factor(D, -WB[1:], np.arange(n))
         for _ in range(2):
             u = u - solve(gradient(u))
     z, r, w = residuals(u)
-    rw = r * w
+    rw, z, w = r * w, z[:, 0].T, w[:, 0].T
     for arr in (z, w):
         arr.setflags(write=False)  # and so every level's view
     return [  # (z, w, E / k0) per level
-        (z[i:j], w[i : j - 1], float(z[i] @ Pinv @ z[i] + np.sum(rw[i : j - 1])) / k0)
+        (z[i:j], w[i : j - 1], float(z[i] @ Pinv @ z[i] + np.sum(rw[..., i : j - 1])) / k0)
         for i, j in zip(starts, [*starts[1:], n])
     ]
 
@@ -343,20 +349,21 @@ def _interpolate_levels(k, sets, values):
     sizes = np.array([len(X) for X in sets])
     starts = np.cumsum(sizes) - sizes
     d = np.diff(np.concatenate([X.points for X in sets]))
-    d[starts[1:] - 1] = 1.0  # the seams between sets
+    d[starts[1:] - 1] = 0.5  # the seams: any d > 0 serves, 0.5 keeps _exp_moments on one branch
     # K(0)(1 - rho(gap)^2) = Var(f_j | f_{j-1}) caps pivot j (is it for
     # m = 1); 1 - rho = -(expm1(-d) + e^{-d} (p(d) - 1)) near d = 0.
     one_minus = -(np.expm1(-d) + np.exp(-d) * _horner((0.0,) + coeffs[1:], d))
-    bounds = k0 * one_minus * (2.0 - one_minus)
+    bounds = np.concatenate([[k0], k0 * one_minus * (2.0 - one_minus)])
+    bounds[starts] = k0  # each set's first pivot
     low = np.flatnonzero(bounds <= floor)
     if low.size:
-        j = low[0] + 1
+        j = low[0]
         i = np.searchsorted(starts, j, side="right") - 1
-        raise ConditioningError(j - starts[i], bounds[low[0]], floor, detail=f"at N={sizes[i]}")
+        raise ConditioningError(j - starts[i], bounds[j], floor, detail=f"at N={sizes[i]}")
     y = np.concatenate(values)
     y.setflags(write=False)
     return [
-        Interpolant(k, X, None, y[i : i + len(X)], z, w, e)
+        Interpolant(k, X, None, y[i : i + len(X)], z, w, e, float(bounds[i : i + len(X)].min()))
         for X, i, (z, w, e) in zip(sets, starts, _solve_markov(d, y, len(coeffs), k0, starts))
     ]
 
@@ -367,7 +374,7 @@ def _solve_dense(k, X, vals, noise, floor):
     A = assemble_gram(k, X)
     A[np.diag_indices_from(A)] += noise
     L = _cholesky_floor(A, floor, f"at N={len(X)}")
-    return cho_solve((L, True), vals)
+    return cho_solve((L, True), vals), float(np.min(np.diagonal(L)) ** 2)
 
 
 def interpolate(k, X, values, jitter=False):
@@ -407,10 +414,10 @@ def interpolate(k, X, values, jitter=False):
             ConditioningWarning,
             stacklevel=2,
         )
-    a = _solve_dense(k, X, vals, noise, CONDITIONING_FLOOR * k0)
+    a, pivot = _solve_dense(k, X, vals, noise, CONDITIONING_FLOOR * k0)
     for arr in (vals, a):
         arr.setflags(write=False)
-    return Interpolant(k, X, a, vals, None, None, float(a @ vals))
+    return Interpolant(k, X, a, vals, None, None, float(a @ vals), pivot)
 
 
 def evaluate(s, points):
@@ -434,8 +441,7 @@ def evaluate(s, points):
     if s.states is None:
         rows, block = max(1, _BLOCK_ENTRIES // len(s.nodes)), partial(_sum_translates, s, flat)
     else:
-        rows = _BLOCK_ENTRIES // 64
-        block = _cell_evaluator(s.nodes.points, s.states, s.bridge_weights, flat)
+        rows, block = _BLOCK_ENTRIES // 64, _cell_evaluator(s, flat)
     out = np.empty(flat.size)
     for lo in range(0, flat.size, rows):
         out[lo : lo + rows] = block(slice(lo, lo + rows))
@@ -458,7 +464,7 @@ def _cells(x, pts):
     return np.searchsorted(x, pts, side="right")
 
 
-def _cell_evaluator(x, states, weights, flat):
+def _cell_evaluator(s, flat):
     # Between nodes p and p + 1, s is the process bridge conditioned on both
     # node states: with d = x_{p+1} - x_p, u = d - t and, as [H_n]_1 = 0 for
     # n < m - 1, v_k = [N^k/k! z_p]_1 and G_jk = [H_{m-1+j}]_1 (N^k/k!)^T w_p,
@@ -469,23 +475,27 @@ def _cell_evaluator(x, states, weights, flat):
     # top = 2m - 2 are 2^(top-i) i!/(top+1)! t^(top+1) S_top(t).  So in
     # difference form s = v_0 + (expm1(-t) v_0 + e^{-t} R), R = sum_{k=1}^{top}
     # a_k t^k + t^(top+1) S_top(t) a_E, a_k = v_k for k < m; each cell folds
-    # the other a, polynomials in u, from e^{-d} G once.
-    n, m, top = x.size, states.shape[1], 2 * states.shape[1] - 2
-    npow, H, _ = _process(m)
-    gmap = np.einsum("ji,kli->jkl", H[m - 1 :, 0], npow)  # G_jk = gmap[j, k] @ w_p
-    fold = np.zeros((m, m))  # a_m, ..., a_top, a_E from J_i, i = m - 1 + j
-    for j, i in enumerate(range(m - 1, top + 1)):
-        for k in range(i + 1, top + 2):  # k = top + 1: t^(top+1) S_top(t)
-            fold[k - m, j] = 2.0 ** (k - i - 1) / math.perm(k, k - i)
-    w = np.zeros((n + 1, m))  # one row per cell, 0 beyond the end nodes
-    w[1:-1] = weights
-    table = np.empty((2 + m + m * m, n + 1))  # x_p, x_{p+1}, v_k, a_k and a_E per cell
-    table[0, 0], table[0, 1:], table[1, :-1], table[1, -1] = x[0], x, x, x[-1]
-    table[2 : 2 + m, 0] = npow[:, 0] @ (states[0] * (-1.0) ** np.arange(m))
-    table[2 : 2 + m, 1:] = npow[:, 0] @ states.T
-    table[2 + m :] = (fold @ gmap.reshape(m, -1)).reshape(m * m, m) @ w.T
-    table[2 + m :] *= np.exp(table[0] - table[1])  # e^{-d}
-    cells = _cells(x, flat)
+    # the other a, polynomials in u, from e^{-d} G once.  The first call
+    # on s keeps the table in s._table for the later ones.
+    x, states, (n, m) = s.nodes.points, s.states, s.states.shape
+    top, cells = 2 * m - 2, _cells(x, flat)
+    if s._table is None:
+        npow, H, _ = _process(m)
+        gmap = np.tensordot(H[m - 1 :, 0], npow, (1, 2))  # G_jk = gmap[j, k] @ w_p
+        fold = np.zeros((m, m))  # a_m, ..., a_top, a_E from J_i, i = m - 1 + j
+        for j, i in enumerate(range(m - 1, top + 1)):
+            for k in range(i + 1, top + 2):  # k = top + 1: t^(top+1) S_top(t)
+                fold[k - m, j] = 2.0 ** (k - i - 1) / math.perm(k, k - i)
+        w = np.zeros((n + 1, m))  # one row per cell, 0 beyond the end nodes
+        w[1:-1] = s.bridge_weights
+        table = np.empty((2 + m + m * m, n + 1))  # x_p, x_{p+1}, v_k, a_k and a_E per cell
+        table[0, 0], table[0, 1:], table[1, :-1], table[1, -1] = x[0], x, x, x[-1]
+        table[2 : 2 + m, 0] = npow[:, 0] @ (states[0] * (-1.0) ** np.arange(m))
+        table[2 : 2 + m, 1:] = npow[:, 0] @ states.T
+        table[2 + m :] = (fold @ gmap.reshape(m, -1)).reshape(m * m, m) @ w.T
+        table[2 + m :] *= np.exp(table[0] - table[1])  # e^{-d}
+        object.__setattr__(s, "_table", (table, w, gmap))
+    table, w, gmap = s._table
 
     def near(pts, t, tmax, cols):
         v, a = cols[2 : 2 + m], cols[2 + m :]

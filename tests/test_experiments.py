@@ -11,13 +11,17 @@ import warnings
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from maternlab import experiments, interpolation
 from maternlab import (
+    CONDITIONING_FLOOR,
     ConditioningError,
     ConditioningWarning,
     InsufficientDataError,
     KernelSpec,
+    NodeSet,
+    assemble_gram,
     bad_part_sup_bound,
     equidistant_nodes,
     f_exact,
@@ -257,7 +261,7 @@ def test_a_d1_study_forms_and_factors_its_ladder_once(m, monkeypatch):
         return transitions(d, m)
 
     def counted_factor(D, S, ids):
-        calls["factor sizes"].append(D.shape[0])
+        calls["factor sizes"].append(D.shape[-1])
         return factor(D, S, ids)
 
     def counted_interpolate(*args, **kwargs):
@@ -270,6 +274,38 @@ def test_a_d1_study_forms_and_factors_its_ladder_once(m, monkeypatch):
     run_rate_study(KernelSpec(m=m), 1.2, 0.4, [11, 21, 41], 501, f_exact)
     chain = [] if m == 1 else [73, 37, 19, 10, 5, 3, 2, 1]
     assert calls == {"transitions": 1, "factor sizes": chain, "interpolate": 0}
+
+
+def test_the_d1_solve_needs_no_einsum_or_matmul(monkeypatch):
+    # the blocks are entry-major, so the solve is ufunc calls on length-n
+    # arrays: a d = 1 interpolate and a stacked study run with np.einsum and
+    # np.matmul refusing every call
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum or np.matmul called")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    monkeypatch.setattr(np, "matmul", refuse)
+    x = np.linspace(-0.8, 0.8, 161)
+    x[1:-1] += np.random.default_rng(1).uniform(-0.002, 0.002, 159)
+    for m in (1, 2, 3):
+        s = interpolate(KernelSpec(m=m), NodeSet(points=x, halfwidth=0.8), f_exact(x))
+        assert np.array_equal(s(x), s.values)
+        study = run_rate_study(KernelSpec(m=m), 1.2, 0.4, [11, 21, 41], 501, f_exact)
+        assert [row.node_residual for row in study.rows] == [0.0, 0.0, 0.0]
+
+
+def test_a_study_builds_each_level_cell_table_once(monkeypatch):
+    # the grid and the node residual of a level read one cell table: the
+    # first evaluate builds it, the second finds it on the interpolant
+    seen, cell_evaluator = [], interpolation._cell_evaluator
+
+    def spy(s, flat):
+        seen.append((len(s.nodes), s._table is None))
+        return cell_evaluator(s, flat)
+
+    monkeypatch.setattr(interpolation, "_cell_evaluator", spy)
+    run_rate_study(KernelSpec(m=2), 1.2, 0.4, [11, 21, 41], 501, f_exact)
+    assert seen == [(11, True), (11, False), (21, True), (21, False), (41, True), (41, False)]
 
 
 @pytest.mark.parametrize("kernel, jitter", [(KernelSpec(m=2), True), (KernelSpec(m=2, d=2), False)])
@@ -349,6 +385,43 @@ def test_rate_rows_carry_the_node_residual_and_the_norm_ratio(monkeypatch):
     rows = run_rate_study(k, 1.2, 0.4, [11, 21, 41], 501, f_exact, f_norm_sq=f_sq).rows
     assert [row.node_residual == 0.0 for row in rows] == [True, False, True]
     assert rows[1].node_residual == pytest.approx(1e-6, rel=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rate_rows_certify_the_solve_with_its_smallest_pivot(m):
+    # d = 1: every gap of a level is h, so its smallest pivot bound is
+    # K(0)(1 - rho(h)^2), here against 30 digits; for m = 1 it is the dense
+    # Cholesky's smallest pivot, for m >= 2 a cap on it
+    k = KernelSpec(m=m, amplitude=2.5)
+    k0, ladder = kernel_eval(k, 0.0), [11, 21, 41]
+    rows = run_rate_study(k, 1.2, 0.4, ladder, 501, f_exact).rows
+    for N, row in zip(ladder, rows):
+        with mp.workdps(30):
+            g = mp.mpf(2.4) / (N - 1)
+            p = {1: 1, 2: 1 + g, 3: 1 + g + g**2 / 3}[m]
+            want = float(mp.mpf(2.5) * (1 - (mp.exp(-g) * p) ** 2))
+        assert row.min_pivot == pytest.approx(want, rel=1e-12, abs=0)
+        assert row.pivot_margin == row.min_pivot / (CONDITIONING_FLOOR * k0)
+        dense = np.min(np.diag(np.linalg.cholesky(assemble_gram(k, equidistant_nodes(1.2, N))))) ** 2
+        if m == 1:
+            assert row.min_pivot == pytest.approx(dense, rel=1e-12, abs=0)
+        else:
+            assert dense < row.min_pivot
+    # the dense path keeps its smallest Cholesky pivot, with jitter too
+    for kernel, jitter in ((KernelSpec(m=2, d=2), False), (KernelSpec(m=2), True)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = run_rate_study(kernel, 1.2, 0.4, ladder, 501, f_exact, jitter=jitter).rows
+        for N, row in zip(ladder, rows):
+            A = assemble_gram(kernel, equidistant_nodes(1.2, N))
+            A[np.diag_indices(N)] += 1e-12 * kernel_eval(kernel, 0.0) if jitter else 0.0
+            dense = np.min(np.diag(np.linalg.cholesky(A))) ** 2
+            assert row.min_pivot == pytest.approx(dense, rel=1e-12, abs=0)
+            assert row.pivot_margin == row.min_pivot / (CONDITIONING_FLOOR * kernel_eval(kernel, 0.0))
+            assert row.pivot_margin > 1.0
+    hand = experiments.RateRow(N=11, h=0.24, rms_global=1.0, rms_interior=1.0, native_err=1.0,
+                               maxabs_global=1.0, maxabs_interior=1.0)
+    assert math.isnan(hand.min_pivot) and math.isnan(hand.pivot_margin)
 
 
 def test_amplitude_choice_does_not_move_the_decay_exponent():

@@ -1,5 +1,6 @@
 """Norm-minimal interpolation: exactness, optimality, conditioning."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -39,7 +40,7 @@ def _coefficients(s):
     m, z, w = s.states.shape[1], s.states, s.bridge_weights
     _, _, Pinv = interpolation._process(m)
     dphi, _ = interpolation._transitions(np.diff(s.nodes.points), m)
-    back = w + np.einsum("nji,nj->ni", dphi, w)
+    back = w + (dphi * w.T[:, None]).sum(axis=0).T
     g = np.vstack([np.zeros(m), w])
     g[0] = Pinv @ z[0]
     return (g - np.vstack([back, np.zeros(m)]))[:, 0] / kernel_eval(s.kernel, 0.0)
@@ -769,17 +770,31 @@ def test_sine_graded_ladder_keeps_its_rate_past_the_old_floor():
 def test_banded_factorization_failure_is_a_conditioning_error():
     # a Schur block that is not positive definite names its node; the
     # public solve refuses such gaps before it gets there
-    D = np.array([[[2.0]], [[-1.0]], [[2.0]]])
-    S = np.array([[[1.5]], [[0.1]]])
+    D = np.array([[[2.0, -1.0, 2.0]]])  # entry-major: (h, h, n)
+    S = np.array([[[1.5, 0.1]]])
     with pytest.raises(ConditioningError) as info:
         interpolation._cyclic_factor(D, S, np.array([4, 5, 6]))
     assert info.value.pivot_index == 5
     assert info.value.pivot_value == -1.0
     # the same system, positive definite, against a dense solve
-    D[1] = 3.0
-    full = np.diag(D[:, 0, 0]) + np.diag(S[:, 0, 0], -1) + np.diag(S[:, 0, 0], 1)
-    got = interpolation._cyclic_factor(D, S, np.arange(3))(np.ones((3, 1)))
-    assert np.allclose(got[:, 0], np.linalg.solve(full, np.ones(3)), rtol=1e-14, atol=0)
+    D[..., 1] = 3.0
+    full = np.diag(D[0, 0]) + np.diag(S[0, 0], -1) + np.diag(S[0, 0], 1)
+    got = interpolation._cyclic_factor(D, S, np.arange(3))(np.ones((1, 1, 3)))
+    assert np.allclose(got[0, 0], np.linalg.solve(full, np.ones(3)), rtol=1e-14, atol=0)
+
+
+def _block_tridiagonal(G, S):
+    # the dense matrix of diagonal blocks G G^T + 4h I and blocks S_j at
+    # row j + 1, column j, given as (n, h, h) stacks
+    n, h = G.shape[:2]
+    D = G @ G.transpose(0, 2, 1) + 4.0 * h * np.eye(h)
+    full = np.zeros((n * h, n * h))
+    for j in range(n):
+        full[j * h : (j + 1) * h, j * h : (j + 1) * h] = D[j]
+    for j in range(n - 1):
+        full[(j + 1) * h : (j + 2) * h, j * h : (j + 1) * h] = S[j]
+        full[j * h : (j + 1) * h, (j + 1) * h : (j + 2) * h] = S[j].T
+    return D, full
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -790,18 +805,34 @@ def test_one_cyclic_factorization_solves_many_right_sides(h, n):
     rng = np.random.default_rng(100 * h + n)
     G = rng.standard_normal((n, h, h))
     S = rng.standard_normal((n - 1, h, h))
-    D = G @ G.transpose(0, 2, 1) + 4.0 * h * np.eye(h)
-    full = np.zeros((n * h, n * h))
-    for j in range(n):
-        full[j * h : (j + 1) * h, j * h : (j + 1) * h] = D[j]
-    for j in range(n - 1):
-        full[(j + 1) * h : (j + 2) * h, j * h : (j + 1) * h] = S[j]
-        full[j * h : (j + 1) * h, (j + 1) * h : (j + 2) * h] = S[j].T
-    solve = interpolation._cyclic_factor(D, S, np.arange(n))
+    D, full = _block_tridiagonal(G, S)
+    solve = interpolation._cyclic_factor(D.transpose(1, 2, 0), S.transpose(1, 2, 0), np.arange(n))
     for b in rng.standard_normal((2, n, h)):
-        got = solve(b)
+        got = solve(b.T[:, None])[:, 0].T
         want = np.linalg.solve(full, b.ravel()).reshape(n, h)
         assert np.allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.integers(0, 19), st.booleans(), st.integers(0, 2**32 - 1))
+def test_entrywise_cholesky_and_cyclic_reduction_match_a_dense_solve(h, half, odd, seed):
+    # random SPD block-tridiagonal systems of n = 1 ... 40 blocks, odd and
+    # even, held entry-major (h, h, n): one factorization applied to two
+    # right sides against np.linalg.solve, and the blocks' inverses from
+    # their Cholesky factors against np.linalg.inv
+    n = 2 * half + 1 if odd else 2 * half + 2
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n - 1, h, h))
+    D, full = _block_tridiagonal(rng.standard_normal((n, h, h)), S)
+    solve = interpolation._cyclic_factor(D.transpose(1, 2, 0), S.transpose(1, 2, 0), np.arange(n))
+    for b in rng.standard_normal((2, n, h)):
+        got = solve(b.T[:, None])[:, 0].T
+        want = np.linalg.solve(full, b.ravel()).reshape(n, h)
+        assert np.allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+    lower = np.tril(D) + np.triu(rng.standard_normal((n, h, h)), 1)  # never read
+    got = interpolation._inverse(lower.transpose(1, 2, 0), np.arange(n)).transpose(2, 0, 1)
+    want = np.linalg.inv(D)
+    assert np.allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -816,7 +847,7 @@ def test_interpolate_factors_once_and_evaluate_recomputes_nothing(m, monkeypatch
         return transitions(d, m)
 
     def counted_factor(D, S, ids):
-        calls["factor sizes"].append(D.shape[0])
+        calls["factor sizes"].append(D.shape[-1])
         return factor(D, S, ids)
 
     monkeypatch.setattr(interpolation, "_transitions", counted_transitions)
@@ -829,8 +860,26 @@ def test_interpolate_factors_once_and_evaluate_recomputes_nothing(m, monkeypatch
     assert calls == once
     # the stored weights are W_j r_j of the stored states, bit for bit
     dphi, W = transitions(np.diff(X.points), m)
-    r = np.diff(s.states, axis=0) - np.einsum("nij,nj->ni", dphi, s.states[:-1])
-    assert np.array_equal(s.bridge_weights, np.einsum("nij,nj->ni", W, r))
+    z = s.states.T[:, None]
+    r = np.diff(z) - interpolation._mul(dphi, z[..., :-1])
+    assert np.array_equal(s.bridge_weights, interpolation._mul(W, r)[:, 0].T)
+
+
+def test_evaluate_keeps_one_cell_table_per_interpolant():
+    # the first evaluate keeps the table; a copy with other states starts
+    # without it, so it evaluates its own states, not the original's
+    k = KernelSpec(m=2)
+    X = equidistant_nodes(1.0, 11)
+    s = interpolate(k, X, f_exact(X.points))
+    assert s._table is None
+    at_nodes = evaluate(s, X.points)
+    table = s._table
+    assert np.array_equal(evaluate(s, X.points), at_nodes) and s._table is table
+    states = s.states.copy()
+    states[5, 0] += 1e-6
+    t = dataclasses.replace(s, states=states)
+    assert t._table is None
+    assert evaluate(t, X.points[5]) == states[5, 0] != at_nodes[5]
 
 
 def test_dense_evaluate_blocks_its_rows():
@@ -940,28 +989,33 @@ def _one_level_markov_solve(m, x, y, k0):
     # stacked: the prior on node 0, every cell weighted, one factorization
     # applied twice.  Built from the package's own pieces, so the stacked
     # solve's one-level case must repeat its arithmetic bit for bit.
+    # Blocks are entry-major, (m, m, n - 1), and vectors (m, 1, n).
     n, h = y.size, m - 1
+    mul = interpolation._mul
     _, _, Pinv = interpolation._process(m)
     dphi, W = interpolation._transitions(np.diff(x), m)
 
     def gradient(u):
-        z = np.column_stack([y, u])
-        r = np.diff(z, axis=0) - np.einsum("nij,nj->ni", dphi, z[:-1])
-        w = np.einsum("nij,nj->ni", W, r)
-        back = w + np.einsum("nji,nj->ni", dphi, w)
-        return z, r, w, np.vstack([Pinv @ z[0], w]) - np.vstack([back, np.zeros(m)])
+        z = np.concatenate([y[None, None], u])
+        r = np.diff(z) - mul(dphi, z[..., :-1])
+        w = mul(W, r)
+        back = w + mul(dphi.transpose(1, 0, 2), w)
+        first = Pinv @ z[:, 0, [0]]
+        return z, r, w, np.concatenate([first[:, None], w], axis=2) - np.concatenate(
+            [back, np.zeros((m, 1, 1))], axis=2)
 
-    u = np.zeros((n, h))
+    u = np.zeros((h, 1, n))
     if h:
-        B = dphi[..., 1:] + np.eye(m)[:, 1:]
-        WB = W @ B
-        D = np.concatenate([Pinv[None, 1:, 1:], W[:, 1:, 1:]])
-        D[:-1] += B.transpose(0, 2, 1) @ WB
-        solve = interpolation._cyclic_factor(D, -WB[:, 1:], np.arange(n))
+        B = dphi[:, 1:] + np.eye(m)[:, 1:, None]
+        WB = mul(W, B)
+        D = np.concatenate([Pinv[1:, 1:, None], W[1:, 1:]], axis=2)
+        D[..., :-1] += mul(B.transpose(1, 0, 2), WB)
+        solve = interpolation._cyclic_factor(D, -WB[1:], np.arange(n))
         for _ in range(2):
-            u = u - solve(gradient(u)[3][:, 1:])
+            u = u - solve(gradient(u)[3][1:])
     z, r, w, grad = gradient(u)
-    return z, w, grad[:, 0] / k0, float(z[0] @ Pinv @ z[0] + np.sum(r * w)) / k0
+    rw, z, w = r * w, z[:, 0].T, w[:, 0].T
+    return z, w, grad[0, 0] / k0, float(z[0] @ Pinv @ z[0] + np.sum(rw)) / k0
 
 
 def _ladder_family(name, N, seed=0):
@@ -992,6 +1046,38 @@ def test_one_level_solve_repeats_the_single_level_arithmetic(family, N, m):
     oracle = interpolation.Interpolant(k, X, a, y, z, w, norm_sq)
     grid = np.linspace(-1.5, 1.5, 10 * N)
     assert np.array_equal(evaluate(s, grid), evaluate(oracle, grid))
+
+
+def _m1_former_arithmetic(x, y, k0):
+    # The m = 1 solve as the (n, h, h) stack code computed it, written out:
+    # Phi - 1 = expm1(-d), Q = 2 I_0(d) with I_0 = -expm1(-2d)/2, its
+    # factor L = Q/sqrt(Q), W = (1/L)/L, P^{-1} = 1, and no unknowns.
+    d = np.diff(x)
+    Q = -0.5 * np.expm1(-2.0 * d) * 2.0
+    L = Q / np.sqrt(Q)
+    r = np.diff(y) - np.expm1(-d) * y[:-1]
+    w = 1.0 / L / L * r
+    return w, float(y[0] * 1.0 * y[0] + np.sum(r * w)) / k0
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 2.5])
+def test_m1_solve_repeats_the_former_stack_arithmetic(amplitude):
+    # bit for bit, on every level of the stacked benchmark ladder and on
+    # jittered nodes solved alone
+    k = KernelSpec(m=1, amplitude=amplitude)
+    k0 = kernel_eval(k, 0.0)
+    sets = [equidistant_nodes(1.2, N) for N in (161, 321, 641, 1281, 2561)]
+    values = [f_exact(X.points) for X in sets]
+    solved = interpolation._interpolate_levels(k, sets, values)
+    jittered = [_nodes(2561, jittered=True, C=0.8, seed=seed) for seed in (1, 2)]
+    for X in jittered:
+        values.append(f_exact(X.points))
+        solved.append(interpolate(k, X, values[-1]))
+    for X, y, s in zip(sets + jittered, values, solved):
+        w, norm_sq = _m1_former_arithmetic(X.points, y, k0)
+        assert np.array_equal(s.states[:, 0], y)
+        assert np.array_equal(s.bridge_weights[:, 0], w)
+        assert s.norm_sq == norm_sq
 
 
 @pytest.mark.parametrize(
@@ -1040,6 +1126,18 @@ def test_stacked_m3_levels_match_a_50_digit_gram_solve():
         assert np.all(err <= 1e-13), err
         assert np.max(np.abs(evaluate(s, pts) - vals)) <= 2e-13 * np.max(np.abs(vals))
         assert s.norm_sq == pytest.approx(norm_sq, rel=1e-13, abs=0)
+
+
+def test_each_stacked_level_keeps_its_own_smallest_pivot_bound():
+    # a one-node level's only pivot is K(0), whatever gap the stack has at
+    # the seam before it; a longer level's is that of its own solve
+    k = KernelSpec(m=2, amplitude=2.5)
+    sets = [NodeSet(points=[0.3], halfwidth=1.0), equidistant_nodes(1.0, 11),
+            NodeSet(points=[-0.5], halfwidth=1.0)]
+    values = [np.ones(len(X)) for X in sets]
+    out = interpolation._interpolate_levels(k, sets, values)
+    assert [s._min_pivot for s in out[::2]] == [2.5, 2.5]
+    assert out[1]._min_pivot == interpolate(k, sets[1], values[1])._min_pivot < 2.5
 
 
 def test_stacked_levels_are_refused_before_anything_is_solved(monkeypatch):
