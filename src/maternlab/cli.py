@@ -59,27 +59,23 @@ def parse_kernel(text):
         raise ValueError(
             f"unrecognized kernel spec {text!r}; expected matern:m=<int>[,d=<int>][,amp=paper|unit]"
         )
-    m = None
-    d = 1
-    amp = "unit"
+    params = {}
     for part in match.group(1).split(","):
         key, sep, value = part.partition("=")
         if not sep:
             raise ValueError(f"malformed kernel parameter {part!r}")
-        if key == "m":
-            m = _parse_int(value, "m")
-        elif key == "d":
-            d = _parse_int(value, "d")
-        elif key == "amp":
-            if value not in ("paper", "unit"):
-                raise ValueError(f"amp must be 'paper' or 'unit', got {value!r}")
-            amp = value
-        else:
+        if key not in ("m", "d", "amp"):
             raise ValueError(f"unknown kernel parameter {key!r}")
-    if m is None:
+        if key in params:
+            raise ValueError(f"kernel parameter {key!r} given twice in {text!r}")
+        params[key] = value
+    if "m" not in params:
         raise ValueError("kernel spec must set m")
-    amplitude = paper_amplitude(m, d) if amp == "paper" else 1.0
-    return KernelSpec(m=m, d=d, amplitude=amplitude)
+    m, d = (_parse_int(params.get(key, "1"), key) for key in ("m", "d"))
+    amp = params.get("amp", "unit")
+    if amp not in ("paper", "unit"):
+        raise ValueError(f"amp must be 'paper' or 'unit', got {amp!r}")
+    return KernelSpec(m=m, d=d, amplitude=paper_amplitude(m, d) if amp == "paper" else 1.0)
 
 
 def _parse_int(value, name):
@@ -298,6 +294,8 @@ def cmd_mercer(args):
 
 
 def cmd_bc_check(args):
+    if not args.a < args.b:
+        raise ValueError(f"bc-check needs a < b, got a={args.a:g}, b={args.b:g}")
     r = bc_residuals(f_exact, args.a, args.b)
     chain = bc_chain_residuals(f_exact, args.a, args.b)
     print(f"boundary-condition residuals for the test function at a={args.a:g}, b={args.b:g}")

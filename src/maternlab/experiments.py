@@ -6,7 +6,9 @@ on a fine grid, optionally tracks the native-norm error through the
 Pythagoras split, and fits log-log slopes.  Fits use the finest half of the
 usable levels (plus one) to approximate the asymptotic regime; errors below
 1e-13 are dropped first, since the Gram conditioning floor makes anything
-smaller meaningless.
+smaller meaningless.  The same fit of the native-norm error against N is
+``RateStudy.native_exponent``.  The interpolation module picks the solver
+for the whole ladder.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from .interpolation import (
     NodeSet,
     _interpolate_levels,
     evaluate,
-    interpolate,
     native_error_norm,
     native_norm_sq,
 )
-from .kernels import exp_poly_coeffs, kernel_eval, tail_energy
-from .testfunctions import f_exact, f_native_norm_sq
+from .kernels import kernel_eval, tail_energy
 
 __all__ = [
     "ERROR_FLOOR",
@@ -37,7 +37,6 @@ __all__ = [
     "equidistant_nodes",
     "fit_rate",
     "run_rate_study",
-    "native_decay_study",
     "bad_part_sup_bound",
 ]
 
@@ -135,9 +134,18 @@ class RateStudy:
 
     @property
     def native_exponent(self):
-        """Fitted exponent of native_err against N; see native_decay_study.
+        """Fitted exponent of native_err against N, the criterion-4 measure.
 
-        NaN when fewer than two levels lie above the error floor.
+        A log-log fit over the finest ceil(L/2) + 1 of the L levels whose
+        native_err is at least 1e-13.  NaN when fewer than two remain, so
+        for a study without f_norm_sq, or for a reference that every level
+        reproduces exactly (a combination of kernel translates at nodes).
+
+        For f = K * v with v in L2 and supp v inside [-C, C], duality and the
+        sampling inequality give ||f - s||_K = O(h^m), so the exponent is
+        about -m (-2.04 for m = 2, C = 1.2 on the 11..161 ladder).  When the
+        boundary cuts the support, the data miss part of f and the native
+        error stalls: the exponent is near 0 (-0.08 at C = 0.8).
         """
         N = np.array([row.N for row in self.rows], dtype=float)
         try:
@@ -178,7 +186,8 @@ def run_rate_study(
         column (left as NaN otherwise).
     jitter : bool, optional
         Forwarded to the interpolation solver.  Without it, a d = 1 kernel
-        solves every level at once, as one stacked banded system.
+        solves every level at once, as one stacked banded system; with it,
+        or for d >= 2, each level is solved densely on its own.
 
     Raises
     ------
@@ -215,10 +224,7 @@ def run_rate_study(
     f_grid = _reference_values(reference, grid, "grid points")
     sets = [equidistant_nodes(C, N) for N in counts]
     values = [_reference_values(reference, X.points, f"nodes of level N={len(X)}") for X in sets]
-    if jitter or exp_poly_coeffs(kernel) is None:
-        solved = [interpolate(kernel, X, y, jitter=jitter) for X, y in zip(sets, values)]
-    else:
-        solved = _interpolate_levels(kernel, sets, values)
+    solved = _interpolate_levels(kernel, sets, values, jitter)
     rows, floor = [], CONDITIONING_FLOOR * kernel_eval(kernel, 0.0)
     for N, s in zip(counts, solved):
         err = f_grid - evaluate(s, grid)
@@ -277,47 +283,6 @@ def _reference_values(reference, x, where):
         i = bad[0]
         raise ValueError(f"reference is {vals[i]} at point {i} of {x.size} {where}, x = {x[i]:g}")
     return vals
-
-
-def native_decay_study(
-    kernel,
-    C,
-    interior_margin,
-    node_counts,
-    grid_size,
-    reference=f_exact,
-    f_norm_sq=None,
-):
-    """Fitted exponent of the native-norm error against the node count N.
-
-    Runs the rate study and fits log(native_err) vs log(N) over the finest
-    ceil(L/2) + 1 usable levels.  Levels with native_err below 1e-13 are
-    dropped; if fewer than two usable levels remain (for instance when the
-    reference is a kernel-translate combination reproduced exactly at every
-    level), the study is degenerate and NaN is returned.
-
-    For f = K * v with v in L2 and supp v inside [-C, C], duality and the
-    sampling inequality give ||f - s||_K = O(h^m), so the exponent against
-    N is about -m (-2.04 for m = 2, C = 1.2 on the 11..161 ladder).  When
-    the boundary cuts the support, the data miss part of f and the native
-    error stalls: the exponent is near 0 (-0.08 at C = 0.8).
-
-    Without f_norm_sq the closed form f_native_norm_sq(kernel) is used,
-    which exists only for reference f_exact and the m = 2, d = 1 kernel
-    (any amplitude); otherwise ValueError is raised.
-    """
-    if f_norm_sq is None:
-        if reference is not f_exact:
-            raise ValueError("f_norm_sq is required for a reference other than f_exact")
-        f_norm_sq = f_native_norm_sq(kernel)
-        if f_norm_sq is None:
-            raise ValueError(
-                f"no closed-form native norm of f_exact for {kernel!r}; pass f_norm_sq"
-            )
-    study = run_rate_study(
-        kernel, C, interior_margin, node_counts, grid_size, reference, f_norm_sq
-    )
-    return study.native_exponent
 
 
 def bad_part_sup_bound(k, v_outside_norm, R):

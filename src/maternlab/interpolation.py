@@ -6,7 +6,7 @@ translates) has minimal native norm; its residual is orthogonal to every
 translate at the nodes.  Failure is a typed error naming the node where the
 problem is numerically singular, never a silently regularized answer.
 
-Two solvers, chosen by the kernel alone:
+Two solvers, chosen by the kernel and the jitter flag in one place:
 
 * Every d = 1 kernel e^{-r} p_m(r) is the covariance of a Gauss-Markov
   process with state (f, f', ..., f^(m-1)).  The node states minimize its
@@ -341,11 +341,23 @@ def _solve_markov(d, y, m, k0, starts):
     ]
 
 
-def _interpolate_levels(k, sets, values):
-    # One Interpolant per d = 1 node set from one stacked solve; every pivot
-    # bound is checked first, and a refusal names the set's N and local node.
+def _interpolate_levels(k, sets, values, jitter=False):
+    # One Interpolant per node set, values finite and one per node.  Without
+    # jitter a d = 1 kernel solves every set at once, as one stacked banded
+    # system; every pivot bound is checked first, and a refusal names the
+    # set's N and local node.  Any other kernel, or jitter, factors each
+    # set's dense Gram matrix on its own.
     k0, coeffs = kernel_eval(k, 0.0), exp_poly_coeffs(k)
     floor = CONDITIONING_FLOOR * k0
+    if jitter or coeffs is None:
+        noise = JITTER_SCALE * k0 if jitter else 0.0
+        if jitter:
+            warnings.warn(
+                f"added diagonal jitter {noise:.3e} to the Gram matrix",
+                ConditioningWarning,
+                stacklevel=3,
+            )
+        return [_solve_dense(k, X, y, noise, floor) for X, y in zip(sets, values)]
     sizes = np.array([len(X) for X in sets])
     starts = np.cumsum(sizes) - sizes
     d = np.diff(np.concatenate([X.points for X in sets]))
@@ -368,13 +380,17 @@ def _interpolate_levels(k, sets, values):
     ]
 
 
-def _solve_dense(k, X, vals, noise, floor):
+def _solve_dense(k, X, values, noise, floor):
     from scipy.linalg import cho_solve
 
     A = assemble_gram(k, X)
     A[np.diag_indices_from(A)] += noise
     L = _cholesky_floor(A, floor, f"at N={len(X)}")
-    return cho_solve((L, True), vals), float(np.min(np.diagonal(L)) ** 2)
+    vals = np.array(values, dtype=float)
+    a = cho_solve((L, True), vals)
+    for arr in (vals, a):
+        arr.setflags(write=False)
+    return Interpolant(k, X, a, vals, None, None, float(a @ vals), float(np.min(np.diagonal(L)) ** 2))
 
 
 def interpolate(k, X, values, jitter=False):
@@ -399,25 +415,12 @@ def interpolate(k, X, values, jitter=False):
         d = 1 path, before any solve, when its bound
         K(0) (1 - rho(x_j - x_{j-1})^2), rho the profile, does.
     """
-    vals = np.array(values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     if vals.shape != (len(X),):
         raise ValueError(f"expected {len(X)} values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
-    if exp_poly_coeffs(k) is not None and not jitter:
-        return _interpolate_levels(k, [X], [vals])[0]
-    k0 = kernel_eval(k, 0.0)
-    noise = JITTER_SCALE * k0 if jitter else 0.0
-    if jitter:
-        warnings.warn(
-            f"added diagonal jitter {noise:.3e} to the Gram matrix",
-            ConditioningWarning,
-            stacklevel=2,
-        )
-    a, pivot = _solve_dense(k, X, vals, noise, CONDITIONING_FLOOR * k0)
-    for arr in (vals, a):
-        arr.setflags(write=False)
-    return Interpolant(k, X, a, vals, None, None, float(a @ vals), pivot)
+    return _interpolate_levels(k, [X], [vals], jitter)[0]
 
 
 def evaluate(s, points):

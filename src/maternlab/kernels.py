@@ -95,10 +95,11 @@ class KernelSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not float(self.m).is_integer() or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        if not float(self.d).is_integer() or self.d < 1:
-            raise ValueError(f"d must be a positive integer, got {self.d!r}")
+        for name in ("m", "d"):  # a bool would pass the integer test as 0 or 1
+            v = getattr(self, name)
+            if isinstance(v, (bool, np.bool_)) or not float(v).is_integer() or v < 1:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if 2 * self.m <= self.d:
             raise ValueError(
                 f"need 2m > d for pointwise evaluation, got m={self.m}, d={self.d}"
@@ -129,7 +130,7 @@ def _bessel_profile(nu, r):
 def exp_poly_coeffs(k):
     """Coefficients of p, lowest degree first, when the profile of k is
     exp(-r) * p(r) in closed form (d = 1); None for the Bessel form."""
-    return _exp_poly(int(k.m)) if k.d == 1 else None
+    return _exp_poly(k.m) if k.d == 1 else None
 
 
 def kernel_eval(k, r):

@@ -35,7 +35,6 @@ __all__ = [
     "extend_function",
     "hk_gram_extended",
     "hk_gram_matrix",
-    "apply_multiplier",
 ]
 
 
@@ -288,21 +287,3 @@ def hk_gram_matrix(sys):
         for l in range(j, kappa.size):
             out[j, l] = out[l, j] = float(row @ wphi[l]) / (kappa[j] * kappa[l])
     return out
-
-
-def apply_multiplier(sys, coeffs, p):
-    """Apply the kernel operator (p = +1) or its inverse (p = -1) as a
-    multiplier on eigencoefficients; returns samples at the rule nodes.
-
-    Given coefficients c_n with respect to phi_n, returns the sample vector
-    of sum_n kappa_n^p c_n phi_n.  For p = -1 this inverts the operator on
-    the represented span only; the caller accepts that truncation.
-    """
-    if p not in (1, -1):
-        raise ValueError(f"p must be +1 or -1, got {p!r}")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size > sys.n_modes:
-        raise ValueError(f"coeffs must be a vector of length <= {sys.n_modes}")
-    n = coeffs.size
-    scaled = sys.eigenvalues[:n] ** p * coeffs
-    return sys.eigenfunctions[:n].T @ scaled

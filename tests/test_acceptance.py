@@ -24,7 +24,6 @@ from maternlab import (
     f_exact,
     f_native_norm_sq,
     hk_gram_matrix,
-    native_decay_study,
     nystrom_eig,
     run_rate_study,
     run_trials,
@@ -98,12 +97,10 @@ def test_criterion_4_native_norm_decay_exponent():
     # With h = 2C/(N - 1) and m = 2 the exponent against N is about -2.
     # At C = 0.8 the data see only part of the support, the native error
     # stalls, and the same window must reject it.
-    exponent = native_decay_study(
-        KernelSpec(m=2), 1.2, 0.4, LADDER, GRID, f_exact, f_native_norm_sq()
-    )
-    cut = native_decay_study(
-        KernelSpec(m=2), 0.8, 0.2, LADDER, GRID, f_exact, f_native_norm_sq()
-    )
+    # The exponent is RateStudy.native_exponent of the criterion 1 and 2
+    # studies, which carry f_norm_sq.
+    exponent = _study_c12()[0].native_exponent
+    cut = _study_c08()[0].native_exponent
     lo, hi = -2.3, -1.7
     ok = lo <= exponent <= hi and not lo <= cut <= hi
     assert _verdict(

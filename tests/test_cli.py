@@ -36,6 +36,8 @@ def test_parse_kernel_rejections():
         "matern:m=2,amp=loud",
         "matern:m=2,shape=1",
         "matern:m=2,d",
+        "matern:m=2,m=3",  # a repeated key used to let the last value win
+        "matern:m=2,amp=paper,amp=unit",
     ):
         with pytest.raises(ValueError):
             cli.parse_kernel(bad)
@@ -90,6 +92,17 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
     assert cli.main(["rates", "--nodes", "11,banana", "--out", str(tmp_path)]) == 2
     assert cli.main(["mercer", "--domain", "5,1", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+    # a repeated kernel key used to let the last value win, and bc-check
+    # with a >= b printed the left-end (1 - D)^2 residuals at the right end
+    for argv, named in (
+        (["interp", "--kernel", "matern:m=2,amp=paper,amp=unit"], "'amp' given twice"),
+        (["bc-check", "--a", "1", "--b", "-1"], "bc-check needs a < b, got a=1, b=-1"),
+        (["bc-check", "--a", "0.5", "--b", "0.5"], "bc-check needs a < b"),
+    ):
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and named in out.err
+    assert not list(tmp_path.iterdir())
 
 
 def test_empty_interior_window_or_grid_maps_to_exit_2(tmp_path, capsys):

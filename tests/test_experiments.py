@@ -19,6 +19,7 @@ from maternlab import (
     ConditioningError,
     ConditioningWarning,
     InsufficientDataError,
+    JITTER_SCALE,
     KernelSpec,
     NodeSet,
     assemble_gram,
@@ -29,7 +30,6 @@ from maternlab import (
     fit_rate,
     interpolate,
     kernel_eval,
-    native_decay_study,
     run_rate_study,
     tail_energy,
 )
@@ -173,11 +173,10 @@ def test_rate_study_validation():
 
 
 def _forbid_solves(monkeypatch):
-    # every solver a rate study can reach raises when called
+    # the one solver entry a rate study reaches raises when called
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating")
 
-    monkeypatch.setattr(experiments, "interpolate", no_solve)
     monkeypatch.setattr(experiments, "_interpolate_levels", no_solve)
 
 
@@ -188,8 +187,8 @@ def test_empty_interior_window_raises_before_solving(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"margin 1\.1999.*2000-point grid"):
             run_rate_study(KernelSpec(m=2), 1.2, 1.1999, [11, 21], 2000, f_exact)
-    # the patches cover the solves these studies reach: the stacked d = 1
-    # solve, and interpolate for a jittered or d = 2 study
+    # the patch covers the solves these studies reach: the stacked d = 1
+    # solve, and the dense solves of a jittered or d = 2 study
     for kernel, jitter in ((KernelSpec(m=2), False), (KernelSpec(m=2), True), (KernelSpec(m=2, d=2), False)):
         with pytest.raises(AssertionError, match="solved before validating"):
             run_rate_study(kernel, 1.2, 0.4, [11, 21], 2000, f_exact, jitter=jitter)
@@ -254,7 +253,7 @@ def test_a_d1_study_forms_and_factors_its_ladder_once(m, monkeypatch):
     # the stacked 11 + 21 + 41 = 73 blocks: the recursion halves it, so the
     # sizes are one chain 73, 37, ..., 1 (none for m = 1)
     transitions, factor = interpolation._transitions, interpolation._cyclic_factor
-    calls = {"transitions": 0, "factor sizes": [], "interpolate": 0}
+    calls = {"transitions": 0, "factor sizes": [], "dense": 0}
 
     def counted_transitions(d, m):
         calls["transitions"] += 1
@@ -264,16 +263,17 @@ def test_a_d1_study_forms_and_factors_its_ladder_once(m, monkeypatch):
         calls["factor sizes"].append(D.shape[-1])
         return factor(D, S, ids)
 
-    def counted_interpolate(*args, **kwargs):
-        calls["interpolate"] += 1
-        return interpolate(*args, **kwargs)
+    def counted_dense(*args):
+        calls["dense"] += 1
+        return dense(*args)
 
+    dense = interpolation._solve_dense
     monkeypatch.setattr(interpolation, "_transitions", counted_transitions)
     monkeypatch.setattr(interpolation, "_cyclic_factor", counted_factor)
-    monkeypatch.setattr(experiments, "interpolate", counted_interpolate)
+    monkeypatch.setattr(interpolation, "_solve_dense", counted_dense)
     run_rate_study(KernelSpec(m=m), 1.2, 0.4, [11, 21, 41], 501, f_exact)
     chain = [] if m == 1 else [73, 37, 19, 10, 5, 3, 2, 1]
-    assert calls == {"transitions": 1, "factor sizes": chain, "interpolate": 0}
+    assert calls == {"transitions": 1, "factor sizes": chain, "dense": 0}
 
 
 def test_the_d1_solve_needs_no_einsum_or_matmul(monkeypatch):
@@ -310,14 +310,16 @@ def test_a_study_builds_each_level_cell_table_once(monkeypatch):
 
 @pytest.mark.parametrize("kernel, jitter", [(KernelSpec(m=2), True), (KernelSpec(m=2, d=2), False)])
 def test_dense_studies_solve_each_level_on_its_own(kernel, jitter, monkeypatch):
-    solved = []
+    # one dense solve per level, jittered exactly when the study is, and no
+    # banded solve
+    solved, dense = [], interpolation._solve_dense
 
-    def counted_interpolate(k, X, values, jitter=False):
-        solved.append((len(X), jitter))
-        return interpolate(k, X, values, jitter=jitter)
+    def counted_dense(k, X, values, noise, floor):
+        solved.append((len(X), noise == JITTER_SCALE * kernel_eval(k, 0.0)))
+        return dense(k, X, values, noise, floor)
 
-    monkeypatch.setattr(experiments, "interpolate", counted_interpolate)
-    monkeypatch.setattr(experiments, "_interpolate_levels", None)
+    monkeypatch.setattr(interpolation, "_solve_dense", counted_dense)
+    monkeypatch.setattr(interpolation, "_solve_markov", None)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         run_rate_study(kernel, 1.2, 0.4, [11, 21, 41], 501, f_exact, jitter=jitter)
@@ -374,8 +376,8 @@ def test_rate_rows_carry_the_node_residual_and_the_norm_ratio(monkeypatch):
     # one stored state of the second level off by 1e-6: the check sees it
     levels = experiments._interpolate_levels
 
-    def corrupted(kernel, sets, values):
-        out = levels(kernel, sets, values)
+    def corrupted(*args):
+        out = levels(*args)
         states = out[1].states.copy()
         states[5, 0] += 1e-6
         out[1] = dataclasses.replace(out[1], states=states)
@@ -427,30 +429,29 @@ def test_rate_rows_certify_the_solve_with_its_smallest_pivot(m):
 def test_amplitude_choice_does_not_move_the_decay_exponent():
     # rescaling the kernel by 4 rescales coefficients by 1/4 and the norm
     # budget by 1/4; the fitted exponent must be unchanged
-    base = native_decay_study(
+    base = run_rate_study(
         KernelSpec(m=2), 1.2, 0.4, [11, 21, 41], 501, f_exact, f_native_norm_sq()
-    )
-    scaled = native_decay_study(
+    ).native_exponent
+    scaled = run_rate_study(
         KernelSpec(m=2, amplitude=4.0), 1.2, 0.4, [11, 21, 41], 501, f_exact,
         f_native_norm_sq() / 4.0,
-    )
+    ).native_exponent
     assert scaled == pytest.approx(base, abs=1e-12)
     assert base == pytest.approx(-2.14, abs=0.1)
 
 
 def test_decay_study_default_norm_follows_the_kernel():
-    # without f_norm_sq the closed form f_native_norm_sq(kernel) is used, so
-    # the amplitude cannot move the exponent; kernels without one must raise
+    # with the closed form f_native_norm_sq(kernel) as the norm, the
+    # amplitude cannot move the exponent
     ladder = [11, 21, 41]
-    base = native_decay_study(KernelSpec(m=2), 1.2, 0.4, ladder, 501)
-    scaled = native_decay_study(KernelSpec(m=2, amplitude=4.0), 1.2, 0.4, ladder, 501)
+
+    def exponent(k):
+        return run_rate_study(k, 1.2, 0.4, ladder, 501, f_exact, f_native_norm_sq(k)).native_exponent
+
+    base = exponent(KernelSpec(m=2))
+    scaled = exponent(KernelSpec(m=2, amplitude=4.0))
     assert scaled == pytest.approx(base, abs=1e-12)
     assert base == pytest.approx(-2.14, abs=0.1)
-    for m in (1, 3):
-        with pytest.raises(ValueError, match=f"m={m}"):
-            native_decay_study(KernelSpec(m=m), 1.2, 0.4, ladder, 501)
-    with pytest.raises(ValueError, match="f_norm_sq"):
-        native_decay_study(KernelSpec(m=2), 1.2, 0.4, ladder, 501, lambda x: f_exact(x))
 
 
 def test_native_norm_closed_form_per_kernel():
@@ -495,8 +496,8 @@ def test_decay_study_degenerates_to_nan_for_reproduced_references():
         return 2.0 * kernel_eval(k, np.abs(x)) + kernel_eval(k, np.abs(x - 0.48))
 
     exact_norm_sq = 5.0 * kernel_eval(k, 0.0) + 4.0 * kernel_eval(k, 0.48)
-    out = native_decay_study(k, 1.2, 0.4, [11, 21, 41], 501, reference, exact_norm_sq)
-    assert math.isnan(out)
+    out = run_rate_study(k, 1.2, 0.4, [11, 21, 41], 501, reference, exact_norm_sq)
+    assert math.isnan(out.native_exponent)
 
 
 def test_bad_part_bound_formula_and_monotonicity():

@@ -120,6 +120,14 @@ def test_spec_validation():
         KernelSpec(m=2, amplitude=-1.0)
     assert KernelSpec(m=2).nu == 1.5
     assert KernelSpec(m=3, d=2).nu == 2.0
+    # a bool m or d used to pass as 1; integral values are stored as int
+    for kwargs, name in (({"m": True}, "m"), ({"m": np.True_}, "m"), ({"m": 2, "d": True}, "d")):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got (np\\.)?True"):
+            KernelSpec(**kwargs)
+    for m, d in ((2.0, 1), (np.int64(2), np.int64(1)), (2, 1.0)):
+        k = KernelSpec(m=m, d=d)
+        assert type(k.m) is int and type(k.d) is int
+        assert repr(k) == "KernelSpec(m=2, d=1, amplitude=1.0)"
 
 
 def test_paper_amplitude_known_values():

@@ -22,7 +22,6 @@ from maternlab import (
     KernelSpec,
     MercerSystem,
     TruncationError,
-    apply_multiplier,
     eigen_extend,
     extend_function,
     hk_gram_extended,
@@ -587,20 +586,6 @@ def test_gram_matrix_is_bit_identical_to_the_double_loop(rule, modes):
     # reassociation of the products would move it; the hoisted rows must not
     sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, rule, modes)
     assert np.array_equal(hk_gram_matrix(sys_), _gram_double_loop(sys_))
-
-
-def test_multiplier_scales_eigencoefficients():
-    sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 90, 6)
-    rng = np.random.default_rng(123)
-    c = rng.standard_normal(6)
-    for p in (1, -1):
-        samples = apply_multiplier(sys_, c, p)
-        back = project_samples(sys_, samples)
-        assert np.max(np.abs(back - sys_.eigenvalues**p * c)) < 1e-10
-    with pytest.raises(ValueError):
-        apply_multiplier(sys_, c, 0)
-    with pytest.raises(ValueError):
-        apply_multiplier(sys_, np.zeros(7), 1)
 
 
 def test_system_is_frozen_and_read_only():
