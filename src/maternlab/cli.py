@@ -28,17 +28,12 @@ from .errors import (
     QuadratureError,
     TruncationError,
 )
-from .experiments import equidistant_nodes, run_rate_study
+from .experiments import ERROR_FLOOR, equidistant_nodes, run_rate_study
 from .interpolation import evaluate, interpolate, native_norm_sq
 from .kernels import KernelSpec, paper_amplitude
 from .mercer import eigen_extend, hk_gram_matrix, nystrom_eig
 from .seqmodel import analytic_weights, run_trials, sobolev_weights
-from .testfunctions import (
-    bc_chain_residuals,
-    bc_residuals,
-    f_exact,
-    f_native_norm_sq,
-)
+from .testfunctions import _bc_coefficients, bc_residuals, f_exact, f_native_norm_sq
 
 __all__ = ["main", "entry", "parse_kernel"]
 
@@ -148,7 +143,6 @@ def build_parser():
     p.add_argument("--margin", type=float, default=0.4, help="interior margin (default 0.4)")
     p.add_argument("--nodes", default=DEFAULT_NODES, help=f"node ladder (default {DEFAULT_NODES})")
     p.add_argument("--grid", type=int, default=2001, help="evaluation grid size (default 2001)")
-    p.add_argument("--jitter", action="store_true", help="opt-in diagonal regularization")
     add_common(p)
 
     p = sub.add_parser("interp", help="single interpolation run tabulated on a grid")
@@ -156,7 +150,6 @@ def build_parser():
     p.add_argument("--C", type=float, default=1.2)
     p.add_argument("--N", type=int, default=41, help="node count (default 41)")
     p.add_argument("--grid", type=int, default=2001)
-    p.add_argument("--jitter", action="store_true")
     add_common(p)
 
     p = sub.add_parser("mercer", help="Nystrom eigenpairs and extension diagnostics")
@@ -196,7 +189,6 @@ def cmd_rates(args):
         args.grid,
         f_exact,
         f_norm_sq=f_norm_sq,
-        jitter=args.jitter,
     )
     out = _ensure_outdir(args.out)
     output.write_rates_csv(os.path.join(out, "rates.csv"), study)
@@ -218,10 +210,11 @@ def cmd_rates(args):
         f"rates: C={args.C:g} margin={args.margin:g} kernel=m{kernel.m} "
         f"N={{{args.nodes}}} grid={args.grid}"
     )
-    print(
-        f"global rate {study.global_rate:.3f} (all levels {study.global_rate_all:.3f}), "
-        f"interior rate {study.interior_rate:.3f} (all levels {study.interior_rate_all:.3f})"
-    )
+    if study.interior_rate is None:
+        interior = f"interior rate unavailable (fewer than two levels with error >= {ERROR_FLOOR:g})"
+    else:
+        interior = f"interior rate {study.interior_rate:.3f} (all levels {study.interior_rate_all:.3f})"
+    print(f"global rate {study.global_rate:.3f} (all levels {study.global_rate_all:.3f}), {interior}")
     if f_norm_sq is not None:
         print(f"native-norm error exponent vs N: {study.native_exponent:.3f}")
     print(f"wrote {out}/rates.csv, rates.svg, error_N{n_max}.csv")
@@ -233,7 +226,7 @@ def cmd_interp(args):
     if args.grid < 1:
         raise ValueError(f"--grid must be >= 1, got {args.grid}")
     nodes = equidistant_nodes(args.C, args.N)
-    s = interpolate(kernel, nodes, f_exact(nodes.points), jitter=args.jitter)
+    s = interpolate(kernel, nodes, f_exact(nodes.points))
     grid = np.linspace(-args.C, args.C, args.grid)
     values = evaluate(s, grid)
     f_grid = f_exact(grid)
@@ -296,30 +289,29 @@ def cmd_mercer(args):
 def cmd_bc_check(args):
     if not args.a < args.b:
         raise ValueError(f"bc-check needs a < b, got a={args.a:g}, b={args.b:g}")
-    r = bc_residuals(f_exact, args.a, args.b)
-    chain = bc_chain_residuals(f_exact, args.a, args.b)
     print(f"boundary-condition residuals for the test function at a={args.a:g}, b={args.b:g}")
-    print("two-constraint form (annihilation by (1-D)^2 at a, (1+D)^2 at b):")
-    labels = (
-        "g(a)-2g'(a)+g''(a)",
-        "g'(a)-2g''(a)+g'''(a)",
-        "g(b)+2g'(b)+g''(b)",
-        "g'(b)+2g''(b)+g'''(b)",
-    )
-    for label, value in zip(labels, r):
-        print(f"  {label:24s} = {value: .6e}")
-    print("printed-chain form (g(a)=g'(a)=g''(a)=g'''(a), g(b)=-g'(b)=g''(b)=-g'''(b)):")
-    chain_labels = (
-        "g(a)-g'(a)",
-        "g'(a)-g''(a)",
-        "g''(a)-g'''(a)",
-        "g(b)+g'(b)",
-        "g'(b)+g''(b)",
-        "g''(b)+g'''(b)",
-    )
-    for label, value in zip(chain_labels, chain):
-        print(f"  {label:24s} = {value: .6e}")
+    for header, order, rows in (
+        ("two-constraint form (annihilation by (1-D)^2 at a, (1+D)^2 at b):", 2, 2),
+        ("printed-chain form (g(a)=g'(a)=g''(a)=g'''(a), g(b)=-g'(b)=g''(b)=-g'''(b)):", 1, 3),
+    ):
+        print(header)
+        residuals = bc_residuals(f_exact, args.a, args.b, order, rows)
+        for label, value in zip(_bc_labels(order, rows), residuals):
+            print(f"  {label:24s} = {value: .6e}")
     return EXIT_OK
+
+
+def _bc_labels(order, rows):
+    # bc_residuals' rows written out, "g(a)-2g'(a)+g''(a)" for order 2, j = 0
+    labels = []
+    for end, sign in (("a", -1), ("b", 1)):
+        for j in range(rows):
+            label = ""
+            for n, c in enumerate(_bc_coefficients(order, sign), start=j):
+                scale = "" if abs(c) == 1 else str(abs(c))
+                label += ("-" if c < 0 else "+") + scale + "g" + "'" * n + f"({end})"
+            labels.append(label[1:])  # the leading coefficient is +1
+    return labels
 
 
 def cmd_seqmodel(args):

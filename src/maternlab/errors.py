@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 __all__ = [
     "MaternlabError",
@@ -6,7 +6,6 @@ __all__ = [
     "QuadratureError",
     "TruncationError",
     "InsufficientDataError",
-    "ConditioningWarning",
 ]
 
 
@@ -52,7 +51,3 @@ class TruncationError(MaternlabError):
 
 class InsufficientDataError(MaternlabError):
     """A rate fit was requested with fewer than two usable levels."""
-
-
-class ConditioningWarning(UserWarning):
-    """Diagonal jitter was applied to a Gram matrix before factorization."""

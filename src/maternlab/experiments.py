@@ -45,6 +45,8 @@ ERROR_FLOOR = 1e-13
 
 def equidistant_nodes(C, N):
     """N equidistant nodes from -C to +C inclusive, spacing 2C/(N-1)."""
+    if not (np.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C!r}")
     if N < 2:
         raise ValueError(f"need N >= 2 nodes, got {N}")
     return NodeSet(points=np.linspace(-C, C, N), halfwidth=C)
@@ -162,9 +164,11 @@ def run_rate_study(
     grid_size,
     reference,
     f_norm_sq=None,
-    jitter=False,
 ):
     """Interpolate the reference on each ladder level and measure errors.
+
+    A d = 1 kernel solves every level at once, as one stacked banded system;
+    a d >= 2 kernel solves each level densely on its own.
 
     Parameters
     ----------
@@ -184,10 +188,6 @@ def run_rate_study(
     f_norm_sq : float, optional
         Exact squared native norm of the reference; enables the native_err
         column (left as NaN otherwise).
-    jitter : bool, optional
-        Forwarded to the interpolation solver.  Without it, a d = 1 kernel
-        solves every level at once, as one stacked banded system; with it,
-        or for d >= 2, each level is solved densely on its own.
 
     Raises
     ------
@@ -200,7 +200,7 @@ def run_rate_study(
     C = float(C)
     margin = float(interior_margin)
     if not (np.isfinite(C) and C > 0):
-        raise ValueError(f"C must be positive, got {C!r}")
+        raise ValueError(f"C must be finite and positive, got {C!r}")
     if not (0 <= margin < C):
         raise ValueError(f"interior margin must lie in [0, C), got {margin!r}")
     counts = [int(n) for n in node_counts]
@@ -224,7 +224,7 @@ def run_rate_study(
     f_grid = _reference_values(reference, grid, "grid points")
     sets = [equidistant_nodes(C, N) for N in counts]
     values = [_reference_values(reference, X.points, f"nodes of level N={len(X)}") for X in sets]
-    solved = _interpolate_levels(kernel, sets, values, jitter)
+    solved = _interpolate_levels(kernel, sets, values)
     rows, floor = [], CONDITIONING_FLOOR * kernel_eval(kernel, 0.0)
     for N, s in zip(counts, solved):
         err = f_grid - evaluate(s, grid)

@@ -6,7 +6,7 @@ translates) has minimal native norm; its residual is orthogonal to every
 translate at the nodes.  Failure is a typed error naming the node where the
 problem is numerically singular, never a silently regularized answer.
 
-Two solvers, chosen by the kernel and the jitter flag in one place:
+Two solvers, chosen by the kernel in one place:
 
 * Every d = 1 kernel e^{-r} p_m(r) is the covariance of a Gauss-Markov
   process with state (f, f', ..., f^(m-1)).  The node states minimize its
@@ -18,28 +18,26 @@ Two solvers, chosen by the kernel and the jitter flag in one place:
   node states around each point with the solve's bridge weights.  O(N)
   memory for the solve; for M points O(M + N log M) when they ascend and
   O(M log N) otherwise, O(N + M) memory: nothing is N x N or N x M.
-* Every other kernel (d >= 2), and any solve with jitter, factors the dense
-  Gram matrix with an unpivoted LAPACK Cholesky, O(N^3) time and O(N^2)
-  memory, and sums the translates in blocks of points of bounded size.
-  This path is also the test oracle for the first.
+* Every other kernel (d >= 2) factors the dense Gram matrix with an
+  unpivoted LAPACK Cholesky, O(N^3) time and O(N^2) memory, and sums the
+  translates in blocks of points of bounded size.  This path is also the
+  test oracle for the first.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConditioningError, ConditioningWarning
+from .errors import ConditioningError
 from .kernels import _horner, exp_poly_coeffs, kernel_eval
 
 __all__ = [
     "CONDITIONING_FLOOR",
-    "JITTER_SCALE",
     "NodeSet",
     "Interpolant",
     "assemble_gram",
@@ -49,9 +47,8 @@ __all__ = [
     "native_error_norm",
 ]
 
-# Both scale with kernel_eval(k, 0), the common magnitude of Gram diagonals.
+# Scales with kernel_eval(k, 0), the common magnitude of Gram diagonals.
 CONDITIONING_FLOOR = 1e-13
-JITTER_SCALE = 1e-12
 
 # Kernel entries per block of points on the dense evaluation path (2 MB);
 # the cell path takes 1/64 as many points, so its work arrays fit in cache.
@@ -341,23 +338,15 @@ def _solve_markov(d, y, m, k0, starts):
     ]
 
 
-def _interpolate_levels(k, sets, values, jitter=False):
-    # One Interpolant per node set, values finite and one per node.  Without
-    # jitter a d = 1 kernel solves every set at once, as one stacked banded
-    # system; every pivot bound is checked first, and a refusal names the
-    # set's N and local node.  Any other kernel, or jitter, factors each
-    # set's dense Gram matrix on its own.
+def _interpolate_levels(k, sets, values):
+    # One Interpolant per node set, values finite and one per node.  A d = 1
+    # kernel solves every set at once, as one stacked banded system; every
+    # pivot bound is checked first, and a refusal names the set's N and local
+    # node.  Any other kernel factors each set's dense Gram matrix on its own.
     k0, coeffs = kernel_eval(k, 0.0), exp_poly_coeffs(k)
     floor = CONDITIONING_FLOOR * k0
-    if jitter or coeffs is None:
-        noise = JITTER_SCALE * k0 if jitter else 0.0
-        if jitter:
-            warnings.warn(
-                f"added diagonal jitter {noise:.3e} to the Gram matrix",
-                ConditioningWarning,
-                stacklevel=3,
-            )
-        return [_solve_dense(k, X, y, noise, floor) for X, y in zip(sets, values)]
+    if coeffs is None:
+        return [_solve_dense(k, X, y, floor) for X, y in zip(sets, values)]
     sizes = np.array([len(X) for X in sets])
     starts = np.cumsum(sizes) - sizes
     d = np.diff(np.concatenate([X.points for X in sets]))
@@ -380,12 +369,10 @@ def _interpolate_levels(k, sets, values, jitter=False):
     ]
 
 
-def _solve_dense(k, X, values, noise, floor):
+def _solve_dense(k, X, values, floor):
     from scipy.linalg import cho_solve
 
-    A = assemble_gram(k, X)
-    A[np.diag_indices_from(A)] += noise
-    L = _cholesky_floor(A, floor, f"at N={len(X)}")
+    L = _cholesky_floor(assemble_gram(k, X), floor, f"at N={len(X)}")
     vals = np.array(values, dtype=float)
     a = cho_solve((L, True), vals)
     for arr in (vals, a):
@@ -393,8 +380,11 @@ def _solve_dense(k, X, values, noise, floor):
     return Interpolant(k, X, a, vals, None, None, float(a @ vals), float(np.min(np.diagonal(L)) ** 2))
 
 
-def interpolate(k, X, values, jitter=False):
+def interpolate(k, X, values):
     """Solve for the norm-minimal interpolant of the data at X.
+
+    A d = 1 kernel takes the banded solve, any other the dense one.  Nothing
+    regularizes the system: a hard ConditioningError beats silent smoothing.
 
     Parameters
     ----------
@@ -402,11 +392,6 @@ def interpolate(k, X, values, jitter=False):
     X : NodeSet
     values : array_like
         Data, one value per node.
-    jitter : bool, optional
-        When True, 1e-12 * K(0) is added to the Gram diagonal and the dense
-        path solves, O(N^3) time and O(N^2) memory for every kernel, and a
-        ConditioningWarning records the change.  Off by default: a hard
-        ConditioningError beats silent smoothing.
 
     Raises
     ------
@@ -420,7 +405,7 @@ def interpolate(k, X, values, jitter=False):
         raise ValueError(f"expected {len(X)} values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
-    return _interpolate_levels(k, [X], [vals], jitter)[0]
+    return _interpolate_levels(k, [X], [vals])[0]
 
 
 def evaluate(s, points):
@@ -556,13 +541,15 @@ def native_error_norm(f_norm_sq, s):
     Raises
     ------
     ValueError
-        When native_norm_sq(s) exceeds f_norm_sq by more than 1e-9, which
-        signals a wrong f_norm_sq or an f outside the native space.
+        When native_norm_sq(s) exceeds f_norm_sq by more than 1e-10
+        f_norm_sq, which signals a wrong f_norm_sq or an f outside the
+        native space.  The tolerance is relative, so the kernel's amplitude
+        does not decide whether a solve is refused.
     """
     if f_norm_sq < 0:
         raise ValueError(f"f_norm_sq must be nonnegative, got {f_norm_sq!r}")
     diff = f_norm_sq - native_norm_sq(s)
-    if diff < -1e-9:
+    if diff < -1e-10 * f_norm_sq:
         raise ValueError(
             f"interpolant norm exceeds f_norm_sq by {-diff:.3e}: "
             "wrong norm value, or f is not a member of the native space"

@@ -3,9 +3,9 @@
 For a d = 1 kernel K the box convolution K * chi_[-1,1] has a closed form
 in every derivative order 0..2m-1 (order 2m jumps at x = -1 and x = +1,
 since the convolved density is the indicator).  The test function f_exact
-is its unit-amplitude m = 2 instance.  Its native norm has a closed form,
-and outside [-1, 1] it solves the homogeneous equation (Id - D^2)^2 f = 0
-with decay, which is what the boundary-condition residuals check.
+is its unit-amplitude m = 2 instance, with a closed-form native norm.
+Outside [-1, 1] the order-m box convolution solves (Id - D^2)^m f = 0 with
+decay, which is what the boundary-condition residuals check.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "f_native_norm_sq",
     "convolve_with_indicator",
     "bc_residuals",
-    "bc_chain_residuals",
 ]
 
 BREAKPOINTS = (-1.0, 1.0)
@@ -151,63 +150,49 @@ def convolve_with_indicator(k, a, b, x, tol=1e-12):
     )
 
 
-def bc_residuals(g, a, b):
-    """Residuals of the exterior boundary conditions at endpoints a and b.
+def _bc_coefficients(order, sign):
+    # (Id + sign D)^order as the coefficients of D^0, ..., D^order
+    return [math.comb(order, i) * sign**i for i in range(order + 1)]
 
-    A function that matches, with C^3 smoothness, a decaying solution of
-    (Id - D^2)^2 u = 0 to the left of a (span{e^x, x e^x}) and to the right
-    of b (span{e^{-x}, x e^{-x}}) is annihilated by (Id - D)^2 at a and by
-    (Id + D)^2 at b, together with the derivatives of those combinations:
 
-        r1 = g(a) - 2 g'(a) + g''(a)
-        r2 = g'(a) - 2 g''(a) + g'''(a)
-        r3 = g(b) + 2 g'(b) + g''(b)
-        r4 = g'(b) + 2 g''(b) + g'''(b)
+def bc_residuals(g, a, b, order=2, rows=None):
+    """Residuals (Id - D)^k D^j g(a) and (Id + D)^k D^j g(b), k = order, j < rows.
+
+    A function that matches, smoothly enough, a decaying solution of
+    (Id - D^2)^k u = 0 to the left of a (span{x^i e^x, i < k}) and to the
+    right of b (span{x^i e^{-x}, i < k}) makes all of them vanish; the order-m
+    box convolution does with k = m outside [-1, 1].  Each binomial sum runs
+    left to right.  The default, k = 2 over j < 2, is the two-constraint form
+    that f_exact meets: g(a) - 2 g'(a) + g''(a), g'(a) - 2 g''(a) + g'''(a),
+    and the same with + at b.  k = 1 over j < 3 is the printed-chain form,
+    the consecutive gaps in g(a) = g'(a) = g''(a) = g'''(a) and
+    g(b) = -g'(b) = g''(b) = -g'''(b).  It imposes three constraints per
+    endpoint where C^3 matching to the two-dimensional decaying solution
+    space imposes two: e^{-x} meets it at b but x e^{-x} does not, and
+    f_exact violates it.
 
     Parameters
     ----------
     g : callable
-        Accepts (x, order) with order 0..3.
+        g(x, n) is the n-th derivative at x, for n < order + rows.
     a, b : float
+    order : int, optional
+        The power k, 2 by default.
+    rows : int, optional
+        The number of derivatives j of each combination, ``order`` by default.
 
     Returns
     -------
-    tuple of four floats (r1, r2, r3, r4).
+    tuple of 2 * rows floats: the rows at a, then those at b.
     """
-    ga = [float(g(a, i)) for i in range(4)]
-    gb = [float(g(b, i)) for i in range(4)]
-    return (
-        ga[0] - 2.0 * ga[1] + ga[2],
-        ga[1] - 2.0 * ga[2] + ga[3],
-        gb[0] + 2.0 * gb[1] + gb[2],
-        gb[1] + 2.0 * gb[2] + gb[3],
-    )
-
-
-def bc_chain_residuals(g, a, b):
-    """Consecutive gaps in the equality chains g(a)=g'(a)=g''(a)=g'''(a)
-    and g(b)=-g'(b)=g''(b)=-g'''(b).
-
-    Kept as a diagnostic alongside bc_residuals.  The chains impose three
-    constraints per endpoint where C^3 matching to the two-dimensional
-    decaying solution space imposes two; the pure exponential e^{-x}
-    satisfies the chain at b but x e^{-x} does not, and the convolution
-    test function itself violates the chain while passing the
-    two-constraint form.
-
-    Returns
-    -------
-    tuple of six floats:
-        (g(a)-g'(a), g'(a)-g''(a), g''(a)-g'''(a),
-         g(b)+g'(b), g'(b)+g''(b), g''(b)+g'''(b))
-    """
-    ga = [float(g(a, i)) for i in range(4)]
-    gb = [float(g(b, i)) for i in range(4)]
-    return (
-        ga[0] - ga[1],
-        ga[1] - ga[2],
-        ga[2] - ga[3],
-        gb[0] + gb[1],
-        gb[1] + gb[2],
-        gb[2] + gb[3],
-    )
+    rows = order if rows is None else rows
+    out = []
+    for x, sign in ((a, -1), (b, 1)):
+        coeffs = _bc_coefficients(order, sign)
+        vals = [float(g(x, n)) for n in range(order + rows)]
+        for j in range(rows):
+            r = vals[j]
+            for c, v in zip(coeffs[1:], vals[j + 1 :]):
+                r += c * v
+            out.append(r)
+    return tuple(out)

@@ -1,7 +1,9 @@
 """Command-line behavior: parsing, outputs, exit codes."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -78,6 +80,19 @@ def test_rates_single_level_writes_table_then_fails(tmp_path, capsys):
     assert "too few usable levels" in captured.err
 
 
+def test_rates_reports_a_missing_interior_fit(tmp_path, capsys):
+    # only N = 641 keeps an interior error at or above 1e-13, so the interior
+    # fit is missing while the global one stands: the run succeeds and says
+    # so, where it used to die formatting None (exit 1)
+    rc = cli.main(["rates", "--C", "0.8", "--nodes", "641,1281,2561", "--grid", "25610",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "global rate 2.499 (all levels 2.499), interior rate unavailable " in out
+    assert "(fewer than two levels with error >= 1e-13)" in out
+    assert (tmp_path / "rates.csv").exists()
+
+
 def test_rates_conditioning_failure_maps_to_exit_3(tmp_path, capsys):
     rc = cli.main(
         ["rates", "--C", "1e-6", "--margin", "0", "--nodes", "11,21",
@@ -94,12 +109,18 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
     capsys.readouterr()
     # a repeated kernel key used to let the last value win, and bc-check
     # with a >= b printed the left-end (1 - D)^2 residuals at the right end
+    # --C 0 used to be refused as "nodes must be strictly increasing", and
+    # --C inf warned from inside numpy first
     for argv, named in (
         (["interp", "--kernel", "matern:m=2,amp=paper,amp=unit"], "'amp' given twice"),
         (["bc-check", "--a", "1", "--b", "-1"], "bc-check needs a < b, got a=1, b=-1"),
         (["bc-check", "--a", "0.5", "--b", "0.5"], "bc-check needs a < b"),
+        (["interp", "--C", "0"], "C must be finite and positive, got 0.0"),
+        (["interp", "--C", "inf"], "C must be finite and positive, got inf"),
     ):
-        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(tmp_path)]) == 2
         out = capsys.readouterr()
         assert out.out == "" and named in out.err
     assert not list(tmp_path.iterdir())
@@ -126,6 +147,34 @@ def test_seed_only_on_seqmodel(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: maternlab")
     assert "unrecognized arguments: --seed 1" in err
+
+
+@pytest.mark.parametrize("command", ["rates", "interp"])
+def test_no_option_regularizes_the_solve(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--jitter", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --jitter" in capsys.readouterr().err
+
+
+def test_readme_usage_block_matches_the_parser():
+    # every option in the README's usage block exists, and every option
+    # exists in the block, but --help and the --out that bc-check and
+    # seqmodel accept and ignore
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("maternlab "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"\[(--[\w-]+)", line))
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {opt for a in p._actions for opt in a.option_strings if opt.startswith("--")}
+        - {"--help"} - ({"--out"} if name in ("bc-check", "seqmodel") else set())
+        for name, p in sub.choices.items()
+    }
+    assert documented == parsed
 
 
 def test_interp_writes_table(tmp_path, capsys):
@@ -193,8 +242,6 @@ def test_bc_check_prints_both_residual_sets(capsys):
     assert "two-constraint form" in out
     assert "printed-chain form" in out
     # the annihilation residuals vanish, the chain gaps do not
-    import re
-
     values = [float(m) for m in re.findall(r"= *(-?\d\.\d+e[+-]\d+)", out)]
     assert len(values) == 10
     assert max(abs(v) for v in values[:4]) < 1e-10

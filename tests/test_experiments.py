@@ -17,9 +17,7 @@ from maternlab import experiments, interpolation
 from maternlab import (
     CONDITIONING_FLOOR,
     ConditioningError,
-    ConditioningWarning,
     InsufficientDataError,
-    JITTER_SCALE,
     KernelSpec,
     NodeSet,
     assemble_gram,
@@ -48,10 +46,10 @@ def test_rms_error_matches_direct_computation():
     (row,) = study.rows
     assert np.array_equal(study.finest_error, err)
     assert row.rms_global == pytest.approx(
-        float(np.sqrt(np.mean(err**2))), rel=1e-14
+        float(np.sqrt(np.mean(err**2))), rel=1e-14, abs=0
     )
     assert row.rms_interior == pytest.approx(
-        float(np.sqrt(np.mean(err[inner] ** 2))), rel=1e-14
+        float(np.sqrt(np.mean(err[inner] ** 2))), rel=1e-14, abs=0
     )
     with pytest.raises(ValueError):
         run_rate_study(k, 1.0, 0.25, [9], 0, f_exact)
@@ -139,8 +137,8 @@ def test_rate_study_reproduces_frozen_rows():
     assert [row.N for row in study.rows] == [11, 21, 41]
     for row in study.rows:
         g, i = FROZEN_ROWS[row.N]
-        assert row.rms_global == pytest.approx(g, rel=1e-9)
-        assert row.rms_interior == pytest.approx(i, rel=1e-9)
+        assert row.rms_global == pytest.approx(g, rel=1e-9, abs=0)
+        assert row.rms_interior == pytest.approx(i, rel=1e-9, abs=0)
         # the Pythagoras split loses eps ||f||^2 / (2 err^2) relative to
         # cancellation (2.6e-9 at N = 41); below that no solver can do better
         n = NATIVE_ERR_40_DIGITS[row.N]
@@ -188,10 +186,10 @@ def test_empty_interior_window_raises_before_solving(monkeypatch):
         with pytest.raises(ValueError, match=r"margin 1\.1999.*2000-point grid"):
             run_rate_study(KernelSpec(m=2), 1.2, 1.1999, [11, 21], 2000, f_exact)
     # the patch covers the solves these studies reach: the stacked d = 1
-    # solve, and the dense solves of a jittered or d = 2 study
-    for kernel, jitter in ((KernelSpec(m=2), False), (KernelSpec(m=2), True), (KernelSpec(m=2, d=2), False)):
+    # solve, and the dense solves of a d = 2 study
+    for kernel in (KernelSpec(m=2), KernelSpec(m=2, d=2)):
         with pytest.raises(AssertionError, match="solved before validating"):
-            run_rate_study(kernel, 1.2, 0.4, [11, 21], 2000, f_exact, jitter=jitter)
+            run_rate_study(kernel, 1.2, 0.4, [11, 21], 2000, f_exact)
 
 
 def _nan_at(x0):
@@ -308,22 +306,18 @@ def test_a_study_builds_each_level_cell_table_once(monkeypatch):
     assert seen == [(11, True), (11, False), (21, True), (21, False), (41, True), (41, False)]
 
 
-@pytest.mark.parametrize("kernel, jitter", [(KernelSpec(m=2), True), (KernelSpec(m=2, d=2), False)])
-def test_dense_studies_solve_each_level_on_its_own(kernel, jitter, monkeypatch):
-    # one dense solve per level, jittered exactly when the study is, and no
-    # banded solve
+def test_dense_studies_solve_each_level_on_its_own(monkeypatch):
+    # a d = 2 study: one dense solve per level, and no banded solve
     solved, dense = [], interpolation._solve_dense
 
-    def counted_dense(k, X, values, noise, floor):
-        solved.append((len(X), noise == JITTER_SCALE * kernel_eval(k, 0.0)))
-        return dense(k, X, values, noise, floor)
+    def counted_dense(k, X, values, floor):
+        solved.append(len(X))
+        return dense(k, X, values, floor)
 
     monkeypatch.setattr(interpolation, "_solve_dense", counted_dense)
     monkeypatch.setattr(interpolation, "_solve_markov", None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run_rate_study(kernel, 1.2, 0.4, [11, 21, 41], 501, f_exact, jitter=jitter)
-    assert solved == [(11, jitter), (21, jitter), (41, jitter)]
+    run_rate_study(KernelSpec(m=2, d=2), 1.2, 0.4, [11, 21, 41], 501, f_exact)
+    assert solved == [11, 21, 41]
 
 
 @pytest.mark.parametrize(
@@ -356,8 +350,8 @@ def test_rate_rows_equal_the_masked_statistics(m, C, margin, ladder, grid_size):
 def test_rate_rows_carry_the_node_residual_and_the_norm_ratio(monkeypatch):
     # The residual is the evaluator's own at the nodes: exactly 0 for the
     # banded solve, whose states hold the data; a rounding residual on the
-    # dense path; the data's smoothing with jitter.  The norm ratio is the
-    # Pythagoras split's cancellation ||s||^2 / ||f||^2.
+    # dense path.  The norm ratio is the Pythagoras split's cancellation
+    # ||s||^2 / ||f||^2.
     k, f_sq = KernelSpec(m=2), f_native_norm_sq()
     study = run_rate_study(k, 1.2, 0.4, [11, 21, 41], 501, f_exact, f_norm_sq=f_sq)
     for row, s in zip(study.rows, [interpolate(k, X, f_exact(X.points)) for X in
@@ -369,9 +363,6 @@ def test_rate_rows_carry_the_node_residual_and_the_norm_ratio(monkeypatch):
     assert all(math.isnan(row.norm_ratio) for row in plain.rows)
     dense = run_rate_study(KernelSpec(m=2, d=2), 1.2, 0.4, [11, 21], 501, f_exact).rows
     assert all(0.0 <= row.node_residual <= 1e-14 for row in dense)
-    with pytest.warns(ConditioningWarning):
-        smoothed = run_rate_study(k, 1.2, 0.4, [11, 21], 501, f_exact, jitter=True).rows
-    assert all(1e-14 < row.node_residual < 1e-11 for row in smoothed)
 
     # one stored state of the second level off by 1e-6: the check sees it
     levels = experiments._interpolate_levels
@@ -386,7 +377,7 @@ def test_rate_rows_carry_the_node_residual_and_the_norm_ratio(monkeypatch):
     monkeypatch.setattr(experiments, "_interpolate_levels", corrupted)
     rows = run_rate_study(k, 1.2, 0.4, [11, 21, 41], 501, f_exact, f_norm_sq=f_sq).rows
     assert [row.node_residual == 0.0 for row in rows] == [True, False, True]
-    assert rows[1].node_residual == pytest.approx(1e-6, rel=1e-9)
+    assert rows[1].node_residual == pytest.approx(1e-6, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -409,18 +400,15 @@ def test_rate_rows_certify_the_solve_with_its_smallest_pivot(m):
             assert row.min_pivot == pytest.approx(dense, rel=1e-12, abs=0)
         else:
             assert dense < row.min_pivot
-    # the dense path keeps its smallest Cholesky pivot, with jitter too
-    for kernel, jitter in ((KernelSpec(m=2, d=2), False), (KernelSpec(m=2), True)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rows = run_rate_study(kernel, 1.2, 0.4, ladder, 501, f_exact, jitter=jitter).rows
-        for N, row in zip(ladder, rows):
-            A = assemble_gram(kernel, equidistant_nodes(1.2, N))
-            A[np.diag_indices(N)] += 1e-12 * kernel_eval(kernel, 0.0) if jitter else 0.0
-            dense = np.min(np.diag(np.linalg.cholesky(A))) ** 2
-            assert row.min_pivot == pytest.approx(dense, rel=1e-12, abs=0)
-            assert row.pivot_margin == row.min_pivot / (CONDITIONING_FLOOR * kernel_eval(kernel, 0.0))
-            assert row.pivot_margin > 1.0
+    # the dense path keeps its smallest Cholesky pivot
+    kernel = KernelSpec(m=2, d=2)
+    rows = run_rate_study(kernel, 1.2, 0.4, ladder, 501, f_exact).rows
+    for N, row in zip(ladder, rows):
+        A = assemble_gram(kernel, equidistant_nodes(1.2, N))
+        dense = np.min(np.diag(np.linalg.cholesky(A))) ** 2
+        assert row.min_pivot == pytest.approx(dense, rel=1e-12, abs=0)
+        assert row.pivot_margin == row.min_pivot / (CONDITIONING_FLOOR * kernel_eval(kernel, 0.0))
+        assert row.pivot_margin > 1.0
     hand = experiments.RateRow(N=11, h=0.24, rms_global=1.0, rms_interior=1.0, native_err=1.0,
                                maxabs_global=1.0, maxabs_interior=1.0)
     assert math.isnan(hand.min_pivot) and math.isnan(hand.pivot_margin)

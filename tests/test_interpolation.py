@@ -14,9 +14,7 @@ from scipy.linalg import cho_solve
 
 from maternlab import (
     CONDITIONING_FLOOR,
-    JITTER_SCALE,
     ConditioningError,
-    ConditioningWarning,
     KernelSpec,
     NodeSet,
     assemble_gram,
@@ -80,6 +78,12 @@ def test_equidistant_nodes_spacing():
     assert X.spacing == pytest.approx(0.24, rel=1e-14)
     with pytest.raises(ValueError):
         equidistant_nodes(1.2, 1)
+    # C = 0 used to fail as "not strictly increasing", C = inf inside linspace
+    for C in (0.0, -1.0, math.inf, math.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="C must be finite and positive"):
+                equidistant_nodes(C, 11)
 
 
 def test_gram_matrix_symmetric_with_kernel_diagonal():
@@ -212,6 +216,20 @@ def test_error_norm_pythagoras():
         assert err == pytest.approx(_direct_native_error(s), rel=1e-5)
     with pytest.raises(ValueError):
         native_error_norm(native_norm_sq(s) - 1e-3, s)  # claimed norm too small
+    with pytest.raises(ValueError):  # 1.5e-10 relative: the refusal is no looser than 1e-9
+        native_error_norm(native_norm_sq(s) - 5e-10, s)
+
+
+def test_error_norm_refusal_is_relative_to_the_norm():
+    # ||s||^2 exceeds ||f||^2 by about 3e-16 relative at both amplitudes, 9.8e-4
+    # absolute at 1e-12; a norm claimed 10% too small is refused at both
+    X = equidistant_nodes(1.2, 20481)
+    for amplitude in (1.0, 1e-12):
+        k = KernelSpec(m=2, amplitude=amplitude)
+        s, f_sq = interpolate(k, X, f_exact(X.points)), f_native_norm_sq(k)
+        assert native_error_norm(f_sq, s) == 0.0
+        with pytest.raises(ValueError, match="exceeds f_norm_sq"):
+            native_error_norm(0.9 * f_sq, s)
 
 
 def test_conditioning_error_on_near_duplicate_nodes():
@@ -223,46 +241,6 @@ def test_conditioning_error_on_near_duplicate_nodes():
     assert err.pivot_index == 1
     assert err.pivot_value <= err.floor
     assert err.floor == pytest.approx(CONDITIONING_FLOOR, rel=1e-15, abs=0)
-
-
-def test_jitter_rescues_with_warning():
-    k = KernelSpec(m=2)
-    X = NodeSet(points=[0.0, 1e-9, 0.5], halfwidth=1.0)
-    with pytest.warns(ConditioningWarning):
-        s = interpolate(k, X, [1.0, 1.0, 0.5], jitter=True)
-    # the regularized solve still reproduces well-separated data closely
-    assert evaluate(s, 0.5) == pytest.approx(0.5, abs=1e-5)
-
-
-def test_jitter_goes_onto_the_diagonal_in_place(monkeypatch):
-    # the dense path (a d = 2 kernel; every d = 1 kernel takes the
-    # state-space solve).  One N x N array at N = 481 (1.8 MB) exceeds the
-    # bound.
-    k = KernelSpec(m=2, d=2)
-    X = equidistant_nodes(1.2, 481)
-    vals = f_exact(X.points)
-    # the coefficients of the old out-of-place A + c I, solved the same way
-    k0 = kernel_eval(k, 0.0)
-    old_A = assemble_gram(k, X) + (JITTER_SCALE * k0) * np.eye(len(X))
-    L = interpolation._cholesky_floor(old_A, CONDITIONING_FLOOR * k0)
-    with pytest.warns(ConditioningWarning):
-        s = interpolate(k, X, vals, jitter=True)
-    assert np.array_equal(s.coefficients, cho_solve((L, True), vals))
-
-    # and no N x N array beyond the plain solve's.  The assembly's own
-    # temporaries peak higher than an out-of-place A + c I would, so the
-    # Gram matrix is handed in ready-made.
-    gram = assemble_gram(k, X)
-    monkeypatch.setattr(interpolation, "assemble_gram", lambda k, X: gram.copy())
-    peaks = {}
-    for jitter in (False, True):
-        tracemalloc.start()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            interpolate(k, X, vals, jitter=jitter)
-        peaks[jitter] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    assert peaks[True] - peaks[False] < 1 << 20, peaks
 
 
 def test_interpolate_validates_values():
@@ -581,27 +559,17 @@ def test_state_space_solve_matches_dense_oracle(family, N, m, mirrored):
             assert np.all(np.abs(pivots[1:] - bounds) <= 1e-7 * bounds + 2e-14 * k0)
 
 
-def test_state_space_jitter_matches_the_dense_jittered_solve():
-    # the case jitter exists for: a near-duplicate pair that fails without it
+def test_near_duplicate_pairs_stay_refused():
+    # nothing smooths the data past the floor: the refusal names the node
+    # and the node count
     for m, gap in ((1, 1e-14), (2, 1e-9)):
         k = KernelSpec(m=m, amplitude=2.5)
         pts = np.linspace(-1.0, 1.0, 41)
         pts[20] = pts[19] + gap
         X = NodeSet(points=pts, halfwidth=1.0)
-        y = f_exact(pts)
-        with pytest.raises(ConditioningError):
-            interpolate(k, X, y)
-        k0 = kernel_eval(k, 0.0)
-        A = assemble_gram(k, X) + JITTER_SCALE * k0 * np.eye(41)
-        a = cho_solve((interpolation._cholesky_floor(A, CONDITIONING_FLOOR * k0), True), y)
-        with pytest.warns(ConditioningWarning):
-            s = interpolate(k, X, y, jitter=True)
-        grid = np.linspace(-1.5, 1.5, 601)
-        K = kernel_eval(k, np.abs(grid[:, None] - pts[None, :]))
-        assert np.all(np.abs(evaluate(s, grid) - K @ a) <= 1e-12 * (K @ np.abs(a)))
-        assert native_norm_sq(s) == pytest.approx(a @ y, rel=1e-9)
-        # the data are smoothed, not reproduced: the pair disagrees in f
-        assert np.max(np.abs(evaluate(s, pts) - y)) > 0.0
+        with pytest.raises(ConditioningError, match=r"\(at N=41\)") as info:
+            interpolate(k, X, f_exact(pts))
+        assert info.value.pivot_index == 20
 
 
 def _traced_peak(fn):

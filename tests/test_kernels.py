@@ -149,7 +149,7 @@ def test_kernel_symbol_ratios_by_quadrature():
         at_zero, _ = quad(lambda r: kernel_eval(k, r), 0.0, np.inf, epsabs=1e-14)
         for w in (0.5, 1.0, 3.0):
             val, _ = quad(lambda r: kernel_eval(k, r), 0.0, np.inf, weight="cos", wvar=w)
-            assert val / at_zero == pytest.approx((1.0 + w * w) ** (-m), rel=1e-9)
+            assert val / at_zero == pytest.approx((1.0 + w * w) ** (-m), rel=1e-9, abs=0)
 
 
 def test_m1_kernel_self_convolution_is_the_m2_kernel():
@@ -173,11 +173,11 @@ def test_tail_energy_closed_forms():
     # e^{-2R} ((1+R)^2 + (1+R) + 1/2), both derived by hand
     for R in (0.0, 0.8, 1.5, 3.0):
         assert tail_energy(KernelSpec(m=1), R) == pytest.approx(
-            math.exp(-2 * R), rel=1e-14
+            math.exp(-2 * R), rel=1e-14, abs=0
         )
         u = 1.0 + R
         assert tail_energy(KernelSpec(m=2), R) == pytest.approx(
-            math.exp(-2 * R) * (u * u + u + 0.5), rel=1e-14
+            math.exp(-2 * R) * (u * u + u + 0.5), rel=1e-14, abs=0
         )
 
 
@@ -191,9 +191,9 @@ def test_tail_energy_matches_30_digits(m):
              for k in range(m)]
         for R in (0.0, 0.8, 1.5, 3.0, 10.0):
             ref = 2 * mp.quad(lambda r: (mp.exp(-r) * mp.polyval(p[::-1], r)) ** 2, [R, mp.inf])
-            assert tail_energy(KernelSpec(m=m), R) == pytest.approx(float(ref), rel=1e-14)
+            assert tail_energy(KernelSpec(m=m), R) == pytest.approx(float(ref), rel=1e-14, abs=0)
             assert tail_energy(KernelSpec(m=m, amplitude=1.5), R) == pytest.approx(
-                2.25 * float(ref), rel=1e-14
+                2.25 * float(ref), rel=1e-14, abs=0
             )
 
 
@@ -201,7 +201,7 @@ def test_tail_energy_matches_direct_quadrature():
     for k in (KernelSpec(m=1), KernelSpec(m=2, amplitude=1.3)):
         for R in (0.5, 2.0):
             ref, _ = quad(lambda y: kernel_eval(k, y) ** 2, R, np.inf, epsabs=1e-14)
-            assert tail_energy(k, R) == pytest.approx(2.0 * ref, rel=1e-11)
+            assert tail_energy(k, R) == pytest.approx(2.0 * ref, rel=1e-11, abs=0)
 
 
 def test_tail_energy_general_dimension_branch():

@@ -18,7 +18,6 @@ from maternlab import (
     BREAKPOINTS,
     KernelSpec,
     QuadratureError,
-    bc_chain_residuals,
     box_convolution,
     bc_residuals,
     convolve_with_indicator,
@@ -321,7 +320,7 @@ def test_two_constraint_residuals_annihilate_pure_exponentials():
 
 
 def test_chain_residuals_quantify_f_violation():
-    chain = bc_chain_residuals(f_exact, -1.2, 1.2)
+    chain = bc_residuals(f_exact, -1.2, 1.2, order=1, rows=3)
     assert len(chain) == 6
     # every consecutive gap has the same magnitude e^{-0.2} - e^{-2.2}
     assert all(abs(abs(g) - CHAIN_GAP_12) < 1e-13 for g in chain)
@@ -335,7 +334,39 @@ def test_chain_residuals_vanish_for_matched_exponentials():
     def decay(x, order=0):
         return (-1.0) ** order * math.exp(-x)
 
-    left = bc_chain_residuals(grow, -1.5, 1.5)[:3]
+    left = bc_residuals(grow, -1.5, 1.5, order=1, rows=3)[:3]
     assert max(abs(v) for v in left) < 1e-13
-    right = bc_chain_residuals(decay, -1.5, 1.5)[3:]
+    right = bc_residuals(decay, -1.5, 1.5, order=1, rows=3)[3:]
     assert max(abs(v) for v in right) < 1e-13
+
+
+def test_generated_residuals_equal_the_written_out_forms():
+    # bit for bit, so bc-check prints what it printed when each form was
+    # written out by hand: the binomial sums run left to right
+    for a, b in ((-1.2, 1.2), (-1.5, 1.5), (-0.8, 0.8), (-3.0, 2.0)):
+        ga, gb = ([f_exact(x, n) for n in range(4)] for x in (a, b))
+        assert bc_residuals(f_exact, a, b) == (
+            ga[0] - 2.0 * ga[1] + ga[2],
+            ga[1] - 2.0 * ga[2] + ga[3],
+            gb[0] + 2.0 * gb[1] + gb[2],
+            gb[1] + 2.0 * gb[2] + gb[3],
+        )
+        assert bc_residuals(f_exact, a, b, order=1, rows=3) == (
+            ga[0] - ga[1], ga[1] - ga[2], ga[2] - ga[3],
+            gb[0] + gb[1], gb[1] + gb[2], gb[2] + gb[3],
+        )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_order_m_residuals_vanish_for_the_box_convolution(m):
+    # outside [-1, 1] the order-m box convolution is e^{-|x|} times a
+    # polynomial of degree m - 1, which (Id -+ D)^m annihilates; inside the
+    # support it is not
+    k = KernelSpec(m=m)
+
+    def g(x, n):
+        return box_convolution(k, x, n)
+
+    outside = bc_residuals(g, -1.2, 1.2, order=m)
+    assert len(outside) == 2 * m and max(abs(v) for v in outside) <= 1e-14
+    assert max(abs(v) for v in bc_residuals(g, -0.8, 0.8, order=m)) > 0.1
