@@ -28,7 +28,7 @@ from .interpolation import (
     native_error_norm,
     native_norm_sq,
 )
-from .kernels import kernel_eval, tail_energy
+from .kernels import _positive_int, kernel_eval, tail_energy
 
 __all__ = [
     "ERROR_FLOOR",
@@ -179,15 +179,15 @@ def run_rate_study(
         The interior window is |x| <= C - interior_margin; it must hold at
         least one grid point.
     node_counts : sequence of int
-        Strictly increasing node ladder, each >= 2.
+        Strictly increasing node ladder, each an integer >= 2.
     grid_size : int
-        Evaluation grid resolution; must be >= 10x the largest node count.
+        Evaluation grid resolution; an integer >= 10x the largest node count.
     reference : callable
         Vectorized function being interpolated; it must give one finite
         value per grid point and per node.
     f_norm_sq : float, optional
-        Exact squared native norm of the reference; enables the native_err
-        column (left as NaN otherwise).
+        Exact squared native norm of the reference, finite and positive (it
+        divides norm_ratio); enables the native_err column (NaN otherwise).
 
     Raises
     ------
@@ -203,7 +203,10 @@ def run_rate_study(
         raise ValueError(f"C must be finite and positive, got {C!r}")
     if not (0 <= margin < C):
         raise ValueError(f"interior margin must lie in [0, C), got {margin!r}")
-    counts = [int(n) for n in node_counts]
+    counts = [_positive_int(n, "node count") for n in node_counts]
+    grid_size = _positive_int(grid_size, "grid_size")
+    if f_norm_sq is not None and not (math.isfinite(f_norm_sq) and f_norm_sq > 0):
+        raise ValueError(f"f_norm_sq must be finite and positive, got {f_norm_sq!r}")
     if len(counts) == 0 or any(n < 2 for n in counts):
         raise ValueError("node_counts must be nonempty with every count >= 2")
     if any(b <= a for a, b in zip(counts, counts[1:])):
@@ -262,7 +265,7 @@ def run_rate_study(
         C=C,
         interior_margin=margin,
         node_counts=tuple(counts),
-        grid_size=int(grid_size),
+        grid_size=grid_size,
         rows=tuple(rows),
         global_rate=fits["global"],
         interior_rate=fits["interior"],

@@ -19,9 +19,9 @@ Two solvers, chosen by the kernel in one place:
   memory for the solve; for M points O(M + N log M) when they ascend and
   O(M log N) otherwise, O(N + M) memory: nothing is N x N or N x M.
 * Every other kernel (d >= 2) factors the dense Gram matrix with an
-  unpivoted LAPACK Cholesky, O(N^3) time and O(N^2) memory, and sums the
-  translates in blocks of points of bounded size.  This path is also the
-  test oracle for the first.
+  unpivoted LAPACK Cholesky, O(N^3) time and O(N^2) memory, and evaluates
+  a = A^{-1} y by kernels._translate_sum.  It is also the first path's test
+  oracle, which then sums by moments in O(N + M).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConditioningError
-from .kernels import _horner, exp_poly_coeffs, kernel_eval
+from .kernels import _by_blocks, _cells, _horner, _translate_sum, exp_poly_coeffs, kernel_eval
 
 __all__ = [
     "CONDITIONING_FLOOR",
@@ -49,10 +49,6 @@ __all__ = [
 
 # Scales with kernel_eval(k, 0), the common magnitude of Gram diagonals.
 CONDITIONING_FLOOR = 1e-13
-
-# Kernel entries per block of points on the dense evaluation path (2 MB);
-# the cell path takes 1/64 as many points, so its work arrays fit in cache.
-_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -415,7 +411,7 @@ def evaluate(s, points):
     Nothing of size N x M is held for M points.  On the d = 1 path each
     point is found among the N nodes by one merge when the points ascend,
     O(M + N log M) in all, or by binary search otherwise, O(M log N); the
-    rest is O(1) per point.  The dense path costs O(N M).
+    rest is O(1) per point.  The dense path costs O(N M), O(N + M) for d = 1.
 
     Raises
     ------
@@ -427,29 +423,10 @@ def evaluate(s, points):
     if not np.all(np.isfinite(flat)):
         raise ValueError("evaluation points must be finite")
     if s.states is None:
-        rows, block = max(1, _BLOCK_ENTRIES // len(s.nodes)), partial(_sum_translates, s, flat)
+        out = _translate_sum(s.kernel, s.nodes.points, s.coefficients, flat)
     else:
-        rows, block = _BLOCK_ENTRIES // 64, _cell_evaluator(s, flat)
-    out = np.empty(flat.size)
-    for lo in range(0, flat.size, rows):
-        out[lo : lo + rows] = block(slice(lo, lo + rows))
+        out = _by_blocks(_cell_evaluator(s, flat), flat.size)
     return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
-
-
-def _sum_translates(s, flat, b):
-    # the dense kernel sum at the points flat[b]
-    return kernel_eval(s.kernel, np.abs(flat[b, None] - s.nodes.points)) @ s.coefficients
-
-
-def _cells(x, pts):
-    # np.searchsorted(x, pts, side="right"), the count of nodes at or left of
-    # each point.  Ascending points merge with the nodes in their range in
-    # O(M + N log M): a run of points per node.  Others search, O(M log N).
-    if pts.ndim == 1 and pts.size > 1 and (pts[1:] >= pts[:-1]).all():
-        lo, hi = np.searchsorted(x, pts[[0, -1]], side="right")
-        runs = np.diff(np.concatenate(([0], np.searchsorted(pts, x[lo:hi]), [pts.size])))
-        return np.repeat(np.arange(lo, hi + 1), runs)
-    return np.searchsorted(x, pts, side="right")
 
 
 def _cell_evaluator(s, flat):
@@ -541,13 +518,13 @@ def native_error_norm(f_norm_sq, s):
     Raises
     ------
     ValueError
-        When native_norm_sq(s) exceeds f_norm_sq by more than 1e-10
-        f_norm_sq, which signals a wrong f_norm_sq or an f outside the
-        native space.  The tolerance is relative, so the kernel's amplitude
-        does not decide whether a solve is refused.
+        When f_norm_sq is negative or not finite, or native_norm_sq(s) exceeds
+        it by more than 1e-10 f_norm_sq, which signals a wrong f_norm_sq or an
+        f outside the native space.  The tolerance is relative, so the
+        kernel's amplitude does not decide whether a solve is refused.
     """
-    if f_norm_sq < 0:
-        raise ValueError(f"f_norm_sq must be nonnegative, got {f_norm_sq!r}")
+    if not (math.isfinite(f_norm_sq) and f_norm_sq >= 0):
+        raise ValueError(f"f_norm_sq must be finite and nonnegative, got {f_norm_sq!r}")
     diff = f_norm_sq - native_norm_sq(s)
     if diff < -1e-10 * f_norm_sq:
         raise ValueError(

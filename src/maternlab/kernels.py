@@ -12,7 +12,8 @@ while d >= 2 is evaluated through the modified Bessel profile
 r^nu K_nu(r) / (2^(nu-1) Gamma(nu)) with nu = m - d/2.  The native space of
 the kernel with smoothness index m is norm-equivalent to the Sobolev space
 W_2^m, which embeds into continuous functions exactly when 2m > d; the
-constructor enforces that.
+constructor enforces that.  Every layer sums translates c_q K(|x - y_q|)
+by _translate_sum and walks points in blocks by _by_blocks, the one loop.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ __all__ = [
     "exp_poly_coeffs",
     "tail_energy",
 ]
+
+# Kernel entries per block of points on the dense path (2 MB); the
+# structured paths take 1/64 as many points, so their work arrays fit in cache.
+_BLOCK_ENTRIES = 1 << 18
 
 # Below this radius the Bessel profile is replaced by its limit value 1;
 # the profile deviates from 1 by O(r^2) there, far under double precision.
@@ -64,6 +69,13 @@ def _horner(coeffs, r):
     return poly
 
 
+def _positive_int(v, name):
+    # v as an int; a bool would pass the integer test as 0 or 1
+    if isinstance(v, (bool, np.bool_)) or not float(v).is_integer() or v < 1:
+        raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    return int(v)
+
+
 def paper_amplitude(m, d=1):
     """Amplitude 2^(nu-1) * Gamma(nu) for nu = m - d/2.
 
@@ -95,11 +107,8 @@ class KernelSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "d"):  # a bool would pass the integer test as 0 or 1
-            v = getattr(self, name)
-            if isinstance(v, (bool, np.bool_)) or not float(v).is_integer() or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+        for name in ("m", "d"):
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if 2 * self.m <= self.d:
             raise ValueError(
                 f"need 2m > d for pointwise evaluation, got m={self.m}, d={self.d}"
@@ -154,6 +163,81 @@ def kernel_eval(k, r):
             out *= _horner(coeffs, arr)
     out *= k.amplitude
     return float(out) if arr.ndim == 0 else out
+
+
+def _by_blocks(block, size, width=64):
+    # The one loop over points: block(b) for consecutive slices b of at most
+    # _BLOCK_ENTRIES // width points (one empty slice for no points), joined.
+    rows = max(1, _BLOCK_ENTRIES // width)
+    return np.concatenate([block(slice(lo, lo + rows)) for lo in range(0, max(size, 1), rows)])
+
+
+def _cells(x, pts):
+    # np.searchsorted(x, pts, side="right"), the count of nodes at or left of
+    # each point.  Ascending points merge with the nodes in their range in
+    # O(M + N log M): a run of points per node.  Others search, O(M log N).
+    if pts.ndim == 1 and pts.size > 1 and (pts[1:] >= pts[:-1]).all():
+        lo, hi = np.searchsorted(x, pts[[0, -1]], side="right")
+        runs = np.diff(np.concatenate(([0], np.searchsorted(pts, x[lo:hi]), [pts.size])))
+        return np.repeat(np.arange(lo, hi + 1), runs)
+    return np.searchsorted(x, pts, side="right")
+
+
+def _translate_sum(k, y, c, x):
+    """sum_q c_q K(|x - y_q|) at M points x (1-D) for ascending centres y and
+    c of shape (Q,) or (Q, K), shaped x.shape + c.shape[1:].  Any d >= 2
+    kernel takes kernel_eval(k, |x - y|) @ c in blocks of points, O(M Q K).
+
+    A d = 1 kernel e^{-r} p(r) sums by moments in O((Q + M) K m): the nodes
+    at or left of a point enter through L_j = sum_{q <= p} c_q d^j e^{-d},
+    d = y_p - y_q, j < m, of the nearest one, y_p, at distance t: p(t + d) =
+    sum_j p^(j)(t) d^j / j! makes their sum e^{-t} sum_j p^(j)(t) L_j / j!.
+    Mirrored moments serve the rest.
+    """
+    coeffs = exp_poly_coeffs(k)
+    if coeffs is None:
+        return _by_blocks(lambda b: kernel_eval(k, np.abs(x[b, None] - y)) @ c, x.size, y.size)
+    m, derivs = len(coeffs), [coeffs]  # coefficients of p^(j), lowest degree first
+    while len(derivs) < m:
+        derivs.append([i * a for i, a in enumerate(derivs[-1])][1:])
+
+    def moments(y, c):
+        # Per block of nodes less than 1 past its first node y_lo, s = y - y_lo:
+        # L_j = sum_i C(j, i) s^(j-i) (-1)^i e^{-s} cumsum(c s^i e^s), plus the
+        # node before the block carried in with e^{-d} sum_i C(j, i) d^(j-i) L_i.
+        # So e^{+-s} cannot overflow and the binomial sum rounds to at most
+        # 2^j eps of its terms.  Row 0 stands for "no node".
+        out = np.zeros((m, y.size + 1, c.shape[1]))
+        cuts = np.flatnonzero(np.diff(np.floor(y - y[0]))) + 1
+        bounds = [0, *cuts, y.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            s = (y[lo:hi] - y[lo])[:, None]
+            d = (y[lo:hi] - y[max(lo - 1, 0)])[:, None]
+            prev, grown = out[:, lo], c[lo:hi] * np.exp(s)
+            es, sums = np.exp(-s), []
+            for i in range(m):
+                sums.append(es * np.cumsum(grown, axis=0))
+                grown = grown * s
+            for j in range(m):
+                lj, carry = sums[0], prev[j]  # Horner in s over the binomial sum
+                for i in range(1, j + 1):
+                    lj = lj * s + (-1) ** i * math.comb(j, i) * sums[i]
+                    carry = carry + math.comb(j, j - i) * d**i * prev[j - i]
+                out[j, lo + 1 : hi + 1] = lj + np.exp(-d) * carry
+        return out
+
+    cols = c.reshape(y.size, -1)
+    idx = _cells(y, x)  # nodes at or left of each point
+    left = moments(y, cols)[:, idx]
+    right = moments(-y[::-1], cols[::-1])[:, ::-1][:, idx]
+    ypad = np.r_[y[0], y, y[-1]]
+    out = 0.0
+    # t < 0 only where the zero row stands for a missing node
+    for mom, t in ((left, x - ypad[idx]), (right, ypad[idx + 1] - x)):
+        t = np.maximum(t, 0.0)[:, None]
+        total = sum(_horner(derivs[j], t) / math.factorial(j) * mom[j] for j in range(m))
+        out = out + np.exp(-t) * total
+    return k.amplitude * out.reshape(x.shape + c.shape[1:])
 
 
 def tail_energy(k, R):

@@ -10,22 +10,19 @@ costs O(Q^2) time and O(Q) memory, the dense eigensolve O(Q^3) time.
 The eigenfunctions extend off the interval through the eigenvalue equation
 itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
 native-space orthogonality kappa_l (phi_j^E, phi_l^E)_K = delta_jl, which
-hk_gram_extended verifies discretely.  For the closed-form d = 1 kernels
-running exponential moments over the sorted nodes give the extension at M
-points in O(Q + M) per mode; the d >= 2 kernels sum in blocks of points.
+hk_gram_extended verifies discretely.  The extension is a sum of kernel
+translates at the rule nodes, summed by kernels._translate_sum.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import comb, factorial
 
 import numpy as np
 
 from .errors import TruncationError
-from .interpolation import _BLOCK_ENTRIES, _cells
-from .kernels import _horner, exp_poly_coeffs, kernel_eval
+from .kernels import _translate_sum, kernel_eval
 
 __all__ = [
     "MercerSystem",
@@ -165,79 +162,19 @@ def eigen_extend(sys, n, x):
     Agrees with phi_n on [a, b] (at the rule nodes to the rounding of the
     eigensolve, by the discrete eigenvalue equation) and decays to 0 as |x|
     grows.  Mode indices are zero-based; a sequence of indices n gives one
-    column per mode.  At M points, Q rule nodes and K modes the closed-form
-    kernels (d = 1) take O((Q + M) K m) time and memory, the d >= 2 kernels
-    O(M Q K) time in blocks of points.  Raises ValueError for a mode index
-    out of range, a point that is not finite or x of more than one dimension.
+    column per mode.  At M points, Q rule nodes and K modes a d = 1 kernel
+    takes O((Q + M) K m) time and memory, a d >= 2 kernel O(M Q K) time.
+    Raises ValueError for a mode index out of range, a point that is not
+    finite or x of more than one dimension.
     """
     _check_mode(sys, n)
     n = np.asarray(n)
     flat = np.atleast_1d(np.asarray(x, dtype=float))
     if flat.ndim != 1 or not np.all(np.isfinite(flat)):
         raise ValueError("extension points must be finite, as a scalar or 1-D array")
-    coeffs = exp_poly_coeffs(sys.kernel)
-    if coeffs is None:
-        rows = max(1, _BLOCK_ENTRIES // sys.nodes.size)
-        out = np.empty(flat.shape + n.shape)
-        for lo in range(0, flat.size, rows):
-            kx = kernel_eval(sys.kernel, np.abs(flat[lo : lo + rows, None] - sys.nodes[None, :]))
-            out[lo : lo + rows] = (kx * sys.weights) @ sys.eigenfunctions[n].T / sys.eigenvalues[n]
-    else:
-        c = (sys.weights * sys.eigenfunctions[n]).T / sys.eigenvalues[n]
-        out = sys.kernel.amplitude * _exp_poly_sum(coeffs, sys.nodes, c, flat)
+    c = (sys.weights * sys.eigenfunctions[n]).T / sys.eigenvalues[n]
+    out = _translate_sum(sys.kernel, sys.nodes, c, flat)
     return out[0] if np.ndim(x) == 0 else out
-
-
-def _exp_poly_sum(coeffs, y, c, x):
-    """sum_q c_q e^{-r} p(r), r = |x - y_q|, for ascending y and c of shape
-    (Q,) or (Q, K), where p(r) = sum_{k<m} coeffs[k] r^k.
-
-    The nodes at or left of a point enter through the moments
-    L_j = sum_{q <= p} c_q d^j e^{-d}, d = y_p - y_q, j < m, of the nearest
-    one, y_p, at distance t: p(t + d) = sum_j p^(j)(t) d^j / j! makes their
-    sum e^{-t} sum_j p^(j)(t) L_j / j!.  Mirrored moments serve the rest.
-    """
-    m, derivs = len(coeffs), [coeffs]  # coefficients of p^(j), lowest degree first
-    while len(derivs) < m:
-        derivs.append([i * c for i, c in enumerate(derivs[-1])][1:])
-
-    def moments(y, c):
-        # Per block of nodes less than 1 past its first node y_lo, s = y - y_lo:
-        # L_j = sum_i C(j, i) s^(j-i) (-1)^i e^{-s} cumsum(c s^i e^s), plus the
-        # node before the block carried in with e^{-d} sum_i C(j, i) d^(j-i) L_i.
-        # So e^{+-s} cannot overflow and the binomial sum rounds to at most
-        # 2^j eps of its terms.  Row 0 stands for "no node".
-        out = np.zeros((m, y.size + 1, c.shape[1]))
-        cuts = np.flatnonzero(np.diff(np.floor(y - y[0]))) + 1
-        bounds = [0, *cuts, y.size]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            s = (y[lo:hi] - y[lo])[:, None]
-            d = (y[lo:hi] - y[max(lo - 1, 0)])[:, None]
-            prev, grown = out[:, lo], c[lo:hi] * np.exp(s)
-            es, sums = np.exp(-s), []
-            for i in range(m):
-                sums.append(es * np.cumsum(grown, axis=0))
-                grown = grown * s
-            for j in range(m):
-                lj, carry = sums[0], prev[j]  # Horner in s over the binomial sum
-                for i in range(1, j + 1):
-                    lj = lj * s + (-1) ** i * comb(j, i) * sums[i]
-                    carry = carry + comb(j, j - i) * d**i * prev[j - i]
-                out[j, lo + 1 : hi + 1] = lj + np.exp(-d) * carry
-        return out
-
-    cols = c.reshape(y.size, -1)
-    idx = _cells(y, x)  # nodes at or left of each point
-    left = moments(y, cols)[:, idx]
-    right = moments(-y[::-1], cols[::-1])[:, ::-1][:, idx]
-    ypad = np.r_[y[0], y, y[-1]]
-    out = 0.0
-    # t < 0 only where the zero row stands for a missing node
-    for mom, t in ((left, x - ypad[idx]), (right, ypad[idx + 1] - x)):
-        t = np.maximum(t, 0.0)[:, None]
-        total = sum(_horner(derivs[j], t) / factorial(j) * mom[j] for j in range(m))
-        out = out + np.exp(-t) * total
-    return out.reshape(x.shape + c.shape[1:])
 
 
 def project_samples(sys, samples):

@@ -17,8 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError
-from .interpolation import _BLOCK_ENTRIES
-from .kernels import KernelSpec, _exp_poly, _exp_tail, _horner, kernel_eval
+from .kernels import KernelSpec, _by_blocks, _exp_poly, _exp_tail, _horner, kernel_eval
 from .mercer import _gauss_legendre
 
 __all__ = [
@@ -63,14 +62,16 @@ def box_convolution(k, x, order=0):
     if not np.all(np.isfinite(arr)):
         raise ValueError("x must be finite")
     const, q = _box_terms(int(k.m), j)
-    flat, rows = arr.ravel(), _BLOCK_ENTRIES // 64  # (2, rows) work arrays stay in cache
-    out = np.empty(flat.size)
-    for lo in range(0, flat.size, rows):
-        u = flat[lo : lo + rows] + np.array([[1.0], [-1.0]])
+    flat = arr.ravel()
+
+    def block(b):  # (2, rows) work arrays stay in cache
+        u = flat[b] + np.array([[1.0], [-1.0]])
         r = np.abs(u)
         s = np.sign(u) if j % 2 == 0 else np.ones_like(u)
         h = s * (_horner(q, r) * np.exp(-r))
-        out[lo : lo + rows] = k.amplitude * (h[0] - h[1] + const * (s[0] - s[1]))
+        return k.amplitude * (h[0] - h[1] + const * (s[0] - s[1]))
+
+    out = _by_blocks(block, flat.size)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

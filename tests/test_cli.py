@@ -14,7 +14,7 @@ import pytest
 
 import maternlab
 import maternlab.cli as cli
-from maternlab import KernelSpec, kernel_eval, mercer
+from maternlab import KernelSpec, kernel_eval, kernels, mercer
 from maternlab.seqmodel import BoundCheck, TrialReport
 
 
@@ -220,7 +220,9 @@ def test_mercer_extends_all_modes_without_a_kernel_matrix(tmp_path, monkeypatch)
         sizes.append(np.size(r))
         return kernel_eval(k, r)
 
+    # the extension sums through kernels._translate_sum: watch both modules
     monkeypatch.setattr(mercer, "kernel_eval", counted)
+    monkeypatch.setattr(kernels, "kernel_eval", counted)
     assert cli.main(["mercer", "--modes", "10", "--out", str(tmp_path)]) == 0
     # the rule's own 200 x 200 matrix is the only kernel evaluation: the
     # 401 extension points never meet the 200 rule nodes in one array

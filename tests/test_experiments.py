@@ -7,6 +7,7 @@ plain loops) on the C = 1.2 ladder {11, 21, 41} with a 501-point grid.
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -156,7 +157,7 @@ def test_rate_study_without_norm_leaves_nan_column():
     assert study.global_rate is not None
 
 
-def test_rate_study_validation():
+def test_rate_study_validation(monkeypatch):
     k = KernelSpec(m=2)
     with pytest.raises(ValueError):
         run_rate_study(k, -1.0, 0.4, [11, 21], 501, f_exact)
@@ -168,6 +169,23 @@ def test_rate_study_validation():
         run_rate_study(k, 1.2, 0.4, [], 501, f_exact)
     with pytest.raises(ValueError):
         run_rate_study(k, 1.2, 0.4, [11, 81], 501, f_exact)  # grid too coarse
+    # every count is an integer, not a bool: before, [11, 21.7, 41.9] ran as
+    # (11, 21, 41) and a grid of 500.5 reached numpy as a TypeError.  A
+    # non-finite f_norm_sq used to fill native_err with NaN, and 0 to raise
+    # ZeroDivisionError after the solves; all are refused before any solve.
+    _forbid_solves(monkeypatch)
+    for counts, grid, named in (
+        ([11, 21.7, 41.9], 501, "node count must be a positive integer, got 21.7"),
+        ([11, True, 21], 501, "node count must be a positive integer, got True"),
+        ([11, 21], 500.5, "grid_size must be a positive integer, got 500.5"),
+        ([11, 21], True, "grid_size must be a positive integer, got True"),
+        ([11, 21], np.nan, "grid_size must be a positive integer, got nan"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            run_rate_study(k, 1.2, 0.4, counts, grid, f_exact)
+    for bad in (np.nan, np.inf, -np.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match=f"f_norm_sq must be finite and positive, got {bad}"):
+            run_rate_study(k, 1.2, 0.4, [11, 21], 501, f_exact, f_norm_sq=bad)
 
 
 def _forbid_solves(monkeypatch):

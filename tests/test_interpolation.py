@@ -27,7 +27,7 @@ from maternlab import (
     native_error_norm,
     native_norm_sq,
 )
-from maternlab import interpolation
+from maternlab import interpolation, kernels
 
 
 def _coefficients(s):
@@ -218,6 +218,9 @@ def test_error_norm_pythagoras():
         native_error_norm(native_norm_sq(s) - 1e-3, s)  # claimed norm too small
     with pytest.raises(ValueError):  # 1.5e-10 relative: the refusal is no looser than 1e-9
         native_error_norm(native_norm_sq(s) - 5e-10, s)
+    for bad in (np.nan, np.inf, -1.0):  # a NaN used to come back as the distance
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            native_error_norm(bad, s)
 
 
 def test_error_norm_refusal_is_relative_to_the_norm():
@@ -341,12 +344,12 @@ def test_evaluation_blocks_split_cells_and_leave_a_remainder(m):
     # the cell path works through blocks of points; here a block ends inside
     # a cell and the last block is short.  Every block agrees with the
     # points evaluated in other blocks and with the dense sum.
-    rows = interpolation._BLOCK_ENTRIES // 64
+    rows = kernels._BLOCK_ENTRIES // 64
     k = KernelSpec(m=m, amplitude=2.5)
     X = _nodes(11, False)
     s = interpolate(k, X, np.cos(3.0 * X.points))
     x = np.linspace(-1.25, 1.25, 2 * rows + 123)
-    cells = interpolation._cells(X.points, x)
+    cells = kernels._cells(X.points, x)
     assert cells[rows - 1] == cells[rows] and x.size % rows
     K = kernel_eval(k, np.abs(x[:, None] - X.points))
     a = _coefficients(s)
@@ -369,9 +372,9 @@ def test_cells_count_the_nodes_at_or_left_of_each_point(nodes, points, ascending
     pts = np.array(points, dtype=float) / 4.0
     if ascending:
         pts = np.sort(pts)
-    assert np.array_equal(interpolation._cells(x, pts), np.searchsorted(x, pts, side="right"))
+    assert np.array_equal(kernels._cells(x, pts), np.searchsorted(x, pts, side="right"))
     for p in pts[:3]:
-        assert interpolation._cells(x, p) == np.searchsorted(x, p, side="right")
+        assert kernels._cells(x, p) == np.searchsorted(x, p, side="right")
 
 
 @pytest.mark.parametrize("m", [2, 3])

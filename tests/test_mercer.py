@@ -23,6 +23,8 @@ from maternlab import (
     MercerSystem,
     TruncationError,
     eigen_extend,
+    equidistant_nodes,
+    evaluate,
     extend_function,
     hk_gram_extended,
     hk_gram_matrix,
@@ -31,6 +33,7 @@ from maternlab import (
     paper_amplitude,
     project_samples,
 )
+from maternlab.interpolation import CONDITIONING_FLOOR, _solve_dense
 from maternlab.mercer import _gauss_legendre
 
 
@@ -380,13 +383,23 @@ def _points_around(nodes, rng):
 
 
 def test_extensions_match_their_dense_kernel_sums():
-    # the Bessel path (d = 2; every d = 1 kernel has a closed form) keeps
-    # the dense expression bit for bit
+    # The Bessel path (d = 2; every d = 1 kernel has a closed form) is the
+    # translate sum's own expression, K @ c with c = w phi / kappa folded
+    # first, bit for bit (401 points are one block).  Folding rounds apart
+    # from (K w) @ phi / kappa, so that one takes the a-priori bound
+    # Q eps sum|terms| / kappa.
     sys3 = nystrom_eig(KernelSpec(m=2, d=2), -1.0, 2.0, 120, 6)
     xs = np.linspace(-2.5, 3.5, 401)
+    kx = kernel_eval(sys3.kernel, np.abs(xs[:, None] - sys3.nodes[None, :]))
+    folded = kx @ ((sys3.weights * sys3.eigenfunctions).T / sys3.eigenvalues)
+    bound = 120 * np.finfo(float).eps * (np.abs(kx) * sys3.weights) @ np.abs(sys3.eigenfunctions.T)
+    bound /= sys3.eigenvalues
     for n in range(6):
-        assert np.array_equal(eigen_extend(sys3, n, xs), _dense_extension(sys3, n, xs))
-    assert np.array_equal(eigen_extend(sys3, range(6), xs), _dense_extension(sys3, range(6), xs))
+        c = sys3.weights * sys3.eigenfunctions[n] / sys3.eigenvalues[n]
+        assert np.array_equal(eigen_extend(sys3, n, xs), kx @ c)
+        assert np.all(np.abs(eigen_extend(sys3, n, xs) - _dense_extension(sys3, n, xs)) <= bound[:, n])
+    assert np.array_equal(eigen_extend(sys3, range(6), xs), folded)
+    assert np.all(np.abs(folded - _dense_extension(sys3, range(6), xs)) <= bound)
     rng = np.random.default_rng(7)
     for m, amp in (
         (1, 1.0), (2, 1.0), (1, paper_amplitude(1)), (2, paper_amplitude(2)),
@@ -405,6 +418,16 @@ def test_extensions_match_their_dense_kernel_sums():
             dense = _dense_extension(sys_, n, pts)
             assert np.all(np.abs(eigen_extend(sys_, n, pts) - dense) <= bound)
             assert np.all(np.abs(cols[:, n] - dense) <= bound)
+    # a dense d = 1 interpolant, the solver's test oracle, evaluates by the
+    # same moments: within Q eps sum|terms| of its own K @ a
+    for m in (1, 2, 3):
+        k = KernelSpec(m=m, amplitude=paper_amplitude(m))
+        X = equidistant_nodes(1.0, 41)
+        s = _solve_dense(k, X, np.cos(3.0 * X.points), CONDITIONING_FLOOR * kernel_eval(k, 0.0))
+        pts = _points_around(X.points, rng)
+        kx = kernel_eval(k, np.abs(pts[:, None] - X.points[None, :]))
+        bound = 41 * np.finfo(float).eps * (kx @ np.abs(s.coefficients))
+        assert np.all(np.abs(evaluate(s, pts) - kx @ s.coefficients) <= bound)
     # extend_function is its own composition, bit for bit, on both paths
     for sys_ in (sys3, nystrom_eig(KernelSpec(m=2), -1.0, 2.0, 120, 6)):
         samples = kernel_eval(sys_.kernel, np.abs(sys_.nodes - 0.2))
