@@ -47,6 +47,7 @@ def equidistant_nodes(C, N):
     """N equidistant nodes from -C to +C inclusive, spacing 2C/(N-1)."""
     if not (np.isfinite(C) and C > 0):
         raise ValueError(f"C must be finite and positive, got {C!r}")
+    N = _positive_int(N, "N")
     if N < 2:
         raise ValueError(f"need N >= 2 nodes, got {N}")
     return NodeSet(points=np.linspace(-C, C, N), halfwidth=C)

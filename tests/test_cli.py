@@ -328,13 +328,32 @@ def _run_probe(script, *args):
 
 def test_cli_defaults_load_no_scipy(tmp_path):
     # Every subcommand at its defaults runs on numpy alone (the d = 1,
-    # m <= 2 solve, closed-form tails), so a fresh process never pays the
-    # scipy import; the dense solve and the Bessel profiles load it lazily.
+    # m <= 2 solve, closed-form tails, a 200-point dense Nystrom eigh), so a
+    # fresh process never pays the scipy import; the dense solve, the
+    # Bessel profiles and the parity eigensolve load it lazily.
     seen = _run_probe(_SCIPY_PROBE, str(tmp_path))
     assert seen.pop("import") == []
     assert seen == {
         command: [0, []] for command in ("rates", "interp", "mercer", "bc-check", "seqmodel")
     }
+
+
+_THRESHOLD_PROBE = """
+import json, sys
+from maternlab import KernelSpec, nystrom_eig
+
+seen = []
+for rule in (1535, 1536):
+    nystrom_eig(KernelSpec(m=1), -1.0, 1.0, rule, 4)
+    seen.append("scipy.linalg" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_only_rules_of_1536_points_or_more_load_scipy_linalg():
+    # importing scipy.linalg costs about 0.3 s in a fresh process, more than
+    # the parity eigensolve saves below 1536 points
+    assert _run_probe(_THRESHOLD_PROBE) == [False, True]
 
 
 _CLOSED_FORM_PROBE = """

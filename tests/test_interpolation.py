@@ -78,6 +78,12 @@ def test_equidistant_nodes_spacing():
     assert X.spacing == pytest.approx(0.24, rel=1e-14)
     with pytest.raises(ValueError):
         equidistant_nodes(1.2, 1)
+    # N follows run_rate_study's integer rule: an integral float is taken, a
+    # fraction or a bool refused with a ValueError, not numpy's TypeError
+    assert np.array_equal(equidistant_nodes(1.2, 21.0).points, equidistant_nodes(1.2, 21).points)
+    for N in (21.7, True):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            equidistant_nodes(1.2, N)
     # C = 0 used to fail as "not strictly increasing", C = inf inside linspace
     for C in (0.0, -1.0, math.inf, math.nan):
         with warnings.catch_warnings():
