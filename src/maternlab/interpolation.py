@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConditioningError
-from .kernels import _by_blocks, _cells, _horner, _translate_sum, exp_poly_coeffs, kernel_eval
+from .kernels import _by_blocks, _cells, _horner, _kernel_rows, _translate_sum, exp_poly_coeffs, kernel_eval
 
 __all__ = [
     "CONDITIONING_FLOOR",
@@ -124,9 +124,9 @@ class Interpolant:
 
 
 def assemble_gram(k, X):
-    """Gram matrix A_ij = kernel_eval(k, |x_i - x_j|) of translates at X."""
-    pts = X.points
-    return kernel_eval(k, np.abs(pts[:, None] - pts[None, :]))
+    """Gram matrix A_ij = kernel_eval(k, |x_i - x_j|) of translates at X,
+    sampled in blocks of rows: one N x N array and one block of work memory."""
+    return _kernel_rows(k, X.points, X.points)
 
 
 def _cholesky_floor(A, floor, detail=""):

@@ -5,10 +5,13 @@ A Gauss-Legendre rule turns the eigenproblem for the operator
 matrix problem B u = kappa u with B = W^{1/2} A W^{1/2}, where A holds
 kernel samples at the rule nodes and W the weights.  Eigenfunction samples
 phi_n = W^{-1/2} u_n are then discretely orthonormal in L2(a, b).  The rule
-costs O(Q^2) time and O(Q) memory, the eigensolve O(Q^3) time: one dense
-eigh below 1536 points, and from 1536 on a tridiagonal reduction of each
-parity half with only the kept eigenvectors computed, about 3x faster at
-Q = 1600 (see _parity_eigh).
+costs O(Q^2) time, the eigensolve O(Q^3): one dense eigh below 1536 points,
+and from 1536 on a tridiagonal reduction of each parity half with only the
+kept eigenvectors computed, about 3x faster at Q = 1600 (see _parity_eigh).
+From 1536 points the memory is one Q x Q array, the gram A, plus blocks: A
+is sampled in blocks of rows, and the parity halves live in its unsampled
+bottom rows until the eigensolve is done (a traced peak of 1.3 times A at
+Q = 1600).  The dense eigh holds B and its eigenvectors beside A.
 
 The eigenfunctions extend off the interval through the eigenvalue equation
 itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .kernels import _positive_int, _translate_sum, kernel_eval
+from .kernels import _by_blocks, _kernel_rows, _positive_int, _translate_sum, kernel_eval
 
 __all__ = [
     "MercerSystem",
@@ -78,9 +81,14 @@ def _gauss_legendre(n):
     x = (1 - (n - 1) / (8 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
     x = np.append(x, np.zeros(n % 2))  # odd n: the root 0
     for step in range(4):  # three Newton steps, then P_n' at the nodes
-        prev, p = np.ones_like(x), x
-        for j in range(2, n + 1):
-            prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+        prev, p, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
+        for j in range(2, n + 1):  # ((2j - 1) x p - (j - 1) prev) / j in place
+            np.multiply(x, 2 * j - 1, out=nxt)
+            nxt *= p
+            prev *= j - 1
+            nxt -= prev
+            nxt /= j
+            prev, p, nxt = p, nxt, prev
         dp = n * (prev - x * p) / ((1 - x) * (1 + x))
         x = x - p / dp if step < 3 else x
     w = 2 / ((1 - x) * (1 + x) * dp**2)
@@ -106,33 +114,48 @@ def _dense_eigh(sw, A, n_modes):
     return vals, vecs[:, order[:n_modes]]
 
 
-def _parity_eigh(sw, A, n_modes):
-    """_dense_eigh's result from the two parity halves of B.
+def _parity_eigh(sw, top, k0, work, n_modes):
+    """_dense_eigh's result from the two parity halves of B, solved in work.
 
     The rule is mirror-symmetric bit for bit, so B = J B J (J the reversal;
     off-centre intervals to the rounding of the shift, as the fold reads
-    only B's top rows) and B u = kappa u splits into M+ v = kappa v for the even vectors
-    u = [v; Jv] / sqrt 2 and M- v = kappa v for the odd ones
-    u = [v; -Jv] / sqrt 2, with M+- = B11 +- B12 J on the top rows of B.
-    For odd Q the centre row and column join M+ scaled by sqrt 2, and the
-    last entry of v is an even vector's centre sample.  Each half is reduced
-    to tridiagonal form once (dsytrd, a quarter of the dense reduction's
-    flops for both); sterf gives all its eigenvalues, MRRR (stemr) only the
-    kept vectors, and dormqr on the stored reflectors takes them back
-    (LAPACK's dormtr for UPLO = 'L', which scipy does not wrap).  No Q x Q
-    eigenvector matrix is formed.
+    only B's top rows) and B u = kappa u splits into M+ v = kappa v for the
+    even vectors u = [v; Jv] / sqrt 2 and M- v = kappa v for the odd ones
+    u = [v; -Jv] / sqrt 2, with M+- = B11 +- B12 J on the top n = Q // 2
+    rows of B.  For odd Q the centre row and column join M+ scaled by
+    sqrt 2, and the last entry of v is an even vector's centre sample.
+    top holds A's first n rows and k0 = K(0) the centre entry; the fold
+    reads nothing else.  M+- are written block by block into work, a
+    C-contiguous array of at least (Q - n)^2 + n^2 entries that is
+    overwritten; top is left as it was.  Each half is reduced to
+    tridiagonal form once, in place (dsytrd, a quarter of the dense
+    reduction's flops for both); sterf gives all its eigenvalues, MRRR
+    (stemr) only the kept vectors, and dormqr on the stored reflectors
+    takes them back (LAPACK's dormtr for UPLO = 'L', which scipy does not
+    wrap).  No Q x Q eigenvector matrix is formed.
     """
     from scipy.linalg.lapack import dormqr, dstemr, dstemr_lwork, dsterf, dsytrd, dsytrd_lwork
 
     size, n = sw.size, sw.size // 2
-    top = sw[:n, None] * A[:n] * sw
-    fold = top[:, : -n - 1 : -1]
-    halves = [top[:, :n] + fold, top[:, :n] - fold]
+    flat = work.reshape(-1)
+    plus = flat[: (size - n) ** 2].reshape(size - n, size - n)
+    minus = flat[plus.size : plus.size + n * n].reshape(n, n)
+    head, sw_head = plus[:n], sw[:n]
+
+    def fold(b):  # rows b of M+ and M-, from rows b of B's top
+        t = sw_head[b, None] * top[b] * sw
+        near, far = t[:, :n], t[:, : -n - 1 : -1]
+        np.add(near, far, out=head[b, :n])
+        if size % 2:
+            head[b, n] = np.sqrt(2.0) * t[:, n]
+        return np.subtract(near, far, out=minus[b])
+
+    _by_blocks(fold, n, size, minus)
     if size % 2:
-        col = np.sqrt(2.0) * top[:, n : n + 1]
-        halves[0] = np.block([[halves[0], col], [col.T, sw[n] * A[n, n] * sw[n]]])
+        plus[n, :n] = plus[:n, n]
+        plus[n, n] = sw[n] * k0 * sw[n]
     tri = []
-    for M in halves:  # M is symmetric, so M.T is its Fortran-ordered twin
+    for M in (plus, minus):  # M is symmetric, so M.T is its Fortran-ordered twin
         lwork, _ = dsytrd_lwork(M.shape[0], lower=1)
         c, d, e, tau, _ = dsytrd(M.T, lower=1, lwork=int(lwork), overwrite_a=1)
         lam, info = dsterf(d, e)
@@ -143,7 +166,7 @@ def _parity_eigh(sw, A, n_modes):
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     _refuse_truncation(vals, n_modes)
-    even = order[:n_modes] < halves[0].shape[0]
+    even = order[:n_modes] < plus.shape[0]
     vecs = np.zeros((size, n_modes))
     for (c, d, e, tau, _), sign, cols in zip(tri, (1.0, -1.0), (even, ~even)):
         want = int(cols.sum())
@@ -155,9 +178,9 @@ def _parity_eigh(sw, A, n_modes):
         _, _, z, info = dstemr(d, e, 2, 0.0, 0.0, lo, m, lwork=lwork, liwork=liwork)
         if info:
             raise np.linalg.LinAlgError(f"stemr failed with info={info}")
-        z = z[:, want - 1 :: -1]  # the kept vectors, descending
-        _, work, _ = dormqr("L", "N", c[1:, :-1], tau, z[1:], -1)
-        z[1:] = dormqr("L", "N", c[1:, :-1], tau, z[1:], int(work[0]))[0]
+        z = z[:, want - 1 :: -1].copy()  # the kept vectors, descending, out of the m x m
+        _, query, _ = dormqr("L", "N", c[1:, :-1], tau, z[1:], -1)
+        z[1:] = dormqr("L", "N", c[1:, :-1], tau, z[1:], int(query[0]))[0]
         vecs[:n, cols] = z[:n] / np.sqrt(2.0)
         vecs[: -n - 1 : -1, cols] = sign * vecs[:n, cols]
         if size % 2 and sign > 0:
@@ -174,8 +197,11 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     """Discretize the kernel operator on [a, b] and return leading eigenpairs.
 
     Rules of 1536 points or more are solved from their two parity
-    halves, computing only the kept eigenvectors (see _parity_eigh); smaller
-    ones by one dense eigh, which is the parity path's test oracle.
+    halves, computing only the kept eigenvectors (see _parity_eigh): the top
+    Q // 2 rows of the gram are sampled, the halves are built and solved in
+    its unsampled bottom rows, and those are sampled last, so one Q x Q
+    array is held.  Smaller rules are solved by one dense eigh, which is the
+    parity path's test oracle.
 
     Parameters
     ----------
@@ -207,10 +233,16 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     half = 0.5 * (b - a)
     y = half * t + 0.5 * (a + b)
     w = half * w
-    A = kernel_eval(k, np.abs(y[:, None] - y[None, :]))
     sw = np.sqrt(w)
-    eigh = _parity_eigh if rule_size >= _PARITY_MIN_RULE else _dense_eigh
-    vals, vecs = eigh(sw, A, n_modes)
+    if rule_size >= _PARITY_MIN_RULE:
+        # the halves live in A's bottom rows, which are sampled after the solve
+        A, n = np.empty((rule_size, rule_size)), rule_size // 2
+        _kernel_rows(k, y[:n], y, A[:n])
+        vals, vecs = _parity_eigh(sw, A[:n], kernel_eval(k, 0.0), A[n:], n_modes)
+        _kernel_rows(k, y[n:], y, A[n:])
+    else:
+        A = _kernel_rows(k, y, y)
+        vals, vecs = _dense_eigh(sw, A, n_modes)
     phi = (vecs / sw[:, None]).T
     phi[phi[:, 0] < 0] *= -1.0
     eigvals = vals[:n_modes].copy()

@@ -216,9 +216,9 @@ def test_mercer_writes_spectral_outputs(tmp_path, capsys):
 def test_mercer_extends_all_modes_without_a_kernel_matrix(tmp_path, monkeypatch):
     sizes = []
 
-    def counted(k, r):
+    def counted(k, r, out=None):
         sizes.append(np.size(r))
-        return kernel_eval(k, r)
+        return kernel_eval(k, r, out)
 
     # the extension sums through kernels._translate_sum: watch both modules
     monkeypatch.setattr(mercer, "kernel_eval", counted)

@@ -101,6 +101,24 @@ def test_gram_matrix_symmetric_with_kernel_diagonal():
     assert np.allclose(np.diag(A), 1.3)
 
 
+@pytest.mark.parametrize("m,d,N", [(3, 1, 1281), (1, 1, 7), (2, 2, 300)])
+def test_gram_rows_repeat_one_kernel_matrix(m, d, N):
+    # sampled in blocks of rows, bit for bit the one-call kernel matrix
+    k = KernelSpec(m=m, d=d, amplitude=1.3)
+    pts = equidistant_nodes(1.0, N).points
+    want = kernel_eval(k, np.abs(pts[:, None] - pts[None, :]))
+    assert np.array_equal(assemble_gram(k, NodeSet(pts, 1.0)), want)
+
+
+def test_dense_gram_holds_one_matrix_and_one_block():
+    # m = 3 takes the dense path.  One call on all N x N radii held the radii,
+    # the values and the polynomial, three 13.1 MB arrays at N = 1281.
+    k = KernelSpec(m=3)
+    X = equidistant_nodes(1.2, 1281)
+    A, peak = _traced_peak(lambda: assemble_gram(k, X))
+    assert peak <= A.nbytes + 3 * 2**20
+
+
 def test_interpolant_reproduces_data_at_nodes():
     # node reproduction degrades with the Gram condition number, so keep the
     # separation distance honest and the tolerance matched to it

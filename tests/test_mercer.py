@@ -263,19 +263,45 @@ def test_rule_memory_is_linear_in_its_size():
     assert peak < 2**20
 
 
-def _nystrom_full_reorder(k, a, b, rule_size, n_modes):
-    # nystrom_eig with all Q eigenvector columns reordered before the
-    # leading ones are kept
+def _gauss_legendre_by_expressions(n):
+    # _gauss_legendre as it ran before its recurrence worked in place
+    k = np.arange(1, n // 2 + 1)
+    x = (1 - (n - 1) / (8 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    x = np.append(x, np.zeros(n % 2))
+    for step in range(4):
+        prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+        dp = n * (prev - x * p) / ((1 - x) * (1 + x))
+        x = x - p / dp if step < 3 else x
+    w = 2 / ((1 - x) * (1 + x) * dp**2)
+    return np.r_[-x[: n // 2], x[::-1]], np.r_[w[: n // 2], w[::-1]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 20, 201, 1600])
+def test_in_place_recurrence_repeats_the_expression_loop(n):
+    # the in-place ufuncs keep the expressions' operation order, bit for bit
+    for got, want in zip(_gauss_legendre(n), _gauss_legendre_by_expressions(n)):
+        assert np.array_equal(got, want)
+
+
+def _nystrom_full_reorder(k, a, b, rule_size, n_modes, eigh=None):
+    # nystrom_eig with the gram as one kernel_eval call on all Q x Q radii and
+    # all Q eigenvector columns reordered before the leading ones are kept,
+    # or with eigh(sw, A, n_modes) for the eigenpairs
     t, w = _gauss_legendre(rule_size)
     half = 0.5 * (b - a)
     y = half * t + 0.5 * (a + b)
     w = half * w
     A = kernel_eval(k, np.abs(y[:, None] - y[None, :]))
     sw = np.sqrt(w)
-    vals, vecs = np.linalg.eigh(sw[:, None] * A * sw[None, :])
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    if eigh is None:
+        vals, vecs = np.linalg.eigh(sw[:, None] * A * sw[None, :])
+        order = np.argsort(vals)[::-1]
+        vals = vals[order]
+        vecs = vecs[:, order]
+    else:
+        vals, vecs = eigh(sw, A, n_modes)
     phi = (vecs[:, :n_modes] / sw[:, None]).T
     phi[phi[:, 0] < 0] *= -1.0
     return {
@@ -340,6 +366,108 @@ def test_parity_solve_refuses_a_truncated_spectrum():
     # the halves' eigenvalues refuse 900 modes before any vector is computed
     with pytest.raises(TruncationError, match=r"eigenvalue \d+ of 900 requested modes is nonpositive"):
         nystrom_eig(KernelSpec(m=4), -1.0, 1.0, 1536, 900)
+
+
+def _parity_eigh_by_expressions(sw, A, n_modes):
+    # _parity_eigh as it was before it worked in a caller's workspace: the
+    # scaled top rows, both halves and stemr's full z as separate arrays
+    from scipy.linalg.lapack import dormqr, dstemr, dstemr_lwork, dsterf, dsytrd, dsytrd_lwork
+
+    size, n = sw.size, sw.size // 2
+    top = sw[:n, None] * A[:n] * sw
+    fold = top[:, : -n - 1 : -1]
+    halves = [top[:, :n] + fold, top[:, :n] - fold]
+    if size % 2:
+        col = np.sqrt(2.0) * top[:, n : n + 1]
+        halves[0] = np.block([[halves[0], col], [col.T, sw[n] * A[n, n] * sw[n]]])
+    tri = []
+    for M in halves:
+        lwork, _ = dsytrd_lwork(M.shape[0], lower=1)
+        c, d, e, tau, _ = dsytrd(M.T, lower=1, lwork=int(lwork), overwrite_a=1)
+        tri.append((c, d, e, tau, dsterf(d, e)[0]))
+    vals = np.concatenate([t[4] for t in tri])
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    even = order[:n_modes] < halves[0].shape[0]
+    vecs = np.zeros((size, n_modes))
+    for (c, d, e, tau, _), sign, cols in zip(tri, (1.0, -1.0), (even, ~even)):
+        want = int(cols.sum())
+        if want == 0:
+            continue
+        m, lo = d.size, d.size - want + 1
+        e = np.append(e, 0.0)
+        lwork, liwork, _ = dstemr_lwork(d, e, 2, 0.0, 0.0, lo, m)
+        z = dstemr(d, e, 2, 0.0, 0.0, lo, m, lwork=lwork, liwork=liwork)[2]
+        z = z[:, want - 1 :: -1]
+        _, work, _ = dormqr("L", "N", c[1:, :-1], tau, z[1:], -1)
+        z[1:] = dormqr("L", "N", c[1:, :-1], tau, z[1:], int(work[0]))[0]
+        vecs[:n, cols] = z[:n] / np.sqrt(2.0)
+        vecs[: -n - 1 : -1, cols] = sign * vecs[:n, cols]
+        if size % 2 and sign > 0:
+            vecs[n, cols] = z[n]
+    return vals, vecs
+
+
+# each rule size twice, each m and interval at least three times
+@pytest.mark.parametrize(
+    "rule,m,a,b",
+    [
+        (1535, 1, -1.0, 1.0),
+        (1535, 3, -0.3, 1.7),
+        (1536, 2, -1.0, 1.0),
+        (1536, 1, -0.3, 1.7),
+        (1600, 1, -1.0, 1.0),
+        (1600, 2, -0.3, 1.7),
+        (1601, 3, -1.0, 1.0),
+        (1601, 1, -0.3, 1.7),
+        (2400, 2, -1.0, 1.0),
+        (2400, 3, -0.3, 1.7),
+    ],
+)
+def test_blocked_gram_and_folded_halves_repeat_the_expressions(rule, m, a, b):
+    # The gram is sampled in row blocks and, from 1536 points, the parity
+    # halves are built in its unsampled bottom rows before those are
+    # sampled.  Every field matches the whole-array expressions bit for bit,
+    # so no workspace entry is left in the gram.
+    k = KernelSpec(m=m)
+    sys_ = nystrom_eig(k, a, b, rule, 24)
+    eigh = _parity_eigh_by_expressions if rule >= 1536 else None
+    for field, want in _nystrom_full_reorder(k, a, b, rule, 24, eigh).items():
+        assert np.array_equal(getattr(sys_, field), want), field
+    y = sys_.nodes
+    assert np.array_equal(sys_.gram, kernel_eval(k, np.abs(y[:, None] - y[None, :])))
+
+
+@pytest.mark.parametrize("rule", [1600, 1601])
+def test_parity_solve_leaves_its_top_rows_alone(rule):
+    # the halves are built in the workspace it is given, never in A
+    k = KernelSpec(m=2)
+    t, w = _gauss_legendre(rule)
+    sw = np.sqrt(w)
+    A = kernel_eval(k, np.abs(t[:, None] - t[None, :]))
+    before = A.copy()
+    n = rule // 2
+    got = mercer._parity_eigh(sw, A[:n], kernel_eval(k, 0.0), np.empty((rule - n, rule)), 12)
+    assert np.array_equal(A, before)
+    for g, want in zip(got, _parity_eigh_by_expressions(sw, before, 12)):
+        assert np.array_equal(g, want)
+
+
+def test_nystrom_holds_one_rule_by_rule_array():
+    # At 1600 points the gram is 20.5 MB.  Sampled as one kernel_eval call
+    # with a scaled copy of its top rows and both halves beside it, the
+    # traced peak was 49.7 MB; with the halves in its unsampled rows and
+    # stemr's kept columns copied out it is 26.7 MB.
+    from scipy.linalg import lapack  # noqa: F401  (imported before tracing)
+
+    nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 1600, 48)
+    tracemalloc.start()
+    try:
+        sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 1600, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * sys_.gram.nbytes
 
 
 _GATE_PROBE = """
