@@ -70,10 +70,10 @@ def _horner(coeffs, r):
     return poly
 
 
-def _positive_int(v, name):
-    # v as an int; a bool would pass the integer test as 0 or 1
-    if isinstance(v, (bool, np.bool_)) or not float(v).is_integer() or v < 1:
-        raise ValueError(f"{name} must be a positive integer, got {v!r}")
+def _positive_int(v, name, zero=False):
+    # v as an int, at least 1 (0 too when zero); a bool would pass the integer test as 0 or 1
+    if isinstance(v, (bool, np.bool_)) or not float(v).is_integer() or v < (0 if zero else 1):
+        raise ValueError(f"{name} must be a {'nonnegative' if zero else 'positive'} integer, got {v!r}")
     return int(v)
 
 

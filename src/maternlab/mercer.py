@@ -8,10 +8,10 @@ phi_n = W^{-1/2} u_n are then discretely orthonormal in L2(a, b).  The rule
 costs O(Q^2) time, the eigensolve O(Q^3): one dense eigh below 1536 points,
 and from 1536 on a tridiagonal reduction of each parity half with only the
 kept eigenvectors computed, about 3x faster at Q = 1600 (see _parity_eigh).
-From 1536 points the memory is one Q x Q array, the gram A, plus blocks: A
-is sampled in blocks of rows, and the parity halves live in its unsampled
-bottom rows until the eigensolve is done (a traced peak of 1.3 times A at
-Q = 1600).  The dense eigh holds B and its eigenvectors beside A.
+Both solvers sample the rows of A they read themselves, and the gram A is
+sampled after the solve, so it never shares memory with the solver's
+arrays: from 1536 points the peak is A plus blocks (1.1 times A at
+Q = 1600), below it B and eigh's eigenvectors (2 times A).
 
 The eigenfunctions extend off the interval through the eigenvalue equation
 itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .kernels import _by_blocks, _kernel_rows, _positive_int, _translate_sum, kernel_eval
+from .kernels import _by_blocks, _kernel_rows, _positive_int, _translate_sum
 
 __all__ = [
     "MercerSystem",
@@ -104,18 +104,23 @@ def _refuse_truncation(vals, n_modes):
         )
 
 
-def _dense_eigh(sw, A, n_modes):
+def _dense_eigh(sw, rows, n_modes):
     """All eigenvalues of B = W^1/2 A W^1/2, descending, and the n_modes
-    leading eigenvectors as columns, from one dense eigh: O(Q^3)."""
-    vals, vecs = np.linalg.eigh(sw[:, None] * A * sw[None, :])
+    leading eigenvectors as columns, from one dense eigh: O(Q^3).  B is
+    scaled in place in the freshly sampled rows(slice(None)) of A, so it and
+    eigh's eigenvector matrix are the two Q x Q arrays held."""
+    B = rows(slice(None))
+    B *= sw[:, None]
+    B *= sw
+    vals, vecs = np.linalg.eigh(B)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     _refuse_truncation(vals, n_modes)
     return vals, vecs[:, order[:n_modes]]
 
 
-def _parity_eigh(sw, top, k0, work, n_modes):
-    """_dense_eigh's result from the two parity halves of B, solved in work.
+def _parity_eigh(sw, rows, n_modes):
+    """_dense_eigh's result from the two parity halves of B.
 
     The rule is mirror-symmetric bit for bit, so B = J B J (J the reversal;
     off-centre intervals to the rounding of the shift, as the fold reads
@@ -124,26 +129,28 @@ def _parity_eigh(sw, top, k0, work, n_modes):
     u = [v; -Jv] / sqrt 2, with M+- = B11 +- B12 J on the top n = Q // 2
     rows of B.  For odd Q the centre row and column join M+ scaled by
     sqrt 2, and the last entry of v is an even vector's centre sample.
-    top holds A's first n rows and k0 = K(0) the centre entry; the fold
-    reads nothing else.  M+- are written block by block into work, a
-    C-contiguous array of at least (Q - n)^2 + n^2 entries that is
-    overwritten; top is left as it was.  Each half is reduced to
+    rows(b) returns rows b of A as a fresh array, which is scaled in place;
+    the fold reads A's top n rows and, for odd Q, its centre entry, one
+    block of rows at a time, and writes M+- straight into one array of
+    (Q - n)^2 + n^2 entries, half the size of A.  Each half is reduced to
     tridiagonal form once, in place (dsytrd, a quarter of the dense
     reduction's flops for both); sterf gives all its eigenvalues, MRRR
-    (stemr) only the kept vectors, and dormqr on the stored reflectors
-    takes them back (LAPACK's dormtr for UPLO = 'L', which scipy does not
-    wrap).  No Q x Q eigenvector matrix is formed.
+    (stemr) only the kept vectors, and dormqr on one contiguous copy of the
+    stored reflectors takes them back (LAPACK's dormtr for UPLO = 'L',
+    which scipy does not wrap).  No Q x Q array is formed.
     """
     from scipy.linalg.lapack import dormqr, dstemr, dstemr_lwork, dsterf, dsytrd, dsytrd_lwork
 
     size, n = sw.size, sw.size // 2
-    flat = work.reshape(-1)
+    flat = np.empty((size - n) ** 2 + n * n)
     plus = flat[: (size - n) ** 2].reshape(size - n, size - n)
-    minus = flat[plus.size : plus.size + n * n].reshape(n, n)
+    minus = flat[plus.size :].reshape(n, n)
     head, sw_head = plus[:n], sw[:n]
 
     def fold(b):  # rows b of M+ and M-, from rows b of B's top
-        t = sw_head[b, None] * top[b] * sw
+        t = rows(slice(*b.indices(n)))  # the last block stops at n
+        t *= sw_head[b, None]
+        t *= sw
         near, far = t[:, :n], t[:, : -n - 1 : -1]
         np.add(near, far, out=head[b, :n])
         if size % 2:
@@ -153,7 +160,7 @@ def _parity_eigh(sw, top, k0, work, n_modes):
     _by_blocks(fold, n, size, minus)
     if size % 2:
         plus[n, :n] = plus[:n, n]
-        plus[n, n] = sw[n] * k0 * sw[n]
+        plus[n, n] = sw[n] * rows(slice(n, n + 1))[0, n] * sw[n]
     tri = []
     for M in (plus, minus):  # M is symmetric, so M.T is its Fortran-ordered twin
         lwork, _ = dsytrd_lwork(M.shape[0], lower=1)
@@ -179,8 +186,9 @@ def _parity_eigh(sw, top, k0, work, n_modes):
         if info:
             raise np.linalg.LinAlgError(f"stemr failed with info={info}")
         z = z[:, want - 1 :: -1].copy()  # the kept vectors, descending, out of the m x m
-        _, query, _ = dormqr("L", "N", c[1:, :-1], tau, z[1:], -1)
-        z[1:] = dormqr("L", "N", c[1:, :-1], tau, z[1:], int(query[0]))[0]
+        refl = np.asfortranarray(c[1:, :-1])  # both dormqr calls take it uncopied
+        _, query, _ = dormqr("L", "N", refl, tau, z[1:], -1)
+        z[1:] = dormqr("L", "N", refl, tau, z[1:], int(query[0]))[0]
         vecs[:n, cols] = z[:n] / np.sqrt(2.0)
         vecs[: -n - 1 : -1, cols] = sign * vecs[:n, cols]
         if size % 2 and sign > 0:
@@ -197,11 +205,12 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     """Discretize the kernel operator on [a, b] and return leading eigenpairs.
 
     Rules of 1536 points or more are solved from their two parity
-    halves, computing only the kept eigenvectors (see _parity_eigh): the top
-    Q // 2 rows of the gram are sampled, the halves are built and solved in
-    its unsampled bottom rows, and those are sampled last, so one Q x Q
-    array is held.  Smaller rules are solved by one dense eigh, which is the
-    parity path's test oracle.
+    halves, computing only the kept eigenvectors (see _parity_eigh);
+    smaller rules by one dense eigh, which is the parity path's test
+    oracle.  Each solver samples the kernel rows it reads, and the gram is
+    sampled after the solve, so the solver's arrays and the gram are never
+    held together.  The price is a second sampling: the top Q // 2 rows on
+    the parity path, every row below 1536 points.
 
     Parameters
     ----------
@@ -234,15 +243,13 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     y = half * t + 0.5 * (a + b)
     w = half * w
     sw = np.sqrt(w)
-    if rule_size >= _PARITY_MIN_RULE:
-        # the halves live in A's bottom rows, which are sampled after the solve
-        A, n = np.empty((rule_size, rule_size)), rule_size // 2
-        _kernel_rows(k, y[:n], y, A[:n])
-        vals, vecs = _parity_eigh(sw, A[:n], kernel_eval(k, 0.0), A[n:], n_modes)
-        _kernel_rows(k, y[n:], y, A[n:])
-    else:
-        A = _kernel_rows(k, y, y)
-        vals, vecs = _dense_eigh(sw, A, n_modes)
+
+    def rows(b):  # rows b of the gram, freshly sampled
+        return _kernel_rows(k, y[b], y)
+
+    eigh = _parity_eigh if rule_size >= _PARITY_MIN_RULE else _dense_eigh
+    vals, vecs = eigh(sw, rows, n_modes)
+    A = rows(slice(None))
     phi = (vecs / sw[:, None]).T
     phi[phi[:, 0] < 0] *= -1.0
     eigvals = vals[:n_modes].copy()

@@ -26,6 +26,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .kernels import _by_blocks, _positive_int
+
 __all__ = [
     "WeightedSeqSpace",
     "sobolev_weights",
@@ -113,13 +115,17 @@ class BoundCheck(NamedTuple):
 def _check_bounds(kappa, f, keep):
     """Both bounds for f of shape (..., M) projected onto the coordinates in
     keep; returns the standard and the superconvergence BoundCheck, whose
-    fields are arrays over the leading axes."""
-    resid = np.where(keep, 0.0, f)
-    lhs = np.sqrt(np.sum(resid * resid, axis=-1))
+    fields are arrays over the leading axes.  Beside f it holds one work
+    array of f's shape at a time."""
     eps = np.sqrt(np.max(np.where(keep, 0.0, kappa), axis=-1))
-    rhs_std = eps * np.sqrt(np.sum(resid * resid / kappa, axis=-1))
-    v = f / kappa
-    rhs_sup = eps * eps * np.sqrt(np.sum(v * v, axis=-1))
+    sq = np.where(keep, 0.0, f)  # the residual, then its square
+    sq *= sq
+    lhs = np.sqrt(np.sum(sq, axis=-1))
+    sq /= kappa
+    rhs_std = eps * np.sqrt(np.sum(sq, axis=-1))
+    sq = np.divide(f, kappa, out=sq)  # v = f ./ kappa, then its square
+    sq *= sq
+    rhs_sup = eps * eps * np.sqrt(np.sum(sq, axis=-1))
     return tuple(BoundCheck(lhs, eps, rhs, lhs <= rhs + _TOL) for rhs in (rhs_std, rhs_sup))
 
 
@@ -148,10 +154,10 @@ def verify_superconvergence(space, f, S):
     return _scalar(_check_bounds(space.kappa, _check_f(space, f), _as_mask(space, S))[1])
 
 
-def _sharpest(check, n):
-    """Largest lhs/rhs over the first n trials with rhs > 0, or 0."""
-    lhs, rhs = check.lhs[:n], check.rhs[:n]
-    return float(np.divide(lhs, rhs, out=np.zeros(n), where=rhs > 0).max(initial=0.0))
+def _sharpest(check):
+    """Largest lhs/rhs over the trials with rhs > 0, or 0."""
+    lhs, rhs = check.lhs, check.rhs
+    return np.divide(lhs, rhs, out=np.zeros(lhs.size), where=rhs > 0).max(initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -175,12 +181,25 @@ class TrialReport:
         )
 
 
-def _draw(seed, g, coin):
-    """Standard normals into g and coin flips into coin, one row per trial."""
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(len(g))):
-        rng = np.random.default_rng(child)
-        g[i] = rng.standard_normal(g.shape[1])
-        coin[i] = rng.random(g.shape[1]) < 0.5
+def _by_trials(block, n_trials, M, out=None):
+    # kernels._by_blocks over trials: eight arrays of a block's shape fill one
+    # dense block of entries, 512 trials at M = 64
+    return _by_blocks(block, n_trials, 8 * M, out)
+
+
+def _draw(seeds, g, coin):
+    """Standard normals into g and coin flips into coin, one row per trial,
+    each from its own child of seeds; children are spawned a block at a
+    time, and successive spawns continue the child count."""
+
+    def block(b):
+        for i, child in enumerate(seeds.spawn(len(g[b])), b.start):
+            rng = np.random.default_rng(child)
+            g[i] = rng.standard_normal(g.shape[1])
+            coin[i] = rng.random(g.shape[1]) < 0.5
+        return g[b]
+
+    _by_trials(block, len(g), g.shape[1], g)
 
 
 # draws of at most this many n_trials * M entries (4.5 MB) outlive the call
@@ -191,9 +210,19 @@ _MEMO_ENTRIES = 1 << 19
 def _memo_draws(n_trials, M, entropy):
     """Read-only draws of one seed, shared by the presets that use it."""
     g, coin = np.empty((n_trials, M)), np.empty((n_trials, M), dtype=bool)
-    _draw(entropy, g, coin)
+    _draw(np.random.SeedSequence(entropy), g, coin)
     g.flags.writeable = coin.flags.writeable = False
     return g, coin
+
+
+def _counterexample(trial, f, keep, std, sup, i):
+    return {
+        "trial": trial,
+        "f": f[i].copy(),
+        "subset": keep[i].copy(),
+        "standard": _scalar(std, i),
+        "superconvergence": _scalar(sup, i),
+    }
 
 
 def run_trials(space, n_trials, seed):
@@ -203,46 +232,60 @@ def run_trials(space, n_trials, seed):
     density v_f = g has moderate norm and f has rapidly decaying tails) and
     an independent uniform random subset S.  Per-trial generators are
     spawned deterministically from the base seed, so results do not depend
-    on evaluation order.  With n_trials = 0 the report is a vacuous pass.
+    on evaluation order.  n_trials is a nonnegative integer (an integral
+    float is taken; a fraction or a bool raises ValueError); with
+    n_trials = 0 the report is a vacuous pass.
 
     The extremal unit-coordinate case f = e_1, S = everything else is run
     as a fixed extra trial whenever n_trials > 0; its superconvergence
     ratio lhs/rhs equals 1 to machine precision (the bound is sharp).
+
+    Trials are drawn and checked in blocks of 2^15 / M, and only counts,
+    ratios and the first counterexample are kept between blocks, so the
+    memory beyond the shared draws (at most 4.5 MB, kept for the next
+    call) does not grow with n_trials: about 0.7 MB at M = 64.
     """
-    if n_trials < 0:
-        raise ValueError(f"n_trials must be >= 0, got {n_trials}")
-    # the random trials, then the extremal case as one more row
-    f = np.zeros((n_trials + (n_trials > 0), space.M))
-    keep = np.ones(f.shape, dtype=bool)
-    if n_trials * space.M <= _MEMO_ENTRIES:
-        # resolved first: seed=None draws afresh on every call; a list seed is unhashable
-        entropy = np.random.SeedSequence(seed).entropy
-        key = entropy if np.ndim(entropy) == 0 else tuple(entropy)
-        f[:n_trials], keep[:n_trials] = _memo_draws(n_trials, space.M, key)
-    else:
-        _draw(seed, f[:n_trials], keep[:n_trials])
-    f[:n_trials] *= space.kappa
+    n_trials = _positive_int(n_trials, "n_trials", zero=True)
+    kappa, M = space.kappa, space.M
+    seeds = np.random.SeedSequence(seed)  # seed=None draws afresh on every call
+    memo = None
+    if n_trials * M <= _MEMO_ENTRIES:
+        # keyed by the resolved entropy: a list seed is unhashable
+        entropy = seeds.entropy
+        memo = _memo_draws(n_trials, M, entropy if np.ndim(entropy) == 0 else tuple(entropy))
+    found = []  # the first failing trial, as the report's counterexample
+
+    def block(b):  # pass counts and sharpest ratios of trials b
+        b = slice(*b.indices(n_trials))
+        if memo is None:
+            shape = (b.stop - b.start, M)
+            f, keep = np.empty(shape), np.empty(shape, dtype=bool)
+            _draw(seeds, f, keep)
+            f *= kappa
+        else:
+            f, keep = memo[0][b] * kappa, memo[1][b]
+        std, sup = _check_bounds(kappa, f, keep)
+        failed = np.flatnonzero(~(std.holds & sup.holds))
+        if failed.size and not found:
+            found.append(_counterexample(b.start + int(failed[0]), f, keep, std, sup, failed[0]))
+        return [[np.sum(std.holds), np.sum(sup.holds), _sharpest(std), _sharpest(sup)]]
+
+    stats = _by_trials(block, n_trials, M)
+    passes, sharpest = stats[:, :2].sum(axis=0), stats[:, 2:].max(axis=0)
+    extremal_ratio = 1.0
     if n_trials > 0:
-        f[-1, 0] = 1.0
-        keep[-1, 0] = False
-    std, sup = _check_bounds(space.kappa, f, keep)
-    counterexample = None
-    failed = np.flatnonzero(~(std.holds & sup.holds))
-    if failed.size:
-        i = int(failed[0])
-        counterexample = {
-            "trial": i if i < n_trials else "extremal",
-            "f": f[i],
-            "subset": keep[i],
-            "standard": _scalar(std, i),
-            "superconvergence": _scalar(sup, i),
-        }
+        f = np.eye(1, M)
+        keep = f == 0
+        std, sup = _check_bounds(kappa, f, keep)
+        if not (found or (std.holds[0] and sup.holds[0])):
+            found.append(_counterexample("extremal", f, keep, std, sup, 0))
+        extremal_ratio = float(sup.lhs[0] / sup.rhs[0])
     return TrialReport(
         trials=n_trials,
-        standard_passes=int(np.sum(std.holds[:n_trials])),
-        super_passes=int(np.sum(sup.holds[:n_trials])),
-        sharpest_standard=_sharpest(std, n_trials),
-        sharpest_super=_sharpest(sup, n_trials),
-        extremal_ratio=float(sup.lhs[-1] / sup.rhs[-1]) if n_trials > 0 else 1.0,
-        counterexample=counterexample,
+        standard_passes=int(passes[0]),
+        super_passes=int(passes[1]),
+        sharpest_standard=float(sharpest[0]),
+        sharpest_super=float(sharpest[1]),
+        extremal_ratio=extremal_ratio,
+        counterexample=found[0] if found else None,
     )

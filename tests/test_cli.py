@@ -14,7 +14,7 @@ import pytest
 
 import maternlab
 import maternlab.cli as cli
-from maternlab import KernelSpec, kernel_eval, kernels, mercer
+from maternlab import KernelSpec, kernel_eval, kernels
 from maternlab.seqmodel import BoundCheck, TrialReport
 
 
@@ -220,13 +220,13 @@ def test_mercer_extends_all_modes_without_a_kernel_matrix(tmp_path, monkeypatch)
         sizes.append(np.size(r))
         return kernel_eval(k, r, out)
 
-    # the extension sums through kernels._translate_sum: watch both modules
-    monkeypatch.setattr(mercer, "kernel_eval", counted)
+    # the rule and the extension both sample through the kernels module
     monkeypatch.setattr(kernels, "kernel_eval", counted)
     assert cli.main(["mercer", "--modes", "10", "--out", str(tmp_path)]) == 0
-    # the rule's own 200 x 200 matrix is the only kernel evaluation: the
-    # 401 extension points never meet the 200 rule nodes in one array
-    assert sizes == [200 * 200], sizes
+    # the rule's own 200 x 200 samples are the only kernel evaluations, once
+    # for B before the eigensolve and once for the gram after it: the 401
+    # extension points never meet the 200 rule nodes in one array
+    assert sizes == [200 * 200] * 2, sizes
 
 
 def test_mercer_truncation_maps_to_exit_3(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import maternlab
@@ -66,3 +67,19 @@ def test_names_the_benchmark_uses_resolve():
     assert {"nystrom_eig", "eigen_extend", "hk_gram_matrix"} <= called
     for name in called:
         assert hasattr(maternlab, name), name
+
+
+def test_one_spectral_checks_iteration_passes_the_benchmark_checks(monkeypatch):
+    # One spectral_checks iteration through the benchmark's own RUNNERS and
+    # CHECKS (seed 1): a change that breaks one of its gates fails here
+    # before it reaches a benchmark run.  The bench modules import each
+    # other by bare name, so bench/ joins the path for this test only.
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("env", "oracles", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    workloads = importlib.import_module("workloads")
+    inp = workloads.make_inputs("spectral_checks", 1)
+    out = workloads.RUNNERS["spectral_checks"](inp)
+    verdicts = workloads.CHECKS["spectral_checks"](inp, out)
+    assert set(verdicts) == set(workloads.OPERATIONS["spectral_checks"])
+    assert all(problems == [] for problems in verdicts.values()), verdicts

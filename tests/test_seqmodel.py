@@ -175,15 +175,20 @@ def test_run_trials_reports_and_is_deterministic():
     assert different.sharpest_standard != rep1.sharpest_standard
 
 
-def _per_trial_loop(space, n_trials, seed):
-    # the trials of run_trials redrawn one at a time and checked with the
-    # public single-trial verifiers
-    std_pass = sup_pass = 0
-    sharpest_std = sharpest_sup = 0.0
+def _per_trial_draws(space, n_trials, seed):
+    # the trials of run_trials redrawn one at a time: (f, subset mask)
     for child in np.random.SeedSequence(seed).spawn(n_trials):
         rng = np.random.default_rng(child)
-        f = space.kappa * rng.standard_normal(space.M)
-        mask = rng.random(space.M) < 0.5
+        yield space.kappa * rng.standard_normal(space.M), rng.random(space.M) < 0.5
+
+
+def _per_trial_loop(space, n_trials, seed):
+    # the trials checked one at a time with the public single-trial
+    # verifiers; the last entry is the first failing trial
+    std_pass = sup_pass = 0
+    sharpest_std = sharpest_sup = 0.0
+    first = None
+    for i, (f, mask) in enumerate(_per_trial_draws(space, n_trials, seed)):
         std = verify_standard_bound(space, f, mask)
         sup = verify_superconvergence(space, f, mask)
         std_pass += std.holds
@@ -192,13 +197,15 @@ def _per_trial_loop(space, n_trials, seed):
             sharpest_std = max(sharpest_std, std.lhs / std.rhs)
         if sup.rhs > 0:
             sharpest_sup = max(sharpest_sup, sup.lhs / sup.rhs)
-    return std_pass, sup_pass, sharpest_std, sharpest_sup
+        if first is None and not (std.holds and sup.holds):
+            first = i
+    return std_pass, sup_pass, sharpest_std, sharpest_sup, first
 
 
 @pytest.mark.parametrize("space", [sobolev_weights(64), analytic_weights(64), sobolev_weights(5)])
 def test_batched_trials_match_the_per_trial_verifiers(space):
     rep = run_trials(space, 300, 7)
-    std_pass, sup_pass, sharpest_std, sharpest_sup = _per_trial_loop(space, 300, 7)
+    std_pass, sup_pass, sharpest_std, sharpest_sup, _ = _per_trial_loop(space, 300, 7)
     assert (rep.standard_passes, rep.super_passes) == (std_pass, sup_pass) == (300, 300)
     assert rep.sharpest_standard == pytest.approx(sharpest_std, rel=1e-12)
     assert rep.sharpest_super == pytest.approx(sharpest_sup, rel=1e-12)
@@ -242,7 +249,9 @@ def test_trial_rows_are_the_per_trial_draws(monkeypatch, n_trials):
         lambda kappa, f, keep: seen.append((f, keep)) or check(kappa, f, keep),
     )
     run_trials(space, n_trials, 3)
-    f, keep = seen[0]
+    # the trials are checked a block at a time, then the extremal case alone
+    assert [len(f) for f, _ in seen] == [512] * (n_trials // 512) + [n_trials % 512, 1]
+    f, keep = (np.concatenate(part) for part in zip(*seen[:-1]))
     for i, child in enumerate(np.random.SeedSequence(3).spawn(n_trials)):
         rng = np.random.default_rng(child)
         assert np.array_equal(f[i], space.kappa * rng.standard_normal(64))
@@ -261,18 +270,20 @@ def test_sequence_seeds_are_accepted(seed):
     space = analytic_weights(16)
     rep = run_trials(space, 50, seed)
     assert rep == _cold(space, 50, (1, 2))
-    std_pass, sup_pass, sharpest_std, sharpest_sup = _per_trial_loop(space, 50, [1, 2])
+    std_pass, sup_pass, sharpest_std, sharpest_sup, _ = _per_trial_loop(space, 50, [1, 2])
     assert (rep.standard_passes, rep.super_passes) == (std_pass, sup_pass)
     assert rep.sharpest_standard == pytest.approx(sharpest_std, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_trials", [5000, 20000])
 def test_only_small_draws_outlive_the_call(n_trials):
+    # trials are drawn and checked in blocks, so beside the shared draws the
+    # peak (0.6 MB) does not grow with n_trials
     from maternlab import seqmodel
 
     space = sobolev_weights(64)
-    f_bytes = (n_trials + 1) * 64 * 8
     memo_bytes = n_trials * 64 * 9 if n_trials * 64 <= seqmodel._MEMO_ENTRIES else 0
+    run_trials(space, 10, 0)  # first-call allocations outside the measurement
     seqmodel._memo_draws.cache_clear()
     tracemalloc.start()
     try:
@@ -282,8 +293,7 @@ def test_only_small_draws_outlive_the_call(n_trials):
         tracemalloc.stop()
     assert rep.all_pass
     assert kept < memo_bytes + 2**20
-    # the batch f, its mask and the temporaries of the bound checks
-    assert peak < 4.5 * f_bytes + memo_bytes
+    assert peak < memo_bytes + 2**20
 
 
 def test_trials_can_fail(monkeypatch):
@@ -306,11 +316,44 @@ def test_trials_can_fail(monkeypatch):
     assert not (cx["standard"].holds or cx["superconvergence"].holds)
 
 
+@pytest.mark.parametrize("n_trials", [2000, 9000])  # from the memo, and drawn in place
+def test_a_counterexample_past_the_first_block_is_the_first_failure(monkeypatch, n_trials):
+    # The tolerance is set so that every trial of the first block (512) passes
+    # and some later one fails; the report must name the first failing trial
+    # found by the per-trial loop, with its draw and its checks.
+    from maternlab import seqmodel
+
+    space, seed = sobolev_weights(64), 21
+    margins = []
+    for f, mask in _per_trial_draws(space, 600, seed):
+        checks = verify_standard_bound(space, f, mask), verify_superconvergence(space, f, mask)
+        margins += [check.rhs - check.lhs for check in checks]
+    # a trial fails when one of its margins rhs - lhs is below -_TOL
+    monkeypatch.setattr(seqmodel, "_TOL", -min(margins))
+    std_pass, sup_pass, sharpest_std, sharpest_sup, first = _per_trial_loop(space, n_trials, seed)
+    assert first is not None and first >= 600
+    rep = run_trials(space, n_trials, seed)
+    assert (rep.standard_passes, rep.super_passes) == (std_pass, sup_pass) < (n_trials, n_trials)
+    assert (rep.sharpest_standard, rep.sharpest_super) == (sharpest_std, sharpest_sup)
+    cx = rep.counterexample
+    assert cx["trial"] == first
+    f, mask = list(_per_trial_draws(space, first + 1, seed))[first]
+    assert np.array_equal(cx["f"], f) and np.array_equal(cx["subset"], mask)
+    assert cx["standard"] == verify_standard_bound(space, cx["f"], cx["subset"])
+    assert cx["superconvergence"] == verify_superconvergence(space, cx["f"], cx["subset"])
+
+
 def test_run_trials_edge_cases():
     space = sobolev_weights(16)
     empty = run_trials(space, 0, 42)
     assert empty.all_pass
     assert empty.trials == 0
     assert empty.extremal_ratio == 1.0
-    with pytest.raises(ValueError):
-        run_trials(space, -1, 42)
+    # the package's one integer rule (kernels._positive_int): an integral
+    # float is taken, a fraction or a bool is refused with a ValueError,
+    # which cli.main maps to exit 2
+    for n_trials in (5.0, np.int64(5), np.float32(5)):
+        assert run_trials(space, n_trials, 42) == _cold(space, 5, 42)
+    for n_trials in (5.5, True, False, np.bool_(True), -1, -2.0):
+        with pytest.raises(ValueError, match="n_trials must be a nonnegative integer"):
+            run_trials(space, n_trials, 42)
