@@ -14,7 +14,7 @@ the kernel with smoothness index m is norm-equivalent to the Sobolev space
 W_2^m, which embeds into continuous functions exactly when 2m > d; the
 constructor enforces that.  Every layer sums translates c_q K(|x - y_q|)
 by _translate_sum, samples kernel matrices by _kernel_rows and walks points
-in blocks by _by_blocks, the one loop.
+in blocks by _by_blocks, the one loop.  _positive_int is the one integer rule.
 """
 
 from __future__ import annotations
@@ -188,12 +188,12 @@ def _by_blocks(block, size, width=64, out=None):
     return out
 
 
-def _kernel_rows(k, y, x, out=None):
-    # kernel_eval(k, |y_i - x_j|) for 1-D y and x, evaluated in out (new when
-    # None) in blocks of rows of _BLOCK_ENTRIES entries: each block's radii
-    # are written there and overwritten by the kernel values, so beside out
-    # only one block's work arrays are held (for d = 1, its polynomial).
-    out = np.empty((y.size, x.size)) if out is None else out
+def _kernel_rows(k, y, x):
+    # kernel_eval(k, |y_i - x_j|) for 1-D y and x, evaluated in a new array
+    # in blocks of rows of _BLOCK_ENTRIES entries: each block's radii are
+    # written there and overwritten by the kernel values, so beside it only
+    # one block's work arrays are held (for d = 1, its polynomial).
+    out = np.empty((y.size, x.size))
 
     def block(b):
         r = np.subtract(y[b, None], x, out=out[b])
@@ -216,7 +216,7 @@ def _cells(x, pts):
 def _translate_sum(k, y, c, x):
     """sum_q c_q K(|x - y_q|) at M points x (1-D) for ascending centres y and
     c of shape (Q,) or (Q, K), shaped x.shape + c.shape[1:].  Any d >= 2
-    kernel takes kernel_eval(k, |x - y|) @ c in blocks of points, O(M Q K).
+    kernel takes _kernel_rows(k, x, y) @ c in blocks of points, O(M Q K).
 
     A d = 1 kernel e^{-r} p(r) sums by moments in O((Q + M) K m): the nodes
     at or left of a point enter through L_j = sum_{q <= p} c_q d^j e^{-d},
@@ -226,7 +226,7 @@ def _translate_sum(k, y, c, x):
     """
     coeffs = exp_poly_coeffs(k)
     if coeffs is None:
-        return _by_blocks(lambda b: kernel_eval(k, np.abs(x[b, None] - y)) @ c, x.size, y.size)
+        return _by_blocks(lambda b: _kernel_rows(k, x[b], y) @ c, x.size, y.size)
     m, derivs = len(coeffs), [coeffs]  # coefficients of p^(j), lowest degree first
     while len(derivs) < m:
         derivs.append([i * a for i, a in enumerate(derivs[-1])][1:])

@@ -34,7 +34,6 @@ __all__ = [
     "nystrom_eig",
     "eigen_extend",
     "project_samples",
-    "extend_function",
     "hk_gram_extended",
     "hk_gram_matrix",
 ]
@@ -139,7 +138,7 @@ def _parity_eigh(sw, rows, n_modes):
     stored reflectors takes them back (LAPACK's dormtr for UPLO = 'L',
     which scipy does not wrap).  No Q x Q array is formed.
     """
-    from scipy.linalg.lapack import dormqr, dstemr, dstemr_lwork, dsterf, dsytrd, dsytrd_lwork
+    from scipy.linalg.lapack import dormqr, dstemr, dsterf, dsytrd, dsytrd_lwork
 
     size, n = sw.size, sw.size // 2
     flat = np.empty((size - n) ** 2 + n * n)
@@ -180,9 +179,8 @@ def _parity_eigh(sw, rows, n_modes):
         if want == 0:
             continue
         m, lo = d.size, d.size - want + 1  # stemr's one-based index range
-        e = np.append(e, 0.0)
-        lwork, liwork, _ = dstemr_lwork(d, e, 2, 0.0, 0.0, lo, m)
-        _, _, z, info = dstemr(d, e, 2, 0.0, 0.0, lo, m, lwork=lwork, liwork=liwork)
+        # scipy's default work sizes are LAPACK's 18 m and 10 m minimum
+        _, _, z, info = dstemr(d, np.append(e, 0.0), 2, 0.0, 0.0, lo, m)
         if info:
             raise np.linalg.LinAlgError(f"stemr failed with info={info}")
         z = z[:, want - 1 :: -1].copy()  # the kept vectors, descending, out of the m x m
@@ -298,23 +296,12 @@ def eigen_extend(sys, n, x):
 
 
 def project_samples(sys, samples):
-    """Coefficients c_n = sum_q w_q samples_q phi_n(y_q) of a sample vector."""
+    """Coefficients c_n = sum_q w_q samples_q phi_n(y_q) of a sample vector;
+    eigen_extend(sys, range(sys.n_modes), x) @ c extends it off [a, b]."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape != sys.nodes.shape:
         raise ValueError("samples must be given at the rule nodes")
     return sys.eigenfunctions @ (sys.weights * samples)
-
-
-def extend_function(sys, samples, x):
-    """Extend a function given by samples at the rule nodes to arbitrary x.
-
-    Projects onto the represented modes and sums c_n phi_n^E(x).  The
-    truncation error decreases as the system carries more modes; no rate is
-    claimed, only monotone improvement for native-space functions.
-    """
-    coeffs = project_samples(sys, samples)
-    out = eigen_extend(sys, range(sys.n_modes), np.atleast_1d(x)) @ coeffs
-    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def hk_gram_extended(sys, j, l):

@@ -16,6 +16,8 @@ eps = max over excluded n of sqrt(kappa_n), the projection error obeys
 the second requiring only that v_f = f./kappa is the l2 preimage of f.
 Both inequalities are exact finite-dimensional statements; the verifiers
 here check them with a 1e-12 additive tolerance and report the pieces.
+The presets take M, and run_trials its trial count, by kernels._positive_int:
+an integral float is taken, and a fraction or a bool raises ValueError.
 """
 
 from __future__ import annotations
@@ -65,14 +67,14 @@ class WeightedSeqSpace:
 
 
 def sobolev_weights(M=64):
-    """Polynomially decaying weights kappa_n = n^(-4), n = 1..M."""
-    n = np.arange(1, M + 1, dtype=float)
+    """Polynomially decaying weights kappa_n = n^(-4), n = 1..M, M a positive integer."""
+    n = np.arange(1, _positive_int(M, "M") + 1, dtype=float)
     return WeightedSeqSpace(kappa=n**-4)
 
 
 def analytic_weights(M=64):
-    """Geometrically decaying weights kappa_n = 2^(-n), n = 1..M."""
-    n = np.arange(1, M + 1)
+    """Geometrically decaying weights kappa_n = 2^(-n), n = 1..M, M a positive integer."""
+    n = np.arange(1, _positive_int(M, "M") + 1)
     return WeightedSeqSpace(kappa=0.5**n)
 
 
@@ -181,12 +183,6 @@ class TrialReport:
         )
 
 
-def _by_trials(block, n_trials, M, out=None):
-    # kernels._by_blocks over trials: eight arrays of a block's shape fill one
-    # dense block of entries, 512 trials at M = 64
-    return _by_blocks(block, n_trials, 8 * M, out)
-
-
 def _draw(seeds, g, coin):
     """Standard normals into g and coin flips into coin, one row per trial,
     each from its own child of seeds; children are spawned a block at a
@@ -199,7 +195,7 @@ def _draw(seeds, g, coin):
             coin[i] = rng.random(g.shape[1]) < 0.5
         return g[b]
 
-    _by_trials(block, len(g), g.shape[1], g)
+    _by_blocks(block, len(g), 8 * g.shape[1], g)  # 2^15 / M trials a block
 
 
 # draws of at most this many n_trials * M entries (4.5 MB) outlive the call
@@ -270,7 +266,7 @@ def run_trials(space, n_trials, seed):
             found.append(_counterexample(b.start + int(failed[0]), f, keep, std, sup, failed[0]))
         return [[np.sum(std.holds), np.sum(sup.holds), _sharpest(std), _sharpest(sup)]]
 
-    stats = _by_trials(block, n_trials, M)
+    stats = _by_blocks(block, n_trials, 8 * M)
     passes, sharpest = stats[:, :2].sum(axis=0), stats[:, 2:].max(axis=0)
     extremal_ratio = 1.0
     if n_trials > 0:

@@ -177,6 +177,7 @@ def bc_residuals(g, a, b, order=2, rows=None):
     g : callable
         g(x, n) is the n-th derivative at x, for n < order + rows.
     a, b : float
+        The endpoints; ValueError unless a < b.
     order : int, optional
         The power k, 2 by default.
     rows : int, optional
@@ -186,6 +187,8 @@ def bc_residuals(g, a, b, order=2, rows=None):
     -------
     tuple of 2 * rows floats: the rows at a, then those at b.
     """
+    if not a < b:
+        raise ValueError(f"bc_residuals needs a < b, got a={a:g}, b={b:g}")
     rows = order if rows is None else rows
     out = []
     for x, sign in ((a, -1), (b, 1)):

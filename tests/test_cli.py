@@ -53,6 +53,15 @@ def test_negative_value_merging():
     # non-numeric dashes stay untouched
     merged = cli._absorb_negative_values(["rates", "--nodes", "11,21"])
     assert merged == ["rates", "--nodes", "11,21"]
+    # an option takes one value: a second number stays a token of its own,
+    # as does a number after an option that already has its value
+    for argv, want in (
+        (["--a", "-1.2", "-3"], ["--a=-1.2", "-3"]),
+        (["--domain", "-1,1", "--quad", "-5"], ["--domain=-1,1", "--quad=-5"]),
+        (["--x=1", "-1"], ["--x=1", "-1"]),
+        (["--", "-1"], ["--=-1"]),
+    ):
+        assert cli._absorb_negative_values(argv) == want
 
 
 def test_rates_writes_outputs(tmp_path, capsys):
@@ -113,8 +122,8 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
     # --C inf warned from inside numpy first
     for argv, named in (
         (["interp", "--kernel", "matern:m=2,amp=paper,amp=unit"], "'amp' given twice"),
-        (["bc-check", "--a", "1", "--b", "-1"], "bc-check needs a < b, got a=1, b=-1"),
-        (["bc-check", "--a", "0.5", "--b", "0.5"], "bc-check needs a < b"),
+        (["bc-check", "--a", "1", "--b", "-1"], "bc_residuals needs a < b, got a=1, b=-1"),
+        (["bc-check", "--a", "0.5", "--b", "0.5"], "bc_residuals needs a < b"),
         (["interp", "--C", "0"], "C must be finite and positive, got 0.0"),
         (["interp", "--C", "inf"], "C must be finite and positive, got inf"),
     ):
@@ -124,6 +133,29 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
         out = capsys.readouterr()
         assert out.out == "" and named in out.err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["mercer", "--domain", "5,1"], "need finite a < b, got a=5.0, b=1.0"),
+        (["seqmodel", "--trials", "-3"], "n_trials must be a nonnegative integer, got -3"),
+        (["seqmodel", "--M", "0"], "M must be a positive integer, got 0"),
+        (["seqmodel", "--trials", "0", "--M", "0"], "M must be a positive integer, got 0"),
+        # f_exact refuses b = inf after the first header used to be printed
+        (["bc-check", "--b", "inf"], "x must be finite"),
+    ],
+    ids=["mercer-domain", "seqmodel-trials", "seqmodel-M", "seqmodel-no-trials-M", "bc-check-inf"],
+)
+def test_ranges_the_library_refuses_exit_2(argv, named, tmp_path, capsys):
+    # the CLI parses; nystrom_eig, run_trials, the weight presets and the
+    # residuals refuse, before anything is printed or written
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+    assert not out.exists()
 
 
 def test_empty_interior_window_or_grid_maps_to_exit_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import maternlab
 from maternlab import (
+    cli,
     errors,
     experiments,
     interpolation,
@@ -69,17 +70,51 @@ def test_names_the_benchmark_uses_resolve():
         assert hasattr(maternlab, name), name
 
 
-def test_one_spectral_checks_iteration_passes_the_benchmark_checks(monkeypatch):
-    # One spectral_checks iteration through the benchmark's own RUNNERS and
-    # CHECKS (seed 1): a change that breaks one of its gates fails here
-    # before it reaches a benchmark run.  The bench modules import each
-    # other by bare name, so bench/ joins the path for this test only.
+def _bench_workloads(monkeypatch):
+    # bench/workloads.py, unedited.  The bench modules import each other by
+    # bare name, so bench/ joins the path for the calling test only.
     monkeypatch.syspath_prepend(str(BENCH))
     for name in ("env", "oracles", "workloads"):
         monkeypatch.delitem(sys.modules, name, raising=False)
-    workloads = importlib.import_module("workloads")
-    inp = workloads.make_inputs("spectral_checks", 1)
-    out = workloads.RUNNERS["spectral_checks"](inp)
-    verdicts = workloads.CHECKS["spectral_checks"](inp, out)
-    assert set(verdicts) == set(workloads.OPERATIONS["spectral_checks"])
+    return importlib.import_module("workloads")
+
+
+def _assert_passes(workloads, workload, inp, out):
+    verdicts = workloads.CHECKS[workload](inp, out)
+    assert set(verdicts) == set(workloads.OPERATIONS[workload])
     assert all(problems == [] for problems in verdicts.values()), verdicts
+
+
+def _one_iteration_passes(monkeypatch, workload):
+    # One iteration through the benchmark's own RUNNERS and CHECKS (seed 1):
+    # a change that breaks one of its gates fails here before it reaches a
+    # benchmark run.
+    workloads = _bench_workloads(monkeypatch)
+    inp = workloads.make_inputs(workload, 1)
+    _assert_passes(workloads, workload, inp, workloads.RUNNERS[workload](inp))
+
+
+def test_one_spectral_checks_iteration_passes_the_benchmark_checks(monkeypatch):
+    _one_iteration_passes(monkeypatch, "spectral_checks")
+
+
+def test_one_rate_ladder_iteration_passes_the_benchmark_checks(monkeypatch):
+    _one_iteration_passes(monkeypatch, "rate_ladder")
+
+
+def test_the_cli_defaults_pass_the_benchmark_checks(monkeypatch, tmp_path, capsys):
+    # The five subcommands at the benchmark's argv, run in-process with their
+    # files read from tmp_path, judged by CHECKS["cli_defaults"]: a CLI edit
+    # that changes a checked output fails here.  Nothing lands in bench/out.
+    workloads = _bench_workloads(monkeypatch)
+    before = sorted(workloads.OUT.rglob("*"))
+    inp = workloads.make_inputs("cli_defaults", 1)
+    out = {}
+    for command in workloads.CLI_COMMANDS:
+        work = tmp_path / command
+        code = cli.main(workloads.cli_argv(command, inp, work))
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())} if work.is_dir() else {}
+        out[command] = {"returncode": code, "stdout": captured.out, "stderr": captured.err, "files": files}
+    _assert_passes(workloads, "cli_defaults", inp, out)
+    assert sorted(workloads.OUT.rglob("*")) == before

@@ -35,6 +35,18 @@ def test_weight_presets():
         assert np.all(np.diff(space.kappa) <= 0)
 
 
+@pytest.mark.parametrize("preset", [sobolev_weights, analytic_weights])
+def test_weight_presets_take_m_by_the_integer_rule(preset):
+    # kernels._positive_int, as in run_trials: sobolev_weights(2.5) used to
+    # build 3 weights, and M = 0 was refused only by the CLI
+    for bad in (2.5, True, 0, -1):
+        with pytest.raises(ValueError, match=f"M must be a positive integer, got {bad!r}"):
+            preset(bad)
+    want = preset(5).kappa
+    for M in (5.0, np.int64(5)):
+        assert np.array_equal(preset(M).kappa, want)
+
+
 def test_space_validation():
     with pytest.raises(ValueError):
         WeightedSeqSpace(kappa=np.array([1.0, 0.0]))

@@ -302,6 +302,15 @@ def test_two_constraint_residuals_vanish_for_f_outside_support():
         assert max(abs(v) for v in r) < 1e-13
 
 
+def test_residuals_need_a_left_of_b():
+    # with a >= b the (1 - D)^k rows would be read at the right end
+    for a, b in ((1.0, -1.0), (0.5, 0.5), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="bc_residuals needs a < b"):
+            bc_residuals(f_exact, a, b)
+        with pytest.raises(ValueError, match="bc_residuals needs a < b"):
+            bc_residuals(f_exact, a, b, order=1, rows=3)
+
+
 def test_two_constraint_residuals_annihilate_pure_exponentials():
     # (1-D)^2 kills e^x at the left endpoint, (1+D)^2 kills e^{-x} at the
     # right; crossing them leaves nonzero residuals
