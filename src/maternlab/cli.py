@@ -103,12 +103,14 @@ def _parse_domain(text):
 
 def _absorb_negative_values(argv):
     # argparse refuses option values that start with '-' unless they parse as
-    # plain negative numbers; forms like '-1,1' after --domain need merging
-    # into '--domain=-1,1'.
+    # plain negative numbers; forms like '-1,1' or '-inf' after --domain need
+    # merging into '--domain=-1,1'.  Tokens after a bare '--' stay as they are.
     merged = []
-    for tok in argv:
+    for i, tok in enumerate(argv):
+        if tok == "--":
+            return merged + list(argv[i:])
         prev = merged[-1] if merged else ""
-        if prev.startswith("--") and "=" not in prev and re.match(r"^-\d[\d.,eE+-]*$", tok):
+        if prev.startswith("--") and "=" not in prev and re.match(r"-(\.?\d|inf|nan)", tok, re.I):
             merged[-1] = f"{prev}={tok}"
         else:
             merged.append(tok)

@@ -13,8 +13,10 @@ r^nu K_nu(r) / (2^(nu-1) Gamma(nu)) with nu = m - d/2.  The native space of
 the kernel with smoothness index m is norm-equivalent to the Sobolev space
 W_2^m, which embeds into continuous functions exactly when 2m > d; the
 constructor enforces that.  Every layer sums translates c_q K(|x - y_q|)
-by _translate_sum, samples kernel matrices by _kernel_rows and walks points
-in blocks by _by_blocks, the one loop.  _positive_int is the one integer rule.
+by _translate_sum, samples kernel matrices by _kernel_rows and blocks points
+by _slices, the one blocking rule (_by_blocks joins one result per slice).
+_positive_int is the integer rule for sizes; box_convolution takes its
+derivative order by operator.index, so it refuses 2.0 by design.
 """
 
 from __future__ import annotations
@@ -173,19 +175,18 @@ def kernel_eval(k, r, out=None):
     return float(out) if arr.ndim == 0 else out
 
 
-def _by_blocks(block, size, width=64, out=None):
-    # The one loop over points: block(b) for consecutive slices b of at most
-    # _BLOCK_ENTRIES // width points (one empty slice for no points), joined,
-    # or stored in out[b] when out is given (a no-op where block wrote there).
-    # Joining keeps the evaluation paths' allocation pattern: a result made
-    # before the blocks took an m = 2 rate study from 418 to 732 page faults.
+def _slices(size, width=64):
+    # The one blocking rule: consecutive slices of at most _BLOCK_ENTRIES // width
+    # of size points, each stopping at size (one empty slice for no points).
     rows = max(1, _BLOCK_ENTRIES // width)
-    slices = [slice(lo, lo + rows) for lo in range(0, max(size, 1), rows)]
-    if out is None:
-        return np.concatenate([block(b) for b in slices])
-    for b in slices:
-        out[b] = block(b)
-    return out
+    return [slice(lo, min(lo + rows, size)) for lo in range(0, max(size, 1), rows)]
+
+
+def _by_blocks(block, size, width=64):
+    # block(b) for b in _slices(size, width), joined.  Joining keeps the
+    # evaluation paths' allocation pattern: a result made before the blocks
+    # took an m = 2 rate study from 418 to 732 page faults.
+    return np.concatenate([block(b) for b in _slices(size, width)])
 
 
 def _kernel_rows(k, y, x):
@@ -194,12 +195,10 @@ def _kernel_rows(k, y, x):
     # written there and overwritten by the kernel values, so beside it only
     # one block's work arrays are held (for d = 1, its polynomial).
     out = np.empty((y.size, x.size))
-
-    def block(b):
+    for b in _slices(y.size, x.size):
         r = np.subtract(y[b, None], x, out=out[b])
-        return kernel_eval(k, np.abs(r, out=r), out=r)
-
-    return _by_blocks(block, y.size, x.size, out)
+        kernel_eval(k, np.abs(r, out=r), out=r)
+    return out
 
 
 def _cells(x, pts):

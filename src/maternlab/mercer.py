@@ -8,10 +8,9 @@ phi_n = W^{-1/2} u_n are then discretely orthonormal in L2(a, b).  The rule
 costs O(Q^2) time, the eigensolve O(Q^3): one dense eigh below 1536 points,
 and from 1536 on a tridiagonal reduction of each parity half with only the
 kept eigenvectors computed, about 3x faster at Q = 1600 (see _parity_eigh).
-Both solvers sample the rows of A they read themselves, and the gram A is
-sampled after the solve, so it never shares memory with the solver's
-arrays: from 1536 points the peak is A plus blocks (1.1 times A at
-Q = 1600), below it B and eigh's eigenvectors (2 times A).
+Both solvers sample the rows of A they read, and the system keeps no Q x Q
+array (the Gram checks sample A themselves): from 1536 points the peak is
+0.80 times A at Q = 1600, below it B and eigh's eigenvectors (2 times A).
 
 The eigenfunctions extend off the interval through the eigenvalue equation
 itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .kernels import _by_blocks, _kernel_rows, _positive_int, _translate_sum
+from .kernels import _kernel_rows, _positive_int, _slices, _translate_sum
 
 __all__ = [
     "MercerSystem",
@@ -53,7 +52,6 @@ class MercerSystem:
         first rule node.
     full_spectrum : all rule_size eigenvalues of the discretized operator,
         for trace and tail diagnostics.
-    gram : kernel sample matrix A at the rule nodes.
     """
 
     kernel: object
@@ -64,7 +62,6 @@ class MercerSystem:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     full_spectrum: np.ndarray
-    gram: np.ndarray
 
     @property
     def n_modes(self):
@@ -130,33 +127,33 @@ def _parity_eigh(sw, rows, n_modes):
     sqrt 2, and the last entry of v is an even vector's centre sample.
     rows(b) returns rows b of A as a fresh array, which is scaled in place;
     the fold reads A's top n rows and, for odd Q, its centre entry, one
-    block of rows at a time, and writes M+- straight into one array of
-    (Q - n)^2 + n^2 entries, half the size of A.  Each half is reduced to
+    block of rows at a time, and writes M+ and M- straight into their own
+    arrays, together half the size of A.  Each half is reduced to
     tridiagonal form once, in place (dsytrd, a quarter of the dense
-    reduction's flops for both); sterf gives all its eigenvalues, MRRR
-    (stemr) only the kept vectors, and dormqr on one contiguous copy of the
-    stored reflectors takes them back (LAPACK's dormtr for UPLO = 'L',
-    which scipy does not wrap).  No Q x Q array is formed.
+    reduction's flops for both); eigh_tridiagonal gives all its eigenvalues
+    (sterf) and only the kept vectors (MRRR, stemr), and dormqr on one
+    contiguous copy of the stored reflectors takes them back (dormtr for
+    UPLO = 'L', which scipy does not wrap).  No Q x Q array is formed.
     """
-    from scipy.linalg.lapack import dormqr, dstemr, dsterf, dsytrd, dsytrd_lwork
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dormqr, dsytrd, dsytrd_lwork
 
     size, n = sw.size, sw.size // 2
-    flat = np.empty((size - n) ** 2 + n * n)
-    plus = flat[: (size - n) ** 2].reshape(size - n, size - n)
-    minus = flat[plus.size :].reshape(n, n)
+    plus, minus = np.empty((size - n, size - n)), np.empty((n, n))
     head, sw_head = plus[:n], sw[:n]
 
     def fold(b):  # rows b of M+ and M-, from rows b of B's top
-        t = rows(slice(*b.indices(n)))  # the last block stops at n
+        t = rows(b)
         t *= sw_head[b, None]
         t *= sw
         near, far = t[:, :n], t[:, : -n - 1 : -1]
         np.add(near, far, out=head[b, :n])
         if size % 2:
             head[b, n] = np.sqrt(2.0) * t[:, n]
-        return np.subtract(near, far, out=minus[b])
+        np.subtract(near, far, out=minus[b])
 
-    _by_blocks(fold, n, size, minus)
+    for b in _slices(n, size):
+        fold(b)
     if size % 2:
         plus[n, :n] = plus[:n, n]
         plus[n, n] = sw[n] * rows(slice(n, n + 1))[0, n] * sw[n]
@@ -164,10 +161,7 @@ def _parity_eigh(sw, rows, n_modes):
     for M in (plus, minus):  # M is symmetric, so M.T is its Fortran-ordered twin
         lwork, _ = dsytrd_lwork(M.shape[0], lower=1)
         c, d, e, tau, _ = dsytrd(M.T, lower=1, lwork=int(lwork), overwrite_a=1)
-        lam, info = dsterf(d, e)
-        if info:
-            raise np.linalg.LinAlgError(f"sterf failed with info={info}")
-        tri.append((c, d, e, tau, lam))
+        tri.append((c, d, e, tau, eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")))
     vals = np.concatenate([t[4] for t in tri])
     order = np.argsort(vals)[::-1]
     vals = vals[order]
@@ -178,15 +172,13 @@ def _parity_eigh(sw, rows, n_modes):
         want = int(cols.sum())
         if want == 0:
             continue
-        m, lo = d.size, d.size - want + 1  # stemr's one-based index range
-        # scipy's default work sizes are LAPACK's 18 m and 10 m minimum
-        _, _, z, info = dstemr(d, np.append(e, 0.0), 2, 0.0, 0.0, lo, m)
-        if info:
-            raise np.linalg.LinAlgError(f"stemr failed with info={info}")
-        z = z[:, want - 1 :: -1].copy()  # the kept vectors, descending, out of the m x m
+        top = (d.size - want, d.size - 1)
+        z = eigh_tridiagonal(d, e, select="i", select_range=top, lapack_driver="stemr")[1]
+        z = z[:, ::-1].copy()  # the kept vectors, descending
         refl = np.asfortranarray(c[1:, :-1])  # both dormqr calls take it uncopied
         _, query, _ = dormqr("L", "N", refl, tau, z[1:], -1)
         z[1:] = dormqr("L", "N", refl, tau, z[1:], int(query[0]))[0]
+        del refl  # a quarter of A, freed before the next half's stemr takes another
         vecs[:n, cols] = z[:n] / np.sqrt(2.0)
         vecs[: -n - 1 : -1, cols] = sign * vecs[:n, cols]
         if size % 2 and sign > 0:
@@ -205,10 +197,8 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     Rules of 1536 points or more are solved from their two parity
     halves, computing only the kept eigenvectors (see _parity_eigh);
     smaller rules by one dense eigh, which is the parity path's test
-    oracle.  Each solver samples the kernel rows it reads, and the gram is
-    sampled after the solve, so the solver's arrays and the gram are never
-    held together.  The price is a second sampling: the top Q // 2 rows on
-    the parity path, every row below 1536 points.
+    oracle.  Each solver samples the kernel rows it reads; the returned
+    system holds no Q x Q array.
 
     Parameters
     ----------
@@ -247,11 +237,10 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
 
     eigh = _parity_eigh if rule_size >= _PARITY_MIN_RULE else _dense_eigh
     vals, vecs = eigh(sw, rows, n_modes)
-    A = rows(slice(None))
     phi = (vecs / sw[:, None]).T
     phi[phi[:, 0] < 0] *= -1.0
     eigvals = vals[:n_modes].copy()
-    for arr in (y, w, eigvals, phi, vals, A):
+    for arr in (y, w, eigvals, phi, vals):
         arr.setflags(write=False)
     return MercerSystem(
         kernel=k,
@@ -262,7 +251,6 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
         eigenvalues=eigvals,
         eigenfunctions=phi,
         full_spectrum=vals,
-        gram=A,
     )
 
 
@@ -309,25 +297,29 @@ def hk_gram_extended(sys, j, l):
 
     Uses the identity (phi_j^E, phi_l^E)_K =
     (1/(kappa_j kappa_l)) * double integral of phi_j(x) K(|x-y|) phi_l(y)
-    over [a,b]^2, evaluated with the rule.  Expected value: delta_jl / kappa_l
-    (orthogonality carries over from L2 to the native space).
+    over [a,b]^2, evaluated with the rule, whose kernel samples A it draws
+    afresh.  Expected value: delta_jl / kappa_l (orthogonality carries over
+    from L2 to the native space).
     """
     _check_mode(sys, j)
     _check_mode(sys, l)
     w = sys.weights
     lhs = w * sys.eigenfunctions[j]
     rhs = w * sys.eigenfunctions[l]
-    return float(lhs @ sys.gram @ rhs) / (sys.eigenvalues[j] * sys.eigenvalues[l])
+    A = _kernel_rows(sys.kernel, sys.nodes, sys.nodes)
+    return float(lhs @ A @ rhs) / (sys.eigenvalues[j] * sys.eigenvalues[l])
 
 
 def hk_gram_matrix(sys):
-    """Matrix of hk_gram_extended over all modes of the system."""
+    """Matrix of hk_gram_extended over all modes of the system, from one
+    sampling of A."""
+    A = _kernel_rows(sys.kernel, sys.nodes, sys.nodes)
     wphi = sys.weights * sys.eigenfunctions
     kappa = sys.eigenvalues
     out = np.empty((kappa.size, kappa.size))
     for j in range(kappa.size):
         # hk_gram_extended's (w phi_j) A, hoisted; entries stay bit-identical
-        row = wphi[j] @ sys.gram
+        row = wphi[j] @ A
         for l in range(j, kappa.size):
             out[j, l] = out[l, j] = float(row @ wphi[l]) / (kappa[j] * kappa[l])
     return out

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -39,15 +38,11 @@ def format_value(v):
 def atomic_write_text(path, text):
     """Write text to path via a same-directory temp file and atomic rename."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies, as in open()
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -69,10 +64,12 @@ def write_xy_csv(path, header, xs, ys):
 
 
 def write_columns_csv(path, names, columns):
-    """Multi-column table; names and columns must align."""
+    """Multi-column table; names and columns align, columns of one length."""
     columns = [np.asarray(c) for c in columns]
     if len(names) != len(columns):
         raise ValueError("one name per column required")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns must be of one length, got {[len(c) for c in columns]}")
     lines = [",".join(names)]
     for i in range(len(columns[0])):
         lines.append(",".join(format_value(c[i]) for c in columns))

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import _by_blocks, _positive_int
+from .kernels import _by_blocks, _positive_int, _slices
 
 __all__ = [
     "WeightedSeqSpace",
@@ -187,15 +187,11 @@ def _draw(seeds, g, coin):
     """Standard normals into g and coin flips into coin, one row per trial,
     each from its own child of seeds; children are spawned a block at a
     time, and successive spawns continue the child count."""
-
-    def block(b):
-        for i, child in enumerate(seeds.spawn(len(g[b])), b.start):
+    for b in _slices(len(g), 8 * g.shape[1]):  # 2^15 / M trials a block
+        for i, child in enumerate(seeds.spawn(b.stop - b.start), b.start):
             rng = np.random.default_rng(child)
             g[i] = rng.standard_normal(g.shape[1])
             coin[i] = rng.random(g.shape[1]) < 0.5
-        return g[b]
-
-    _by_blocks(block, len(g), 8 * g.shape[1], g)  # 2^15 / M trials a block
 
 
 # draws of at most this many n_trials * M entries (4.5 MB) outlive the call
@@ -252,7 +248,6 @@ def run_trials(space, n_trials, seed):
     found = []  # the first failing trial, as the report's counterexample
 
     def block(b):  # pass counts and sharpest ratios of trials b
-        b = slice(*b.indices(n_trials))
         if memo is None:
             shape = (b.stop - b.start, M)
             f, keep = np.empty(shape), np.empty(shape, dtype=bool)

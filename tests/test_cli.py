@@ -59,9 +59,28 @@ def test_negative_value_merging():
         (["--a", "-1.2", "-3"], ["--a=-1.2", "-3"]),
         (["--domain", "-1,1", "--quad", "-5"], ["--domain=-1,1", "--quad=-5"]),
         (["--x=1", "-1"], ["--x=1", "-1"]),
-        (["--", "-1"], ["--=-1"]),
+        (["--", "-1"], ["--", "-1"]),
     ):
         assert cli._absorb_negative_values(argv) == want
+    # the signed forms float() reads join too; nothing joins onto or after '--'
+    for argv, want in (
+        (["--C", "-inf"], ["--C=-inf"]),
+        (["--C", "-NaN"], ["--C=-NaN"]),
+        (["--domain", "-inf,1"], ["--domain=-inf,1"]),
+        (["--domain", "-.5,1"], ["--domain=-.5,1"]),
+        (["--", "--C", "-1"], ["--", "--C", "-1"]),
+        (["--C", "-help"], ["--C", "-help"]),
+    ):
+        assert cli._absorb_negative_values(argv) == want
+
+
+def test_a_bare_double_dash_is_never_an_option(capsys):
+    # '-- -1' stays two tokens: joined, '--=-1' would be an ambiguous option
+    with pytest.raises(SystemExit) as info:
+        cli.main(["seqmodel", "--", "-1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: -- -1" in err and "--=-1" not in err
 
 
 def test_rates_writes_outputs(tmp_path, capsys):
@@ -144,8 +163,20 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
         (["seqmodel", "--trials", "0", "--M", "0"], "M must be a positive integer, got 0"),
         # f_exact refuses b = inf after the first header used to be printed
         (["bc-check", "--b", "inf"], "x must be finite"),
+        # signed forms float() reads reach the library, not argparse's
+        # "expected one argument"
+        (["rates", "--C", "-inf"], "C must be finite and positive, got -inf"),
+        (["mercer", "--domain", "-inf,1"], "need finite a < b, got a=-inf, b=1.0"),
     ],
-    ids=["mercer-domain", "seqmodel-trials", "seqmodel-M", "seqmodel-no-trials-M", "bc-check-inf"],
+    ids=[
+        "mercer-domain",
+        "seqmodel-trials",
+        "seqmodel-M",
+        "seqmodel-no-trials-M",
+        "bc-check-inf",
+        "rates-C-minus-inf",
+        "mercer-domain-minus-inf",
+    ],
 )
 def test_ranges_the_library_refuses_exit_2(argv, named, tmp_path, capsys):
     # the CLI parses; nystrom_eig, run_trials, the weight presets and the

@@ -40,6 +40,7 @@ from maternlab import (
 )
 from maternlab import mercer
 from maternlab.interpolation import CONDITIONING_FLOOR, _solve_dense
+from maternlab.kernels import _kernel_rows
 from maternlab.mercer import _gauss_legendre
 
 
@@ -145,8 +146,9 @@ def test_discrete_orthonormality_and_eigen_equation():
     G = (sys_.eigenfunctions * w) @ sys_.eigenfunctions.T
     assert np.max(np.abs(G - np.eye(8))) < 1e-12
     # integral operator applied at the nodes reproduces kappa_n phi_n
+    A = _kernel_rows(k, sys_.nodes, sys_.nodes)
     for n in (0, 3, 7):
-        lhs = sys_.gram @ (w * sys_.eigenfunctions[n])
+        lhs = A @ (w * sys_.eigenfunctions[n])
         rhs = sys_.eigenvalues[n] * sys_.eigenfunctions[n]
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -309,7 +311,6 @@ def _nystrom_full_reorder(k, a, b, rule_size, n_modes, eigh=None):
         "eigenvalues": vals[:n_modes],
         "eigenfunctions": phi,
         "full_spectrum": vals,
-        "gram": A,
     }
 
 
@@ -341,10 +342,10 @@ def test_parity_solve_matches_the_dense_oracle(m, a, b, rule, modes, monkeypatch
     k = KernelSpec(m=m)
     sys_ = nystrom_eig(k, a, b, rule, modes)
     want = _nystrom_full_reorder(k, a, b, rule, modes)
-    for field in ("nodes", "weights", "gram"):
+    for field in ("nodes", "weights"):
         assert np.array_equal(getattr(sys_, field), want[field]), field
     sw = np.sqrt(sys_.weights)
-    B = sw[:, None] * sys_.gram * sw
+    B = sw[:, None] * _kernel_rows(k, sys_.nodes, sys_.nodes) * sw
     full = want["full_spectrum"]
     norm = np.max(np.abs(full))  # ||B||_2 of the symmetric B
     assert np.max(np.abs(sys_.full_spectrum - full)) <= 4 * EPS * norm
@@ -426,15 +427,15 @@ def _parity_eigh_by_expressions(sw, A, n_modes):
 def test_blocked_gram_and_folded_halves_repeat_the_expressions(rule, m, a, b):
     # The solvers sample the rows they read in blocks (the parity halves are
     # folded from fresh blocks of the top rows, B is scaled in place in a
-    # fresh sample), and the gram is sampled after the solve.  Every field
-    # matches the whole-array expressions bit for bit.
+    # fresh sample).  Every field matches the whole-array expressions bit for
+    # bit, and so does the blocked gram that the Gram checks sample.
     k = KernelSpec(m=m)
     sys_ = nystrom_eig(k, a, b, rule, 24)
     eigh = _parity_eigh_by_expressions if rule >= 1536 else None
     for field, want in _nystrom_full_reorder(k, a, b, rule, 24, eigh).items():
         assert np.array_equal(getattr(sys_, field), want), field
     y = sys_.nodes
-    assert np.array_equal(sys_.gram, kernel_eval(k, np.abs(y[:, None] - y[None, :])))
+    assert np.array_equal(_kernel_rows(k, y, y), kernel_eval(k, np.abs(y[:, None] - y[None, :])))
 
 
 @pytest.mark.parametrize("rule", [1600, 1601])
@@ -463,23 +464,48 @@ def test_parity_solve_leaves_its_top_rows_alone(rule):
         assert np.array_equal(g, want)
 
 
+def _traced_peak(call):
+    # peak traced bytes of a second call, so one-time imports and caches
+    # of the first do not count
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_nystrom_holds_one_rule_by_rule_array():
-    # The gram is sampled after the solve, so from 1536 points the peak is
-    # the gram and one block (1.08 x at 1600; the parity halves, half its
-    # size, are gone by then).  Below 1536, B and eigh's eigenvectors are
-    # the two Q x Q arrays held (2.03 x at 1535).  For m = 3 each block's
-    # Horner polynomial is a second block-sized array (1.135 x at 1600).
+    # From 1536 points the peak is the two parity halves (half a Q x Q
+    # array) and one half's stemr vectors or reflector copy, each a quarter
+    # of one: 0.80 x at 1600 for m = 1 and 3, since no gram is sampled (1.05 x
+    # with two quarters held at once).  Below 1536, B and eigh's eigenvectors
+    # are the two Q x Q arrays held (2.04 x at 1535).
     from scipy.linalg import lapack  # noqa: F401  (imported before tracing)
 
-    for rule, m, bound in ((1535, 1, 2.1), (1600, 1, 1.15), (1601, 1, 1.15), (1600, 3, 1.15)):
-        nystrom_eig(KernelSpec(m=m), -1.0, 1.0, rule, 48)
-        tracemalloc.start()
-        try:
-            sys_ = nystrom_eig(KernelSpec(m=m), -1.0, 1.0, rule, 48)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * sys_.gram.nbytes, (rule, m, peak / sys_.gram.nbytes)
+    cases = ((1535, 1, 2.1), (1600, 1, 0.9), (1601, 1, 0.9), (1600, 3, 0.9), (1601, 3, 0.9))
+    for rule, m, bound in cases:
+        peak = _traced_peak(lambda: nystrom_eig(KernelSpec(m=m), -1.0, 1.0, rule, 48))
+        assert peak <= bound * 8 * rule**2, (rule, m, peak / (8 * rule**2))
+
+
+@pytest.mark.parametrize("rule", [200, 1535, 1600])
+def test_system_holds_no_rule_by_rule_array(rule):
+    # nodes, weights and the spectrum hold Q entries, the eigenfunctions Q K
+    sys_ = nystrom_eig(KernelSpec(m=2), -1.0, 1.0, rule, 12)
+    for field, value in vars(sys_).items():
+        assert np.size(value) <= rule * (sys_.n_modes + 1), field
+
+
+def test_gram_check_holds_one_gram():
+    # hk_gram_matrix samples the gram once and walks its rows: 1.03 x its
+    # size for m = 1, and 1.10 x for m = 3, whose sampling blocks hold a
+    # Horner polynomial beside them
+    for m in (1, 3):
+        sys_ = nystrom_eig(KernelSpec(m=m), -1.0, 1.0, 1600, 48)
+        peak = _traced_peak(lambda: hk_gram_matrix(sys_))
+        assert peak <= 1.2 * 8 * 1600**2, (m, peak / (8 * 1600**2))
 
 
 _GATE_PROBE = """
@@ -742,7 +768,6 @@ def test_structured_sum_matches_the_dense_oracle(case, m, amp):
         eigenvalues=ones,
         eigenfunctions=c.T,
         full_spectrum=ones,
-        gram=None,
     )
     got = eigen_extend(sys_, range(c.shape[1]), xs)
     want = kernel_eval(k, np.abs(xs[:, None] - centres[None, :])) @ c

@@ -51,8 +51,8 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 
 def test_atomic_write_gives_the_umask_default_mode(tmp_path):
-    # the temporary file starts 0600; the renamed result must carry the mode
-    # a plain open() would have given it, with the bytes unchanged
+    # the renamed result must carry the mode a plain open() would have given
+    # it, with the bytes unchanged
     old = os.umask(0o022)
     try:
         for name, text in (("a.csv", "x,y\n1,2.5\n"), ("b.txt", "\u03ba_1\n")):
@@ -64,6 +64,39 @@ def test_atomic_write_gives_the_umask_default_mode(tmp_path):
         assert stat.S_IMODE(os.stat(tmp_path / "m.csv").st_mode) == 0o600
     finally:
         os.umask(old)
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the OS applies the umask when the temp file is created, so the writer
+    # never sets it: a thread creating a file meanwhile keeps its own mode
+    set_umask = os.umask
+    old = set_umask(0o022)
+
+    def refuse(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    try:
+        for mask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            set_umask(mask)
+            target = tmp_path / f"{mode:o}.csv"
+            atomic_write_text(str(target), "x\n")
+            assert stat.S_IMODE(os.stat(target).st_mode) == mode
+            assert target.read_text() == "x\n"
+        assert sorted(os.listdir(tmp_path)) == ["600.csv", "644.csv"]
+    finally:
+        set_umask(old)
+
+
+def test_ragged_columns_are_refused_before_writing(tmp_path):
+    # either order is refused with one message, and no partial table lands
+    path = tmp_path / "xy.csv"
+    for xs, ys in (([1, 2], [1, 2, 3]), ([1, 2, 3], [1, 2])):
+        with pytest.raises(ValueError, match="one length"):
+            write_xy_csv(str(path), "x,y", xs, ys)
+        with pytest.raises(ValueError, match="one length"):
+            write_columns_csv(str(path), ["a", "b", "c"], [xs, xs, ys])
+    assert os.listdir(tmp_path) == []
 
 
 def test_rates_csv_layout_and_round_trip(tmp_path):
