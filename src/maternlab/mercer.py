@@ -9,14 +9,14 @@ costs O(Q^2) time, the eigensolve O(Q^3): one dense eigh below 1536 points,
 and from 1536 on a tridiagonal reduction of each parity half with only the
 kept eigenvectors computed, about 3x faster at Q = 1600 (see _parity_eigh).
 Both solvers sample the rows of A they read, and the system keeps no Q x Q
-array (the Gram checks sample A themselves): from 1536 points the peak is
-0.80 times A at Q = 1600, below it B and eigh's eigenvectors (2 times A).
+array: from 1536 points the peak is the two halves and a block of rows (0.62
+times A at Q = 1600), below it B and eigh's eigenvectors (2 times A).
 
 The eigenfunctions extend off the interval through the eigenvalue equation
 itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
 native-space orthogonality kappa_l (phi_j^E, phi_l^E)_K = delta_jl, which
-hk_gram_extended verifies discretely.  The extension is a sum of kernel
-translates at the rule nodes, summed by kernels._translate_sum.
+the Gram checks verify discretely by one blocked product (W Phi) A (W Phi)^T.
+Extensions are sums of kernel translates at the nodes (kernels._translate_sum).
 """
 
 from __future__ import annotations
@@ -125,18 +125,16 @@ def _parity_eigh(sw, rows, n_modes):
     u = [v; -Jv] / sqrt 2, with M+- = B11 +- B12 J on the top n = Q // 2
     rows of B.  For odd Q the centre row and column join M+ scaled by
     sqrt 2, and the last entry of v is an even vector's centre sample.
-    rows(b) returns rows b of A as a fresh array, which is scaled in place;
-    the fold reads A's top n rows and, for odd Q, its centre entry, one
-    block of rows at a time, and writes M+ and M- straight into their own
-    arrays, together half the size of A.  Each half is reduced to
-    tridiagonal form once, in place (dsytrd, a quarter of the dense
-    reduction's flops for both); eigh_tridiagonal gives all its eigenvalues
-    (sterf) and only the kept vectors (MRRR, stemr), and dormqr on one
-    contiguous copy of the stored reflectors takes them back (dormtr for
-    UPLO = 'L', which scipy does not wrap).  No Q x Q array is formed.
+    rows(b) returns rows b of A afresh; the fold scales A's top rows a block
+    at a time into M+ and M-, their own arrays, half the size of A together.
+    Each is reduced to tridiagonal form in place (dsytrd, a quarter of the
+    dense reduction's flops for both); sterf gives all its eigenvalues,
+    inverse iteration (dstein) only the kept vectors, and dormqr takes them
+    back (dormtr for UPLO = 'L', which scipy does not wrap) with the
+    reflectors shifted in place to the half's leading block: no Q x Q array.
     """
     from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.lapack import dormqr, dsytrd, dsytrd_lwork
+    from scipy.linalg.lapack import dormqr, dstein, dsytrd, dsytrd_lwork
 
     size, n = sw.size, sw.size // 2
     plus, minus = np.empty((size - n, size - n)), np.empty((n, n))
@@ -168,17 +166,20 @@ def _parity_eigh(sw, rows, n_modes):
     _refuse_truncation(vals, n_modes)
     even = order[:n_modes] < plus.shape[0]
     vecs = np.zeros((size, n_modes))
-    for (c, d, e, tau, _), sign, cols in zip(tri, (1.0, -1.0), (even, ~even)):
-        want = int(cols.sum())
+    for (c, d, e, tau, w), sign, cols, half in zip(tri, (1.0, -1.0), (even, ~even), ("even", "odd")):
+        want, h = int(cols.sum()), d.size
         if want == 0:
             continue
-        top = (d.size - want, d.size - 1)
-        z = eigh_tridiagonal(d, e, select="i", select_range=top, lapack_driver="stemr")[1]
-        z = z[:, ::-1].copy()  # the kept vectors, descending
-        refl = np.asfortranarray(c[1:, :-1])  # both dormqr calls take it uncopied
+        z, info = dstein(d, e, w[-want:], np.ones(h, np.intc), np.full(h, h, np.intc))  # one block of h rows
+        if info:
+            raise np.linalg.LinAlgError(f"dstein: {info} of {want} vectors of the {half} half did not converge")
+        z = z[:, ::-1]  # the kept vectors, descending
+        flat = c.T.reshape(-1)  # c is Fortran-ordered: its columns end to end
+        for j in range(h - 1):  # column j's reflector, c[1:, j], packed to ld h - 1
+            flat[j * (h - 1) : (j + 1) * (h - 1)] = flat[j * h + 1 : (j + 1) * h]
+        refl = flat[: (h - 1) ** 2].reshape((h - 1, h - 1), order="F")
         _, query, _ = dormqr("L", "N", refl, tau, z[1:], -1)
         z[1:] = dormqr("L", "N", refl, tau, z[1:], int(query[0]))[0]
-        del refl  # a quarter of A, freed before the next half's stemr takes another
         vecs[:n, cols] = z[:n] / np.sqrt(2.0)
         vecs[: -n - 1 : -1, cols] = sign * vecs[:n, cols]
         if size % 2 and sign > 0:
@@ -292,34 +293,33 @@ def project_samples(sys, samples):
     return sys.eigenfunctions @ (sys.weights * samples)
 
 
+def _native_gram(sys, modes):
+    # (W Phi) A (W Phi)^T / kappa kappa^T over the modes, mirrored to exact symmetry: each
+    # _slices block of rows of A is sampled into its rows of A (W Phi)^T by one BLAS-3 call
+    wphi, y = sys.weights * sys.eigenfunctions[modes], sys.nodes
+    a_wphi = np.empty((y.size, wphi.shape[0]))
+    for b in _slices(y.size, y.size):
+        np.matmul(_kernel_rows(sys.kernel, y[b], y), wphi.T, out=a_wphi[b])
+    kappa = sys.eigenvalues[modes]
+    gram = wphi @ a_wphi / (kappa[:, None] * kappa)
+    return np.triu(gram) + np.triu(gram, 1).T
+
+
 def hk_gram_extended(sys, j, l):
     """Native-space inner product (phi_j^E, phi_l^E)_K, discretized.
 
     Uses the identity (phi_j^E, phi_l^E)_K =
     (1/(kappa_j kappa_l)) * double integral of phi_j(x) K(|x-y|) phi_l(y)
     over [a,b]^2, evaluated with the rule, whose kernel samples A it draws
-    afresh.  Expected value: delta_jl / kappa_l (orthogonality carries over
-    from L2 to the native space).
+    afresh as hk_gram_matrix does.  Expected value: delta_jl / kappa_l
+    (orthogonality carries over from L2 to the native space).
     """
     _check_mode(sys, j)
     _check_mode(sys, l)
-    w = sys.weights
-    lhs = w * sys.eigenfunctions[j]
-    rhs = w * sys.eigenfunctions[l]
-    A = _kernel_rows(sys.kernel, sys.nodes, sys.nodes)
-    return float(lhs @ A @ rhs) / (sys.eigenvalues[j] * sys.eigenvalues[l])
+    return float(_native_gram(sys, [j, l])[0, 1])
 
 
 def hk_gram_matrix(sys):
-    """Matrix of hk_gram_extended over all modes of the system, from one
-    sampling of A."""
-    A = _kernel_rows(sys.kernel, sys.nodes, sys.nodes)
-    wphi = sys.weights * sys.eigenfunctions
-    kappa = sys.eigenvalues
-    out = np.empty((kappa.size, kappa.size))
-    for j in range(kappa.size):
-        # hk_gram_extended's (w phi_j) A, hoisted; entries stay bit-identical
-        row = wphi[j] @ A
-        for l in range(j, kappa.size):
-            out[j, l] = out[l, j] = float(row @ wphi[l]) / (kappa[j] * kappa[l])
-    return out
+    """Matrix of hk_gram_extended over all modes, exactly symmetric, from one blocked
+    product (W Phi) A (W Phi)^T: O(Q^2 K) time, O(Q K) memory beside a block of A."""
+    return _native_gram(sys, slice(None))
