@@ -48,36 +48,32 @@ _KERNEL_RE = re.compile(r"^matern:(.+)$")
 
 
 def parse_kernel(text):
-    """Parse `matern:m=<int>[,d=<int>][,amp=paper|unit]` into a KernelSpec."""
+    """Parse `matern:m=<int>[,amp=paper|unit]` into a KernelSpec."""
     match = _KERNEL_RE.match(text.strip())
     if not match:
         raise ValueError(
-            f"unrecognized kernel spec {text!r}; expected matern:m=<int>[,d=<int>][,amp=paper|unit]"
+            f"unrecognized kernel spec {text!r}; expected matern:m=<int>[,amp=paper|unit]"
         )
     params = {}
     for part in match.group(1).split(","):
         key, sep, value = part.partition("=")
         if not sep:
             raise ValueError(f"malformed kernel parameter {part!r}")
-        if key not in ("m", "d", "amp"):
+        if key not in ("m", "amp"):
             raise ValueError(f"unknown kernel parameter {key!r}")
         if key in params:
             raise ValueError(f"kernel parameter {key!r} given twice in {text!r}")
         params[key] = value
     if "m" not in params:
         raise ValueError("kernel spec must set m")
-    m, d = (_parse_int(params.get(key, "1"), key) for key in ("m", "d"))
+    try:
+        m = int(params["m"])
+    except ValueError:
+        raise ValueError(f"m must be an integer, got {params['m']!r}") from None
     amp = params.get("amp", "unit")
     if amp not in ("paper", "unit"):
         raise ValueError(f"amp must be 'paper' or 'unit', got {amp!r}")
-    return KernelSpec(m=m, d=d, amplitude=paper_amplitude(m, d) if amp == "paper" else 1.0)
-
-
-def _parse_int(value, name):
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    return KernelSpec(m=m, amplitude=paper_amplitude(m) if amp == "paper" else 1.0)
 
 
 def _parse_node_ladder(text):

@@ -16,7 +16,8 @@ class MaternlabError(Exception):
 class ConditioningError(MaternlabError):
     """A Gram factorization hit a pivot at or below the conditioning floor.
 
-    On the d = 1 path the pivot is its bound K(0)(1 - rho(gap)^2), checked first.
+    The pivot is its bound K(0)(1 - rho(gap)^2), checked before the banded
+    solve runs; a block pivot of that solve at or below 0 raises it too.
 
     Attributes
     ----------

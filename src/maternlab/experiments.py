@@ -7,8 +7,8 @@ Pythagoras split, and fits log-log slopes.  Fits use the finest half of the
 usable levels (plus one) to approximate the asymptotic regime; errors below
 1e-13 are dropped first, since the Gram conditioning floor makes anything
 smaller meaningless.  The same fit of the native-norm error against N is
-``RateStudy.native_exponent``.  The interpolation module picks the solver
-for the whole ladder.
+``RateStudy.native_exponent``.  The whole ladder is one stacked banded
+solve (interpolation._interpolate_levels).
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class RateRow:
     ``node_residual`` is max_j |s(x_j) - y_j| as evaluated, and
     ``norm_ratio`` the cancellation ratio ||s||^2 / ||f||^2 of the
     Pythagoras split (NaN without f_norm_sq, or for a row made by hand).
-    ``min_pivot`` is the solve's smallest Cholesky pivot, on the d = 1 path
-    its bound K(0)(1 - rho^2), and ``pivot_margin`` = min_pivot / (1e-13 K(0)).
+    ``min_pivot`` is the smallest bound K(0)(1 - rho^2) on the Cholesky pivots
+    of the level's Gram matrix, and ``pivot_margin`` = min_pivot / (1e-13 K(0)).
     """
 
     N: int
@@ -168,8 +168,7 @@ def run_rate_study(
 ):
     """Interpolate the reference on each ladder level and measure errors.
 
-    A d = 1 kernel solves every level at once, as one stacked banded system;
-    a d >= 2 kernel solves each level densely on its own.
+    Every level is solved at once, as one stacked banded system.
 
     Parameters
     ----------
@@ -297,6 +296,6 @@ def bad_part_sup_bound(k, v_outside_norm, R):
     |f2(x)| <= v_outside_norm * sqrt(tail_energy(k, R)) at every x whose
     distance to the support-carrying complement is at least R.
     """
-    if v_outside_norm < 0:
-        raise ValueError(f"v_outside_norm must be nonnegative, got {v_outside_norm!r}")
+    if not (math.isfinite(v_outside_norm) and v_outside_norm >= 0):
+        raise ValueError(f"v_outside_norm must be finite and nonnegative, got {v_outside_norm!r}")
     return v_outside_norm * math.sqrt(tail_energy(k, R))

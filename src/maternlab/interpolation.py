@@ -6,22 +6,18 @@ translates) has minimal native norm; its residual is orthogonal to every
 translate at the nodes.  Failure is a typed error naming the node where the
 problem is numerically singular, never a silently regularized answer.
 
-Two solvers, chosen by the kernel in one place:
-
-* Every d = 1 kernel e^{-r} p_m(r) is the covariance of a Gauss-Markov
-  process with state (f, f', ..., f^(m-1)).  The node states minimize its
-  Markov energy with the node values held: one block-tridiagonal system in
-  h = m - 1 unknowns per node, factored once by cyclic reduction and
-  applied twice; the minimum is ||s||^2.  Its blocks are held entry-major,
-  (h, h, N), one length-N array per entry: a solve is O(N) ufunc work over
-  O(log N) reduction levels.  Evaluation conditions the process on the two
-  node states around each point with the solve's bridge weights.  O(N)
-  memory for the solve; for M points O(M + N log M) when they ascend and
-  O(M log N) otherwise, O(N + M) memory: nothing is N x N or N x M.
-* Every other kernel (d >= 2) factors the dense Gram matrix with an
-  unpivoted LAPACK Cholesky, O(N^3) time and O(N^2) memory, and evaluates
-  a = A^{-1} y by kernels._translate_sum.  It is also the first path's test
-  oracle, which then sums by moments in O(N + M).
+One solver serves every kernel.  The kernel e^{-r} p_m(r) is the covariance
+of a Gauss-Markov process with state (f, f', ..., f^(m-1)).  The node states
+minimize its Markov energy with the node values held: one block-tridiagonal
+system in h = m - 1 unknowns per node, factored once by cyclic reduction and
+applied twice; the minimum is ||s||^2.  Its blocks are held entry-major,
+(h, h, N), one length-N array per entry: a solve is O(N) ufunc work over
+O(log N) reduction levels.  Evaluation conditions the process on the two
+node states around each point with the solve's bridge weights.  O(N) memory
+for the solve; for M points O(M + N log M) when they ascend and O(M log N)
+otherwise, O(N + M) memory: nothing is N x N or N x M.  The dense Cholesky
+solve of the Gram matrix (assemble_gram) is its test oracle, kept with the
+tests.
 """
 
 from __future__ import annotations
@@ -29,12 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConditioningError
-from .kernels import _by_blocks, _cells, _horner, _kernel_rows, _translate_sum, exp_poly_coeffs, kernel_eval
+from .kernels import _by_blocks, _cells, _horner, _kernel_rows, exp_poly_coeffs, kernel_eval
 
 __all__ = [
     "CONDITIONING_FLOOR",
@@ -99,22 +94,19 @@ class Interpolant:
     """A solved interpolant.
 
     ``states`` holds s(x_j), s'(x_j), ..., s^(m-1)(x_j) per node, shape
-    (N, m), on the d = 1 state-space path, and ``bridge_weights`` the cells'
-    w_j = Q(d_j)^{-1} (z_{j+1} - Phi(d_j) z_j), shape (N - 1, m), which
-    evaluate reads; both are None on the dense path.
-    ``norm_sq`` is the squared native norm y^T A^{-1} y.  ``coefficients``
-    a = A^{-1} y, with cond(A) eps relative error, are what the dense path
-    sums; they are None on the state-space path, which never forms them.
-    ``_min_pivot`` is the smallest Cholesky pivot (on the state-space path
-    its bound K(0)(1 - rho^2)); ``_table`` caches evaluate's cell table.
+    (N, m), and ``bridge_weights`` the cells' w_j = Q(d_j)^{-1} (z_{j+1} -
+    Phi(d_j) z_j), shape (N - 1, m), which evaluate reads.  ``norm_sq`` is
+    the squared native norm y^T A^{-1} y; the coefficients a = A^{-1} y are
+    never formed.  ``_min_pivot`` is the smallest bound K(0)(1 - rho^2) on
+    the Cholesky pivots of A, rho the profile at a node gap; ``_table``
+    caches evaluate's cell table.
     """
 
     kernel: object
     nodes: NodeSet
-    coefficients: Optional[np.ndarray]
     values: np.ndarray
-    states: Optional[np.ndarray]
-    bridge_weights: Optional[np.ndarray]
+    states: np.ndarray
+    bridge_weights: np.ndarray
     norm_sq: float
     _min_pivot: float = field(default=math.nan, compare=False, repr=False)
     _table: tuple = field(default=None, init=False, compare=False, repr=False)
@@ -127,31 +119,6 @@ def assemble_gram(k, X):
     """Gram matrix A_ij = kernel_eval(k, |x_i - x_j|) of translates at X,
     sampled in blocks of rows: one N x N array and one block of work memory."""
     return _kernel_rows(k, X.points, X.points)
-
-
-def _cholesky_floor(A, floor, detail=""):
-    # Unpivoted lower Cholesky, done in place in A.  The pivot checked is the
-    # diagonal remainder before its square root, L[j, j]**2; a value at or
-    # below the floor means the matrix is numerically not PD at scale.
-    # dpotrf stops at the first pivot <= 0 (info = j + 1); only the block it
-    # completed before that has final diagonals to check.
-    from scipy.linalg.lapack import dpotrf
-
-    diag = A.diagonal().copy()
-    # A is symmetric, so its transpose is the same matrix in Fortran order
-    # and LAPACK works on it without a copy.
-    L, info = dpotrf(A.T, lower=1, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"dpotrf rejected argument {-info}")
-    done = A.shape[0] if info == 0 else info - 1
-    low = np.flatnonzero(np.diagonal(L)[:done] ** 2 <= floor)
-    if low.size:
-        j = int(low[0])
-    elif info > 0:
-        j = info - 1
-    else:
-        return L
-    raise ConditioningError(j, diag[j] - L[j, :j] @ L[j, :j], floor, detail)
 
 
 @lru_cache(maxsize=None)
@@ -335,14 +302,11 @@ def _solve_markov(d, y, m, k0, starts):
 
 
 def _interpolate_levels(k, sets, values):
-    # One Interpolant per node set, values finite and one per node.  A d = 1
-    # kernel solves every set at once, as one stacked banded system; every
-    # pivot bound is checked first, and a refusal names the set's N and local
-    # node.  Any other kernel factors each set's dense Gram matrix on its own.
+    # One Interpolant per node set, values finite and one per node.  Every
+    # set is solved at once, as one stacked banded system; every pivot bound
+    # is checked first, and a refusal names the set's N and local node.
     k0, coeffs = kernel_eval(k, 0.0), exp_poly_coeffs(k)
     floor = CONDITIONING_FLOOR * k0
-    if coeffs is None:
-        return [_solve_dense(k, X, y, floor) for X, y in zip(sets, values)]
     sizes = np.array([len(X) for X in sets])
     starts = np.cumsum(sizes) - sizes
     d = np.diff(np.concatenate([X.points for X in sets]))
@@ -360,27 +324,16 @@ def _interpolate_levels(k, sets, values):
     y = np.concatenate(values)
     y.setflags(write=False)
     return [
-        Interpolant(k, X, None, y[i : i + len(X)], z, w, e, float(bounds[i : i + len(X)].min()))
+        Interpolant(k, X, y[i : i + len(X)], z, w, e, float(bounds[i : i + len(X)].min()))
         for X, i, (z, w, e) in zip(sets, starts, _solve_markov(d, y, len(coeffs), k0, starts))
     ]
-
-
-def _solve_dense(k, X, values, floor):
-    from scipy.linalg import cho_solve
-
-    L = _cholesky_floor(assemble_gram(k, X), floor, f"at N={len(X)}")
-    vals = np.array(values, dtype=float)
-    a = cho_solve((L, True), vals)
-    for arr in (vals, a):
-        arr.setflags(write=False)
-    return Interpolant(k, X, a, vals, None, None, float(a @ vals), float(np.min(np.diagonal(L)) ** 2))
 
 
 def interpolate(k, X, values):
     """Solve for the norm-minimal interpolant of the data at X.
 
-    A d = 1 kernel takes the banded solve, any other the dense one.  Nothing
-    regularizes the system: a hard ConditioningError beats silent smoothing.
+    One banded solve of the Gauss-Markov node states.  Nothing regularizes
+    the system: a hard ConditioningError beats silent smoothing.
 
     Parameters
     ----------
@@ -392,9 +345,9 @@ def interpolate(k, X, values):
     Raises
     ------
     ConditioningError
-        When Cholesky pivot j of A falls to or below 1e-13 * K(0); on the
-        d = 1 path, before any solve, when its bound
-        K(0) (1 - rho(x_j - x_{j-1})^2), rho the profile, does.
+        Before any solve, when the bound K(0) (1 - rho(x_j - x_{j-1})^2),
+        rho the profile, on Cholesky pivot j of A falls to or below
+        1e-13 * K(0).
     """
     vals = np.asarray(values, dtype=float)
     if vals.shape != (len(X),):
@@ -408,10 +361,9 @@ def evaluate(s, points):
     """Evaluate s(x) = sum_j a_j K(|x - x_j|) at the given points.
 
     Scalars come back as float, arrays with the shape of ``points``.
-    Nothing of size N x M is held for M points.  On the d = 1 path each
-    point is found among the N nodes by one merge when the points ascend,
-    O(M + N log M) in all, or by binary search otherwise, O(M log N); the
-    rest is O(1) per point.  The dense path costs O(N M), O(N + M) for d = 1.
+    Nothing of size N x M is held for M points.  Each point is found among
+    the N nodes by one merge when the points ascend, O(M + N log M) in all,
+    or by binary search otherwise, O(M log N); the rest is O(1) per point.
 
     Raises
     ------
@@ -422,10 +374,7 @@ def evaluate(s, points):
     flat = pts.ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError("evaluation points must be finite")
-    if s.states is None:
-        out = _translate_sum(s.kernel, s.nodes.points, s.coefficients, flat)
-    else:
-        out = _by_blocks(_cell_evaluator(s, flat), flat.size)
+    out = _by_blocks(_cell_evaluator(s, flat), flat.size)
     return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
 
@@ -502,8 +451,8 @@ def _cell_evaluator(s, flat):
 def native_norm_sq(s):
     """Squared native norm y^T A^{-1} y = a^T A a of the interpolant.
 
-    The d = 1 solve takes the minimized Markov energy, a sum of
-    nonnegative terms; the dense solve takes a . values.
+    The solve takes the minimized Markov energy, a sum of nonnegative
+    terms.
     """
     return max(s.norm_sq, 0.0)
 

@@ -1,20 +1,19 @@
-"""Whittle-Matern kernel family.
+"""Whittle-Matern kernel family on the line.
 
 Radial profiles are normalized so the profile value at r = 0 is 1, and the
-kernel value is ``amplitude * profile(r)``.  For d = 1 every m has the
-closed form exp(-r) p_m(r), p_m the reverse Bessel polynomial,
+kernel value is ``amplitude * profile(r)``.  Every m has the closed form
+exp(-r) p_m(r), p_m the reverse Bessel polynomial,
 
     m = 1:  exp(-r)
     m = 2:  (1 + r) exp(-r)
     m = 3:  (1 + r + r^2/3) exp(-r)
 
-while d >= 2 is evaluated through the modified Bessel profile
-r^nu K_nu(r) / (2^(nu-1) Gamma(nu)) with nu = m - d/2.  The native space of
-the kernel with smoothness index m is norm-equivalent to the Sobolev space
-W_2^m, which embeds into continuous functions exactly when 2m > d; the
-constructor enforces that.  Every layer sums translates c_q K(|x - y_q|)
-by _translate_sum, samples kernel matrices by _kernel_rows and blocks points
-by _slices, the one blocking rule (_by_blocks joins one result per slice).
+which is r^nu K_nu(r) / (2^(nu-1) Gamma(nu)) with nu = m - 1/2.  The lab
+works on the line only (d = 1), where the native space of the kernel with
+smoothness index m is norm-equivalent to the Sobolev space W_2^m.  Every
+layer sums translates c_q K(|x - y_q|) by _translate_sum, samples kernel
+matrices by _kernel_rows and blocks points by _slices, the one blocking
+rule (_by_blocks joins one result per slice).
 _positive_int is the integer rule for sizes; box_convolution takes its
 derivative order by operator.index, so it refuses 2.0 by design.
 """
@@ -34,17 +33,13 @@ __all__ = [
     "tail_energy",
 ]
 
-# Kernel entries per block of points on the dense path (2 MB); the
+# Kernel entries per block of rows of a kernel matrix (2 MB); the
 # structured paths take 1/64 as many points, so their work arrays fit in cache.
 _BLOCK_ENTRIES = 1 << 18
 
-# Below this radius the Bessel profile is replaced by its limit value 1;
-# the profile deviates from 1 by O(r^2) there, far under double precision.
-_BESSEL_CUTOFF = 1e-8
-
 
 def _exp_poly(m):
-    # The d = 1 profile exp(-r) p(r): the reverse Bessel coefficients
+    # The profile exp(-r) p(r): the reverse Bessel coefficients
     # c_k = (2m-2-k)! (m-1)! 2^k / ((2m-2)! k! (m-1-k)!) of p, lowest degree
     # first, each rounded once (integer true division).  kernel_eval and the
     # state-space solver both read them, so they cannot disagree.
@@ -53,7 +48,7 @@ def _exp_poly(m):
 
 
 def _exp_tail(q, a):
-    # Every d = 1 closed form rests on this: the integral of exp(-a r) q(r) over
+    # Every closed form rests on this: the integral of exp(-a r) q(r) over
     # r > u is exp(-a u) t(u), t = sum_k q^(k) / a^(k+1): a t_k = q_k + (k+1) t_(k+1).
     t = [0.0] * (len(q) + 1)
     for k in range(len(q) - 1, -1, -1):
@@ -79,70 +74,48 @@ def _positive_int(v, name, zero=False):
     return int(v)
 
 
-def paper_amplitude(m, d=1):
-    """Amplitude 2^(nu-1) * Gamma(nu) for nu = m - d/2.
+def paper_amplitude(m):
+    """Amplitude 2^(nu-1) * Gamma(nu) for nu = m - 1/2.
 
     This is the constant that turns the unit-normalized profile into the
-    bare Bessel form r^nu K_nu(r); for m = 2, d = 1 it equals sqrt(pi/2).
+    bare Bessel form r^nu K_nu(r); for m = 2 it equals sqrt(pi/2).
     """
-    nu = m - d / 2.0
+    nu = m - 0.5
     if nu <= 0:
-        raise ValueError(f"amplitude undefined for nu = m - d/2 = {nu} <= 0")
+        raise ValueError(f"amplitude undefined for nu = m - 1/2 = {nu} <= 0")
     return 2.0 ** (nu - 1.0) * math.gamma(nu)
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A Matern-family radial kernel.
+    """A Matern-family kernel on the line.
 
     Parameters
     ----------
     m : int
         Sobolev smoothness index; the native space is (equivalent to) W_2^m.
-    d : int, optional
-        Space dimension, default 1.
     amplitude : float, optional
-        Multiplicative constant, default 1.0.
+        Multiplicative constant, default 1.0, stored as a float.
     """
 
     m: int
-    d: int = 1
     amplitude: float = 1.0
 
     def __post_init__(self):
-        for name in ("m", "d"):
-            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
-        if 2 * self.m <= self.d:
-            raise ValueError(
-                f"need 2m > d for pointwise evaluation, got m={self.m}, d={self.d}"
-            )
-        if not (np.isfinite(self.amplitude) and self.amplitude > 0):
-            raise ValueError(f"amplitude must be positive, got {self.amplitude!r}")
-
-    @property
-    def nu(self):
-        """Bessel order m - d/2 of the radial profile."""
-        return self.m - self.d / 2.0
+        object.__setattr__(self, "m", _positive_int(self.m, "m"))
+        amp = self.amplitude
+        # a bool would pass as 1.0
+        if isinstance(amp, (bool, np.bool_)) or not (np.isfinite(amp) and amp > 0):
+            raise ValueError(f"amplitude must be positive, got {amp!r}")
+        object.__setattr__(self, "amplitude", float(amp))
 
     def __call__(self, r):
         return kernel_eval(self, r)
 
 
-def _bessel_profile(nu, r):
-    # r^nu K_nu(r) tends to 2^(nu-1) Gamma(nu) as r -> 0; divide that out
-    # so the profile is 1 at the origin, and guard the K_nu overflow there.
-    from scipy.special import kv
-
-    lim = 2.0 ** (nu - 1.0) * math.gamma(nu)
-    safe = np.where(r > _BESSEL_CUTOFF, r, 1.0)
-    vals = safe**nu * kv(nu, safe) / lim
-    return np.where(r > _BESSEL_CUTOFF, vals, 1.0)
-
-
 def exp_poly_coeffs(k):
-    """Coefficients of p, lowest degree first, when the profile of k is
-    exp(-r) * p(r) in closed form (d = 1); None for the Bessel form."""
-    return _exp_poly(k.m) if k.d == 1 else None
+    """Coefficients of p, lowest degree first, of the profile exp(-r) * p(r) of k."""
+    return _exp_poly(k.m)
 
 
 def kernel_eval(k, r, out=None):
@@ -158,19 +131,12 @@ def kernel_eval(k, r, out=None):
     if np.any(arr < 0):
         raise ValueError("radius must be nonnegative")
     coeffs = exp_poly_coeffs(k)
-    if coeffs is None:
-        vals = _bessel_profile(k.nu, arr)
-        if out is None:
-            out = vals
-        else:
-            out[...] = vals
-    else:
-        # p(r) before out is written, since out may hold r: one array beyond it
-        poly = _horner(coeffs, arr) if len(coeffs) > 1 else None
-        out = np.empty(arr.shape) if out is None else out
-        np.exp(np.negative(arr, out=out), out=out)
-        if poly is not None:
-            out *= poly
+    # p(r) before out is written, since out may hold r: one array beyond it
+    poly = _horner(coeffs, arr) if len(coeffs) > 1 else None
+    out = np.empty(arr.shape) if out is None else out
+    np.exp(np.negative(arr, out=out), out=out)
+    if poly is not None:
+        out *= poly
     out *= k.amplitude
     return float(out) if arr.ndim == 0 else out
 
@@ -193,7 +159,7 @@ def _kernel_rows(k, y, x):
     # kernel_eval(k, |y_i - x_j|) for 1-D y and x, evaluated in a new array
     # in blocks of rows of _BLOCK_ENTRIES entries: each block's radii are
     # written there and overwritten by the kernel values, so beside it only
-    # one block's work arrays are held (for d = 1, its polynomial).
+    # one block's work arrays are held (its polynomial).
     out = np.empty((y.size, x.size))
     for b in _slices(y.size, x.size):
         r = np.subtract(y[b, None], x, out=out[b])
@@ -214,18 +180,15 @@ def _cells(x, pts):
 
 def _translate_sum(k, y, c, x):
     """sum_q c_q K(|x - y_q|) at M points x (1-D) for ascending centres y and
-    c of shape (Q,) or (Q, K), shaped x.shape + c.shape[1:].  Any d >= 2
-    kernel takes _kernel_rows(k, x, y) @ c in blocks of points, O(M Q K).
+    c of shape (Q,) or (Q, K), shaped x.shape + c.shape[1:].
 
-    A d = 1 kernel e^{-r} p(r) sums by moments in O((Q + M) K m): the nodes
+    The kernel e^{-r} p(r) sums by moments in O((Q + M) K m): the nodes
     at or left of a point enter through L_j = sum_{q <= p} c_q d^j e^{-d},
     d = y_p - y_q, j < m, of the nearest one, y_p, at distance t: p(t + d) =
     sum_j p^(j)(t) d^j / j! makes their sum e^{-t} sum_j p^(j)(t) L_j / j!.
     Mirrored moments serve the rest.
     """
     coeffs = exp_poly_coeffs(k)
-    if coeffs is None:
-        return _by_blocks(lambda b: _kernel_rows(k, x[b], y) @ c, x.size, y.size)
     m, derivs = len(coeffs), [coeffs]  # coefficients of p^(j), lowest degree first
     while len(derivs) < m:
         derivs.append([i * a for i, a in enumerate(derivs[-1])][1:])
@@ -270,22 +233,11 @@ def _translate_sum(k, y, c, x):
 
 
 def tail_energy(k, R):
-    """Integral of K(y)^2 over |y| > R: 2 amplitude^2 exp(-2R) t(R) for
-    d = 1, t = sum_k (p^2)^(k) / 2^(k+1); d >= 2 integrates the squared
-    profile numerically.  Strictly decreasing in R, tending to 0.
+    """Integral of K(y)^2 over |y| > R: 2 amplitude^2 exp(-2R) t(R),
+    t = sum_k (p^2)^(k) / 2^(k+1).  Strictly decreasing in R, tending to 0.
     """
     R = float(R)
     if not (np.isfinite(R) and R >= 0):
         raise ValueError(f"R must be finite and nonnegative, got {R!r}")
-    amp2 = k.amplitude**2
     p = exp_poly_coeffs(k)
-    if p is not None:
-        return float(2 * amp2 * math.exp(-2 * R) * _horner(_exp_tail(np.convolve(p, p), 2.0), R))
-    from scipy.integrate import quad
-
-    # surface measure of the unit sphere times the radial integral
-    surf = 2.0 * math.pi ** (k.d / 2.0) / math.gamma(k.d / 2.0)
-    val, _ = quad(
-        lambda r: kernel_eval(k, r) ** 2 * r ** (k.d - 1), R, np.inf, epsabs=1e-13
-    )
-    return surf * val
+    return float(2 * k.amplitude**2 * math.exp(-2 * R) * _horner(_exp_tail(np.convolve(p, p), 2.0), R))

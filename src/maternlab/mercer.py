@@ -7,7 +7,8 @@ kernel samples at the rule nodes and W the weights.  Eigenfunction samples
 phi_n = W^{-1/2} u_n are then discretely orthonormal in L2(a, b).  The rule
 costs O(Q^2) time, the eigensolve O(Q^3): one dense eigh below 1536 points,
 and from 1536 on a tridiagonal reduction of each parity half with only the
-kept eigenvectors computed, about 3x faster at Q = 1600 (see _parity_eigh).
+kept eigenvectors computed, about 3x faster at Q = 1600 (see _parity_eigh,
+whose LAPACK calls are the package's only use of scipy).
 Both solvers sample the rows of A they read, and the system keeps no Q x Q
 array: from 1536 points the peak is the two halves and a block of rows (0.62
 times A at Q = 1600), below it B and eigh's eigenvectors (2 times A).
@@ -16,7 +17,8 @@ The eigenfunctions extend off the interval through the eigenvalue equation
 itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
 native-space orthogonality kappa_l (phi_j^E, phi_l^E)_K = delta_jl, which
 the Gram checks verify discretely by one blocked product (W Phi) A (W Phi)^T.
-Extensions are sums of kernel translates at the nodes (kernels._translate_sum).
+Extensions are sums of kernel translates at the nodes, summed by moments in
+O((Q + M) K m) for M points and K modes (kernels._translate_sum).
 """
 
 from __future__ import annotations
@@ -257,6 +259,8 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
 
 def _check_mode(sys, n):
     idx = np.asarray(n)
+    if idx.size == 0:
+        raise ValueError(f"mode index list {n!r} is empty")
     if idx.dtype.kind not in "iu":
         raise ValueError(f"mode index {n!r} is not an integer")
     if np.any((idx < 0) | (idx >= sys.n_modes)):
@@ -269,10 +273,10 @@ def eigen_extend(sys, n, x):
     Agrees with phi_n on [a, b] (at the rule nodes to the rounding of the
     eigensolve, by the discrete eigenvalue equation) and decays to 0 as |x|
     grows.  Mode indices are zero-based; a sequence of indices n gives one
-    column per mode.  At M points, Q rule nodes and K modes a d = 1 kernel
-    takes O((Q + M) K m) time and memory, a d >= 2 kernel O(M Q K) time.
-    Raises ValueError for a mode index out of range, a point that is not
-    finite or x of more than one dimension.
+    column per mode.  At M points, Q rule nodes and K modes it takes
+    O((Q + M) K m) time and memory.  Raises ValueError for a mode index out
+    of range, an empty list of them, a point that is not finite or x of more
+    than one dimension.
     """
     _check_mode(sys, n)
     n = np.asarray(n)
@@ -312,10 +316,13 @@ def hk_gram_extended(sys, j, l):
     (1/(kappa_j kappa_l)) * double integral of phi_j(x) K(|x-y|) phi_l(y)
     over [a,b]^2, evaluated with the rule, whose kernel samples A it draws
     afresh as hk_gram_matrix does.  Expected value: delta_jl / kappa_l
-    (orthogonality carries over from L2 to the native space).
+    (orthogonality carries over from L2 to the native space).  Raises
+    ValueError unless j and l are single mode indices in range.
     """
-    _check_mode(sys, j)
-    _check_mode(sys, l)
+    for n in (j, l):
+        if np.ndim(n):
+            raise ValueError(f"mode index {n!r} is not a single integer")
+        _check_mode(sys, n)
     return float(_native_gram(sys, [j, l])[0, 1])
 
 

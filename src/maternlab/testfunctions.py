@@ -1,6 +1,6 @@
 """Box convolutions, the explicit test function and boundary-condition residuals.
 
-For a d = 1 kernel K the box convolution K * chi_[-1,1] has a closed form
+For every kernel K the box convolution K * chi_[-1,1] has a closed form
 in every derivative order 0..2m-1 (order 2m jumps at x = -1 and x = +1,
 since the convolved density is the indicator).  The test function f_exact
 is its unit-amplitude m = 2 instance, with a closed-form native norm.
@@ -43,15 +43,13 @@ def _box_terms(m, order):
 
 
 def box_convolution(k, x, order=0):
-    """(K * chi_[-1,1])^(order)(x) = H(x + 1) - H(x - 1) for the d = 1 kernel
+    """(K * chi_[-1,1])^(order)(x) = H(x + 1) - H(x - 1) for the kernel
     K(u) = amplitude exp(-|u|) p(|u|): H = sgn(u) (T(0) - exp(-|u|) T(|u|)),
     T = sum_k p^(k), at order 0, and K^(order - 1) at orders 1..2m-1; the
     constants cancel exactly outside [-1, 1].  Scalars come back as float.
-    Raises ValueError for d >= 2, non-finite x, or an order that is not an
-    integer in 0..2m-1 (a bool or a float raises too).
+    Raises ValueError for non-finite x, or an order that is not an integer
+    in 0..2m-1 (a bool or a float raises too).
     """
-    if k.d != 1:
-        raise ValueError(f"no closed-form box convolution for {k!r}; need d = 1")
     try:
         j = -1 if isinstance(order, bool) else operator.index(order)
     except TypeError:
@@ -83,7 +81,7 @@ def f_exact(x, order=0):
 def f_native_norm_sq(k=None):
     """Exact squared native norm of f in the native space of kernel k.
 
-    For the unit-amplitude m = 2, d = 1 kernel (the default, k=None) it is
+    For the unit-amplitude m = 2 kernel (the default, k=None) it is
     the double integral of (1+|x-y|)e^{-|x-y|} over [-1,1]^2, which reduces
     to 2(1 + 5 e^{-2}) ~ 3.3533528.  Under amplitude c the same f is
     (c K) * (chi / c), so the squared norm scales by 1/c.  Any other kernel
@@ -92,7 +90,7 @@ def f_native_norm_sq(k=None):
     value = 2.0 * (1.0 + 5.0 * math.exp(-2.0))
     if k is None:
         return value
-    if k.m != 2 or k.d != 1:
+    if k.m != 2:
         return None
     return value / k.amplitude
 

@@ -19,14 +19,11 @@ from maternlab.seqmodel import BoundCheck, TrialReport
 
 
 def test_parse_kernel_forms():
-    k = cli.parse_kernel("matern:m=2")
-    assert (k.m, k.d, k.amplitude) == (2, 1, 1.0)
-    k = cli.parse_kernel("matern:m=1,d=1")
-    assert k.m == 1
+    assert cli.parse_kernel("matern:m=2") == KernelSpec(m=2, amplitude=1.0)
+    assert cli.parse_kernel("matern:m=1").m == 1
     k = cli.parse_kernel("matern:m=2,amp=paper")
     assert k.amplitude == pytest.approx(np.sqrt(np.pi / 2.0))
-    k = cli.parse_kernel(" matern:m=3,d=2,amp=unit ")
-    assert (k.m, k.d, k.amplitude) == (3, 2, 1.0)
+    assert cli.parse_kernel(" matern:m=3,amp=unit ") == KernelSpec(m=3, amplitude=1.0)
 
 
 def test_parse_kernel_rejections():
@@ -34,6 +31,8 @@ def test_parse_kernel_rejections():
         "gauss:m=2",
         "matern:",
         "matern:d=1",
+        "matern:m=1,d=1",  # the lab is one-dimensional: no d key
+        "matern:m=3,d=2,amp=unit",
         "matern:m=two",
         "matern:m=2,amp=loud",
         "matern:m=2,shape=1",
@@ -167,6 +166,8 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
         # "expected one argument"
         (["rates", "--C", "-inf"], "C must be finite and positive, got -inf"),
         (["mercer", "--domain", "-inf,1"], "need finite a < b, got a=-inf, b=1.0"),
+        # d was a kernel parameter once; the lab is one-dimensional
+        (["rates", "--kernel", "matern:m=2,d=2"], "unknown kernel parameter 'd'"),
     ],
     ids=[
         "mercer-domain",
@@ -176,11 +177,13 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
         "bc-check-inf",
         "rates-C-minus-inf",
         "mercer-domain-minus-inf",
+        "rates-kernel-d",
     ],
 )
 def test_ranges_the_library_refuses_exit_2(argv, named, tmp_path, capsys):
-    # the CLI parses; nystrom_eig, run_trials, the weight presets and the
-    # residuals refuse, before anything is printed or written
+    # the CLI parses (and refuses a kernel spec it cannot read); nystrom_eig,
+    # run_trials, the weight presets and the residuals refuse, before
+    # anything is printed or written
     out = tmp_path / "out"
     assert cli.main([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -390,10 +393,10 @@ def _run_probe(script, *args):
 
 
 def test_cli_defaults_load_no_scipy(tmp_path):
-    # Every subcommand at its defaults runs on numpy alone (the d = 1,
+    # Every subcommand at its defaults runs on numpy alone (the banded
     # m <= 2 solve, closed-form tails, a 200-point dense Nystrom eigh), so a
-    # fresh process never pays the scipy import; the dense solve, the
-    # Bessel profiles and the parity eigensolve load it lazily.
+    # fresh process never pays the scipy import; only the parity eigensolve
+    # of rules of 1536 points or more loads it, lazily.
     seen = _run_probe(_SCIPY_PROBE, str(tmp_path))
     assert seen.pop("import") == []
     assert seen == {
@@ -433,8 +436,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 
 def test_d1_closed_forms_load_no_scipy():
-    # box convolutions and tail energies of every d = 1 kernel are closed
-    # forms; only d >= 2 tails integrate numerically
+    # box convolutions and tail energies of every kernel are closed forms,
+    # evaluated on numpy alone
     assert _run_probe(_CLOSED_FORM_PROBE) == []
 
 

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from dense_oracle import solve_dense
 from mpmath import mp
 
 from maternlab import experiments, interpolation
@@ -203,11 +204,9 @@ def test_empty_interior_window_raises_before_solving(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"margin 1\.1999.*2000-point grid"):
             run_rate_study(KernelSpec(m=2), 1.2, 1.1999, [11, 21], 2000, f_exact)
-    # the patch covers the solves these studies reach: the stacked d = 1
-    # solve, and the dense solves of a d = 2 study
-    for kernel in (KernelSpec(m=2), KernelSpec(m=2, d=2)):
-        with pytest.raises(AssertionError, match="solved before validating"):
-            run_rate_study(kernel, 1.2, 0.4, [11, 21], 2000, f_exact)
+    # the patch covers the one solve a study reaches, the stacked one
+    with pytest.raises(AssertionError, match="solved before validating"):
+        run_rate_study(KernelSpec(m=2), 1.2, 0.4, [11, 21], 2000, f_exact)
 
 
 def _nan_at(x0):
@@ -269,7 +268,7 @@ def test_a_d1_study_forms_and_factors_its_ladder_once(m, monkeypatch):
     # the stacked 11 + 21 + 41 = 73 blocks: the recursion halves it, so the
     # sizes are one chain 73, 37, ..., 1 (none for m = 1)
     transitions, factor = interpolation._transitions, interpolation._cyclic_factor
-    calls = {"transitions": 0, "factor sizes": [], "dense": 0}
+    calls = {"transitions": 0, "factor sizes": []}
 
     def counted_transitions(d, m):
         calls["transitions"] += 1
@@ -279,17 +278,11 @@ def test_a_d1_study_forms_and_factors_its_ladder_once(m, monkeypatch):
         calls["factor sizes"].append(D.shape[-1])
         return factor(D, S, ids)
 
-    def counted_dense(*args):
-        calls["dense"] += 1
-        return dense(*args)
-
-    dense = interpolation._solve_dense
     monkeypatch.setattr(interpolation, "_transitions", counted_transitions)
     monkeypatch.setattr(interpolation, "_cyclic_factor", counted_factor)
-    monkeypatch.setattr(interpolation, "_solve_dense", counted_dense)
     run_rate_study(KernelSpec(m=m), 1.2, 0.4, [11, 21, 41], 501, f_exact)
     chain = [] if m == 1 else [73, 37, 19, 10, 5, 3, 2, 1]
-    assert calls == {"transitions": 1, "factor sizes": chain, "dense": 0}
+    assert calls == {"transitions": 1, "factor sizes": chain}
 
 
 def test_the_d1_solve_needs_no_einsum_or_matmul(monkeypatch):
@@ -324,18 +317,29 @@ def test_a_study_builds_each_level_cell_table_once(monkeypatch):
     assert seen == [(11, True), (11, False), (21, True), (21, False), (41, True), (41, False)]
 
 
-def test_dense_studies_solve_each_level_on_its_own(monkeypatch):
-    # a d = 2 study: one dense solve per level, and no banded solve
-    solved, dense = [], interpolation._solve_dense
-
-    def counted_dense(k, X, values, floor):
-        solved.append(len(X))
-        return dense(k, X, values, floor)
-
-    monkeypatch.setattr(interpolation, "_solve_dense", counted_dense)
-    monkeypatch.setattr(interpolation, "_solve_markov", None)
-    run_rate_study(KernelSpec(m=2, d=2), 1.2, 0.4, [11, 21, 41], 501, f_exact)
-    assert solved == [11, 21, 41]
+def test_dense_studies_solve_each_level_on_its_own():
+    # the dense oracle solves each level on its own; the stacked banded
+    # study must give every level the same interpolant: its grid errors and
+    # its norm ratio against the dense K @ a and a . y, and its pivot bound
+    # a cap on the dense smallest pivot (equal to it for m = 1)
+    C, ladder, grid_size = 1.2, [11, 21, 41], 501
+    f_sq = 3.0  # any norm above ||s||^2 serves the ratio
+    grid = np.linspace(-C, C, grid_size)
+    for m in (1, 2, 3):
+        k = KernelSpec(m=m, amplitude=2.5)
+        rows = run_rate_study(k, C, 0.4, ladder, grid_size, f_exact, f_norm_sq=f_sq).rows
+        for N, row in zip(ladder, rows):
+            X = equidistant_nodes(C, N)
+            dense = solve_dense(k, X, f_exact(X.points))
+            K = kernel_eval(k, np.abs(grid[:, None] - X.points))
+            diff = np.abs(f_exact(grid) - K @ dense.coefficients)
+            scale = np.max(K @ np.abs(dense.coefficients))
+            assert abs(row.maxabs_global - diff.max()) <= 1e-12 * scale
+            assert row.norm_ratio == pytest.approx(dense.norm_sq / f_sq, rel=1e-12, abs=0)
+            if m == 1:
+                assert row.min_pivot == pytest.approx(dense.min_pivot, rel=1e-12, abs=0)
+            else:
+                assert dense.min_pivot < row.min_pivot
 
 
 @pytest.mark.parametrize(
@@ -367,9 +371,8 @@ def test_rate_rows_equal_the_masked_statistics(m, C, margin, ladder, grid_size):
 
 def test_rate_rows_carry_the_node_residual_and_the_norm_ratio(monkeypatch):
     # The residual is the evaluator's own at the nodes: exactly 0 for the
-    # banded solve, whose states hold the data; a rounding residual on the
-    # dense path.  The norm ratio is the Pythagoras split's cancellation
-    # ||s||^2 / ||f||^2.
+    # banded solve, whose states hold the data.  The norm ratio is the
+    # Pythagoras split's cancellation ||s||^2 / ||f||^2.
     k, f_sq = KernelSpec(m=2), f_native_norm_sq()
     study = run_rate_study(k, 1.2, 0.4, [11, 21, 41], 501, f_exact, f_norm_sq=f_sq)
     for row, s in zip(study.rows, [interpolate(k, X, f_exact(X.points)) for X in
@@ -379,8 +382,6 @@ def test_rate_rows_carry_the_node_residual_and_the_norm_ratio(monkeypatch):
         assert 1.0 - 2e-5 < row.norm_ratio < 1.0
     plain = run_rate_study(k, 1.2, 0.4, [11, 21], 501, f_exact)
     assert all(math.isnan(row.norm_ratio) for row in plain.rows)
-    dense = run_rate_study(KernelSpec(m=2, d=2), 1.2, 0.4, [11, 21], 501, f_exact).rows
-    assert all(0.0 <= row.node_residual <= 1e-14 for row in dense)
 
     # one stored state of the second level off by 1e-6: the check sees it
     levels = experiments._interpolate_levels
@@ -400,7 +401,7 @@ def test_rate_rows_carry_the_node_residual_and_the_norm_ratio(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_rate_rows_certify_the_solve_with_its_smallest_pivot(m):
-    # d = 1: every gap of a level is h, so its smallest pivot bound is
+    # every gap of a level is h, so its smallest pivot bound is
     # K(0)(1 - rho(h)^2), here against 30 digits; for m = 1 it is the dense
     # Cholesky's smallest pivot, for m >= 2 a cap on it
     k = KernelSpec(m=m, amplitude=2.5)
@@ -413,20 +414,12 @@ def test_rate_rows_certify_the_solve_with_its_smallest_pivot(m):
             want = float(mp.mpf(2.5) * (1 - (mp.exp(-g) * p) ** 2))
         assert row.min_pivot == pytest.approx(want, rel=1e-12, abs=0)
         assert row.pivot_margin == row.min_pivot / (CONDITIONING_FLOOR * k0)
+        assert row.pivot_margin > 1.0
         dense = np.min(np.diag(np.linalg.cholesky(assemble_gram(k, equidistant_nodes(1.2, N))))) ** 2
         if m == 1:
             assert row.min_pivot == pytest.approx(dense, rel=1e-12, abs=0)
         else:
             assert dense < row.min_pivot
-    # the dense path keeps its smallest Cholesky pivot
-    kernel = KernelSpec(m=2, d=2)
-    rows = run_rate_study(kernel, 1.2, 0.4, ladder, 501, f_exact).rows
-    for N, row in zip(ladder, rows):
-        A = assemble_gram(kernel, equidistant_nodes(1.2, N))
-        dense = np.min(np.diag(np.linalg.cholesky(A))) ** 2
-        assert row.min_pivot == pytest.approx(dense, rel=1e-12, abs=0)
-        assert row.pivot_margin == row.min_pivot / (CONDITIONING_FLOOR * kernel_eval(kernel, 0.0))
-        assert row.pivot_margin > 1.0
     hand = experiments.RateRow(N=11, h=0.24, rms_global=1.0, rms_interior=1.0, native_err=1.0,
                                maxabs_global=1.0, maxabs_interior=1.0)
     assert math.isnan(hand.min_pivot) and math.isnan(hand.pivot_margin)
@@ -463,7 +456,7 @@ def test_decay_study_default_norm_follows_the_kernel():
 def test_native_norm_closed_form_per_kernel():
     assert f_native_norm_sq(KernelSpec(m=2)) == f_native_norm_sq()
     assert f_native_norm_sq(KernelSpec(m=2, amplitude=4.0)) == f_native_norm_sq() / 4.0
-    for k in (KernelSpec(m=1), KernelSpec(m=3), KernelSpec(m=2, d=2)):
+    for k in (KernelSpec(m=1), KernelSpec(m=3)):
         assert f_native_norm_sq(k) is None
 
 
@@ -517,8 +510,10 @@ def test_bad_part_bound_formula_and_monotonicity():
     radii = np.linspace(0, 4, 9)
     vals = [bad_part_sup_bound(k, 1.0, r) for r in radii]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        bad_part_sup_bound(k, -1.0, 1.0)
+    # NaN and +inf used to pass the sign check and come back as the bound
+    for norm in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="v_outside_norm must be finite and nonnegative"):
+            bad_part_sup_bound(k, norm, 1.0)
 
 
 def test_m3_ladder_runs_past_the_dense_stop_at_rate_m_plus_half():

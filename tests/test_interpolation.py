@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from dense_oracle import solve_dense
 from hypothesis import strategies as st
 from mpmath import mp
-from scipy.linalg import cho_solve
 
 from maternlab import (
     CONDITIONING_FLOOR,
@@ -101,18 +101,19 @@ def test_gram_matrix_symmetric_with_kernel_diagonal():
     assert np.allclose(np.diag(A), 1.3)
 
 
-@pytest.mark.parametrize("m,d,N", [(3, 1, 1281), (1, 1, 7), (2, 2, 300)])
-def test_gram_rows_repeat_one_kernel_matrix(m, d, N):
+@pytest.mark.parametrize("m,amplitude,N", [(3, 1, 1281), (1, 1, 7), (2, 2, 300)])
+def test_gram_rows_repeat_one_kernel_matrix(m, amplitude, N):
     # sampled in blocks of rows, bit for bit the one-call kernel matrix
-    k = KernelSpec(m=m, d=d, amplitude=1.3)
+    k = KernelSpec(m=m, amplitude=1.3 * amplitude)
     pts = equidistant_nodes(1.0, N).points
     want = kernel_eval(k, np.abs(pts[:, None] - pts[None, :]))
     assert np.array_equal(assemble_gram(k, NodeSet(pts, 1.0)), want)
 
 
 def test_dense_gram_holds_one_matrix_and_one_block():
-    # m = 3 takes the dense path.  One call on all N x N radii held the radii,
-    # the values and the polynomial, three 13.1 MB arrays at N = 1281.
+    # the dense oracle's Gram matrix at m = 3.  One call on all N x N radii
+    # held the radii, the values and the polynomial, three 13.1 MB arrays at
+    # N = 1281.
     k = KernelSpec(m=3)
     X = equidistant_nodes(1.2, 1281)
     A, peak = _traced_peak(lambda: assemble_gram(k, X))
@@ -283,10 +284,7 @@ def test_interpolant_arrays_read_only():
     k = KernelSpec(m=2)
     X = equidistant_nodes(1.0, 5)
     s = interpolate(k, X, f_exact(X.points))
-    assert s.coefficients is None  # the banded path never forms a = A^{-1} y
-    dense = interpolate(KernelSpec(m=2, d=2), X, f_exact(X.points))
-    with pytest.raises(ValueError):
-        dense.coefficients[0] = 7.0
+    assert not hasattr(s, "coefficients")  # the solve never forms a = A^{-1} y
     with pytest.raises(ValueError):
         s.values[0] = 7.0
     with pytest.raises(ValueError):
@@ -526,7 +524,7 @@ _TRANSLATE_DERIVS = {
     + [("sine", N, 3) for N in (2, 11)],
 )
 def test_state_space_solve_matches_dense_oracle(family, N, m, mirrored):
-    # The d = 1 state-space solve against the dense Cholesky of A, random
+    # The state-space solve against the dense Cholesky of A, random
     # data, amplitude 2.5.  Mirrored, it solves on -x with the data reversed
     # and is read back at -x: its elimination order and the end that carries
     # the stationary prior swap, the interpolant must not.  Errors are
@@ -540,7 +538,7 @@ def test_state_space_solve_matches_dense_oracle(family, N, m, mirrored):
     k0 = kernel_eval(k, 0.0)
     floor = CONDITIONING_FLOOR * k0
     A = assemble_gram(k, X)
-    a = cho_solve((interpolation._cholesky_floor(A.copy(), floor), True), y)
+    a = solve_dense(k, X, y).coefficients
     flip = -1.0 if mirrored else 1.0
     if mirrored:
         s = interpolate(k, NodeSet(points=-x[::-1], halfwidth=X.halfwidth), y[::-1])
@@ -877,17 +875,18 @@ def test_evaluate_keeps_one_cell_table_per_interpolant():
     assert evaluate(t, X.points[5]) == states[5, 0] != at_nodes[5]
 
 
-def test_dense_evaluate_blocks_its_rows():
-    # the dense path (d = 2): rows of points in blocks of bounded size, the
-    # same sum as one kernel matrix, and no N x M array (26 MB here)
-    k = KernelSpec(m=2, d=2)
+def test_evaluate_blocks_its_rows_like_the_dense_sum():
+    # rows of points in blocks of bounded size, no N x M array (26 MB here),
+    # and the dense oracle's sum K @ a at every 37th point
+    k = KernelSpec(m=2, amplitude=1.3)
     X = equidistant_nodes(1.0, 400)
     s = interpolate(k, X, f_exact(X.points))
     x = np.linspace(-1.5, 1.5, 8000)
     values, peak = _traced_peak(lambda: evaluate(s, x))
     assert peak < 16 * 2**20
+    a = solve_dense(k, X, f_exact(X.points)).coefficients
     K = kernel_eval(k, np.abs(x[::37, None] - X.points))
-    assert np.all(np.abs(values[::37] - K @ s.coefficients) <= 1e-12 * (K @ np.abs(s.coefficients)))
+    assert np.all(np.abs(values[::37] - K @ a) <= 1e-12 * (K @ np.abs(a)))
 
 
 # ---------------------------------------------------------------- properties
@@ -1035,10 +1034,9 @@ def test_one_level_solve_repeats_the_single_level_arithmetic(family, N, m):
     z, w, a, norm_sq = _one_level_markov_solve(m, X.points, y, kernel_eval(k, 0.0))
     assert np.array_equal(s.states, z)
     assert np.array_equal(s.bridge_weights, w)
-    assert s.coefficients is None
     assert np.array_equal(_coefficients(s), a)
     assert s.norm_sq == norm_sq
-    oracle = interpolation.Interpolant(k, X, a, y, z, w, norm_sq)
+    oracle = interpolation.Interpolant(k, X, y, z, w, norm_sq)
     grid = np.linspace(-1.5, 1.5, 10 * N)
     assert np.array_equal(evaluate(s, grid), evaluate(oracle, grid))
 
@@ -1096,7 +1094,6 @@ def test_stacked_levels_agree_with_separate_solves(m, C, ladder):
     for X, y, s in zip(sets, values, stacked):
         alone = interpolate(k, X, y)
         assert s.nodes is X and np.array_equal(s.values, y)
-        assert s.coefficients is None
         for arr in (s.values, s.states, s.bridge_weights):
             assert not arr.flags.writeable
         assert np.max(np.abs(evaluate(s, grid) - evaluate(alone, grid))) <= 1e-15

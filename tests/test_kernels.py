@@ -5,6 +5,7 @@ closed forms or computed with scipy.integrate.quad on the defining
 integrals, independently of the library code.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 from scipy.integrate import quad
+from scipy.special import kv
 
 from maternlab import (
     KernelSpec,
@@ -23,6 +25,12 @@ from maternlab import (
 # e^{-1/2} and (1 + 1/2) e^{-1/2}, 17 digits from mpmath
 EXP_HALF = 0.60653065971263342
 M2_AT_HALF = 0.90979598956895014
+
+
+def _bessel_profile(nu, r):
+    # r^nu K_nu(r) / (2^(nu-1) Gamma(nu)), the Matern profile written from
+    # scipy's K_nu, independent of the package's closed forms; r > 0
+    return r**nu * kv(nu, r) / (2.0 ** (nu - 1.0) * math.gamma(nu))
 
 
 def test_closed_form_profiles_match_frozen_values():
@@ -48,27 +56,22 @@ def test_callable_form_agrees_with_kernel_eval():
 
 
 def test_bessel_profile_reduces_to_closed_forms():
-    # the general r^nu K_nu(r) branch must agree with the d=1 exponentials
-    # above the small-radius guard; below it the flat continuation is off by
-    # at most the guard radius itself (the steepest profile has slope -1)
+    # r^nu K_nu(r), nu = m - 1/2, must agree with the exponentials by hand
+    # and with the kernel, down to small radii
     rng = np.random.default_rng(7)
     r = np.concatenate([[2e-8, 1e-7], rng.uniform(0.01, 6.0, size=40)])
-    from maternlab.kernels import _bessel_profile
-
     exact_m1 = np.exp(-r)
     exact_m2 = (1.0 + r) * np.exp(-r)
     assert np.max(np.abs(_bessel_profile(0.5, r) - exact_m1)) < 1e-13
     assert np.max(np.abs(_bessel_profile(1.5, r) - exact_m2)) < 1e-13
-    guarded = np.array([0.0, 1e-9, 1e-8])
-    assert np.max(np.abs(_bessel_profile(0.5, guarded) - np.exp(-guarded))) <= 1e-8
+    for m in (1, 2):
+        assert np.max(np.abs(_bessel_profile(m - 0.5, r) - kernel_eval(KernelSpec(m=m), r))) < 1e-13
 
 
 def test_generated_closed_forms_match_the_bessel_profile():
     # (1 + r + r^2/3) e^{-r} and (1 + r + 2r^2/5 + r^3/15) e^{-r}, by hand,
     # against r^nu K_nu(r) normalized, nu = 5/2 and 7/2, and against the
     # reverse Bessel coefficients the kernel generates
-    from maternlab.kernels import _bessel_profile
-
     r = np.linspace(0.0, 40.0, 4001)[1:]
     by_hand = {
         3: (1.0 + r + r * r / 3.0) * np.exp(-r),
@@ -77,20 +80,12 @@ def test_generated_closed_forms_match_the_bessel_profile():
     for m, want in by_hand.items():
         assert np.max(np.abs(_bessel_profile(m - 0.5, r) / want - 1.0)) <= 2e-15
         assert np.max(np.abs(kernel_eval(KernelSpec(m=m), r) / want - 1.0)) <= 2e-15
-    assert KernelSpec(m=3).d == 1 and kernel_eval(KernelSpec(m=3), 0.0) == 1.0
-
-
-def test_profile_continuous_at_bessel_cutoff():
-    k = KernelSpec(m=2, d=2)
-    below = kernel_eval(k, 0.999e-8)
-    above = kernel_eval(k, 1.001e-8)
-    assert abs(below - above) < 1e-10
-    assert kernel_eval(k, 0.0) == 1.0
+    assert kernel_eval(KernelSpec(m=3), 0.0) == 1.0
 
 
 def test_kernel_eval_positive_and_nonincreasing():
     rng = np.random.default_rng(11)
-    for k in (KernelSpec(m=1), KernelSpec(m=2), KernelSpec(m=2, d=2), KernelSpec(m=3, d=1)):
+    for k in (KernelSpec(m=1), KernelSpec(m=2), KernelSpec(m=3), KernelSpec(m=4)):
         r = np.sort(rng.uniform(0, 10, size=50))
         vals = kernel_eval(k, r)
         assert np.all(vals > 0)
@@ -111,33 +106,45 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(m=0)
     with pytest.raises(ValueError):
-        KernelSpec(m=1, d=0)
-    with pytest.raises(ValueError):
-        KernelSpec(m=1, d=2)  # 2m > d fails
-    with pytest.raises(ValueError):
         KernelSpec(m=2, amplitude=0.0)
     with pytest.raises(ValueError):
         KernelSpec(m=2, amplitude=-1.0)
-    assert KernelSpec(m=2).nu == 1.5
-    assert KernelSpec(m=3, d=2).nu == 2.0
-    # a bool m or d used to pass as 1; integral values are stored as int
-    for kwargs, name in (({"m": True}, "m"), ({"m": np.True_}, "m"), ({"m": 2, "d": True}, "d")):
-        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got (np\\.)?True"):
-            KernelSpec(**kwargs)
-    for m, d in ((2.0, 1), (np.int64(2), np.int64(1)), (2, 1.0)):
-        k = KernelSpec(m=m, d=d)
-        assert type(k.m) is int and type(k.d) is int
-        assert repr(k) == "KernelSpec(m=2, d=1, amplitude=1.0)"
+    # the lab is one-dimensional: m and amplitude are the only fields
+    assert [f.name for f in dataclasses.fields(KernelSpec)] == ["m", "amplitude"]
+    with pytest.raises(TypeError, match="'d'"):
+        KernelSpec(m=2, d=2)
+    # a bool m used to pass as 1; integral values are stored as int
+    for m in (True, np.True_):
+        with pytest.raises(ValueError, match="m must be a positive integer, got (np\\.)?True"):
+            KernelSpec(m=m)
+    for m in (2.0, np.int64(2)):
+        k = KernelSpec(m=m)
+        assert type(k.m) is int
+        assert repr(k) == "KernelSpec(m=2, amplitude=1.0)"
+
+
+def test_spec_stores_the_amplitude_as_a_float():
+    # a bool amplitude used to be kept as True; integral and numpy values
+    # are stored as float, so the repr names the number
+    for amp in (True, np.True_, False):
+        with pytest.raises(ValueError, match="amplitude must be positive, got (np\\.)?(True|False)"):
+            KernelSpec(m=2, amplitude=amp)
+    for amp in (1, np.int64(1), np.float64(1.0), 1.0):
+        k = KernelSpec(m=2, amplitude=amp)
+        assert type(k.amplitude) is float
+        assert repr(k) == "KernelSpec(m=2, amplitude=1.0)"
+    assert KernelSpec(m=2, amplitude=np.float32(0.1)).amplitude == float(np.float32(0.1))
 
 
 def test_paper_amplitude_known_values():
-    # 2^(nu-1) Gamma(nu): both (m=1,d=1) and (m=2,d=1) give sqrt(pi/2)
+    # 2^(nu-1) Gamma(nu), nu = m - 1/2: m = 1 and m = 2 both give sqrt(pi/2),
+    # m = 3 gives 2^(3/2) Gamma(5/2) = 3 sqrt(2 pi) / 2
     sqrt_pi_half = math.sqrt(math.pi / 2.0)
-    assert paper_amplitude(2, 1) == pytest.approx(sqrt_pi_half, rel=1e-15)
-    assert paper_amplitude(1, 1) == pytest.approx(sqrt_pi_half, rel=1e-15)
-    assert paper_amplitude(2, 2) == pytest.approx(1.0, rel=1e-15)
+    assert paper_amplitude(2) == pytest.approx(sqrt_pi_half, rel=1e-15)
+    assert paper_amplitude(1) == pytest.approx(sqrt_pi_half, rel=1e-15)
+    assert paper_amplitude(3) == pytest.approx(1.5 * math.sqrt(2.0 * math.pi), rel=1e-15)
     with pytest.raises(ValueError):
-        paper_amplitude(1, 2)
+        paper_amplitude(0)
 
 
 def test_kernel_symbol_ratios_by_quadrature():
@@ -202,14 +209,6 @@ def test_tail_energy_matches_direct_quadrature():
         for R in (0.5, 2.0):
             ref, _ = quad(lambda y: kernel_eval(k, y) ** 2, R, np.inf, epsabs=1e-14)
             assert tail_energy(k, R) == pytest.approx(2.0 * ref, rel=1e-11, abs=0)
-
-
-def test_tail_energy_general_dimension_branch():
-    # d=2: surface 2*pi, weight r; oracle by direct quadrature
-    k = KernelSpec(m=2, d=2)
-    for R in (0.3, 1.2):
-        ref, _ = quad(lambda r: kernel_eval(k, r) ** 2 * r, R, np.inf, epsabs=1e-13)
-        assert tail_energy(k, R) == pytest.approx(2.0 * math.pi * ref, rel=1e-9)
 
 
 def test_tail_energy_decreasing_and_validated():

@@ -70,6 +70,32 @@ def test_names_the_benchmark_uses_resolve():
         assert hasattr(maternlab, name), name
 
 
+def test_only_the_parity_eigensolve_imports_scipy():
+    # scipy is a lazy dependency of one function: the LAPACK calls of the
+    # parity eigensolve.  A new scipy import anywhere else fails here, so it
+    # has to be added knowingly, and with it this list.
+    importers = set()
+
+    def visit(node, scope):  # scope: module.function of the enclosing def
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(scope)
+            visit(child, scope)
+
+    for path in sorted(Path(mercer.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert importers == {"mercer._parity_eigh"}
+
+
 def _bench_workloads(monkeypatch):
     # bench/workloads.py, unedited.  The bench modules import each other by
     # bare name, so bench/ joins the path for the calling test only.

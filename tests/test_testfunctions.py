@@ -24,6 +24,7 @@ from maternlab import (
     f_exact,
     f_native_norm_sq,
     kernel_eval,
+    paper_amplitude,
 )
 
 F_AT_0 = 4.0 - 6.0 * math.exp(-1.0)
@@ -105,8 +106,6 @@ def test_integer_like_orders_and_the_order_range():
         box_convolution(k, 0.5, 2 * m - 1)
         with pytest.raises(ValueError, match=f"0..{2 * m - 1}"):
             box_convolution(k, 0.5, 2 * m)  # jumps at +-1
-    with pytest.raises(ValueError, match="d = 1"):
-        box_convolution(KernelSpec(m=2, d=2), 0.5)
     with pytest.raises(ValueError, match="finite"):
         box_convolution(KernelSpec(m=2), [0.0, np.inf])
 
@@ -244,21 +243,31 @@ def test_convolve_matches_elementary_antiderivatives(m, abx):
 
 @pytest.mark.parametrize("a,b,x", [(-1.0, 1.0, 0.3), (-1.0, 1.0, -1.0), (-1.0, 1.0, 2.5), (0.2, 3.0, 1.7)])
 def test_convolve_bessel_kernel_matches_scipy_quad(a, b, x):
-    # the d = 2 profile r K_1(r) has an r^2 log r singularity at y = x,
-    # so refinement concentrates there; quad gets the kink as a breakpoint
+    # The m = 3 and m = 4 profiles are r^nu K_nu(r) / (2^(nu-1) Gamma(nu)),
+    # nu = 5/2 and 7/2, which have no elementary antiderivative above.  The
+    # integrand is written from scipy's K_nu, so the oracle shares nothing
+    # with kernel_eval; quad gets the kink at y = x as a breakpoint, and
+    # r = 0 the limit 1.
     from scipy.integrate import quad
+    from scipy.special import kv
 
-    k = KernelSpec(m=2, d=2)
-    ref, _ = quad(
-        lambda y: kernel_eval(k, abs(x - y)),
-        a,
-        b,
-        points=[x] if a < x < b else None,
-        epsabs=1e-13,
-        epsrel=0.0,
-        limit=200,
-    )
-    assert convolve_with_indicator(k, a, b, x) == pytest.approx(ref, abs=1e-12)
+    for m in (3, 4):
+        k, nu = KernelSpec(m=m), m - 0.5
+
+        def bessel(y):
+            r = abs(x - y)
+            return r**nu * kv(nu, r) / paper_amplitude(m) if r > 0 else 1.0
+
+        ref, _ = quad(
+            bessel,
+            a,
+            b,
+            points=[x] if a < x < b else None,
+            epsabs=1e-13,
+            epsrel=0.0,
+            limit=200,
+        )
+        assert convolve_with_indicator(k, a, b, x) == pytest.approx(ref, abs=1e-12)
 
 
 def test_convolve_splits_at_the_kink_and_batches_its_panels(monkeypatch):
