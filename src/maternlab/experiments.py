@@ -92,8 +92,7 @@ def fit_rate(h, e, all_levels=False):
 class RateRow:
     """One ladder level: node count, spacing, and error measurements.
 
-    ``node_residual`` is max_j |s(x_j) - y_j| as evaluated, and
-    ``norm_ratio`` the cancellation ratio ||s||^2 / ||f||^2 of the
+    ``norm_ratio`` is the cancellation ratio ||s||^2 / ||f||^2 of the
     Pythagoras split (NaN without f_norm_sq, or for a row made by hand).
     ``min_pivot`` is the smallest bound K(0)(1 - rho^2) on the Cholesky pivots
     of the level's Gram matrix, and ``pivot_margin`` = min_pivot / (1e-13 K(0)).
@@ -106,7 +105,6 @@ class RateRow:
     native_err: float
     maxabs_global: float
     maxabs_interior: float
-    node_residual: float = math.nan
     norm_ratio: float = math.nan
     min_pivot: float = math.nan
     pivot_margin: float = math.nan
@@ -243,7 +241,6 @@ def run_rate_study(
                 native_err=nerr,
                 maxabs_global=float(diff.max()),
                 maxabs_interior=float(diff[lo:hi].max()),
-                node_residual=float(np.max(np.abs(evaluate(s, s.nodes.points) - s.values))),
                 norm_ratio=ratio,
                 min_pivot=s._min_pivot,
                 pivot_margin=s._min_pivot / floor,

@@ -98,8 +98,7 @@ class Interpolant:
     Phi(d_j) z_j), shape (N - 1, m), which evaluate reads.  ``norm_sq`` is
     the squared native norm y^T A^{-1} y; the coefficients a = A^{-1} y are
     never formed.  ``_min_pivot`` is the smallest bound K(0)(1 - rho^2) on
-    the Cholesky pivots of A, rho the profile at a node gap; ``_table``
-    caches evaluate's cell table.
+    the Cholesky pivots of A, rho the profile at a node gap.
     """
 
     kernel: object
@@ -109,7 +108,6 @@ class Interpolant:
     bridge_weights: np.ndarray
     norm_sq: float
     _min_pivot: float = field(default=math.nan, compare=False, repr=False)
-    _table: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __call__(self, points):
         return evaluate(self, points)
@@ -389,27 +387,24 @@ def _cell_evaluator(s, flat):
     # top = 2m - 2 are 2^(top-i) i!/(top+1)! t^(top+1) S_top(t).  So in
     # difference form s = v_0 + (expm1(-t) v_0 + e^{-t} R), R = sum_{k=1}^{top}
     # a_k t^k + t^(top+1) S_top(t) a_E, a_k = v_k for k < m; each cell folds
-    # the other a, polynomials in u, from e^{-d} G once.  The first call
-    # on s keeps the table in s._table for the later ones.
+    # the other a, polynomials in u, from e^{-d} G once, into a table that
+    # each call builds and its blocks of points share.
     x, states, (n, m) = s.nodes.points, s.states, s.states.shape
     top, cells = 2 * m - 2, _cells(x, flat)
-    if s._table is None:
-        npow, H, _ = _process(m)
-        gmap = np.tensordot(H[m - 1 :, 0], npow, (1, 2))  # G_jk = gmap[j, k] @ w_p
-        fold = np.zeros((m, m))  # a_m, ..., a_top, a_E from J_i, i = m - 1 + j
-        for j, i in enumerate(range(m - 1, top + 1)):
-            for k in range(i + 1, top + 2):  # k = top + 1: t^(top+1) S_top(t)
-                fold[k - m, j] = 2.0 ** (k - i - 1) / math.perm(k, k - i)
-        w = np.zeros((n + 1, m))  # one row per cell, 0 beyond the end nodes
-        w[1:-1] = s.bridge_weights
-        table = np.empty((2 + m + m * m, n + 1))  # x_p, x_{p+1}, v_k, a_k and a_E per cell
-        table[0, 0], table[0, 1:], table[1, :-1], table[1, -1] = x[0], x, x, x[-1]
-        table[2 : 2 + m, 0] = npow[:, 0] @ (states[0] * (-1.0) ** np.arange(m))
-        table[2 : 2 + m, 1:] = npow[:, 0] @ states.T
-        table[2 + m :] = (fold @ gmap.reshape(m, -1)).reshape(m * m, m) @ w.T
-        table[2 + m :] *= np.exp(table[0] - table[1])  # e^{-d}
-        object.__setattr__(s, "_table", (table, w, gmap))
-    table, w, gmap = s._table
+    npow, H, _ = _process(m)
+    gmap = np.tensordot(H[m - 1 :, 0], npow, (1, 2))  # G_jk = gmap[j, k] @ w_p
+    fold = np.zeros((m, m))  # a_m, ..., a_top, a_E from J_i, i = m - 1 + j
+    for j, i in enumerate(range(m - 1, top + 1)):
+        for k in range(i + 1, top + 2):  # k = top + 1: t^(top+1) S_top(t)
+            fold[k - m, j] = 2.0 ** (k - i - 1) / math.perm(k, k - i)
+    w = np.zeros((n + 1, m))  # one row per cell, 0 beyond the end nodes
+    w[1:-1] = s.bridge_weights
+    table = np.empty((2 + m + m * m, n + 1))  # x_p, x_{p+1}, v_k, a_k and a_E per cell
+    table[0, 0], table[0, 1:], table[1, :-1], table[1, -1] = x[0], x, x, x[-1]
+    table[2 : 2 + m, 0] = npow[:, 0] @ (states[0] * (-1.0) ** np.arange(m))
+    table[2 : 2 + m, 1:] = npow[:, 0] @ states.T
+    table[2 + m :] = (fold @ gmap.reshape(m, -1)).reshape(m * m, m) @ w.T
+    table[2 + m :] *= np.exp(table[0] - table[1])  # e^{-d}
 
     def near(pts, t, tmax, cols):
         v, a = cols[2 : 2 + m], cols[2 + m :]

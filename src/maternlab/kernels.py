@@ -14,13 +14,14 @@ smoothness index m is norm-equivalent to the Sobolev space W_2^m.  Every
 layer sums translates c_q K(|x - y_q|) by _translate_sum, samples kernel
 matrices by _kernel_rows and blocks points by _slices, the one blocking
 rule (_by_blocks joins one result per slice).
-_positive_int is the integer rule for sizes; box_convolution takes its
+_positive_int is the integer rule for m and sizes; box_convolution takes its
 derivative order by operator.index, so it refuses 2.0 by design.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,9 +68,14 @@ def _horner(coeffs, r):
     return poly
 
 
+def _real(v):
+    # a real number, numpy scalars included, but no bool: it would pass as 0 or 1
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _positive_int(v, name, zero=False):
-    # v as an int, at least 1 (0 too when zero); a bool would pass the integer test as 0 or 1
-    if isinstance(v, (bool, np.bool_)) or not float(v).is_integer() or v < (0 if zero else 1):
+    # v as an int: a real number with an integral value, at least 1 (0 too when zero)
+    if not _real(v) or not float(v).is_integer() or v < (0 if zero else 1):
         raise ValueError(f"{name} must be a {'nonnegative' if zero else 'positive'} integer, got {v!r}")
     return int(v)
 
@@ -78,11 +84,10 @@ def paper_amplitude(m):
     """Amplitude 2^(nu-1) * Gamma(nu) for nu = m - 1/2.
 
     This is the constant that turns the unit-normalized profile into the
-    bare Bessel form r^nu K_nu(r); for m = 2 it equals sqrt(pi/2).
+    bare Bessel form r^nu K_nu(r); for m = 2 it equals sqrt(pi/2).  m is a
+    positive integer, as in KernelSpec.
     """
-    nu = m - 0.5
-    if nu <= 0:
-        raise ValueError(f"amplitude undefined for nu = m - 1/2 = {nu} <= 0")
+    nu = _positive_int(m, "m") - 0.5
     return 2.0 ** (nu - 1.0) * math.gamma(nu)
 
 
@@ -104,8 +109,7 @@ class KernelSpec:
     def __post_init__(self):
         object.__setattr__(self, "m", _positive_int(self.m, "m"))
         amp = self.amplitude
-        # a bool would pass as 1.0
-        if isinstance(amp, (bool, np.bool_)) or not (np.isfinite(amp) and amp > 0):
+        if not (_real(amp) and math.isfinite(amp) and amp > 0):
             raise ValueError(f"amplitude must be positive, got {amp!r}")
         object.__setattr__(self, "amplitude", float(amp))
 

@@ -5,7 +5,6 @@ prototype (dense solve via numpy.linalg.solve, errors accumulated with
 plain loops) on the C = 1.2 ladder {11, 21, 41} with a 501-point grid.
 """
 
-import dataclasses
 import math
 import re
 import warnings
@@ -181,6 +180,8 @@ def test_rate_study_validation(monkeypatch):
         ([11, 21], 500.5, "grid_size must be a positive integer, got 500.5"),
         ([11, 21], True, "grid_size must be a positive integer, got True"),
         ([11, 21], np.nan, "grid_size must be a positive integer, got nan"),
+        ([11, "21"], 501, "node count must be a positive integer, got '21'"),
+        ([11, 21], None, "grid_size must be a positive integer, got None"),
     ):
         with pytest.raises(ValueError, match=re.escape(named)):
             run_rate_study(k, 1.2, 0.4, counts, grid, f_exact)
@@ -294,27 +295,32 @@ def test_the_d1_solve_needs_no_einsum_or_matmul(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", refuse)
     monkeypatch.setattr(np, "matmul", refuse)
+    # The stored states hold the data, so s is exact at the nodes: on
+    # jittered nodes, on sine-graded ones and with one pair 1e-6 apart.
     x = np.linspace(-0.8, 0.8, 161)
     x[1:-1] += np.random.default_rng(1).uniform(-0.002, 0.002, 159)
+    pair = x.copy()
+    pair[80] = pair[79] + 1e-6
+    sine = 0.8 * np.sin(0.5 * np.pi * np.linspace(-1.0, 1.0, 161))
     for m in (1, 2, 3):
-        s = interpolate(KernelSpec(m=m), NodeSet(points=x, halfwidth=0.8), f_exact(x))
-        assert np.array_equal(s(x), s.values)
-        study = run_rate_study(KernelSpec(m=m), 1.2, 0.4, [11, 21, 41], 501, f_exact)
-        assert [row.node_residual for row in study.rows] == [0.0, 0.0, 0.0]
+        for pts in (x, sine, pair):
+            s = interpolate(KernelSpec(m=m), NodeSet(points=pts, halfwidth=0.8), f_exact(pts))
+            assert np.array_equal(s(pts), s.values)
+        run_rate_study(KernelSpec(m=m), 1.2, 0.4, [11, 21, 41], 501, f_exact)
 
 
-def test_a_study_builds_each_level_cell_table_once(monkeypatch):
-    # the grid and the node residual of a level read one cell table: the
-    # first evaluate builds it, the second finds it on the interpolant
+def test_a_study_evaluates_each_level_once(monkeypatch):
+    # each level's interpolant is evaluated once, on the grid: one cell
+    # evaluator per level, for that level's nodes and the 501 grid points
     seen, cell_evaluator = [], interpolation._cell_evaluator
 
     def spy(s, flat):
-        seen.append((len(s.nodes), s._table is None))
+        seen.append((len(s.nodes), flat.size))
         return cell_evaluator(s, flat)
 
     monkeypatch.setattr(interpolation, "_cell_evaluator", spy)
     run_rate_study(KernelSpec(m=2), 1.2, 0.4, [11, 21, 41], 501, f_exact)
-    assert seen == [(11, True), (11, False), (21, True), (21, False), (41, True), (41, False)]
+    assert seen == [(11, 501), (21, 501), (41, 501)]
 
 
 def test_dense_studies_solve_each_level_on_its_own():
@@ -369,34 +375,16 @@ def test_rate_rows_equal_the_masked_statistics(m, C, margin, ladder, grid_size):
         assert row.maxabs_interior == float(diff[inner].max())
 
 
-def test_rate_rows_carry_the_node_residual_and_the_norm_ratio(monkeypatch):
-    # The residual is the evaluator's own at the nodes: exactly 0 for the
-    # banded solve, whose states hold the data.  The norm ratio is the
-    # Pythagoras split's cancellation ||s||^2 / ||f||^2.
+def test_rate_rows_carry_the_norm_ratio():
+    # the Pythagoras split's cancellation ||s||^2 / ||f||^2
     k, f_sq = KernelSpec(m=2), f_native_norm_sq()
     study = run_rate_study(k, 1.2, 0.4, [11, 21, 41], 501, f_exact, f_norm_sq=f_sq)
     for row, s in zip(study.rows, [interpolate(k, X, f_exact(X.points)) for X in
                                    (equidistant_nodes(1.2, N) for N in (11, 21, 41))]):
-        assert row.node_residual == 0.0
         assert row.norm_ratio == pytest.approx(s.norm_sq / f_sq, rel=1e-15, abs=0)
         assert 1.0 - 2e-5 < row.norm_ratio < 1.0
     plain = run_rate_study(k, 1.2, 0.4, [11, 21], 501, f_exact)
     assert all(math.isnan(row.norm_ratio) for row in plain.rows)
-
-    # one stored state of the second level off by 1e-6: the check sees it
-    levels = experiments._interpolate_levels
-
-    def corrupted(*args):
-        out = levels(*args)
-        states = out[1].states.copy()
-        states[5, 0] += 1e-6
-        out[1] = dataclasses.replace(out[1], states=states)
-        return out
-
-    monkeypatch.setattr(experiments, "_interpolate_levels", corrupted)
-    rows = run_rate_study(k, 1.2, 0.4, [11, 21, 41], 501, f_exact, f_norm_sq=f_sq).rows
-    assert [row.node_residual == 0.0 for row in rows] == [True, False, True]
-    assert rows[1].node_residual == pytest.approx(1e-6, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -1,6 +1,5 @@
 """Norm-minimal interpolation: exactness, optimality, conditioning."""
 
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -856,23 +855,6 @@ def test_interpolate_factors_once_and_evaluate_recomputes_nothing(m, monkeypatch
     z = s.states.T[:, None]
     r = np.diff(z) - interpolation._mul(dphi, z[..., :-1])
     assert np.array_equal(s.bridge_weights, interpolation._mul(W, r)[:, 0].T)
-
-
-def test_evaluate_keeps_one_cell_table_per_interpolant():
-    # the first evaluate keeps the table; a copy with other states starts
-    # without it, so it evaluates its own states, not the original's
-    k = KernelSpec(m=2)
-    X = equidistant_nodes(1.0, 11)
-    s = interpolate(k, X, f_exact(X.points))
-    assert s._table is None
-    at_nodes = evaluate(s, X.points)
-    table = s._table
-    assert np.array_equal(evaluate(s, X.points), at_nodes) and s._table is table
-    states = s.states.copy()
-    states[5, 0] += 1e-6
-    t = dataclasses.replace(s, states=states)
-    assert t._table is None
-    assert evaluate(t, X.points[5]) == states[5, 0] != at_nodes[5]
 
 
 def test_evaluate_blocks_its_rows_like_the_dense_sum():

@@ -7,6 +7,7 @@ integrals, independently of the library code.
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,12 @@ def test_spec_validation():
         k = KernelSpec(m=m)
         assert type(k.m) is int
         assert repr(k) == "KernelSpec(m=2, amplitude=1.0)"
+    # a string, None, a list or a complex used to escape as a TypeError from
+    # float() or a comparison ("'<' not supported between instances of 'str'
+    # and 'int'")
+    for m in ("2", None, [2], 2 + 0j):
+        with pytest.raises(ValueError, match=re.escape(f"m must be a positive integer, got {m!r}")):
+            KernelSpec(m=m)
 
 
 def test_spec_stores_the_amplitude_as_a_float():
@@ -128,6 +135,11 @@ def test_spec_stores_the_amplitude_as_a_float():
     # are stored as float, so the repr names the number
     for amp in (True, np.True_, False):
         with pytest.raises(ValueError, match="amplitude must be positive, got (np\\.)?(True|False)"):
+            KernelSpec(m=2, amplitude=amp)
+    # non-numbers used to fail inside numpy ("ufunc 'isfinite' not
+    # supported") or in a comparison, with a TypeError
+    for amp in ("2", None, [1.0], 2 + 0j):
+        with pytest.raises(ValueError, match=re.escape(f"amplitude must be positive, got {amp!r}")):
             KernelSpec(m=2, amplitude=amp)
     for amp in (1, np.int64(1), np.float64(1.0), 1.0):
         k = KernelSpec(m=2, amplitude=amp)
@@ -145,6 +157,16 @@ def test_paper_amplitude_known_values():
     assert paper_amplitude(3) == pytest.approx(1.5 * math.sqrt(2.0 * math.pi), rel=1e-15)
     with pytest.raises(ValueError):
         paper_amplitude(0)
+
+
+def test_paper_amplitude_takes_m_by_the_integer_rule():
+    # kernels._positive_int, as in KernelSpec: paper_amplitude(True) used to
+    # return 1.2533 and paper_amplitude(2.5) 2.0, though KernelSpec refuses both
+    for m in (True, 2.5, 0, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"m must be a positive integer, got {m!r}")):
+            paper_amplitude(m)
+    for m in (2.0, np.int64(2)):
+        assert paper_amplitude(m) == paper_amplitude(2)
 
 
 def test_kernel_symbol_ratios_by_quadrature():

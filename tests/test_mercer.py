@@ -186,7 +186,8 @@ def test_sizes_must_be_integers():
     want = nystrom_eig(k, -1.0, 1.0, 20, 4)
     for rule, modes in ((20.0, 4.0), (np.int64(20), np.int32(4))):
         assert np.array_equal(nystrom_eig(k, -1.0, 1.0, rule, modes).eigenfunctions, want.eigenfunctions)
-    bad = ((20.5, 4, "rule_size"), (20, 4.5, "n_modes"), (True, True, "rule_size"), (20, True, "n_modes"))
+    bad = ((20.5, 4, "rule_size"), (20, 4.5, "n_modes"), (True, True, "rule_size"), (20, True, "n_modes"),
+           ("20", 4, "rule_size"), (20, None, "n_modes"), ([20], 4, "rule_size"), (20, 4 + 0j, "n_modes"))
     for rule, modes, name in bad:
         with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
             nystrom_eig(k, -1.0, 1.0, rule, modes)

@@ -96,6 +96,32 @@ def test_only_the_parity_eigensolve_imports_scipy():
     assert importers == {"mercer._parity_eigh"}
 
 
+def test_only_post_init_writes_frozen_fields():
+    # object.__setattr__ writes a field of a frozen dataclass.  Only
+    # __post_init__ may, while the value is built, so an instance stays a
+    # value that no later call changes.
+    writers = set()
+
+    def visit(node, scope):  # scope: module.Class.function of the enclosing def
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "__setattr__"
+                and getattr(func.value, "id", None) == "object"
+            ):
+                writers.add(scope)
+            visit(child, scope)
+
+    for path in sorted(Path(mercer.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert writers, "no object.__setattr__ found: the search is broken"
+    assert all(scope.endswith(".__post_init__") for scope in writers), sorted(writers)
+
+
 def _bench_workloads(monkeypatch):
     # bench/workloads.py, unedited.  The bench modules import each other by
     # bare name, so bench/ joins the path for the calling test only.

@@ -7,6 +7,7 @@ sqrt(72354)/81.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,8 +40,8 @@ def test_weight_presets():
 def test_weight_presets_take_m_by_the_integer_rule(preset):
     # kernels._positive_int, as in run_trials: sobolev_weights(2.5) used to
     # build 3 weights, and M = 0 was refused only by the CLI
-    for bad in (2.5, True, 0, -1):
-        with pytest.raises(ValueError, match=f"M must be a positive integer, got {bad!r}"):
+    for bad in (2.5, True, 0, -1, "5", None, [5], 5 + 0j):
+        with pytest.raises(ValueError, match=re.escape(f"M must be a positive integer, got {bad!r}")):
             preset(bad)
     want = preset(5).kappa
     for M in (5.0, np.int64(5)):
@@ -366,6 +367,6 @@ def test_run_trials_edge_cases():
     # which cli.main maps to exit 2
     for n_trials in (5.0, np.int64(5), np.float32(5)):
         assert run_trials(space, n_trials, 42) == _cold(space, 5, 42)
-    for n_trials in (5.5, True, False, np.bool_(True), -1, -2.0):
+    for n_trials in (5.5, True, False, np.bool_(True), -1, -2.0, "5", None, [5], 5 + 0j):
         with pytest.raises(ValueError, match="n_trials must be a nonnegative integer"):
             run_trials(space, n_trials, 42)
