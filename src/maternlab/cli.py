@@ -9,7 +9,7 @@ bc-check  boundary-condition residuals at configurable endpoints
 seqmodel  randomized verification of the sequence-space inequalities
 
 Exit codes: 0 success, 2 configuration error, 3 numerical
-(conditioning/quadrature/truncation) failure, 4 verification failure.
+(conditioning/truncation) failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ import sys
 import numpy as np
 
 from . import output
-from .errors import (
-    ConditioningError,
-    InsufficientDataError,
-    QuadratureError,
-    TruncationError,
-)
+from .errors import ConditioningError, InsufficientDataError, TruncationError
 from .experiments import ERROR_FLOOR, equidistant_nodes, run_rate_study
 from .interpolation import evaluate, interpolate, native_norm_sq
 from .kernels import KernelSpec, paper_amplitude
@@ -345,7 +340,7 @@ def main(argv=None):
     except (ValueError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConditioningError, QuadratureError, TruncationError) as exc:
+    except (ConditioningError, TruncationError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

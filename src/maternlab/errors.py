@@ -3,7 +3,6 @@
 __all__ = [
     "MaternlabError",
     "ConditioningError",
-    "QuadratureError",
     "TruncationError",
     "InsufficientDataError",
 ]
@@ -40,10 +39,6 @@ class ConditioningError(MaternlabError):
         if detail:
             msg = f"{msg} ({detail})"
         super().__init__(msg)
-
-
-class QuadratureError(MaternlabError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class TruncationError(MaternlabError):

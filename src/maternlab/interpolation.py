@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import ConditioningError
-from .kernels import _by_blocks, _cells, _horner, _kernel_rows, exp_poly_coeffs, kernel_eval
+from .kernels import _by_blocks, _capped, _cells, _horner, _kernel_rows, exp_poly_coeffs, kernel_eval
 
 __all__ = [
     "CONDITIONING_FLOOR",
@@ -428,14 +428,14 @@ def _cell_evaluator(s, flat):
     def block(b):
         pts, c = flat[b], cells[b]
         cols = table.take(c, axis=1)
-        t = np.abs(pts - cols[0])
+        t = _capped(m, np.abs(pts - cols[0]))  # u below too: see kernels._capped
         tmax = t.max(initial=0.0)
         if tmax < 1.0:
             return near(pts, t, tmax, cols)
         out, inner, far = np.empty_like(t), np.flatnonzero(t < 1.0), np.flatnonzero(t >= 1.0)
         out[inner] = near(pts[inner], t[inner], t[inner].max(initial=0.0), cols[:, inner])
         pts, t, cols, g = pts[far], t[far], cols[:, far], gmap.reshape(m * m, m) @ w[c[far]].T
-        moments, u = _exp_moments(t, top)[m - 1 :], np.abs(cols[1] - pts)
+        moments, u = _exp_moments(t, top)[m - 1 :], _capped(m, np.abs(cols[1] - pts))
         total = sum(moments[j] * _horner(g[j * m : (j + 1) * m], u) for j in range(m))
         out[far] = np.exp(-t) * _horner(cols[2 : 2 + m], t) + np.exp(-u) * total
         return out

@@ -39,6 +39,13 @@ __all__ = [
 _BLOCK_ENTRIES = 1 << 18
 
 
+def _capped(m, r, out=None):
+    # exp(-r) is 0 from r = 745.2, but for m >= 3 a polynomial in r beside it
+    # overflows from r ~ 1e154 and 0 * inf is NaN, so radii past 1e3 read as
+    # 1e3 there; the polynomials of m = 1 and 2 are finite at every finite r.
+    return np.minimum(r, 1e3, out=out) if m >= 3 else r
+
+
 def _exp_poly(m):
     # The profile exp(-r) p(r): the reverse Bessel coefficients
     # c_k = (2m-2-k)! (m-1)! 2^k / ((2m-2)! k! (m-1-k)!) of p, lowest degree
@@ -69,8 +76,12 @@ def _horner(coeffs, r):
 
 
 def _real(v):
-    # a real number, numpy scalars included, but no bool: it would pass as 0 or 1
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    # a finite real number, numpy scalars included, but no bool (it would pass
+    # as 0 or 1) and no integer past the largest float (float() overflows)
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _positive_int(v, name, zero=False):
@@ -109,7 +120,7 @@ class KernelSpec:
     def __post_init__(self):
         object.__setattr__(self, "m", _positive_int(self.m, "m"))
         amp = self.amplitude
-        if not (_real(amp) and math.isfinite(amp) and amp > 0):
+        if not (_real(amp) and amp > 0):
             raise ValueError(f"amplitude must be positive, got {amp!r}")
         object.__setattr__(self, "amplitude", float(amp))
 
@@ -125,9 +136,9 @@ def exp_poly_coeffs(k):
 def kernel_eval(k, r, out=None):
     """Evaluate ``amplitude * profile(r)`` at radii r >= 0.
 
-    Accepts scalars or arrays; scalars come back as float.  Strictly
-    positive and nonincreasing in r for every profile in the family.  An
-    array out of r's shape receives the values; it may be r itself.
+    Accepts scalars or arrays; scalars come back as float.  Positive and
+    nonincreasing in r, 0 where exp(-r) underflows, for every profile in the
+    family.  An array out of r's shape receives the values; it may be r itself.
     """
     arr = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(arr)):
@@ -135,6 +146,8 @@ def kernel_eval(k, r, out=None):
     if np.any(arr < 0):
         raise ValueError("radius must be nonnegative")
     coeffs = exp_poly_coeffs(k)
+    if k.m >= 3:  # the capped radii in out, where exp(-r) is then taken
+        out = arr = _capped(k.m, arr, out=np.empty(arr.shape) if out is None else out)
     # p(r) before out is written, since out may hold r: one array beyond it
     poly = _horner(coeffs, arr) if len(coeffs) > 1 else None
     out = np.empty(arr.shape) if out is None else out
@@ -230,7 +243,7 @@ def _translate_sum(k, y, c, x):
     out = 0.0
     # t < 0 only where the zero row stands for a missing node
     for mom, t in ((left, x - ypad[idx]), (right, ypad[idx + 1] - x)):
-        t = np.maximum(t, 0.0)[:, None]
+        t = _capped(m, np.maximum(t, 0.0))[:, None]
         total = sum(_horner(derivs[j], t) / math.factorial(j) * mom[j] for j in range(m))
         out = out + np.exp(-t) * total
     return k.amplitude * out.reshape(x.shape + c.shape[1:])

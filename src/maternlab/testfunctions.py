@@ -1,9 +1,10 @@
-"""Box convolutions, the explicit test function and boundary-condition residuals.
+"""Indicator convolutions, the explicit test function and boundary-condition residuals.
 
-For every kernel K the box convolution K * chi_[-1,1] has a closed form
-in every derivative order 0..2m-1 (order 2m jumps at x = -1 and x = +1,
-since the convolved density is the indicator).  The test function f_exact
-is its unit-amplitude m = 2 instance, with a closed-form native norm.
+For every kernel K, K * chi_[a,b] = H(x - a) - H(x - b) in closed form, in
+every derivative order 0..2m-1 (order 2m jumps at a and b, since the
+convolved density is the indicator).  box_convolution is the [-1, 1] case
+and convolve_with_indicator the value on any [a, b].  The test function
+f_exact is the unit-amplitude m = 2 box, with a closed-form native norm.
 Outside [-1, 1] the order-m box convolution solves (Id - D^2)^m f = 0 with
 decay, which is what the boundary-condition residuals check.
 """
@@ -16,9 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError
-from .kernels import KernelSpec, _by_blocks, _exp_poly, _exp_tail, _horner, kernel_eval
-from .mercer import _gauss_legendre
+from .kernels import KernelSpec, _by_blocks, _capped, _exp_poly, _exp_tail, _horner
 
 __all__ = [
     "BREAKPOINTS",
@@ -42,6 +41,26 @@ def _box_terms(m, order):
     return (0.0 if order else -q[0]), tuple(q.tolist())
 
 
+def _indicator(k, a, b, x, order):
+    # (K * chi_[a,b])^(order)(x) = H(x - a) - H(x - b), order already checked;
+    # the constants cancel exactly outside [a, b].  Scalars come back as float.
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("x must be finite")
+    const, q = _box_terms(k.m, order)
+    flat, edges = arr.ravel(), np.array([[a], [b]])
+
+    def block(sl):  # (2, rows) work arrays stay in cache
+        u = flat[sl] - edges
+        r = _capped(k.m, np.abs(u))
+        s = np.sign(u) if order % 2 == 0 else np.ones_like(u)
+        h = s * (_horner(q, r) * np.exp(-r))
+        return k.amplitude * (h[0] - h[1] + const * (s[0] - s[1]))
+
+    out = _by_blocks(block, flat.size)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
 def box_convolution(k, x, order=0):
     """(K * chi_[-1,1])^(order)(x) = H(x + 1) - H(x - 1) for the kernel
     K(u) = amplitude exp(-|u|) p(|u|): H = sgn(u) (T(0) - exp(-|u|) T(|u|)),
@@ -56,21 +75,7 @@ def box_convolution(k, x, order=0):
         j = -1
     if not 0 <= j < 2 * k.m:
         raise ValueError(f"order must be an integer 0..{2 * int(k.m) - 1}, got {order!r}")
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
-    const, q = _box_terms(int(k.m), j)
-    flat = arr.ravel()
-
-    def block(b):  # (2, rows) work arrays stay in cache
-        u = flat[b] + np.array([[1.0], [-1.0]])
-        r = np.abs(u)
-        s = np.sign(u) if j % 2 == 0 else np.ones_like(u)
-        h = s * (_horner(q, r) * np.exp(-r))
-        return k.amplitude * (h[0] - h[1] + const * (s[0] - s[1]))
-
-    out = _by_blocks(block, flat.size)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _indicator(k, -1.0, 1.0, x, j)
 
 
 def f_exact(x, order=0):
@@ -95,58 +100,14 @@ def f_native_norm_sq(k=None):
     return value / k.amplitude
 
 
-# A 10-point and a 20-point Gauss-Legendre rule on [-1, 1], nodes stacked
-# so one kernel_eval call serves both.
-_T10, _W10 = _gauss_legendre(10)
-_T20, _W20 = _gauss_legendre(20)
-_NODES = np.concatenate([_T10, _T20])
-_MAX_DEPTH = 40
-_MAX_PANELS = 2048
-# Rounding allowance added to each panel's error estimate, relative to its
-# value, so a tol below the rounding floor is refused instead of met by luck.
-_ROUNDING = 8.0 * np.finfo(float).eps
-
-
-def convolve_with_indicator(k, a, b, x, tol=1e-12):
-    """Adaptive Gauss-Legendre value of the integral of K(|x - y|) dy over [a, b].
-
-    Serves as the independent oracle for f_exact (it calls kernel_eval
-    only) and as a generator of further convolution test functions.  The
-    integrand has a kink at y = x, so [a, b] is split there.  Each level
-    evaluates every open panel with a 10-point and a 20-point rule in one
-    kernel_eval call, keeps the 20-point value of the panels where the two
-    differ, plus a rounding allowance, by less than the panel's share of
-    tol (its width over b - a), and bisects the rest.  More than 40 levels,
-    or more than 2048 open panels, raise QuadratureError; so tol = 0 or a
-    tol below the rounding floor raises.
-    """
-    a, b, x = float(a), float(b), float(x)
-    if not (np.isfinite(a) and np.isfinite(b) and np.isfinite(x)):
-        raise ValueError("a, b, x must be finite")
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    edges = np.array([a, x, b] if a < x < b else [a, b])
-    lo, hi = edges[:-1], edges[1:]
-    total = 0.0
-    for _ in range(_MAX_DEPTH + 1):
-        if lo.size > _MAX_PANELS:
-            break
-        half = 0.5 * (hi - lo)
-        g = kernel_eval(k, np.abs(x - (lo + half)[:, None] - half[:, None] * _NODES))
-        coarse = half * (g[:, :10] @ _W10)
-        fine = half * (g[:, 10:] @ _W20)
-        est = np.abs(fine - coarse) + _ROUNDING * np.abs(fine)
-        done = est < tol * (hi - lo) / (b - a)
-        total += float(np.sum(fine[done]))
-        if done.all():
-            return total
-        lo, hi = lo[~done], hi[~done]
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    raise QuadratureError(
-        f"adaptive quadrature did not converge on [{a:.6g}, {b:.6g}] "
-        f"within {_MAX_DEPTH} levels and {_MAX_PANELS} panels (tol={tol:.3g})"
-    )
+def convolve_with_indicator(k, a, b, x):
+    """The integral of K(|x - y|) dy over [a, b], H(x - a) - H(x - b) with H
+    as in box_convolution: O(1) work per point of a scalar (a float back) or
+    an array x.  Raises ValueError unless a, b and x are finite and a < b."""
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"need finite a < b, got a={a}, b={b}")
+    return _indicator(k, a, b, x, 0)
 
 
 def _bc_coefficients(order, sign):

@@ -18,8 +18,19 @@ from scipy.special import kv
 
 from maternlab import (
     KernelSpec,
+    box_convolution,
+    convolve_with_indicator,
+    eigen_extend,
+    equidistant_nodes,
+    evaluate,
+    f_exact,
+    interpolate,
     kernel_eval,
+    nystrom_eig,
     paper_amplitude,
+    run_rate_study,
+    run_trials,
+    sobolev_weights,
     tail_energy,
 )
 
@@ -167,6 +178,52 @@ def test_paper_amplitude_takes_m_by_the_integer_rule():
             paper_amplitude(m)
     for m in (2.0, np.int64(2)):
         assert paper_amplitude(m) == paper_amplitude(2)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda n: KernelSpec(m=n), "m"),
+        (lambda n: KernelSpec(m=2, amplitude=n), "amplitude"),
+        (lambda n: paper_amplitude(n), "m"),
+        (lambda n: nystrom_eig(KernelSpec(m=1), -1.0, 1.0, n, 1), "rule_size"),
+        (lambda n: nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 8, n), "n_modes"),
+        (lambda n: equidistant_nodes(1.0, n), "N"),
+        (lambda n: run_rate_study(KernelSpec(m=2), 1.2, 0.2, [11, n], 501, f_exact), "node count"),
+        (lambda n: run_rate_study(KernelSpec(m=2), 1.2, 0.2, [11, 21], n, f_exact), "grid_size"),
+        (lambda n: sobolev_weights(n), "M"),
+        (lambda n: run_trials(sobolev_weights(8), n, 0), "n_trials"),
+    ],
+    ids=["m", "amplitude", "paper_amplitude", "rule_size", "n_modes", "N", "node_count", "grid_size", "M", "n_trials"],
+)
+def test_integers_too_large_for_a_float_are_refused_by_name(call, name):
+    # these used to escape as OverflowError "int too large to convert to
+    # float", from float() or math.isfinite
+    for n in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(n)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_far_radii_give_zero_not_nan(m):
+    # For m >= 3 the polynomial beside exp(-r) overflows from r ~ 1e154,
+    # long after exp(-r) underflows to 0; each product of the two used to
+    # read inf * 0 = NaN there
+    k = KernelSpec(m=m)
+    X = equidistant_nodes(1.2, 11)
+    s = interpolate(k, X, box_convolution(k, X.points))
+    sys_ = nystrom_eig(k, -1.0, 1.0, 40, 3)
+    for r in (1e200, 1e300):
+        near_and_far = np.array([1.0, r])
+        want = [kernel_eval(k, 1.0), 0.0]
+        assert np.array_equal(kernel_eval(k, near_and_far), want)
+        assert np.array_equal(kernel_eval(k, near_and_far, out=near_and_far), want)  # in place
+        for x in (r, -r):
+            for order in range(2 * m):
+                assert box_convolution(k, x, order) == 0.0, (x, order)
+            assert convolve_with_indicator(k, -1.0, 1.0, x) == 0.0
+            assert evaluate(s, x) == 0.0
+            assert np.array_equal(eigen_extend(sys_, [0, 1, 2], x), [0.0, 0.0, 0.0])
 
 
 def test_kernel_symbol_ratios_by_quadrature():

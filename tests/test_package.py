@@ -1,6 +1,7 @@
 """The package's public surface: one list per module, re-exported whole."""
 
 import ast
+import builtins
 import importlib
 import sys
 from pathlib import Path
@@ -120,6 +121,32 @@ def test_only_post_init_writes_frozen_fields():
         visit(ast.parse(path.read_text()), path.stem)
     assert writers, "no object.__setattr__ found: the search is broken"
     assert all(scope.endswith(".__post_init__") for scope in writers), sorted(writers)
+
+
+def test_every_error_type_is_raised_and_given_an_exit_code():
+    # An error type that nothing raises is dead, and so is the except clause
+    # in cli.main that catches it: each goes with its last raise.  Every type
+    # that is raised has its exit code in cli.main.
+    raised = set()
+    for path in sorted(Path(mercer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    types = set(errors.__all__) - {"MaternlabError"}
+    assert types <= raised, sorted(types - raised)
+    main = next(
+        node
+        for node in ast.parse(Path(cli.__file__).read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    caught = set()
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler):
+            clause = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {ast.unparse(e) for e in clause}
+    assert caught, "no except clause found in cli.main: the search is broken"
+    assert caught - set(dir(builtins)) == types
 
 
 def _bench_workloads(monkeypatch):

@@ -6,7 +6,6 @@ e^{-0.2} - e^{-2.2}.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from mpmath import mp
 from maternlab import (
     BREAKPOINTS,
     KernelSpec,
-    QuadratureError,
     box_convolution,
     bc_residuals,
     convolve_with_indicator,
@@ -119,23 +117,28 @@ def test_scalar_and_array_forms():
 
 
 def test_f_matches_independent_convolution_oracle():
-    # f must equal the adaptive-quadrature convolution of the kernel with
-    # the indicator of [-1, 1] at scattered points, including near kinks
-    k = KernelSpec(m=2)
+    # f(x) = F(1 - x) - F(-1 - x) with F(t) = sgn(t) (2 - (2 + |t|) e^{-|t|}),
+    # the elementary antiderivative of (1 + |s|) e^{-|s|} from 0, at
+    # scattered points, including the kinks
     rng = np.random.default_rng(515)
     xs = np.concatenate([rng.uniform(-3, 3, size=20), [-1.0, 1.0, 0.0]])
     for x in xs:
-        oracle = convolve_with_indicator(k, -1.0, 1.0, x)
+        oracle = _kernel_antiderivative(2, 1.0 - x) - _kernel_antiderivative(2, -1.0 - x)
         assert f_exact(float(x)) == pytest.approx(oracle, abs=1e-11)
+
+
+def _mp_p(m):
+    # the exact reverse Bessel coefficients of p, lowest degree first
+    f = math.factorial
+    return [mp.mpf(f(2 * m - 2 - k) * f(m - 1) * 2**k) / (f(2 * m - 2) * f(k) * f(m - 1 - k))
+            for k in range(m)]
 
 
 def _mp_box(m, order, x):
     # The defining integral of K^(order) over [x - 1, x + 1], split at the
     # kink u = 0; K^(j)(u) = sgn(u)^j e^{-|u|} sum_i C(j, i) (-1)^(j-i)
     # p^(i)(|u|) by Leibniz, with the exact reverse Bessel coefficients of p.
-    f = math.factorial
-    p = [mp.mpf(f(2 * m - 2 - k) * f(m - 1) * 2**k) / (f(2 * m - 2) * f(k) * f(m - 1 - k))
-         for k in range(m)]
+    p = _mp_p(m)
 
     def kernel_deriv(u):
         r = abs(u)
@@ -148,14 +151,6 @@ def _mp_box(m, order, x):
 
 
 _BOX_XS = [0.0, 0.3, -0.7, 1.0, -1.0, 0.999, 1.001, 1.7, -3.2, 40.0, -40.0]
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_box_convolution_matches_the_adaptive_quadrature(m):
-    k = KernelSpec(m=m)
-    got = box_convolution(k, _BOX_XS)
-    for x, value in zip(_BOX_XS, got):
-        assert value == pytest.approx(convolve_with_indicator(k, -1.0, 1.0, x), abs=1e-11)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -202,14 +197,12 @@ def test_native_norm_equals_integral_of_f():
     assert f_native_norm_sq() == pytest.approx(2.0 * (1.0 + 5.0 * math.exp(-2.0)))
 
 
-def test_convolve_respects_quadrature_budget():
-    k = KernelSpec(m=1)  # kink at y = x exercises the panel split
-    val = convolve_with_indicator(k, -1.0, 1.0, 0.25, tol=1e-12)
+def test_convolve_matches_a_hand_integral_and_needs_a_below_b():
+    k = KernelSpec(m=1)
+    val = convolve_with_indicator(k, -1.0, 1.0, 0.25)
     # hand integral: int e^{-|0.25-y|} dy over [-1,1] = 2 - e^{-1.25} - e^{-0.75}
     exact = 2.0 - math.exp(-1.25) - math.exp(-0.75)
     assert val == pytest.approx(exact, abs=1e-11)
-    with pytest.raises(QuadratureError):
-        convolve_with_indicator(k, -1.0, 1.0, 0.25, tol=0.0)  # exactness demanded
     with pytest.raises(ValueError):
         convolve_with_indicator(k, 1.0, -1.0, 0.25)
 
@@ -226,19 +219,35 @@ def _kernel_antiderivative(m, t):
 def _interval_and_point(draw):
     a = draw(st.floats(-6.0, 6.0))
     b = a + draw(st.floats(1e-6, 8.0))
-    x = draw(st.one_of(st.just(a), st.just(b), st.floats(-12.0, 12.0)))
+    x = draw(st.one_of(st.just(a), st.just(b), st.floats(-12.0, 12.0), st.sampled_from([-1e3, 1e3])))
     return a, b, x
 
 
+def _mp_convolve(m, a, b, x):
+    # the integral of e^{-r} p(r), r = |x - y|, over [a, b] in 30 digits,
+    # split at the kink y = x
+    with mp.workdps(30):
+        p = _mp_p(m)
+
+        def kernel(y):
+            r = abs(x - y)
+            return mp.exp(-r) * mp.fsum(c * r**k for k, c in enumerate(p))
+
+        return mp.quad(kernel, [a, x, b] if a < x < b else [a, b])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(m=st.sampled_from([1, 2]), abx=_interval_and_point())
-def test_convolve_matches_elementary_antiderivatives(m, abx):
-    # x at a, at b, inside and outside [a, b]; the exact value is
-    # F(b - x) - F(a - x) with F the kernel's antiderivative from 0
+@given(m=st.sampled_from([1, 2, 3, 4]), amplitude=st.sampled_from([1.0, 2.5]), abx=_interval_and_point())
+def test_convolve_matches_elementary_antiderivatives(m, amplitude, abx):
+    # x at a, at b, inside and outside [a, b] and at +-1e3, against 30-digit
+    # mpmath for every m; for m = 1 and 2 also F(b - x) - F(a - x), F the
+    # kernel's elementary antiderivative from 0
     a, b, x = abx
-    exact = _kernel_antiderivative(m, b - x) - _kernel_antiderivative(m, a - x)
-    got = convolve_with_indicator(KernelSpec(m=m), a, b, x)
-    assert got == pytest.approx(exact, abs=1e-12)
+    got = convolve_with_indicator(KernelSpec(m=m, amplitude=amplitude), a, b, x)
+    assert got == pytest.approx(amplitude * float(_mp_convolve(m, a, b, x)), abs=1e-12)
+    if m <= 2:
+        exact = _kernel_antiderivative(m, b - x) - _kernel_antiderivative(m, a - x)
+        assert got == pytest.approx(amplitude * exact, abs=1e-12)
 
 
 @pytest.mark.parametrize("a,b,x", [(-1.0, 1.0, 0.3), (-1.0, 1.0, -1.0), (-1.0, 1.0, 2.5), (0.2, 3.0, 1.7)])
@@ -268,40 +277,6 @@ def test_convolve_bessel_kernel_matches_scipy_quad(a, b, x):
             limit=200,
         )
         assert convolve_with_indicator(k, a, b, x) == pytest.approx(ref, abs=1e-12)
-
-
-def test_convolve_splits_at_the_kink_and_batches_its_panels(monkeypatch):
-    # both rules of every open panel share one kernel_eval call per level;
-    # with the split at y = x, the analytic pieces pass at the first level
-    from maternlab import testfunctions
-
-    calls = []
-    monkeypatch.setattr(
-        testfunctions, "kernel_eval", lambda k, r: calls.append(r.size) or kernel_eval(k, r)
-    )
-    xs = np.linspace(-2.9, 2.9, 30)
-    for m in (1, 2):
-        calls.clear()
-        for x in xs:
-            convolve_with_indicator(KernelSpec(m=m), -1.0, 1.0, float(x))
-        assert len(calls) <= 2 * xs.size, f"m={m}: {len(calls)} calls"
-
-
-@pytest.mark.parametrize("tol", [0.0, 1e-30])
-def test_unreachable_tolerance_raises_within_the_panel_cap(tol):
-    # tol = 0 and a tol below the rounding floor can never be met: the
-    # 10- and 20-point rules agree exactly on many panels, so the strict
-    # comparison and the rounding allowance keep them open, and the panel
-    # cap must stop the bisection (2048 panels, about 2 MB) long before
-    # 40 levels of it
-    tracemalloc.start()
-    try:
-        with pytest.raises(QuadratureError, match=r"\[-1, 1\]"):
-            convolve_with_indicator(KernelSpec(m=1), -1.0, 1.0, 0.25, tol=tol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_two_constraint_residuals_vanish_for_f_outside_support():
