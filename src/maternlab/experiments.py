@@ -28,7 +28,7 @@ from .interpolation import (
     native_error_norm,
     native_norm_sq,
 )
-from .kernels import _positive_int, kernel_eval, tail_energy
+from .kernels import _finite, _positive_int, kernel_eval, tail_energy
 
 __all__ = [
     "ERROR_FLOOR",
@@ -45,8 +45,7 @@ ERROR_FLOOR = 1e-13
 
 def equidistant_nodes(C, N):
     """N equidistant nodes from -C to +C inclusive, spacing 2C/(N-1)."""
-    if not (np.isfinite(C) and C > 0):
-        raise ValueError(f"C must be finite and positive, got {C!r}")
+    C = _finite(C, "C")
     N = _positive_int(N, "N")
     if N < 2:
         raise ValueError(f"need N >= 2 nodes, got {N}")
@@ -195,16 +194,14 @@ def run_rate_study(
     ConditioningError
         From the solver, naming the offending node count.
     """
-    C = float(C)
-    margin = float(interior_margin)
-    if not (np.isfinite(C) and C > 0):
-        raise ValueError(f"C must be finite and positive, got {C!r}")
-    if not (0 <= margin < C):
+    C = _finite(C, "C")
+    margin = _finite(interior_margin, "interior_margin", zero=True)
+    if not margin < C:
         raise ValueError(f"interior margin must lie in [0, C), got {margin!r}")
     counts = [_positive_int(n, "node count") for n in node_counts]
     grid_size = _positive_int(grid_size, "grid_size")
-    if f_norm_sq is not None and not (math.isfinite(f_norm_sq) and f_norm_sq > 0):
-        raise ValueError(f"f_norm_sq must be finite and positive, got {f_norm_sq!r}")
+    if f_norm_sq is not None:
+        f_norm_sq = _finite(f_norm_sq, "f_norm_sq")
     if len(counts) == 0 or any(n < 2 for n in counts):
         raise ValueError("node_counts must be nonempty with every count >= 2")
     if any(b <= a for a, b in zip(counts, counts[1:])):
@@ -293,6 +290,5 @@ def bad_part_sup_bound(k, v_outside_norm, R):
     |f2(x)| <= v_outside_norm * sqrt(tail_energy(k, R)) at every x whose
     distance to the support-carrying complement is at least R.
     """
-    if not (math.isfinite(v_outside_norm) and v_outside_norm >= 0):
-        raise ValueError(f"v_outside_norm must be finite and nonnegative, got {v_outside_norm!r}")
+    v_outside_norm = _finite(v_outside_norm, "v_outside_norm", zero=True)
     return v_outside_norm * math.sqrt(tail_energy(k, R))

@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import ConditioningError
-from .kernels import _by_blocks, _capped, _cells, _horner, _kernel_rows, exp_poly_coeffs, kernel_eval
+from .kernels import _by_blocks, _capped, _cells, _exp_poly, _finite, _horner, _kernel_rows, _points, kernel_eval
 
 __all__ = [
     "CONDITIONING_FLOOR",
@@ -62,18 +62,14 @@ class NodeSet:
     halfwidth: float
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = _points(self.points, "nodes").copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("nodes must form a nonempty 1-D vector")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("nodes must be finite")
         if pts.size > 1 and np.any(np.diff(pts) <= 0):
             raise ValueError("nodes must be strictly increasing (distinct)")
-        C = float(self.halfwidth)
-        if not (np.isfinite(C) and C > 0):
-            raise ValueError(f"halfwidth must be positive, got {self.halfwidth!r}")
+        C = _finite(self.halfwidth, "halfwidth")
         object.__setattr__(self, "halfwidth", C)
         if pts[0] < -C - 1e-12 or pts[-1] > C + 1e-12:
             raise ValueError("nodes fall outside [-C, C]")
@@ -94,8 +90,9 @@ class Interpolant:
     """A solved interpolant.
 
     ``states`` holds s(x_j), s'(x_j), ..., s^(m-1)(x_j) per node, shape
-    (N, m), and ``bridge_weights`` the cells' w_j = Q(d_j)^{-1} (z_{j+1} -
-    Phi(d_j) z_j), shape (N - 1, m), which evaluate reads.  ``norm_sq`` is
+    (N, m): its first column is the data, bit for bit.  ``bridge_weights``
+    holds the cells' w_j = Q(d_j)^{-1} (z_{j+1} - Phi(d_j) z_j), shape
+    (N - 1, m), which evaluate reads.  ``norm_sq`` is
     the squared native norm y^T A^{-1} y; the coefficients a = A^{-1} y are
     never formed.  ``_min_pivot`` is the smallest bound K(0)(1 - rho^2) on
     the Cholesky pivots of A, rho the profile at a node gap.
@@ -103,7 +100,6 @@ class Interpolant:
 
     kernel: object
     nodes: NodeSet
-    values: np.ndarray
     states: np.ndarray
     bridge_weights: np.ndarray
     norm_sq: float
@@ -303,7 +299,7 @@ def _interpolate_levels(k, sets, values):
     # One Interpolant per node set, values finite and one per node.  Every
     # set is solved at once, as one stacked banded system; every pivot bound
     # is checked first, and a refusal names the set's N and local node.
-    k0, coeffs = kernel_eval(k, 0.0), exp_poly_coeffs(k)
+    k0, coeffs = kernel_eval(k, 0.0), _exp_poly(k.m)
     floor = CONDITIONING_FLOOR * k0
     sizes = np.array([len(X) for X in sets])
     starts = np.cumsum(sizes) - sizes
@@ -320,9 +316,8 @@ def _interpolate_levels(k, sets, values):
         i = np.searchsorted(starts, j, side="right") - 1
         raise ConditioningError(j - starts[i], bounds[j], floor, detail=f"at N={sizes[i]}")
     y = np.concatenate(values)
-    y.setflags(write=False)
     return [
-        Interpolant(k, X, y[i : i + len(X)], z, w, e, float(bounds[i : i + len(X)].min()))
+        Interpolant(k, X, z, w, e, float(bounds[i : i + len(X)].min()))
         for X, i, (z, w, e) in zip(sets, starts, _solve_markov(d, y, len(coeffs), k0, starts))
     ]
 
@@ -347,11 +342,9 @@ def interpolate(k, X, values):
         rho the profile, on Cholesky pivot j of A falls to or below
         1e-13 * K(0).
     """
-    vals = np.asarray(values, dtype=float)
+    vals = _points(values, "values")
     if vals.shape != (len(X),):
         raise ValueError(f"expected {len(X)} values, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("values must be finite")
     return _interpolate_levels(k, [X], [vals])[0]
 
 
@@ -368,10 +361,8 @@ def evaluate(s, points):
     ValueError
         When a point is not finite.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _points(points, "evaluation points")
     flat = pts.ravel()
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("evaluation points must be finite")
     out = _by_blocks(_cell_evaluator(s, flat), flat.size)
     return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
@@ -467,8 +458,7 @@ def native_error_norm(f_norm_sq, s):
         f outside the native space.  The tolerance is relative, so the
         kernel's amplitude does not decide whether a solve is refused.
     """
-    if not (math.isfinite(f_norm_sq) and f_norm_sq >= 0):
-        raise ValueError(f"f_norm_sq must be finite and nonnegative, got {f_norm_sq!r}")
+    f_norm_sq = _finite(f_norm_sq, "f_norm_sq", zero=True)
     diff = f_norm_sq - native_norm_sq(s)
     if diff < -1e-10 * f_norm_sq:
         raise ValueError(

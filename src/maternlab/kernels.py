@@ -10,11 +10,17 @@ exp(-r) p_m(r), p_m the reverse Bessel polynomial,
 
 which is r^nu K_nu(r) / (2^(nu-1) Gamma(nu)) with nu = m - 1/2.  The lab
 works on the line only (d = 1), where the native space of the kernel with
-smoothness index m is norm-equivalent to the Sobolev space W_2^m.  Every
-layer sums translates c_q K(|x - y_q|) by _translate_sum, samples kernel
-matrices by _kernel_rows and blocks points by _slices, the one blocking
-rule (_by_blocks joins one result per slice).
-_positive_int is the integer rule for m and sizes; box_convolution takes its
+smoothness index m is norm-equivalent to the Sobolev space W_2^m.
+_translate_sum sums translates c_q K(|x - y_q|) (mercer.eigen_extend's
+extensions), _kernel_rows samples kernel matrices and _slices blocks
+points, the one blocking rule (_by_blocks joins one result per slice).
+
+The argument rules live here, one per kind, and each refusal is a
+ValueError that names the argument: _positive_int for m and sizes, _finite
+for real parameters (finite, and positive or nonnegative), _interval for
+the endpoints a < b of an interval and _points for arrays of points, radii
+and values.  None of them reads a bool, a string, None, a complex number or
+an integer too large for a float as a number.  box_convolution takes its
 derivative order by operator.index, so it refuses 2.0 by design.
 """
 
@@ -30,7 +36,6 @@ __all__ = [
     "KernelSpec",
     "paper_amplitude",
     "kernel_eval",
-    "exp_poly_coeffs",
     "tail_energy",
 ]
 
@@ -91,6 +96,33 @@ def _positive_int(v, name, zero=False):
     return int(v)
 
 
+def _finite(v, name, zero=False):
+    # v as a float: a finite real number above 0 (or at least 0 when zero)
+    if not _real(v) or not (v >= 0 if zero else v > 0):
+        raise ValueError(f"{name} must be finite and {'nonnegative' if zero else 'positive'}, got {v!r}")
+    return float(v)
+
+
+def _interval(a, b):
+    # the endpoints as floats: finite real numbers with a < b
+    if not (_real(a) and _real(b) and a < b):
+        raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
+    return float(a), float(b)
+
+
+def _points(x, what):
+    # x as a float array, a float array itself uncopied: every entry a finite
+    # real number.  Complex, string and None entries are refused before any
+    # cast, and so is an integer too large for a float (an object array).
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "biuf" and not (arr.dtype.kind == "O" and all(map(_real, arr.flat))):
+        raise ValueError(f"{what} must be finite")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
 def paper_amplitude(m):
     """Amplitude 2^(nu-1) * Gamma(nu) for nu = m - 1/2.
 
@@ -119,18 +151,10 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _positive_int(self.m, "m"))
-        amp = self.amplitude
-        if not (_real(amp) and amp > 0):
-            raise ValueError(f"amplitude must be positive, got {amp!r}")
-        object.__setattr__(self, "amplitude", float(amp))
+        object.__setattr__(self, "amplitude", _finite(self.amplitude, "amplitude"))
 
     def __call__(self, r):
         return kernel_eval(self, r)
-
-
-def exp_poly_coeffs(k):
-    """Coefficients of p, lowest degree first, of the profile exp(-r) * p(r) of k."""
-    return _exp_poly(k.m)
 
 
 def kernel_eval(k, r, out=None):
@@ -140,12 +164,10 @@ def kernel_eval(k, r, out=None):
     nonincreasing in r, 0 where exp(-r) underflows, for every profile in the
     family.  An array out of r's shape receives the values; it may be r itself.
     """
-    arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("radius must be finite")
+    arr = _points(r, "radius")
     if np.any(arr < 0):
         raise ValueError("radius must be nonnegative")
-    coeffs = exp_poly_coeffs(k)
+    coeffs = _exp_poly(k.m)
     if k.m >= 3:  # the capped radii in out, where exp(-r) is then taken
         out = arr = _capped(k.m, arr, out=np.empty(arr.shape) if out is None else out)
     # p(r) before out is written, since out may hold r: one array beyond it
@@ -205,7 +227,7 @@ def _translate_sum(k, y, c, x):
     sum_j p^(j)(t) d^j / j! makes their sum e^{-t} sum_j p^(j)(t) L_j / j!.
     Mirrored moments serve the rest.
     """
-    coeffs = exp_poly_coeffs(k)
+    coeffs = _exp_poly(k.m)
     m, derivs = len(coeffs), [coeffs]  # coefficients of p^(j), lowest degree first
     while len(derivs) < m:
         derivs.append([i * a for i, a in enumerate(derivs[-1])][1:])
@@ -253,8 +275,6 @@ def tail_energy(k, R):
     """Integral of K(y)^2 over |y| > R: 2 amplitude^2 exp(-2R) t(R),
     t = sum_k (p^2)^(k) / 2^(k+1).  Strictly decreasing in R, tending to 0.
     """
-    R = float(R)
-    if not (np.isfinite(R) and R >= 0):
-        raise ValueError(f"R must be finite and nonnegative, got {R!r}")
-    p = exp_poly_coeffs(k)
+    R = _finite(R, "R", zero=True)
+    p = _exp_poly(k.m)
     return float(2 * k.amplitude**2 * math.exp(-2 * R) * _horner(_exp_tail(np.convolve(p, p), 2.0), R))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .kernels import _kernel_rows, _positive_int, _slices, _translate_sum
+from .kernels import _interval, _kernel_rows, _points, _positive_int, _slices, _translate_sum
 
 __all__ = [
     "MercerSystem",
@@ -222,9 +222,7 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
         When any of the requested leading eigenvalues is nonpositive, which
         means the discretization cannot support that many modes.
     """
-    a, b = float(a), float(b)
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got a={a}, b={b}")
+    a, b = _interval(a, b)
     rule_size = _positive_int(rule_size, "rule_size")
     n_modes = _positive_int(n_modes, "n_modes")
     if n_modes > rule_size:
@@ -280,9 +278,9 @@ def eigen_extend(sys, n, x):
     """
     _check_mode(sys, n)
     n = np.asarray(n)
-    flat = np.atleast_1d(np.asarray(x, dtype=float))
-    if flat.ndim != 1 or not np.all(np.isfinite(flat)):
-        raise ValueError("extension points must be finite, as a scalar or 1-D array")
+    flat = np.atleast_1d(_points(x, "extension points"))
+    if flat.ndim != 1:
+        raise ValueError("extension points must be a scalar or 1-D array")
     c = (sys.weights * sys.eigenfunctions[n]).T / sys.eigenvalues[n]
     out = _translate_sum(sys.kernel, sys.nodes, c, flat)
     return out[0] if np.ndim(x) == 0 else out

@@ -17,19 +17,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import KernelSpec, _by_blocks, _capped, _exp_poly, _exp_tail, _horner
+from .kernels import KernelSpec, _by_blocks, _capped, _exp_poly, _exp_tail, _horner, _interval, _points
 
 __all__ = [
-    "BREAKPOINTS",
     "box_convolution",
     "f_exact",
     "f_native_norm_sq",
     "convolve_with_indicator",
     "bc_residuals",
 ]
-
-BREAKPOINTS = (-1.0, 1.0)
-
 
 @lru_cache(maxsize=None)
 def _box_terms(m, order):
@@ -44,9 +40,7 @@ def _box_terms(m, order):
 def _indicator(k, a, b, x, order):
     # (K * chi_[a,b])^(order)(x) = H(x - a) - H(x - b), order already checked;
     # the constants cancel exactly outside [a, b].  Scalars come back as float.
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("x must be finite")
+    arr = _points(x, "x")
     const, q = _box_terms(k.m, order)
     flat, edges = arr.ravel(), np.array([[a], [b]])
 
@@ -104,9 +98,7 @@ def convolve_with_indicator(k, a, b, x):
     """The integral of K(|x - y|) dy over [a, b], H(x - a) - H(x - b) with H
     as in box_convolution: O(1) work per point of a scalar (a float back) or
     an array x.  Raises ValueError unless a, b and x are finite and a < b."""
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got a={a}, b={b}")
+    a, b = _interval(a, b)
     return _indicator(k, a, b, x, 0)
 
 

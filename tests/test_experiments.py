@@ -305,7 +305,7 @@ def test_the_d1_solve_needs_no_einsum_or_matmul(monkeypatch):
     for m in (1, 2, 3):
         for pts in (x, sine, pair):
             s = interpolate(KernelSpec(m=m), NodeSet(points=pts, halfwidth=0.8), f_exact(pts))
-            assert np.array_equal(s(pts), s.values)
+            assert np.array_equal(s(pts), s.states[:, 0])
         run_rate_study(KernelSpec(m=m), 1.2, 0.4, [11, 21, 41], 501, f_exact)
 
 

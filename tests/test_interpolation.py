@@ -285,7 +285,7 @@ def test_interpolant_arrays_read_only():
     s = interpolate(k, X, f_exact(X.points))
     assert not hasattr(s, "coefficients")  # the solve never forms a = A^{-1} y
     with pytest.raises(ValueError):
-        s.values[0] = 7.0
+        s.states[0, 0] = 7.0
     with pytest.raises(ValueError):
         s.states[0, 1] = 7.0
     with pytest.raises(ValueError):
@@ -1018,7 +1018,7 @@ def test_one_level_solve_repeats_the_single_level_arithmetic(family, N, m):
     assert np.array_equal(s.bridge_weights, w)
     assert np.array_equal(_coefficients(s), a)
     assert s.norm_sq == norm_sq
-    oracle = interpolation.Interpolant(k, X, y, z, w, norm_sq)
+    oracle = interpolation.Interpolant(k, X, z, w, norm_sq)
     grid = np.linspace(-1.5, 1.5, 10 * N)
     assert np.array_equal(evaluate(s, grid), evaluate(oracle, grid))
 
@@ -1075,8 +1075,8 @@ def test_stacked_levels_agree_with_separate_solves(m, C, ladder):
     stacked = interpolation._interpolate_levels(k, sets, values)
     for X, y, s in zip(sets, values, stacked):
         alone = interpolate(k, X, y)
-        assert s.nodes is X and np.array_equal(s.values, y)
-        for arr in (s.values, s.states, s.bridge_weights):
+        assert s.nodes is X and np.array_equal(s.states[:, 0], y)
+        for arr in (s.states, s.bridge_weights):
             assert not arr.flags.writeable
         assert np.max(np.abs(evaluate(s, grid) - evaluate(alone, grid))) <= 1e-15
         if m <= 2:

@@ -18,6 +18,8 @@ from scipy.special import kv
 
 from maternlab import (
     KernelSpec,
+    NodeSet,
+    bad_part_sup_bound,
     box_convolution,
     convolve_with_indicator,
     eigen_extend,
@@ -26,6 +28,7 @@ from maternlab import (
     f_exact,
     interpolate,
     kernel_eval,
+    native_error_norm,
     nystrom_eig,
     paper_amplitude,
     run_rate_study,
@@ -33,6 +36,7 @@ from maternlab import (
     sobolev_weights,
     tail_energy,
 )
+from maternlab import kernels
 
 # e^{-1/2} and (1 + 1/2) e^{-1/2}, 17 digits from mpmath
 EXP_HALF = 0.60653065971263342
@@ -145,12 +149,12 @@ def test_spec_stores_the_amplitude_as_a_float():
     # a bool amplitude used to be kept as True; integral and numpy values
     # are stored as float, so the repr names the number
     for amp in (True, np.True_, False):
-        with pytest.raises(ValueError, match="amplitude must be positive, got (np\\.)?(True|False)"):
+        with pytest.raises(ValueError, match="amplitude must be finite and positive, got (np\\.)?(True|False)"):
             KernelSpec(m=2, amplitude=amp)
     # non-numbers used to fail inside numpy ("ufunc 'isfinite' not
     # supported") or in a comparison, with a TypeError
     for amp in ("2", None, [1.0], 2 + 0j):
-        with pytest.raises(ValueError, match=re.escape(f"amplitude must be positive, got {amp!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"amplitude must be finite and positive, got {amp!r}")):
             KernelSpec(m=2, amplitude=amp)
     for amp in (1, np.int64(1), np.float64(1.0), 1.0):
         k = KernelSpec(m=2, amplitude=amp)
@@ -202,6 +206,113 @@ def test_integers_too_large_for_a_float_are_refused_by_name(call, name):
     for n in (10**400, -(10**400)):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             call(n)
+
+
+def _solved():
+    X = equidistant_nodes(1.0, 3)
+    return interpolate(KernelSpec(m=2), X, f_exact(X.points))
+
+
+# (call, message) per real parameter: the message is the rule's, naming it
+_REALS = {
+    "amplitude": (lambda v: KernelSpec(m=2, amplitude=v), "amplitude must be finite and positive"),
+    "halfwidth": (lambda v: NodeSet(points=[0.0], halfwidth=v), "halfwidth must be finite and positive"),
+    "equidistant_nodes-C": (lambda v: equidistant_nodes(v, 5), "C must be finite and positive"),
+    "run_rate_study-C": (
+        lambda v: run_rate_study(KernelSpec(m=2), v, 0.2, [11, 21], 501, f_exact),
+        "C must be finite and positive",
+    ),
+    "interior_margin": (
+        lambda v: run_rate_study(KernelSpec(m=2), 1.2, v, [11, 21], 501, f_exact),
+        "interior_margin must be finite and nonnegative",
+    ),
+    "run_rate_study-f_norm_sq": (
+        lambda v: run_rate_study(KernelSpec(m=2), 1.2, 0.2, [11, 21], 501, f_exact, f_norm_sq=v),
+        "f_norm_sq must be finite and positive",
+    ),
+    "native_error_norm-f_norm_sq": (
+        lambda v: native_error_norm(v, _solved()),
+        "f_norm_sq must be finite and nonnegative",
+    ),
+    "R": (lambda v: tail_energy(KernelSpec(m=2), v), "R must be finite and nonnegative"),
+    "v_outside_norm": (
+        lambda v: bad_part_sup_bound(KernelSpec(m=2), v, 1.0),
+        "v_outside_norm must be finite and nonnegative",
+    ),
+    "nystrom_eig-a": (lambda v: nystrom_eig(KernelSpec(m=1), v, 1.0, 8, 2), "need finite a < b"),
+    "nystrom_eig-b": (lambda v: nystrom_eig(KernelSpec(m=1), -1.0, v, 8, 2), "need finite a < b"),
+    "convolve-a": (lambda v: convolve_with_indicator(KernelSpec(m=2), v, 1.0, 0.0), "need finite a < b"),
+    "convolve-b": (lambda v: convolve_with_indicator(KernelSpec(m=2), -1.0, v, 0.0), "need finite a < b"),
+}
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [
+        pytest.param(param, value, id=f"{param}-{label}")
+        for param in sorted(_REALS)
+        for value, label in ((10**400, "10**400"), (True, "True"), ("1.2", "str"), (None, "None"))
+        # None is run_rate_study's default f_norm_sq: no native-norm column
+        if not (value is None and param == "run_rate_study-f_norm_sq")
+    ],
+)
+def test_every_real_parameter_is_refused_by_name(param, value):
+    # kernels._finite and kernels._interval: an integer too large for a
+    # float used to raise OverflowError (TypeError in equidistant_nodes),
+    # True passed as 1.0 and "1.2" as 1.2 where float() read them
+    call, message = _REALS[param]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got "):
+        call(value)
+
+
+# (call, name) per point array, each called with three entries
+_POINTS = {
+    "kernel_eval": (lambda x: kernel_eval(KernelSpec(m=2), x), "radius"),
+    "NodeSet": (lambda x: NodeSet(points=x, halfwidth=1.0), "nodes"),
+    "interpolate": (lambda x: interpolate(KernelSpec(m=2), equidistant_nodes(1.0, 3), x), "values"),
+    "evaluate": (lambda x: evaluate(_solved(), x), "evaluation points"),
+    "box_convolution": (lambda x: box_convolution(KernelSpec(m=3), x, 1), "x"),
+    "f_exact": (lambda x: f_exact(x), "x"),
+    "convolve_with_indicator": (lambda x: convolve_with_indicator(KernelSpec(m=2), -1.0, 1.0, x), "x"),
+    "eigen_extend": (
+        lambda x: eigen_extend(nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 8, 2), 0, x),
+        "extension points",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        np.array([0.1, 0.2 + 1j, 0.3]),
+        np.array([0.1, 0.2, 0.3], dtype=complex),
+        [0.1, None, 0.3],
+        ["0.1", "0.2", "0.3"],
+        [0.1, 10**400, 0.3],
+    ],
+    ids=["complex", "complex-dtype", "None", "str", "10**400"],
+)
+@pytest.mark.parametrize("entry", sorted(_POINTS))
+def test_every_point_array_is_refused_by_name(entry, entries):
+    # kernels._points: a complex array used to be cast to its real part with
+    # only a ComplexWarning (evaluate(s, [0.1 + 1j]) gave s(0.1)), a string
+    # array was parsed, and None or 10**400 escaped as TypeError/OverflowError
+    call, name = _POINTS[entry]
+    for x in (entries, entries[1]):  # the array, and its bad entry alone
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            call(x)
+
+
+def test_point_rule_keeps_a_float_array_and_reads_ints_and_objects():
+    x = np.array([0.0, 0.5, 2.0])
+    assert kernels._points(x, "x") is x
+    assert np.array_equal(kernels._points([0, 1, 2], "x"), [0.0, 1.0, 2.0])
+    assert kernels._points(np.float32([0.25]), "x").dtype == np.float64
+    big = kernels._points([1, 10**20], "x")  # an object array of ints a float holds
+    assert big.dtype == np.float64 and big[1] == 1e20
+    for bad in (np.array([np.inf]), [math.nan], -math.inf):
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            kernels._points(bad, "x")
 
 
 @pytest.mark.parametrize("m", [3, 4])

