@@ -28,7 +28,7 @@ from .interpolation import (
     native_error_norm,
     native_norm_sq,
 )
-from .kernels import _finite, _positive_int, kernel_eval, tail_energy
+from .kernels import _finite, _points, _positive_int, _reals, kernel_eval, tail_energy
 
 __all__ = [
     "ERROR_FLOOR",
@@ -55,20 +55,19 @@ def equidistant_nodes(C, N):
 def fit_rate(h, e, all_levels=False):
     """Least-squares slope of log e against log h.
 
-    Levels with e below 1e-13 are dropped.  By default the fit runs over
-    the ceil(L/2) + 1 finest (smallest h) of the L usable levels; pass
-    all_levels=True for the full-ladder slope.
+    Levels whose e is NaN or below 1e-13 are dropped.  By default the fit
+    runs over the ceil(L/2) + 1 finest (smallest h) of the L usable levels;
+    pass all_levels=True for the full-ladder slope.
 
     Raises
     ------
     InsufficientDataError
         When fewer than two usable levels remain.
     """
-    h = np.asarray(h, dtype=float)
-    e = np.asarray(e, dtype=float)
+    h, e = _points(h, "h"), _reals(e, "e")
     if h.shape != e.shape or h.ndim != 1:
         raise ValueError("h and e must be matching 1-D vectors")
-    if not np.all(np.isfinite(h) & (h > 0)):
+    if not np.all(h > 0):
         raise ValueError("h must be finite and positive")
     keep = np.isfinite(e) & (e >= ERROR_FLOOR)
     hs = h[keep]
@@ -270,9 +269,9 @@ def run_rate_study(
 
 
 def _reference_values(reference, x, where):
-    # the reference at x: one finite value per point, or ValueError naming
-    # the first point that has none
-    vals = np.asarray(reference(x), dtype=float)
+    # the reference at x: one finite real value per point, or ValueError
+    # naming the first point that has none (or all of them, by _reals)
+    vals = _reals(reference(x), "reference values")
     if vals.shape != x.shape:
         raise ValueError(f"reference returned shape {vals.shape} for {x.size} {where}")
     bad = np.flatnonzero(~np.isfinite(vals))

@@ -123,7 +123,7 @@ def _process(m):
     # sum_{k<m} (N d)^k/k!, and Q(d) = sum_n I_n(d) H_n, H_n = q sum_{i+j=n}
     # v_i v_j^T, v_i = N^i e_m/i!, tends to P as I_n -> n!/2^(n+1).
     F = np.diag(np.ones(m - 1), 1)
-    F[-1] -= [math.comb(m, b) for b in range(m)]
+    F[-1] -= [float(math.comb(m, b)) for b in range(m)]  # past int64 from m = 68
     N = F + np.eye(m)
     npow = np.array([np.linalg.matrix_power(N, k) / math.factorial(k) for k in range(m)])
     q = 2.0 ** (2 * m - 1) * math.factorial(m - 1) ** 2 / math.factorial(2 * m - 2)

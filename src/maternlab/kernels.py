@@ -15,13 +15,13 @@ _translate_sum sums translates c_q K(|x - y_q|) (mercer.eigen_extend's
 extensions), _kernel_rows samples kernel matrices and _slices blocks
 points, the one blocking rule (_by_blocks joins one result per slice).
 
-The argument rules live here, one per kind, and each refusal is a
-ValueError that names the argument: _positive_int for m and sizes, _finite
-for real parameters (finite, and positive or nonnegative), _interval for
-the endpoints a < b of an interval and _points for arrays of points, radii
-and values.  None of them reads a bool, a string, None, a complex number or
-an integer too large for a float as a number.  box_convolution takes its
-derivative order by operator.index, so it refuses 2.0 by design.
+The argument rules live here, one per kind, and no other module turns an
+argument into a number or an index; each refusal is a ValueError naming it.
+_positive_int reads m (at most 85, see KernelSpec) and sizes, _finite real
+parameters, _interval the endpoints a < b, _points arrays of finite points,
+radii and values (_reals, its dtype half, lets NaN and inf through) and
+_index indices in 0..size - 1.  None reads a bool, a string, None, a complex
+number or an integer too large for a float as a number, nor 2.0 as an index.
 """
 
 from __future__ import annotations
@@ -89,10 +89,12 @@ def _real(v):
         return False
 
 
-def _positive_int(v, name, zero=False):
-    # v as an int: a real number with an integral value, at least 1 (0 too when zero)
+def _positive_int(v, name, zero=False, top=math.inf):
+    # v as an int: a real number with an integral value in 1..top (0..top when zero)
     if not _real(v) or not float(v).is_integer() or v < (0 if zero else 1):
         raise ValueError(f"{name} must be a {'nonnegative' if zero else 'positive'} integer, got {v!r}")
+    if v > top:
+        raise ValueError(f"{name} must be at most {top}, got {v!r}")
     return int(v)
 
 
@@ -110,16 +112,30 @@ def _interval(a, b):
     return float(a), float(b)
 
 
-def _points(x, what):
-    # x as a float array, a float array itself uncopied: every entry a finite
-    # real number.  Complex, string and None entries are refused before any
-    # cast, and so is an integer too large for a float (an object array).
+def _reals(x, what):
+    # _points' dtype half, NaN and inf kept: complex, string and None entries
+    # and integers too large for a float are refused before any cast
     arr = np.asarray(x)
     if arr.dtype.kind not in "biuf" and not (arr.dtype.kind == "O" and all(map(_real, arr.flat))):
         raise ValueError(f"{what} must be finite")
-    arr = arr.astype(float, copy=False)
+    return arr.astype(float, copy=False)
+
+
+def _points(x, what):
+    # x as a float array, a float array itself uncopied, every entry finite
+    arr = _reals(x, what)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
+    return arr
+
+
+def _index(v, size, name):
+    # v as an integer array (a scalar stays 0-d) of entries in 0..size - 1: no
+    # bool (np.asarray([0, True]) is int64), float (2.0 too), string or object
+    arr = np.asarray(v)
+    bools = any(isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat)
+    if bools or arr.dtype.kind not in "iu" or not ((arr >= 0) & (arr < size)).all():
+        raise ValueError(f"{name} must be {'integers' if arr.ndim else 'an integer'} in 0..{size - 1}, got {v!r}")
     return arr
 
 
@@ -127,10 +143,10 @@ def paper_amplitude(m):
     """Amplitude 2^(nu-1) * Gamma(nu) for nu = m - 1/2.
 
     This is the constant that turns the unit-normalized profile into the
-    bare Bessel form r^nu K_nu(r); for m = 2 it equals sqrt(pi/2).  m is a
-    positive integer, as in KernelSpec.
+    bare Bessel form r^nu K_nu(r); for m = 2 it equals sqrt(pi/2).  m is
+    read as KernelSpec reads it: a positive integer up to 85.
     """
-    nu = _positive_int(m, "m") - 0.5
+    nu = KernelSpec(m).m - 0.5
     return 2.0 ** (nu - 1.0) * math.gamma(nu)
 
 
@@ -142,6 +158,8 @@ class KernelSpec:
     ----------
     m : int
         Sobolev smoothness index; the native space is (equivalent to) W_2^m.
+        At most 85: the solver's closed forms divide by factorials up to
+        (2m - 1)!, and 171! is the first that is no finite double.
     amplitude : float, optional
         Multiplicative constant, default 1.0, stored as a float.
     """
@@ -150,7 +168,7 @@ class KernelSpec:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _positive_int(self.m, "m"))
+        object.__setattr__(self, "m", _positive_int(self.m, "m", top=85))
         object.__setattr__(self, "amplitude", _finite(self.amplitude, "amplitude"))
 
     def __call__(self, r):

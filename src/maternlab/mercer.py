@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .kernels import _interval, _kernel_rows, _points, _positive_int, _slices, _translate_sum
+from .kernels import _index, _interval, _kernel_rows, _points, _positive_int, _slices, _translate_sum
 
 __all__ = [
     "MercerSystem",
@@ -255,16 +255,6 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     )
 
 
-def _check_mode(sys, n):
-    idx = np.asarray(n)
-    if idx.size == 0:
-        raise ValueError(f"mode index list {n!r} is empty")
-    if idx.dtype.kind not in "iu":
-        raise ValueError(f"mode index {n!r} is not an integer")
-    if np.any((idx < 0) | (idx >= sys.n_modes)):
-        raise ValueError(f"mode index {n} outside 0..{sys.n_modes - 1}")
-
-
 def eigen_extend(sys, n, x):
     """Extension phi_n^E(x) = (1/kappa_n) sum_q w_q K(|x - y_q|) phi_n(y_q).
 
@@ -272,12 +262,13 @@ def eigen_extend(sys, n, x):
     eigensolve, by the discrete eigenvalue equation) and decays to 0 as |x|
     grows.  Mode indices are zero-based; a sequence of indices n gives one
     column per mode.  At M points, Q rule nodes and K modes it takes
-    O((Q + M) K m) time and memory.  Raises ValueError for a mode index out
-    of range, an empty list of them, a point that is not finite or x of more
-    than one dimension.
+    O((Q + M) K m) time and memory.  Raises ValueError for a mode index that
+    is not an integer in range (a bool or a float is none), an empty list of
+    them, a point that is not finite or x of more than one dimension.
     """
-    _check_mode(sys, n)
-    n = np.asarray(n)
+    if np.size(n) == 0:
+        raise ValueError(f"mode index list {n!r} is empty")
+    n = _index(n, sys.n_modes, "mode index")
     flat = np.atleast_1d(_points(x, "extension points"))
     if flat.ndim != 1:
         raise ValueError("extension points must be a scalar or 1-D array")
@@ -287,9 +278,9 @@ def eigen_extend(sys, n, x):
 
 
 def project_samples(sys, samples):
-    """Coefficients c_n = sum_q w_q samples_q phi_n(y_q) of a sample vector;
-    eigen_extend(sys, range(sys.n_modes), x) @ c extends it off [a, b]."""
-    samples = np.asarray(samples, dtype=float)
+    """Coefficients c_n = sum_q w_q samples_q phi_n(y_q) of finite samples;
+    eigen_extend(sys, range(sys.n_modes), x) @ c extends them off [a, b]."""
+    samples = _points(samples, "samples")
     if samples.shape != sys.nodes.shape:
         raise ValueError("samples must be given at the rule nodes")
     return sys.eigenfunctions @ (sys.weights * samples)
@@ -320,7 +311,7 @@ def hk_gram_extended(sys, j, l):
     for n in (j, l):
         if np.ndim(n):
             raise ValueError(f"mode index {n!r} is not a single integer")
-        _check_mode(sys, n)
+        _index(n, sys.n_modes, "mode index")
     return float(_native_gram(sys, [j, l])[0, 1])
 
 

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import _by_blocks, _positive_int, _slices
+from .kernels import _by_blocks, _index, _points, _positive_int, _slices
 
 __all__ = [
     "WeightedSeqSpace",
@@ -51,10 +51,10 @@ class WeightedSeqSpace:
     kappa: np.ndarray
 
     def __post_init__(self):
-        kap = np.array(self.kappa, dtype=float)
+        kap = _points(self.kappa, "kappa").copy()
         if kap.ndim != 1 or kap.size == 0:
             raise ValueError("kappa must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(kap)) or np.any(kap <= 0):
+        if np.any(kap <= 0):
             raise ValueError("kappa must be finite and strictly positive")
         if np.any(np.diff(kap) > 0):
             raise ValueError("kappa must be nonincreasing")
@@ -81,30 +81,20 @@ def analytic_weights(M=64):
 def _as_mask(space, S):
     """Normalize an index subset to a boolean mask.
 
-    Accepts a boolean array of length M or an iterable of zero-based
-    integer indices.  Duplicate indices are allowed and collapse.
+    Accepts a boolean array of length M, or zero-based integer indices (one,
+    or any iterable).  Duplicate indices are allowed and collapse.
     """
     mask = np.zeros(space.M, dtype=bool)
-    S = np.asarray(list(S) if not isinstance(S, np.ndarray) else S)
-    if S.size == 0:
+    S = list(S) if np.iterable(S) and not isinstance(S, np.ndarray) else S
+    arr = np.asarray(S)
+    if arr.size == 0:
         return mask
-    if S.dtype == bool:
-        if S.shape != (space.M,):
+    if arr.dtype == bool and arr.ndim:
+        if arr.shape != (space.M,):
             raise ValueError(f"boolean subset must have length {space.M}")
-        return S.copy()
-    if S.dtype.kind not in "iu":
-        raise ValueError(f"subset indices {S!r} are not integers")
-    if np.any(S < 0) or np.any(S >= space.M):
-        raise ValueError("subset indices out of range")
-    mask[S] = True
+        return arr.copy()
+    mask[_index(S, space.M, "subset indices")] = True
     return mask
-
-
-def _check_f(space, f):
-    f = np.asarray(f, dtype=float)
-    if f.shape != (space.M,):
-        raise ValueError(f"f must have length {space.M}")
-    return f
 
 
 class BoundCheck(NamedTuple):
@@ -137,13 +127,21 @@ def _scalar(check, i=()):
     return BoundCheck(float(lhs), float(eps), float(rhs), bool(holds))
 
 
+def _single(space, f, S):
+    # _check_bounds for one finite f of length M and one subset S
+    f = _points(f, "f")
+    if f.shape != (space.M,):
+        raise ValueError(f"f must have length {space.M}")
+    return _check_bounds(space.kappa, f, _as_mask(space, S))
+
+
 def verify_standard_bound(space, f, S):
     """Check ||f - Pf||_0 <= eps * ||f - Pf||_K for the subset S.
 
     Returns (lhs, eps, rhs, holds) with holds true when the inequality is
     satisfied up to an additive 1e-12.
     """
-    return _scalar(_check_bounds(space.kappa, _check_f(space, f), _as_mask(space, S))[0])
+    return _scalar(_single(space, f, S)[0])
 
 
 def verify_superconvergence(space, f, S):
@@ -153,7 +151,7 @@ def verify_superconvergence(space, f, S):
     v_f = f./kappa (always well defined at finite M).  Returns
     (lhs, eps, rhs, holds) with the same 1e-12 tolerance.
     """
-    return _scalar(_check_bounds(space.kappa, _check_f(space, f), _as_mask(space, S))[1])
+    return _scalar(_single(space, f, S)[1])
 
 
 def _sharpest(check):

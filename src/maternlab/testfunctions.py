@@ -12,12 +12,11 @@ decay, which is what the boundary-condition residuals check.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
 
-from .kernels import KernelSpec, _by_blocks, _capped, _exp_poly, _exp_tail, _horner, _interval, _points
+from .kernels import KernelSpec, _by_blocks, _capped, _exp_poly, _exp_tail, _horner, _index, _interval, _points
 
 __all__ = [
     "box_convolution",
@@ -61,15 +60,9 @@ def box_convolution(k, x, order=0):
     T = sum_k p^(k), at order 0, and K^(order - 1) at orders 1..2m-1; the
     constants cancel exactly outside [-1, 1].  Scalars come back as float.
     Raises ValueError for non-finite x, or an order that is not an integer
-    in 0..2m-1 (a bool or a float raises too).
+    in 0..2m-1 (a bool or a float is none).
     """
-    try:
-        j = -1 if isinstance(order, bool) else operator.index(order)
-    except TypeError:
-        j = -1
-    if not 0 <= j < 2 * k.m:
-        raise ValueError(f"order must be an integer 0..{2 * int(k.m) - 1}, got {order!r}")
-    return _indicator(k, -1.0, 1.0, x, j)
+    return _indicator(k, -1.0, 1.0, x, int(_index(order, 2 * k.m, "order")))
 
 
 def f_exact(x, order=0):

@@ -192,6 +192,34 @@ def test_ranges_the_library_refuses_exit_2(argv, named, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("m", [68, 85, 86, 172, 200])
+@pytest.mark.parametrize("command", ["interp", "rates", "mercer"])
+def test_a_large_m_ends_in_an_exit_code(command, m, tmp_path, capsys):
+    # From m = 68 interp and rates ended in a traceback (UFuncTypeError: the
+    # solver's companion row held integers past int64), and from m = 172
+    # mercer did (OverflowError from 1/j! in the translate sums).  Up to
+    # m = 85 every path ends in its exit code, with no warning on the way;
+    # the m rule refuses a larger m by name, before anything is written.
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([command, "--kernel", f"matern:m={m}", "--out", str(out)])
+    err = capsys.readouterr().err
+    if m > 85:
+        assert rc == 2
+        assert err == f"error: m must be at most 85, got {m}\n"
+        assert not out.exists()
+    else:  # the banded solve's pivots fail; the Nystrom path runs
+        assert rc == (0 if command == "mercer" else 3), err
+        assert command == "mercer" or err.startswith("numerical error: factorization pivot")
+
+
+def test_a_paper_amplitude_beyond_the_m_bound_names_m(tmp_path, capsys):
+    # paper_amplitude(170) was inf, so KernelSpec refused the amplitude
+    assert cli.main(["interp", "--kernel", "matern:m=170,amp=paper", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: m must be at most 85")
+
+
 def test_empty_interior_window_or_grid_maps_to_exit_2(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -99,6 +99,17 @@ def test_fit_rate_rejects_non_finite_spacings(bad, capfd):
     assert capfd.readouterr().err == ""
 
 
+def test_fit_rate_drops_a_nan_level():
+    # e is read by kernels._reals, which lets NaN through: a NaN level, as
+    # the native_err of a study without f_norm_sq, is left out of the fit
+    h = np.array([0.4, 0.2, 0.1, 0.05])
+    e = h**4 * (1.0 + h)
+    gap = e.copy()
+    gap[1] = math.nan
+    for full in (False, True):
+        assert fit_rate(h, gap, all_levels=full) == fit_rate(h[[0, 2, 3]], e[[0, 2, 3]], all_levels=full)
+
+
 FROZEN_ROWS = {
     # N: (rms_global, rms_interior)
     11: (2.4989140857182422e-05, 2.1222675604085742e-05),

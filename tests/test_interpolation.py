@@ -776,17 +776,38 @@ def test_banded_factorization_failure_is_a_conditioning_error():
 
 
 def _block_tridiagonal(G, S):
-    # the dense matrix of diagonal blocks G G^T + 4h I and blocks S_j at
-    # row j + 1, column j, given as (n, h, h) stacks
+    # the dense matrix of diagonal blocks D_j and blocks S_j at row j + 1,
+    # column j, given as (n, h, h) stacks.  D_j = G_j G_j^T + (h + |S_(j-1)|
+    # + |S_j|) I, norms spectral, is SPD by block diagonal dominance:
+    # x^T A x >= sum_j (lambda_min(D_j) - |S_(j-1)| - |S_j|) |x_j|^2 >= h |x|^2.
+    # A floor of 4h alone let S outweigh it: for h = 1 and seed 77941937
+    # the smallest eigenvalue was -0.0695 (see the test below).
     n, h = G.shape[:2]
-    D = G @ G.transpose(0, 2, 1) + 4.0 * h * np.eye(h)
+    norms = np.linalg.norm(S, 2, axis=(1, 2))
+    shift = h + np.r_[0.0, norms] + np.r_[norms, 0.0]
+    D = G @ G.transpose(0, 2, 1) + shift[:, None, None] * np.eye(h)
     full = np.zeros((n * h, n * h))
     for j in range(n):
         full[j * h : (j + 1) * h, j * h : (j + 1) * h] = D[j]
     for j in range(n - 1):
         full[(j + 1) * h : (j + 2) * h, j * h : (j + 1) * h] = S[j]
         full[j * h : (j + 1) * h, (j + 1) * h : (j + 2) * h] = S[j].T
+    assert np.linalg.eigvalsh(full)[0] >= h * (1 - 1e-12)
     return D, full
+
+
+def test_a_block_tridiagonal_system_that_is_not_spd_is_refused():
+    # the system a floor of 4h alone drew for h = 1, n = 6, seed 77941937:
+    # S outweighs the diagonal, so the matrix is indefinite and the cyclic
+    # reduction meets a nonpositive pivot, which it must refuse
+    rng = np.random.default_rng(77941937)
+    S = rng.standard_normal((5, 1, 1))
+    G = rng.standard_normal((6, 1, 1))
+    D = G * G + 4.0
+    full = np.diag(D.ravel()) + np.diag(S.ravel(), -1) + np.diag(S.ravel(), 1)
+    assert np.linalg.eigvalsh(full)[0] == pytest.approx(-0.0695, abs=5e-5)
+    with pytest.raises(ConditioningError):
+        interpolation._cyclic_factor(D.transpose(1, 2, 0), S.transpose(1, 2, 0), np.arange(6))
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])

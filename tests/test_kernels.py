@@ -19,6 +19,7 @@ from scipy.special import kv
 from maternlab import (
     KernelSpec,
     NodeSet,
+    WeightedSeqSpace,
     bad_part_sup_bound,
     box_convolution,
     convolve_with_indicator,
@@ -26,15 +27,20 @@ from maternlab import (
     equidistant_nodes,
     evaluate,
     f_exact,
+    fit_rate,
+    hk_gram_extended,
     interpolate,
     kernel_eval,
     native_error_norm,
     nystrom_eig,
     paper_amplitude,
+    project_samples,
     run_rate_study,
     run_trials,
     sobolev_weights,
     tail_energy,
+    verify_standard_bound,
+    verify_superconvergence,
 )
 from maternlab import kernels
 
@@ -278,6 +284,16 @@ _POINTS = {
         lambda x: eigen_extend(nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 8, 2), 0, x),
         "extension points",
     ),
+    "fit_rate-h": (lambda x: fit_rate(x, [1e-2, 1e-3, 1e-4]), "h"),
+    "fit_rate-e": (lambda x: fit_rate([0.4, 0.2, 0.1], x), "e"),
+    "project_samples": (lambda x: project_samples(nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 3, 2), x), "samples"),
+    "WeightedSeqSpace": (lambda x: WeightedSeqSpace(kappa=x), "kappa"),
+    "verify_standard_bound": (lambda x: verify_standard_bound(sobolev_weights(3), x, [0]), "f"),
+    "verify_superconvergence": (lambda x: verify_superconvergence(sobolev_weights(3), x, [0]), "f"),
+    "reference": (
+        lambda x: run_rate_study(KernelSpec(m=2), 1.2, 0.2, [11, 21], 501, lambda grid: x),
+        "reference values",
+    ),
 }
 
 
@@ -294,9 +310,11 @@ _POINTS = {
 )
 @pytest.mark.parametrize("entry", sorted(_POINTS))
 def test_every_point_array_is_refused_by_name(entry, entries):
-    # kernels._points: a complex array used to be cast to its real part with
-    # only a ComplexWarning (evaluate(s, [0.1 + 1j]) gave s(0.1)), a string
-    # array was parsed, and None or 10**400 escaped as TypeError/OverflowError
+    # kernels._points, or its dtype half _reals for fit_rate's e and a
+    # reference's values: a complex array used to be cast to its real part
+    # with only a ComplexWarning (evaluate(s, [0.1 + 1j]) gave s(0.1)), a
+    # string array was parsed, and None or 10**400 escaped as
+    # TypeError/OverflowError
     call, name = _POINTS[entry]
     for x in (entries, entries[1]):  # the array, and its bad entry alone
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
@@ -313,6 +331,78 @@ def test_point_rule_keeps_a_float_array_and_reads_ints_and_objects():
     for bad in (np.array([np.inf]), [math.nan], -math.inf):
         with pytest.raises(ValueError, match="^x must be finite$"):
             kernels._points(bad, "x")
+
+
+def test_point_rule_splits_into_a_dtype_half_and_a_finiteness_check():
+    # _reals lets NaN and inf through, for the readers that hold them by
+    # contract (fit_rate's e, a reference's values); it refuses the rest as
+    # _points does, before any cast
+    x = np.array([0.5, math.nan, -math.inf])
+    assert kernels._reals(x, "x") is x
+    assert np.array_equal(kernels._reals([1, math.nan], "x"), [1.0, math.nan], equal_nan=True)
+    for bad in ([0.1 + 1j], ["0.5"], [None], [10**400], np.array([1.0], dtype=complex)):
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            kernels._reals(bad, "x")
+
+
+# (call, name, size) per index argument: a mode of a three-mode system, a
+# subset index of a four-weight space, a derivative order of an m = 3 kernel
+_SYSTEM = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 8, 3)
+_INDICES = {
+    "eigen_extend": (lambda n: eigen_extend(_SYSTEM, n, 0.5), "mode index", 3),
+    "hk_gram_extended": (lambda n: hk_gram_extended(_SYSTEM, 0, n), "mode index", 3),
+    "verify_standard_bound": (
+        lambda n: verify_standard_bound(sobolev_weights(4), np.ones(4), n), "subset indices", 4
+    ),
+    "verify_superconvergence": (
+        lambda n: verify_superconvergence(sobolev_weights(4), np.ones(4), n), "subset indices", 4
+    ),
+    "box_convolution": (lambda n: box_convolution(KernelSpec(m=3), 0.5, n), "order", 6),
+}
+
+
+_SIZE = object()  # stands for the argument's size, one past its last index
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [True, np.True_, [0, True], 2.0, "1", None, np.array([0, 1], dtype=object), -1, _SIZE],
+    ids=["True", "np.True_", "list-with-True", "2.0", "str", "None", "object-array", "-1", "size"],
+)
+@pytest.mark.parametrize("entry", sorted(_INDICES))
+def test_every_index_is_refused_by_name(entry, bad):
+    # kernels._index: [0, True] used to select modes or subset indices 0 and
+    # 1 (np.asarray makes it int64), and box_convolution's order had its own
+    # operator.index reading
+    call, name, size = _INDICES[entry]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call(size if bad is _SIZE else bad)
+
+
+def test_index_rule_returns_integer_arrays_and_keeps_a_scalar_0d():
+    for v in (2, np.int64(2), np.uint8(2)):
+        idx = kernels._index(v, 3, "i")
+        assert idx.ndim == 0 and idx == 2 and idx.dtype.kind in "iu"
+    for v in ([0, 2], (2, 0, 2), range(3), np.array([1], dtype=np.int32)):
+        assert np.array_equal(kernels._index(v, 3, "i"), np.asarray(v))
+    with pytest.raises(ValueError, match=re.escape("i must be integers in 0..2, got [0, 3]")):
+        kernels._index([0, 3], 3, "i")
+    with pytest.raises(ValueError, match=re.escape("i must be an integer in 0..2, got 2.0")):
+        kernels._index(2.0, 3, "i")
+
+
+def test_m_is_bounded_where_the_closed_forms_are_finite_doubles():
+    # From m = 68 the solver's companion row held integers past int64, from
+    # m = 86 its closed forms overflow, and from m = 172 1/j! did in the
+    # translate sums; paper_amplitude(200) raised OverflowError from
+    # math.gamma.  Up to 85 every factorial (2m - 1)! they use is a double.
+    for m in (86, 172, 200, 86.0):
+        for call in (KernelSpec, paper_amplitude):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'm must be at most 85, got {m!r}')}$"):
+                call(m)
+    for m in (68, 85):
+        assert KernelSpec(m=m).m == m
+        assert math.isfinite(paper_amplitude(m))
 
 
 @pytest.mark.parametrize("m", [3, 4])

@@ -195,6 +195,55 @@ def test_every_public_function_has_a_caller_or_a_reason():
     assert uncalled == set(UNCALLED)
 
 
+# Modules whose public functions may read their arguments themselves, each
+# with the reason; every other module leaves that to the rules in kernels.
+READS_ITS_OWN_ARGUMENTS = {
+    "kernels": "holds the argument rules",
+    "cli": "parses the strings of argv, which the library's rules then check",
+    "output": "is not re-exported, and writes what the CLI hands it",
+}
+READERS = {"np.asarray", "np.array", "float", "int", "operator.index"}
+
+
+def _public_callables(tree, public):
+    # (name, def) of each public function, and of each public method and
+    # __post_init__ of a public class
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and node.name in public:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                    not item.name.startswith("_") or item.name == "__post_init__"
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_arguments_are_read_by_the_rules_in_kernels():
+    # kernels is the one module that decides how an argument becomes a
+    # number or an index: no public function, method or __post_init__
+    # elsewhere hands one of its parameters, or a field self.<name>, to
+    # np.asarray, np.array, float, int or operator.index
+    readers, seen = [], 0
+    for path in sorted(Path(mercer.__file__).parent.glob("*.py")):
+        if path.stem in READS_ITS_OWN_ARGUMENTS or path.stem == "__init__":
+            continue
+        public = set(importlib.import_module(f"maternlab.{path.stem}").__all__)
+        for name, fn in _public_callables(ast.parse(path.read_text()), public):
+            seen += 1
+            params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs} - {"self"}
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call) and ast.unparse(call.func) in READERS):
+                    continue
+                for arg in call.args:
+                    own = isinstance(arg, ast.Name) and arg.id in params
+                    field = isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "self"
+                    if own or field:
+                        readers.append(f"{path.stem}.{name}: {ast.unparse(call)}")
+    assert seen > 20, "too few public callables found: the search is broken"
+    assert readers == []
+
+
 def _bench_workloads(monkeypatch):
     # bench/workloads.py, unedited.  The bench modules import each other by
     # bare name, so bench/ joins the path for the calling test only.
