@@ -16,7 +16,6 @@ from maternlab import (
     analytic_weights,
     run_trials,
     sobolev_weights,
-    verify_standard_bound,
     verify_superconvergence,
 )
 
@@ -38,8 +37,6 @@ for name, space in (
 space = sobolev_weights(8)
 f = space.kappa * np.ones(8)
 keep = np.array([True, False] * 4)
-std = verify_standard_bound(space, f, keep)
 sup = verify_superconvergence(space, f, keep)
 print("worked example, f = kappa, S = even components:")
-print(f"  standard: {std.lhs:.6e} <= {std.rhs:.6e} (eps = {std.eps:.4f})")
-print(f"  super:    {sup.lhs:.6e} <= {sup.rhs:.6e}")
+print(f"  super: {sup.lhs:.6e} <= {sup.rhs:.6e} (eps = {sup.eps:.4f})")

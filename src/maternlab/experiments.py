@@ -1,4 +1,4 @@
-"""Convergence-rate studies and interior-bound experiments.
+"""Convergence-rate studies.
 
 A rate study interpolates a reference function on a doubling ladder of
 equidistant node sets in [-C, C], measures global and interior RMS errors
@@ -28,7 +28,7 @@ from .interpolation import (
     native_error_norm,
     native_norm_sq,
 )
-from .kernels import _finite, _points, _positive_int, _reals, kernel_eval, tail_energy
+from .kernels import _finite, _points, _positive_int, _reals, kernel_eval
 
 __all__ = [
     "ERROR_FLOOR",
@@ -37,7 +37,6 @@ __all__ = [
     "equidistant_nodes",
     "fit_rate",
     "run_rate_study",
-    "bad_part_sup_bound",
 ]
 
 ERROR_FLOOR = 1e-13
@@ -279,15 +278,3 @@ def _reference_values(reference, x, where):
         i = bad[0]
         raise ValueError(f"reference is {vals[i]} at point {i} of {x.size} {where}, x = {x[i]:g}")
     return vals
-
-
-def bad_part_sup_bound(k, v_outside_norm, R):
-    """Sup bound for the part of a convolution driven from outside the domain.
-
-    For f2 = K * v with v supported outside the working interval and
-    ||v||_2 = v_outside_norm, Cauchy-Schwarz gives
-    |f2(x)| <= v_outside_norm * sqrt(tail_energy(k, R)) at every x whose
-    distance to the support-carrying complement is at least R.
-    """
-    v_outside_norm = _finite(v_outside_norm, "v_outside_norm", zero=True)
-    return v_outside_norm * math.sqrt(tail_energy(k, R))

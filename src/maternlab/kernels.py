@@ -20,8 +20,9 @@ argument into a number or an index; each refusal is a ValueError naming it.
 _positive_int reads m (at most 85, see KernelSpec) and sizes, _finite real
 parameters, _interval the endpoints a < b, _points arrays of finite points,
 radii and values (_reals, its dtype half, lets NaN and inf through) and
-_index indices in 0..size - 1.  None reads a bool, a string, None, a complex
-number or an integer too large for a float as a number, nor 2.0 as an index.
+_index indices in 0..size - 1, both through _array.  None reads a bool, a
+string, None, a complex number or an integer too large for a float as a
+number, 2.0 as an index or a ragged sequence as an array.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "KernelSpec",
     "paper_amplitude",
     "kernel_eval",
-    "tail_energy",
 ]
 
 # Kernel entries per block of rows of a kernel matrix (2 MB); the
@@ -112,10 +112,17 @@ def _interval(a, b):
     return float(a), float(b)
 
 
+def _array(x, what):
+    try:  # np.asarray(x): numpy's refusal of a ragged sequence names no argument
+        return np.asarray(x)
+    except ValueError:
+        raise ValueError(f"{what} must be a rectangular array, got {x!r}") from None
+
+
 def _reals(x, what):
-    # _points' dtype half, NaN and inf kept: complex, string and None entries
-    # and integers too large for a float are refused before any cast
-    arr = np.asarray(x)
+    # _points' dtype half, NaN and inf kept: ragged sequences, complex, string
+    # and None entries and integers too large for a float are refused before any cast
+    arr = _array(x, what)
     if arr.dtype.kind not in "biuf" and not (arr.dtype.kind == "O" and all(map(_real, arr.flat))):
         raise ValueError(f"{what} must be finite")
     return arr.astype(float, copy=False)
@@ -131,8 +138,8 @@ def _points(x, what):
 
 def _index(v, size, name):
     # v as an integer array (a scalar stays 0-d) of entries in 0..size - 1: no
-    # bool (np.asarray([0, True]) is int64), float (2.0 too), string or object
-    arr = np.asarray(v)
+    # bool (np.asarray([0, True]) is int64), float (2.0 too), string, object or ragged
+    arr = _array(v, name)
     bools = any(isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat)
     if bools or arr.dtype.kind not in "iu" or not ((arr >= 0) & (arr < size)).all():
         raise ValueError(f"{name} must be {'integers' if arr.ndim else 'an integer'} in 0..{size - 1}, got {v!r}")
@@ -287,12 +294,3 @@ def _translate_sum(k, y, c, x):
         total = sum(_horner(derivs[j], t) / math.factorial(j) * mom[j] for j in range(m))
         out = out + np.exp(-t) * total
     return k.amplitude * out.reshape(x.shape + c.shape[1:])
-
-
-def tail_energy(k, R):
-    """Integral of K(y)^2 over |y| > R: 2 amplitude^2 exp(-2R) t(R),
-    t = sum_k (p^2)^(k) / 2^(k+1).  Strictly decreasing in R, tending to 0.
-    """
-    R = _finite(R, "R", zero=True)
-    p = _exp_poly(k.m)
-    return float(2 * k.amplitude**2 * math.exp(-2 * R) * _horner(_exp_tail(np.convolve(p, p), 2.0), R))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .kernels import _index, _interval, _kernel_rows, _points, _positive_int, _slices, _translate_sum
+from .kernels import _array, _index, _interval, _kernel_rows, _points, _positive_int, _slices, _translate_sum
 
 __all__ = [
     "MercerSystem",
@@ -94,11 +94,13 @@ def _gauss_legendre(n):
 
 
 def _refuse_truncation(vals, n_modes):
-    if vals[n_modes - 1] <= 0:
-        bad = int(np.argmax(vals[:n_modes] <= 0))
+    # kept eigenvalues at or below Q eps ||B||_2, the eigensolve's backward error, are noise
+    floor = vals.size * np.finfo(float).eps * vals[0]
+    if vals[n_modes - 1] <= floor:
+        bad = int(np.argmax(vals[:n_modes] <= floor))
         raise TruncationError(
-            f"eigenvalue {bad + 1} of {n_modes} requested modes is nonpositive "
-            f"({vals[bad]:.3e}); ask for fewer modes"
+            f"eigenvalue {bad + 1} of {n_modes} requested modes ({vals[bad]:.3e}) is at or below "
+            f"the rounding floor rule_size * eps * kappa_1 = {floor:.3e}; ask for fewer modes"
         )
 
 
@@ -219,8 +221,8 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
         When a size is not a positive integer (a bool, or a float with a
         fraction) or n_modes exceeds rule_size, or a >= b.
     TruncationError
-        When any of the requested leading eigenvalues is nonpositive, which
-        means the discretization cannot support that many modes.
+        When a kept eigenvalue is at or below rule_size * eps * kappa_1, the
+        eigensolve's backward error: the rule cannot resolve that many modes.
     """
     a, b = _interval(a, b)
     rule_size = _positive_int(rule_size, "rule_size")
@@ -266,7 +268,7 @@ def eigen_extend(sys, n, x):
     is not an integer in range (a bool or a float is none), an empty list of
     them, a point that is not finite or x of more than one dimension.
     """
-    if np.size(n) == 0:
+    if _array(n, "mode index").size == 0:
         raise ValueError(f"mode index list {n!r} is empty")
     n = _index(n, sys.n_modes, "mode index")
     flat = np.atleast_1d(_points(x, "extension points"))
@@ -309,9 +311,8 @@ def hk_gram_extended(sys, j, l):
     ValueError unless j and l are single mode indices in range.
     """
     for n in (j, l):
-        if np.ndim(n):
+        if _index(n, sys.n_modes, "mode index").ndim:
             raise ValueError(f"mode index {n!r} is not a single integer")
-        _index(n, sys.n_modes, "mode index")
     return float(_native_gram(sys, [j, l])[0, 1])
 
 

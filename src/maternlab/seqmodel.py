@@ -14,8 +14,8 @@ eps = max over excluded n of sqrt(kappa_n), the projection error obeys
     superconvergence:  ||f - Pf||_0 <= eps^2 * ||f./kappa||_0
 
 the second requiring only that v_f = f./kappa is the l2 preimage of f.
-Both inequalities are exact finite-dimensional statements; the verifiers
-here check them with a 1e-12 additive tolerance and report the pieces.
+Both are exact finite-dimensional statements; run_trials checks both, and
+verify_superconvergence the second, with a 1e-12 additive tolerance.
 The presets take M, and run_trials its trial count, by kernels._positive_int:
 an integral float is taken, and a fraction or a bool raises ValueError.
 """
@@ -28,14 +28,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import _by_blocks, _index, _points, _positive_int, _slices
+from .kernels import _array, _by_blocks, _index, _points, _positive_int, _slices
 
 __all__ = [
     "WeightedSeqSpace",
     "sobolev_weights",
     "analytic_weights",
     "BoundCheck",
-    "verify_standard_bound",
     "verify_superconvergence",
     "TrialReport",
     "run_trials",
@@ -79,14 +78,11 @@ def analytic_weights(M=64):
 
 
 def _as_mask(space, S):
-    """Normalize an index subset to a boolean mask.
-
-    Accepts a boolean array of length M, or zero-based integer indices (one,
-    or any iterable).  Duplicate indices are allowed and collapse.
-    """
+    # S as a boolean mask: S is a boolean array of length M, or zero-based
+    # integer indices (one, or any iterable), where duplicates collapse
     mask = np.zeros(space.M, dtype=bool)
     S = list(S) if np.iterable(S) and not isinstance(S, np.ndarray) else S
-    arr = np.asarray(S)
+    arr = _array(S, "subset indices")
     if arr.size == 0:
         return mask
     if arr.dtype == bool and arr.ndim:
@@ -127,31 +123,17 @@ def _scalar(check, i=()):
     return BoundCheck(float(lhs), float(eps), float(rhs), bool(holds))
 
 
-def _single(space, f, S):
-    # _check_bounds for one finite f of length M and one subset S
-    f = _points(f, "f")
-    if f.shape != (space.M,):
-        raise ValueError(f"f must have length {space.M}")
-    return _check_bounds(space.kappa, f, _as_mask(space, S))
-
-
-def verify_standard_bound(space, f, S):
-    """Check ||f - Pf||_0 <= eps * ||f - Pf||_K for the subset S.
-
-    Returns (lhs, eps, rhs, holds) with holds true when the inequality is
-    satisfied up to an additive 1e-12.
-    """
-    return _scalar(_single(space, f, S)[0])
-
-
 def verify_superconvergence(space, f, S):
     """Check ||f - Pf||_0 <= eps^2 * ||f./kappa||_0 for the subset S.
 
-    f is read as a member of the smoother class whose l2 preimage is
-    v_f = f./kappa (always well defined at finite M).  Returns
-    (lhs, eps, rhs, holds) with the same 1e-12 tolerance.
+    f, finite and of length M, is read as a member of the smoother class whose
+    l2 preimage is v_f = f./kappa (always well defined at finite M).  Returns
+    (lhs, eps, rhs, holds), holds true when it is met up to an additive 1e-12.
     """
-    return _scalar(_single(space, f, S)[1])
+    f = _points(f, "f")
+    if f.shape != (space.M,):
+        raise ValueError(f"f must have length {space.M}")
+    return _scalar(_check_bounds(space.kappa, f, _as_mask(space, S))[1])
 
 
 def _sharpest(check):

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import KernelSpec, _by_blocks, _capped, _exp_poly, _exp_tail, _horner, _index, _interval, _points
+from .kernels import KernelSpec, _by_blocks, _capped, _exp_poly, _exp_tail, _horner, _index, _interval, _points, _positive_int
 
 __all__ = [
     "box_convolution",
@@ -121,19 +121,20 @@ def bc_residuals(g, a, b, order=2, rows=None):
     g : callable
         g(x, n) is the n-th derivative at x, for n < order + rows.
     a, b : float
-        The endpoints; ValueError unless a < b.
+        The endpoints, finite with a < b.
     order : int, optional
-        The power k, 2 by default.
+        The power k, a positive integer, 2 by default.
     rows : int, optional
-        The number of derivatives j of each combination, ``order`` by default.
+        The number of derivatives j of each combination, a positive integer,
+        ``order`` by default.
 
     Returns
     -------
     tuple of 2 * rows floats: the rows at a, then those at b.
     """
-    if not a < b:
-        raise ValueError(f"bc_residuals needs a < b, got a={a:g}, b={b:g}")
-    rows = order if rows is None else rows
+    a, b = _interval(a, b)
+    order = _positive_int(order, "order")
+    rows = order if rows is None else _positive_int(rows, "rows")
     out = []
     for x, sign in ((a, -1), (b, 1)):
         coeffs = _bc_coefficients(order, sign)

@@ -18,12 +18,14 @@ import maternlab.cli as cli
 from maternlab import (
     KernelSpec,
     analytic_weights,
-    bad_part_sup_bound,
     bc_residuals,
     convolve_with_indicator,
+    equidistant_nodes,
+    evaluate,
     f_exact,
     f_native_norm_sq,
     hk_gram_matrix,
+    interpolate,
     nystrom_eig,
     run_rate_study,
     run_trials,
@@ -184,22 +186,64 @@ def test_criterion_7_closed_form_consistency():
     ), f"tolerances 1e-10 / 1e-12 / 1e-10 exceeded: {anti_err:.2e}, {breakpoint_err:.2e}, {bc_err:.2e}"
 
 
-def test_criterion_8_bad_part_bound_soundness():
-    # the driving density is the indicator of [2, 3]; its L2 norm is 1 and
-    # every x in [-1, 1] keeps distance 2 - x from the support
-    xs = np.linspace(-1.0, 1.0, 50)
-    worst_margin = math.inf
-    violations = 0
-    for k in (KernelSpec(m=1), KernelSpec(m=2)):
-        for x in xs:
-            value = abs(convolve_with_indicator(k, 2.0, 3.0, float(x)))
-            bound = bad_part_sup_bound(k, 1.0, 2.0 - float(x))
-            worst_margin = min(worst_margin, bound - value)
-            violations += value > bound
-    ok = violations == 0
+def _split(k):
+    # f = K * chi_[-1,1] split at the domain [-C, C], C = 0.8 (criterion 2's
+    # cut support): f_in = K * chi_[-C,C], whose density has supp v_in =
+    # [-C, C], and f_out = f - f_in, driven from outside the domain
+    C = 0.8
+    return {
+        "in": lambda x: convolve_with_indicator(k, -C, C, x),
+        "out": lambda x: convolve_with_indicator(k, -1.0, -C, x) + convolve_with_indicator(k, C, 1.0, x),
+        "all": lambda x: convolve_with_indicator(k, -1.0, 1.0, x),
+    }
+
+
+def _split_linearity_gap(k, parts):
+    # max|e_all - e_in - e_out| over the grid, per ladder level: interpolation
+    # is linear, so the split of f is a split of the error
+    grid = np.linspace(-0.8, 0.8, GRID)
+    gaps = []
+    for N in LADDER:
+        X = equidistant_nodes(0.8, N)
+        e = {name: f(grid) - evaluate(interpolate(k, X, f(X.points)), grid) for name, f in parts.items()}
+        gaps.append(float(np.max(np.abs(e["all"] - e["in"] - e["out"]))))
+    return gaps
+
+
+def test_criterion_8_bad_part_carries_the_boundary_layer():
+    # Schaback's localization: at C = 0.8 the density chi_[-1,1] of f = K * v
+    # sticks out of the domain.  The part of f driven from inside converges
+    # at 2m even though supp v_in is the whole domain; the part driven from
+    # outside carries the entire loss, m + 1/2 globally for m = 2, and for
+    # m = 1 it solves (1 - D^2) f_out = 0 in the domain, so the interpolant
+    # reproduces it to rounding and there is no layer at all.
+    k2, k1 = KernelSpec(m=2), KernelSpec(m=1)
+    parts2, parts1 = _split(k2), _split(k1)
+    inside = run_rate_study(k2, 0.8, 0.2, LADDER, GRID, parts2["in"])
+    outside = run_rate_study(k2, 0.8, 0.2, LADDER, GRID, parts2["out"])
+    exact = run_rate_study(k1, 0.8, 0.2, LADDER, GRID, parts1["out"])
+    gaps = _split_linearity_gap(k2, parts2) + _split_linearity_gap(k1, parts1)
+    m1_rms = max(row.rms_global for row in exact.rows)
+    g_in, i_in, g_out = inside.global_rate, inside.interior_rate, outside.global_rate
+    ok = (
+        3.4 <= g_in <= 4.6
+        and 3.4 <= i_in <= 4.6
+        and abs(g_out - 2.5) <= 0.1
+        and max(gaps) <= 1e-14
+        and m1_rms < 1e-13
+    )
     assert _verdict(
-        8, ok, f"100 checks, worst margin {worst_margin:.3e}"
-    ), f"{violations} bound violations; worst margin {worst_margin:.3e}"
+        8,
+        ok,
+        f"m=2 in part global {g_in:.3f}, interior {i_in:.3f}; out part global {g_out:.3f}; "
+        f"max|e_all - e_in - e_out| {max(gaps):.1e}; m=1 out part RMS <= {m1_rms:.1e}",
+    ), (
+        f"expected, at C=0.8 with margin 0.2: the m=2 in part's global and interior "
+        f"rates in [3.4, 4.6], its out part's global rate in 2.5 +- 0.1, "
+        f"e_all = e_in + e_out within 1e-14 at every level for m = 1 and 2, and "
+        f"the m=1 out part's RMS error below 1e-13 at every level; measured "
+        f"{g_in:.3f}/{i_in:.3f}, {g_out:.3f}, {max(gaps):.2e}, {m1_rms:.2e}"
+    )
 
 
 def test_criterion_9_rates_csv_determinism(tmp_path):

@@ -140,8 +140,8 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
     # --C inf warned from inside numpy first
     for argv, named in (
         (["interp", "--kernel", "matern:m=2,amp=paper,amp=unit"], "'amp' given twice"),
-        (["bc-check", "--a", "1", "--b", "-1"], "bc_residuals needs a < b, got a=1, b=-1"),
-        (["bc-check", "--a", "0.5", "--b", "0.5"], "bc_residuals needs a < b"),
+        (["bc-check", "--a", "1", "--b", "-1"], "need finite a < b, got a=1.0, b=-1.0"),
+        (["bc-check", "--a", "0.5", "--b", "0.5"], "need finite a < b, got a=0.5, b=0.5"),
         (["interp", "--C", "0"], "C must be finite and positive, got 0.0"),
         (["interp", "--C", "inf"], "C must be finite and positive, got inf"),
     ):
@@ -160,8 +160,9 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
         (["seqmodel", "--trials", "-3"], "n_trials must be a nonnegative integer, got -3"),
         (["seqmodel", "--M", "0"], "M must be a positive integer, got 0"),
         (["seqmodel", "--trials", "0", "--M", "0"], "M must be a positive integer, got 0"),
-        # f_exact refuses b = inf after the first header used to be printed
-        (["bc-check", "--b", "inf"], "x must be finite"),
+        # b = inf was refused by f_exact ("x must be finite"), after the
+        # first header used to be printed; the interval rule now names it
+        (["bc-check", "--b", "inf"], "need finite a < b, got a=-1.2, b=inf"),
         # signed forms float() reads reach the library, not argparse's
         # "expected one argument"
         (["rates", "--C", "-inf"], "C must be finite and positive, got -inf"),
@@ -200,6 +201,8 @@ def test_a_large_m_ends_in_an_exit_code(command, m, tmp_path, capsys):
     # mercer did (OverflowError from 1/j! in the translate sums).  Up to
     # m = 85 every path ends in its exit code, with no warning on the way;
     # the m rule refuses a larger m by name, before anything is written.
+    # mercer exited 0 there with modes at the eigensolve's rounding; its
+    # rounding floor now refuses them.
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -209,9 +212,27 @@ def test_a_large_m_ends_in_an_exit_code(command, m, tmp_path, capsys):
         assert rc == 2
         assert err == f"error: m must be at most 85, got {m}\n"
         assert not out.exists()
-    else:  # the banded solve's pivots fail; the Nystrom path runs
-        assert rc == (0 if command == "mercer" else 3), err
-        assert command == "mercer" or err.startswith("numerical error: factorization pivot")
+    elif command == "mercer":  # the kept eigenvalues sit at rounding level
+        assert rc == 3, err
+        assert err.startswith("numerical error: eigenvalue ") and "rounding floor" in err
+        assert not out.exists()
+    else:  # the banded solve's pivots fail
+        assert rc == 3, err
+        assert err.startswith("numerical error: factorization pivot")
+
+
+def test_mercer_refuses_modes_at_the_rounding_floor(tmp_path, capsys):
+    # m = 10 at the defaults kept modes at rounding level, printed
+    # max|gram - I| = 9.986e-01 and exited 0
+    out = tmp_path / "out"
+    assert cli.main(["mercer", "--kernel", "matern:m=10", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert re.fullmatch(
+        r"numerical error: eigenvalue 8 of 10 requested modes \(\S+\) is at or below the rounding floor "
+        r"rule_size \* eps \* kappa_1 = \S+; ask for fewer modes\n",
+        captured.err,
+    ), captured.err
 
 
 def test_a_paper_amplitude_beyond_the_m_bound_names_m(tmp_path, capsys):
@@ -452,20 +473,19 @@ def test_only_rules_of_1536_points_or_more_load_scipy_linalg():
 
 _CLOSED_FORM_PROBE = """
 import json, sys
-from maternlab import KernelSpec, box_convolution, f_exact, tail_energy
+from maternlab import KernelSpec, box_convolution, f_exact
 
 f_exact([-2.0, 0.0, 1.0], 3)
 for m in (1, 2, 3, 4):
     for order in range(2 * m):
         box_convolution(KernelSpec(m=m), [-2.0, 0.0, 1.0], order)
-    tail_energy(KernelSpec(m=m, amplitude=2.0), 1.0)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
 def test_d1_closed_forms_load_no_scipy():
-    # box convolutions and tail energies of every kernel are closed forms,
-    # evaluated on numpy alone
+    # box convolutions of every kernel are closed forms, evaluated on numpy
+    # alone
     assert _run_probe(_CLOSED_FORM_PROBE) == []
 
 

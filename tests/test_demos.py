@@ -15,7 +15,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 # one line each demo must print
 EXPECTED = {
     "boundary_conditions.py": "two-constraint residuals of f at (-1.2, 1.2):",
-    "interior_bound_and_tails.py": "bad-part value vs bound on [-1, 1]:",
+    "boundary_split.py": "--- kernel m = 2, C = 0.8, interior |x| <= 0.6 ---",
     "mercer_extension.py": "leading eigenvalues (kappa_1 solves omega tan omega = 1):",
     "sequence_model.py": "superconvergent bound: 1000/1000 hold",
     "superconvergence_rates.py": "--- C = 1.2 (support contained) ---",

@@ -1,4 +1,4 @@
-"""Rate studies, log-log fits, and the interior sup bound.
+"""Rate studies and log-log fits.
 
 The frozen RMS rows at the bottom were produced by an independent
 prototype (dense solve via numpy.linalg.solve, errors accumulated with
@@ -22,7 +22,6 @@ from maternlab import (
     KernelSpec,
     NodeSet,
     assemble_gram,
-    bad_part_sup_bound,
     equidistant_nodes,
     f_exact,
     f_native_norm_sq,
@@ -30,7 +29,6 @@ from maternlab import (
     interpolate,
     kernel_eval,
     run_rate_study,
-    tail_energy,
 )
 
 
@@ -496,23 +494,6 @@ def test_decay_study_degenerates_to_nan_for_reproduced_references():
     exact_norm_sq = 5.0 * kernel_eval(k, 0.0) + 4.0 * kernel_eval(k, 0.48)
     out = run_rate_study(k, 1.2, 0.4, [11, 21, 41], 501, reference, exact_norm_sq)
     assert math.isnan(out.native_exponent)
-
-
-def test_bad_part_bound_formula_and_monotonicity():
-    k = KernelSpec(m=1)
-    assert bad_part_sup_bound(k, 2.0, 1.5) == pytest.approx(
-        2.0 * math.sqrt(tail_energy(k, 1.5)), rel=1e-14
-    )
-    assert bad_part_sup_bound(k, 2.0, 1.5) == pytest.approx(
-        2.0 * math.exp(-1.5), rel=1e-13
-    )
-    radii = np.linspace(0, 4, 9)
-    vals = [bad_part_sup_bound(k, 1.0, r) for r in radii]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    # NaN and +inf used to pass the sign check and come back as the bound
-    for norm in (-1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="v_outside_norm must be finite and nonnegative"):
-            bad_part_sup_bound(k, norm, 1.0)
 
 
 def test_m3_ladder_runs_past_the_dense_stop_at_rate_m_plus_half():

@@ -1,4 +1,4 @@
-"""Kernel profiles, symbols, tail energies, and their closed forms.
+"""Kernel profiles, symbols, their closed forms, and the argument rules.
 
 Frozen oracle values below were derived by hand from the exponential
 closed forms or computed with scipy.integrate.quad on the defining
@@ -12,7 +12,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from mpmath import mp
 from scipy.integrate import quad
 from scipy.special import kv
 
@@ -20,7 +19,7 @@ from maternlab import (
     KernelSpec,
     NodeSet,
     WeightedSeqSpace,
-    bad_part_sup_bound,
+    bc_residuals,
     box_convolution,
     convolve_with_indicator,
     eigen_extend,
@@ -38,8 +37,6 @@ from maternlab import (
     run_rate_study,
     run_trials,
     sobolev_weights,
-    tail_energy,
-    verify_standard_bound,
     verify_superconvergence,
 )
 from maternlab import kernels
@@ -203,8 +200,13 @@ def test_paper_amplitude_takes_m_by_the_integer_rule():
         (lambda n: run_rate_study(KernelSpec(m=2), 1.2, 0.2, [11, 21], n, f_exact), "grid_size"),
         (lambda n: sobolev_weights(n), "M"),
         (lambda n: run_trials(sobolev_weights(8), n, 0), "n_trials"),
+        (lambda n: bc_residuals(f_exact, -1.2, 1.2, n), "order"),
+        (lambda n: bc_residuals(f_exact, -1.2, 1.2, 2, n), "rows"),
     ],
-    ids=["m", "amplitude", "paper_amplitude", "rule_size", "n_modes", "N", "node_count", "grid_size", "M", "n_trials"],
+    ids=[
+        "m", "amplitude", "paper_amplitude", "rule_size", "n_modes", "N", "node_count", "grid_size", "M",
+        "n_trials", "bc_order", "bc_rows",
+    ],
 )
 def test_integers_too_large_for_a_float_are_refused_by_name(call, name):
     # these used to escape as OverflowError "int too large to convert to
@@ -240,15 +242,12 @@ _REALS = {
         lambda v: native_error_norm(v, _solved()),
         "f_norm_sq must be finite and nonnegative",
     ),
-    "R": (lambda v: tail_energy(KernelSpec(m=2), v), "R must be finite and nonnegative"),
-    "v_outside_norm": (
-        lambda v: bad_part_sup_bound(KernelSpec(m=2), v, 1.0),
-        "v_outside_norm must be finite and nonnegative",
-    ),
     "nystrom_eig-a": (lambda v: nystrom_eig(KernelSpec(m=1), v, 1.0, 8, 2), "need finite a < b"),
     "nystrom_eig-b": (lambda v: nystrom_eig(KernelSpec(m=1), -1.0, v, 8, 2), "need finite a < b"),
     "convolve-a": (lambda v: convolve_with_indicator(KernelSpec(m=2), v, 1.0, 0.0), "need finite a < b"),
     "convolve-b": (lambda v: convolve_with_indicator(KernelSpec(m=2), -1.0, v, 0.0), "need finite a < b"),
+    "bc_residuals-a": (lambda v: bc_residuals(f_exact, v, 1.2), "need finite a < b"),
+    "bc_residuals-b": (lambda v: bc_residuals(f_exact, -1.2, v), "need finite a < b"),
 }
 
 
@@ -288,13 +287,15 @@ _POINTS = {
     "fit_rate-e": (lambda x: fit_rate([0.4, 0.2, 0.1], x), "e"),
     "project_samples": (lambda x: project_samples(nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 3, 2), x), "samples"),
     "WeightedSeqSpace": (lambda x: WeightedSeqSpace(kappa=x), "kappa"),
-    "verify_standard_bound": (lambda x: verify_standard_bound(sobolev_weights(3), x, [0]), "f"),
     "verify_superconvergence": (lambda x: verify_superconvergence(sobolev_weights(3), x, [0]), "f"),
     "reference": (
         lambda x: run_rate_study(KernelSpec(m=2), 1.2, 0.2, [11, 21], 501, lambda grid: x),
         "reference values",
     ),
 }
+
+
+_RAGGED = [[0.1], [0.2, 0.3]]
 
 
 @pytest.mark.parametrize(
@@ -305,17 +306,23 @@ _POINTS = {
         [0.1, None, 0.3],
         ["0.1", "0.2", "0.3"],
         [0.1, 10**400, 0.3],
+        _RAGGED,
     ],
-    ids=["complex", "complex-dtype", "None", "str", "10**400"],
+    ids=["complex", "complex-dtype", "None", "str", "10**400", "ragged"],
 )
 @pytest.mark.parametrize("entry", sorted(_POINTS))
 def test_every_point_array_is_refused_by_name(entry, entries):
     # kernels._points, or its dtype half _reals for fit_rate's e and a
     # reference's values: a complex array used to be cast to its real part
     # with only a ComplexWarning (evaluate(s, [0.1 + 1j]) gave s(0.1)), a
-    # string array was parsed, and None or 10**400 escaped as
-    # TypeError/OverflowError
+    # string array was parsed, None or 10**400 escaped as
+    # TypeError/OverflowError, and a ragged list as numpy's "inhomogeneous
+    # shape" ValueError, which named no argument
     call, name = _POINTS[entry]
+    if entries is _RAGGED:
+        with pytest.raises(ValueError, match=f"^{name} must be a rectangular array, got {re.escape(repr(_RAGGED))}$"):
+            call(entries)
+        return
     for x in (entries, entries[1]):  # the array, and its bad entry alone
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             call(x)
@@ -351,9 +358,6 @@ _SYSTEM = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 8, 3)
 _INDICES = {
     "eigen_extend": (lambda n: eigen_extend(_SYSTEM, n, 0.5), "mode index", 3),
     "hk_gram_extended": (lambda n: hk_gram_extended(_SYSTEM, 0, n), "mode index", 3),
-    "verify_standard_bound": (
-        lambda n: verify_standard_bound(sobolev_weights(4), np.ones(4), n), "subset indices", 4
-    ),
     "verify_superconvergence": (
         lambda n: verify_superconvergence(sobolev_weights(4), np.ones(4), n), "subset indices", 4
     ),
@@ -366,14 +370,15 @@ _SIZE = object()  # stands for the argument's size, one past its last index
 
 @pytest.mark.parametrize(
     "bad",
-    [True, np.True_, [0, True], 2.0, "1", None, np.array([0, 1], dtype=object), -1, _SIZE],
-    ids=["True", "np.True_", "list-with-True", "2.0", "str", "None", "object-array", "-1", "size"],
+    [True, np.True_, [0, True], 2.0, "1", None, np.array([0, 1], dtype=object), -1, _SIZE, [[0], [1, 2]]],
+    ids=["True", "np.True_", "list-with-True", "2.0", "str", "None", "object-array", "-1", "size", "ragged"],
 )
 @pytest.mark.parametrize("entry", sorted(_INDICES))
 def test_every_index_is_refused_by_name(entry, bad):
     # kernels._index: [0, True] used to select modes or subset indices 0 and
-    # 1 (np.asarray makes it int64), and box_convolution's order had its own
-    # operator.index reading
+    # 1 (np.asarray makes it int64), box_convolution's order had its own
+    # operator.index reading, and a ragged list escaped as numpy's
+    # "inhomogeneous shape" ValueError, which named no argument
     call, name, size = _INDICES[entry]
     with pytest.raises(ValueError, match=f"^{name} "):
         call(size if bad is _SIZE else bad)
@@ -453,53 +458,6 @@ def test_m1_kernel_self_convolution_is_the_m2_kernel():
             limit=200,
         )
         assert val == pytest.approx(kernel_eval(k, x), abs=1e-10)
-
-
-def test_tail_energy_closed_forms():
-    # integral of e^{-2y} over |y| > R is e^{-2R}; the m=2 analog is
-    # e^{-2R} ((1+R)^2 + (1+R) + 1/2), both derived by hand
-    for R in (0.0, 0.8, 1.5, 3.0):
-        assert tail_energy(KernelSpec(m=1), R) == pytest.approx(
-            math.exp(-2 * R), rel=1e-14, abs=0
-        )
-        u = 1.0 + R
-        assert tail_energy(KernelSpec(m=2), R) == pytest.approx(
-            math.exp(-2 * R) * (u * u + u + 0.5), rel=1e-14, abs=0
-        )
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_tail_energy_matches_30_digits(m):
-    # 2 int_R^inf (e^{-r} p(r))^2 dr with the exact reverse Bessel p; one
-    # closed form serves every m, m >= 3 included, without quadrature
-    f = math.factorial
-    with mp.workdps(30):
-        p = [mp.mpf(f(2 * m - 2 - k) * f(m - 1) * 2**k) / (f(2 * m - 2) * f(k) * f(m - 1 - k))
-             for k in range(m)]
-        for R in (0.0, 0.8, 1.5, 3.0, 10.0):
-            ref = 2 * mp.quad(lambda r: (mp.exp(-r) * mp.polyval(p[::-1], r)) ** 2, [R, mp.inf])
-            assert tail_energy(KernelSpec(m=m), R) == pytest.approx(float(ref), rel=1e-14, abs=0)
-            assert tail_energy(KernelSpec(m=m, amplitude=1.5), R) == pytest.approx(
-                2.25 * float(ref), rel=1e-14, abs=0
-            )
-
-
-def test_tail_energy_matches_direct_quadrature():
-    for k in (KernelSpec(m=1), KernelSpec(m=2, amplitude=1.3)):
-        for R in (0.5, 2.0):
-            ref, _ = quad(lambda y: kernel_eval(k, y) ** 2, R, np.inf, epsabs=1e-14)
-            assert tail_energy(k, R) == pytest.approx(2.0 * ref, rel=1e-11, abs=0)
-
-
-def test_tail_energy_decreasing_and_validated():
-    k = KernelSpec(m=2)
-    R = np.linspace(0, 5, 11)
-    vals = [tail_energy(k, r) for r in R]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        tail_energy(k, -0.1)
-    with pytest.raises(ValueError):
-        tail_energy(k, np.nan)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

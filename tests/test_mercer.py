@@ -362,11 +362,28 @@ def test_parity_solve_matches_the_dense_oracle(m, a, b, rule, modes, monkeypatch
 
 
 def test_parity_solve_refuses_a_truncated_spectrum():
-    # m = 4 at 1536 points: 712 of the 1536 eigenvalues are nonpositive, the
-    # first at index 825 (808 by the dense eigh, both at rounding level), so
-    # the halves' eigenvalues refuse 900 modes before any vector is computed
-    with pytest.raises(TruncationError, match=r"eigenvalue \d+ of 900 requested modes is nonpositive"):
+    # m = 4 at 1536 points: 712 of the 1536 eigenvalues are nonpositive, and
+    # from eigenvalue 30 on they are at or below the rounding floor, so the
+    # halves' eigenvalues refuse 900 modes before any vector is computed
+    with pytest.raises(TruncationError, match=r"eigenvalue 30 of 900 requested modes \(.*\) is at or below the rounding floor"):
         nystrom_eig(KernelSpec(m=4), -1.0, 1.0, 1536, 900)
+
+
+def test_kept_modes_stop_at_the_rounding_floor():
+    # An eigenvalue at or below Q eps kappa_1, the symmetric eigensolve's
+    # backward error (||B||_2 = kappa_1), is rounding noise.  Only
+    # nonpositive ones were refused, so m = 10 at the CLI defaults (200
+    # points, 10 modes) kept kappa_10 = 4.9e-16 and its Gram check read 0.9986.
+    kept = nystrom_eig(KernelSpec(m=6), -1.0, 1.0, 200, 10)  # kappa_10 / kappa_1 = 1.7e-12
+    assert kept.eigenvalues[-1] > 200 * EPS * kept.eigenvalues[0]
+    for m in (7, 10):
+        full = nystrom_eig(KernelSpec(m=m), -1.0, 1.0, 200, 1).full_spectrum
+        floor = 200 * EPS * full[0]
+        n = int(np.argmax(full <= floor))  # the first mode at the floor, zero-based
+        named = f"eigenvalue {n + 1} of 10 requested modes ({full[n]:.3e}) is at or below the rounding floor"
+        with pytest.raises(TruncationError, match=re.escape(f"{named} rule_size * eps * kappa_1 = {floor:.3e}")):
+            nystrom_eig(KernelSpec(m=m), -1.0, 1.0, 200, 10)
+        assert nystrom_eig(KernelSpec(m=m), -1.0, 1.0, 200, n).n_modes == n
 
 
 def test_parity_solve_refuses_unconverged_vectors(monkeypatch):

@@ -43,10 +43,8 @@ def test_star_import_binds_every_public_name():
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_names_the_benchmark_uses_resolve():
-    # bench/spans.py wraps (module, function) pairs for --trace 1 and
-    # bench/workloads.py calls ml.<name> on the package; a rename here
-    # would break the benchmark without failing any other test
+def _bench_targets():
+    # the (module, function) pairs that bench/spans.py wraps for --trace 1
     spans = ast.parse((BENCH / "spans.py").read_text())
     targets = next(
         node.value
@@ -54,18 +52,29 @@ def test_names_the_benchmark_uses_resolve():
         if isinstance(node, ast.Assign)
         and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
     )
-    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
-    assert len(pairs) >= 10
-    for module, name in pairs:
-        assert callable(getattr(importlib.import_module(f"maternlab.{module}"), name))
-    workloads = ast.parse((BENCH / "workloads.py").read_text())
-    called = {
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+
+
+def _bench_calls(name):
+    # the names bench/<name> calls as ml.<name> on the package
+    return {
         node.attr
-        for node in ast.walk(workloads)
+        for node in ast.walk(ast.parse((BENCH / name).read_text()))
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id == "ml"
     }
+
+
+def test_names_the_benchmark_uses_resolve():
+    # bench/spans.py wraps (module, function) pairs for --trace 1 and
+    # bench/workloads.py calls ml.<name> on the package; a rename here
+    # would break the benchmark without failing any other test
+    pairs = _bench_targets()
+    assert len(pairs) >= 10
+    for module, name in pairs:
+        assert callable(getattr(importlib.import_module(f"maternlab.{module}"), name))
+    called = _bench_calls("workloads.py")
     assert {"nystrom_eig", "eigen_extend", "hk_gram_matrix"} <= called
     for name in called:
         assert hasattr(maternlab, name), name
@@ -150,17 +159,19 @@ def test_every_error_type_is_raised_and_given_an_exit_code():
 
 
 # Public functions that no other module and no public function of their
-# own calls, each with the reason it stays; a public function that leaves
-# this list gets a caller first, or goes.
-UNCALLED = {
-    "assemble_gram": "named by the benchmark",
-    "hk_gram_extended": "named by the benchmark",
-    "convolve_with_indicator": "named by the benchmark",
-    "bad_part_sup_bound": "acceptance criterion 8 checks it",
-    "project_samples": "the planned eigencoefficient range test calls it",
-    "verify_superconvergence": "the planned spectral-rate study calls it",
-    "verify_standard_bound": "the single-trial oracle in run_trials' tests",
+# own calls, and that the benchmark does not name either, each with the
+# ROADMAP item that reserves it; a function that leaves this list gets a
+# caller first, or goes.
+RESERVED = {
+    "project_samples": "ROADMAP item 5: the eigencoefficient range test calls it",
+    "verify_superconvergence": "ROADMAP item 5: the spectral-rate study calls it",
 }
+
+
+def _named_by_the_benchmark():
+    # bench/spans.py TARGETS and the ml.<name> calls of bench/workloads.py
+    # and bench/reference.py
+    return {name for _, name in _bench_targets()} | _bench_calls("workloads.py") | _bench_calls("reference.py")
 
 
 def _referenced(node):
@@ -176,8 +187,8 @@ def _referenced(node):
 def test_every_public_function_has_a_caller_or_a_reason():
     # A public function that only the tests call is code that only the
     # tests use: it needs a caller in another module under src/maternlab/
-    # (cli.py included) or in a public function of its own module, or a
-    # line in UNCALLED saying why it stays.
+    # (cli.py included) or in a public function of its own module, a place
+    # in the benchmark, or a line in RESERVED saying why it stays.
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(Path(mercer.__file__).parent.glob("*.py"))}
     uncalled = set()
     for module in MODULES:
@@ -192,7 +203,9 @@ def test_every_public_function_has_a_caller_or_a_reason():
             own = set().union(*(_referenced(node) for other, node in public.items() if other != name))
             if name not in callers | own:
                 uncalled.add(name)
-    assert uncalled == set(UNCALLED)
+    unreserved = uncalled - _named_by_the_benchmark() - set(RESERVED)
+    assert not unreserved, f"no caller, no benchmark use and no reservation: delete {sorted(unreserved)}"
+    assert set(RESERVED) <= uncalled, f"reserved but called, drop from RESERVED: {sorted(set(RESERVED) - uncalled)}"
 
 
 # Modules whose public functions may read their arguments themselves, each

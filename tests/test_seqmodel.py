@@ -4,6 +4,10 @@ The hand-worked example below uses kappa = (1, 1/16, 1/81, 1/256) with
 f = (1,1,1,1) and S = {0,1}: the excluded multiplier is eps = 1/9, the
 standard right side is sqrt(337)/9 and the superconvergent right side is
 sqrt(72354)/81.
+
+run_trials checks the standard bound, which no public function computes
+for one f and S; _standard_bound below is its oracle, written out here in
+plain numpy, and the hand values pin the oracle.
 """
 
 import math
@@ -18,9 +22,30 @@ from maternlab import (
     analytic_weights,
     run_trials,
     sobolev_weights,
-    verify_standard_bound,
     verify_superconvergence,
 )
+from maternlab import seqmodel
+
+
+def _standard_bound(space, f, S):
+    # (lhs, eps, rhs, holds) of ||f - Pf||_0 <= eps ||f - Pf||_K for S a
+    # boolean mask or integer indices: the residual r keeps the coordinates
+    # outside S, lhs = sqrt(sum r^2), eps = sqrt(max excluded kappa) and
+    # rhs = eps sqrt(sum r^2 / kappa); holds within the module's tolerance,
+    # which some tests below move
+    S = np.asarray(S)
+    keep = S if S.dtype == bool else np.isin(np.arange(space.M), S)
+    r = np.where(keep, 0.0, f)
+    lhs = float(np.sqrt(np.sum(r * r)))
+    eps = float(np.sqrt(np.max(np.where(keep, 0.0, space.kappa))))
+    rhs = eps * float(np.sqrt(np.sum(r * r / space.kappa)))
+    return lhs, eps, rhs, lhs <= rhs + seqmodel._TOL
+
+
+def _same_check(check, oracle):
+    # a BoundCheck that run_trials reports against the oracle's
+    assert check[:3] == pytest.approx(oracle[:3], rel=1e-14, abs=0)
+    assert check.holds == oracle[3]
 
 
 def test_weight_presets():
@@ -64,17 +89,18 @@ def test_projection_zeroes_the_complement():
     # comes as an index list or as a boolean mask
     space = sobolev_weights(6)
     f = np.arange(1.0, 7.0)
-    by_index = verify_standard_bound(space, f, [0, 2, 4])  # residual (0,2,0,4,0,6)
-    assert by_index.lhs == pytest.approx(math.sqrt(56.0), rel=1e-14)
-    assert by_index.rhs == pytest.approx(math.sqrt(50816.0) / 4.0, rel=1e-14)
     mask = np.array([True, True, False, False, True, True])
-    by_mask = verify_standard_bound(space, f, mask)  # residual (0,0,3,4,0,0)
-    assert by_mask.lhs == pytest.approx(5.0, rel=1e-14)
-    assert by_mask.rhs == pytest.approx(math.sqrt(4825.0) / 9.0, rel=1e-14)
+    for subset, lhs, rhs in (
+        ([0, 2, 4], math.sqrt(56.0), math.sqrt(50816.0) / 4.0),  # residual (0,2,0,4,0,6)
+        (mask, 5.0, math.sqrt(4825.0) / 9.0),  # residual (0,0,3,4,0,0)
+    ):
+        std = _standard_bound(space, f, subset)
+        assert std[:3:2] == pytest.approx((lhs, rhs), rel=1e-14)
+        assert verify_superconvergence(space, f, subset).lhs == pytest.approx(lhs, rel=1e-14)
     with pytest.raises(ValueError):
-        verify_standard_bound(space, f, [7])  # index out of range
+        verify_superconvergence(space, f, [7])  # index out of range
     with pytest.raises(ValueError):
-        verify_standard_bound(space, np.ones(5), mask)  # length mismatch
+        verify_superconvergence(space, np.ones(5), mask)  # length mismatch
 
 
 @pytest.mark.parametrize("subset", [[1.7], np.array([1.0, 2.0]), [0, 2.5], ["1"]])
@@ -85,17 +111,15 @@ def test_non_integer_indices_are_rejected(subset):
     f = np.arange(1.0, 5.0)
     named = re.escape(f"subset indices must be integers in 0..3, got {subset!r}")
     with pytest.raises(ValueError, match=named):
-        verify_standard_bound(space, f, subset)
-    with pytest.raises(ValueError, match=named):
         verify_superconvergence(space, f, subset)
 
 
 def test_integer_indices_of_any_width_and_boolean_masks_agree():
     space = sobolev_weights(4)
     f = np.arange(1.0, 5.0)
-    expect = verify_standard_bound(space, f, [False, True, False, False])
+    expect = verify_superconvergence(space, f, [False, True, False, False])
     for subset in ([1], np.array([1], dtype=np.uint8), np.array([1, 1], dtype=np.int32)):
-        assert verify_standard_bound(space, f, subset) == expect
+        assert verify_superconvergence(space, f, subset) == expect
 
 
 def test_native_norm_hand_value():
@@ -103,27 +127,27 @@ def test_native_norm_hand_value():
     space = sobolev_weights(4)
     f = np.array([1.0, 1.0, 1.0, 1.0])
     # 1/1 + 16 + 81 + 256
-    chk = verify_standard_bound(space, f, [])
-    assert chk.eps == 1.0
-    assert chk.rhs**2 == pytest.approx(354.0, rel=1e-14)
+    _, eps, rhs, _ = _standard_bound(space, f, [])
+    assert eps == verify_superconvergence(space, f, []).eps == 1.0
+    assert rhs**2 == pytest.approx(354.0, rel=1e-14)
 
 
 def test_epsilon_is_largest_excluded_root():
     space = sobolev_weights(4)
     f = np.ones(4)
-    assert verify_standard_bound(space, f, [0, 1]).eps == pytest.approx(1.0 / 9.0, rel=1e-14)
-    assert verify_standard_bound(space, f, [1, 2, 3]).eps == 1.0  # mode 0 excluded
-    assert verify_standard_bound(space, f, [0, 1, 2, 3]).eps == 0.0  # nothing excluded
+    for subset, eps in (([0, 1], 1.0 / 9.0), ([1, 2, 3], 1.0), ([0, 1, 2, 3], 0.0)):  # mode 0, nothing excluded
+        assert verify_superconvergence(space, f, subset).eps == pytest.approx(eps, rel=1e-14, abs=0)
+        assert _standard_bound(space, f, subset)[1] == pytest.approx(eps, rel=1e-14, abs=0)
 
 
 def test_standard_bound_hand_example():
     space = sobolev_weights(4)
     f = np.ones(4)
-    chk = verify_standard_bound(space, f, [0, 1])
-    assert chk.lhs == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert chk.eps == pytest.approx(1.0 / 9.0, rel=1e-14)
-    assert chk.rhs == pytest.approx(math.sqrt(337.0) / 9.0, rel=1e-14)
-    assert chk.holds
+    lhs, eps, rhs, holds = _standard_bound(space, f, [0, 1])
+    assert lhs == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert eps == pytest.approx(1.0 / 9.0, rel=1e-14)
+    assert rhs == pytest.approx(math.sqrt(337.0) / 9.0, rel=1e-14)
+    assert holds
 
 
 def test_superconvergence_bound_hand_example():
@@ -143,10 +167,8 @@ def test_both_bounds_hold_for_arbitrary_sequences():
         for _ in range(200):
             f = rng.standard_cauchy(32)
             mask = rng.random(32) < rng.uniform(0.1, 0.9)
-            std = verify_standard_bound(space, f, mask)
-            sup = verify_superconvergence(space, f, mask)
-            assert std.holds
-            assert sup.holds
+            assert _standard_bound(space, f, mask)[3]
+            assert verify_superconvergence(space, f, mask).holds
 
 
 def test_unit_coordinate_case_is_sharp():
@@ -157,19 +179,20 @@ def test_unit_coordinate_case_is_sharp():
             f[j] = 1.0
             mask = np.ones(16, dtype=bool)
             mask[j] = False
-            std = verify_standard_bound(space, f, mask)
+            std = _standard_bound(space, f, mask)
             sup = verify_superconvergence(space, f, mask)
-            assert std.lhs / std.rhs == pytest.approx(1.0, abs=1e-13)
+            assert std[0] / std[2] == pytest.approx(1.0, abs=1e-13)
             assert sup.lhs / sup.rhs == pytest.approx(1.0, abs=1e-13)
 
 
 def test_full_subset_gives_zero_residual():
     space = sobolev_weights(8)
     f = np.arange(1.0, 9.0)
-    chk = verify_standard_bound(space, f, np.ones(8, dtype=bool))
-    assert chk.lhs == 0.0
-    assert chk.eps == 0.0
-    assert chk.holds
+    lhs, eps, _, holds = _standard_bound(space, f, np.ones(8, dtype=bool))
+    assert lhs == eps == 0.0
+    assert holds
+    chk = verify_superconvergence(space, f, np.ones(8, dtype=bool))
+    assert chk.lhs == chk.eps == 0.0
 
 
 def test_run_trials_reports_and_is_deterministic():
@@ -197,21 +220,22 @@ def _per_trial_draws(space, n_trials, seed):
 
 
 def _per_trial_loop(space, n_trials, seed):
-    # the trials checked one at a time with the public single-trial
-    # verifiers; the last entry is the first failing trial
+    # the trials checked one at a time, the standard bound by the oracle and
+    # the superconvergence bound by its public verifier; the last entry is
+    # the first failing trial
     std_pass = sup_pass = 0
     sharpest_std = sharpest_sup = 0.0
     first = None
     for i, (f, mask) in enumerate(_per_trial_draws(space, n_trials, seed)):
-        std = verify_standard_bound(space, f, mask)
+        std_lhs, _, std_rhs, std_holds = _standard_bound(space, f, mask)
         sup = verify_superconvergence(space, f, mask)
-        std_pass += std.holds
+        std_pass += std_holds
         sup_pass += sup.holds
-        if std.rhs > 0:
-            sharpest_std = max(sharpest_std, std.lhs / std.rhs)
+        if std_rhs > 0:
+            sharpest_std = max(sharpest_std, std_lhs / std_rhs)
         if sup.rhs > 0:
             sharpest_sup = max(sharpest_sup, sup.lhs / sup.rhs)
-        if first is None and not (std.holds and sup.holds):
+        if first is None and not (std_holds and sup.holds):
             first = i
     return std_pass, sup_pass, sharpest_std, sharpest_sup, first
 
@@ -227,15 +251,11 @@ def test_batched_trials_match_the_per_trial_verifiers(space):
 
 def _cold(space, n_trials, seed):
     # run_trials with no draws kept from an earlier call
-    from maternlab import seqmodel
-
     seqmodel._memo_draws.cache_clear()
     return run_trials(space, n_trials, seed)
 
 
 def test_presets_sharing_a_seed_draw_once(monkeypatch):
-    from maternlab import seqmodel
-
     spaces = (sobolev_weights(64), analytic_weights(64))
     cold = [_cold(space, 200, 11) for space in spaces]
     seqmodel._memo_draws.cache_clear()
@@ -252,8 +272,6 @@ def test_presets_sharing_a_seed_draw_once(monkeypatch):
 @pytest.mark.parametrize("n_trials", [200, 8193])  # from the memo, and drawn in place
 def test_trial_rows_are_the_per_trial_draws(monkeypatch, n_trials):
     # f = kappa .* g and the subsets, bit for bit as each trial's own generator gives them
-    from maternlab import seqmodel
-
     space = sobolev_weights(64)
     seen = []
     check = seqmodel._check_bounds
@@ -293,8 +311,6 @@ def test_sequence_seeds_are_accepted(seed):
 def test_only_small_draws_outlive_the_call(n_trials):
     # trials are drawn and checked in blocks, so beside the shared draws the
     # peak (0.6 MB) does not grow with n_trials
-    from maternlab import seqmodel
-
     space = sobolev_weights(64)
     memo_bytes = n_trials * 64 * 9 if n_trials * 64 <= seqmodel._MEMO_ENTRIES else 0
     run_trials(space, 10, 0)  # first-call allocations outside the measurement
@@ -313,8 +329,6 @@ def test_only_small_draws_outlive_the_call(n_trials):
 def test_trials_can_fail(monkeypatch):
     # a negative tolerance no inequality can meet: every trial fails, and
     # the reported counterexample is the first one with its draw
-    from maternlab import seqmodel
-
     monkeypatch.setattr(seqmodel, "_TOL", -np.inf)
     space = sobolev_weights(16)
     rep = run_trials(space, 50, 42)
@@ -325,7 +339,7 @@ def test_trials_can_fail(monkeypatch):
     rng = np.random.default_rng(np.random.SeedSequence(42).spawn(1)[0])
     assert np.array_equal(cx["f"], space.kappa * rng.standard_normal(16))
     assert np.array_equal(cx["subset"], rng.random(16) < 0.5)
-    assert cx["standard"] == verify_standard_bound(space, cx["f"], cx["subset"])
+    _same_check(cx["standard"], _standard_bound(space, cx["f"], cx["subset"]))
     assert cx["superconvergence"] == verify_superconvergence(space, cx["f"], cx["subset"])
     assert not (cx["standard"].holds or cx["superconvergence"].holds)
 
@@ -335,13 +349,11 @@ def test_a_counterexample_past_the_first_block_is_the_first_failure(monkeypatch,
     # The tolerance is set so that every trial of the first block (512) passes
     # and some later one fails; the report must name the first failing trial
     # found by the per-trial loop, with its draw and its checks.
-    from maternlab import seqmodel
-
     space, seed = sobolev_weights(64), 21
     margins = []
     for f, mask in _per_trial_draws(space, 600, seed):
-        checks = verify_standard_bound(space, f, mask), verify_superconvergence(space, f, mask)
-        margins += [check.rhs - check.lhs for check in checks]
+        checks = _standard_bound(space, f, mask), verify_superconvergence(space, f, mask)
+        margins += [check[2] - check[0] for check in checks]
     # a trial fails when one of its margins rhs - lhs is below -_TOL
     monkeypatch.setattr(seqmodel, "_TOL", -min(margins))
     std_pass, sup_pass, sharpest_std, sharpest_sup, first = _per_trial_loop(space, n_trials, seed)
@@ -353,7 +365,7 @@ def test_a_counterexample_past_the_first_block_is_the_first_failure(monkeypatch,
     assert cx["trial"] == first
     f, mask = list(_per_trial_draws(space, first + 1, seed))[first]
     assert np.array_equal(cx["f"], f) and np.array_equal(cx["subset"], mask)
-    assert cx["standard"] == verify_standard_bound(space, cx["f"], cx["subset"])
+    _same_check(cx["standard"], _standard_bound(space, cx["f"], cx["subset"]))
     assert cx["superconvergence"] == verify_superconvergence(space, cx["f"], cx["subset"])
 
 

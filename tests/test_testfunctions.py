@@ -6,6 +6,7 @@ e^{-0.2} - e^{-2.2}.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -288,10 +289,26 @@ def test_two_constraint_residuals_vanish_for_f_outside_support():
 def test_residuals_need_a_left_of_b():
     # with a >= b the (1 - D)^k rows would be read at the right end
     for a, b in ((1.0, -1.0), (0.5, 0.5), (np.nan, 1.0)):
-        with pytest.raises(ValueError, match="bc_residuals needs a < b"):
+        named = re.escape(f"need finite a < b, got a={a!r}, b={b!r}")
+        with pytest.raises(ValueError, match=named):
             bc_residuals(f_exact, a, b)
-        with pytest.raises(ValueError, match="bc_residuals needs a < b"):
+        with pytest.raises(ValueError, match=named):
             bc_residuals(f_exact, a, b, order=1, rows=3)
+
+
+def test_residual_order_and_rows_take_the_integer_rule():
+    # kernels._positive_int: order=True was read as 1, order=2.0 raised
+    # TypeError from range, rows=-1 returned (), and bc_residuals(f_exact,
+    # 10**400, 1) raised OverflowError from its own message
+    for bad in (True, 0, -1, 2.5, "2", 10**400, None):  # rows=None is the default, order
+        with pytest.raises(ValueError, match=re.escape(f"order must be a positive integer, got {bad!r}")):
+            bc_residuals(f_exact, -1.2, 1.2, order=bad)
+        if bad is not None:
+            with pytest.raises(ValueError, match=re.escape(f"rows must be a positive integer, got {bad!r}")):
+                bc_residuals(f_exact, -1.2, 1.2, rows=bad)
+    with pytest.raises(ValueError, match=re.escape(f"need finite a < b, got a={10**400!r}, b=1.0")):
+        bc_residuals(f_exact, 10**400, 1.0)
+    assert bc_residuals(f_exact, -1.2, 1.2, order=2.0, rows=np.int64(2)) == bc_residuals(f_exact, -1.2, 1.2)
 
 
 def test_two_constraint_residuals_annihilate_pure_exponentials():
