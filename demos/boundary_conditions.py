@@ -15,7 +15,7 @@ the same operator checks the box convolution of every order-m kernel.
 
 import math
 
-from maternlab import KernelSpec, bc_residuals, box_convolution, f_exact
+from maternlab import KernelSpec, bc_residuals, convolve_with_indicator, f_exact
 
 A, B = -1.2, 1.2
 
@@ -43,7 +43,7 @@ print(f"e^-x left-endpoint residuals:  {r_decay[0]:.3e}, {r_decay[1]:.3e}")
 # its support, and not inside it
 for m in range(1, 5):
     k = KernelSpec(m=m)
-    g = lambda x, n: box_convolution(k, x, n)
+    g = lambda x, n: convolve_with_indicator(k, -1.0, 1.0, x, n)
     out = max(abs(v) for v in bc_residuals(g, A, B, order=m))
     inside = max(abs(v) for v in bc_residuals(g, -0.8, 0.8, order=m))
     print(f"m = {m}: largest order-m residual {out:.1e} at ({A}, {B}), {inside:.2f} at (-0.8, 0.8)")

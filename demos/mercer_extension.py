@@ -26,7 +26,6 @@ system = nystrom_eig(kernel, -1.0, 1.0, 200, 40)
 print("leading eigenvalues (kappa_1 solves omega tan omega = 1):")
 for n in range(5):
     print(f"  kappa_{n + 1} = {system.eigenvalues[n]:.8f}")
-print(f"trace of the discretized operator: {np.sum(system.full_spectrum):.10f}")
 
 gram = hk_gram_matrix(system)[:5, :5] * system.eigenvalues[None, :5]
 print(f"native Gram, scaled by kappa: off-identity {np.max(np.abs(gram - np.eye(5))):.2e}")

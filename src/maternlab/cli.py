@@ -24,7 +24,7 @@ import numpy as np
 from . import output
 from .errors import ConditioningError, InsufficientDataError, TruncationError
 from .experiments import ERROR_FLOOR, equidistant_nodes, run_rate_study
-from .interpolation import evaluate, interpolate, native_norm_sq
+from .interpolation import evaluate, interpolate
 from .kernels import KernelSpec, paper_amplitude
 from .mercer import eigen_extend, hk_gram_matrix, nystrom_eig
 from .seqmodel import analytic_weights, run_trials, sobolev_weights
@@ -154,7 +154,10 @@ def build_parser():
 
 
 def _ensure_outdir(path):
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # a file in the way, a path under a file, an empty path
+        raise ValueError(f"--out {path!r} is not a usable directory: {exc.strerror}") from None
     return path
 
 
@@ -219,7 +222,7 @@ def cmd_interp(args):
     print(
         f"interp: N={args.N} C={args.C:g} kernel=m{kernel.m} "
         f"max|error|={np.max(np.abs(f_grid - values)):.3e} "
-        f"norm^2={native_norm_sq(s):.6f}"
+        f"norm^2={s.norm_sq:.6f}"
     )
     print(f"wrote {path}")
     return EXIT_OK
@@ -260,8 +263,7 @@ def cmd_mercer(args):
         f"mercer: [{a:g},{b:g}] kernel=m{kernel.m} rule={args.quad} modes={sys_.n_modes}"
     )
     print(
-        f"kappa_1={sys_.eigenvalues[0]:.6f} trace={float(np.sum(sys_.full_spectrum)):.6f} "
-        f"max|gram - I|={np.max(np.abs(off)):.3e}"
+        f"kappa_1={sys_.eigenvalues[0]:.6f} max|gram - I|={np.max(np.abs(off)):.3e}"
     )
     print(f"wrote {out}/eigenvalues.csv, eigenfunction_XX.csv, hk_gram.csv, extensions.csv")
     return EXIT_OK

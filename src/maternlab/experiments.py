@@ -20,14 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientDataError
-from .interpolation import (
-    CONDITIONING_FLOOR,
-    NodeSet,
-    _interpolate_levels,
-    evaluate,
-    native_error_norm,
-    native_norm_sq,
-)
+from .interpolation import CONDITIONING_FLOOR, NodeSet, _interpolate_levels, evaluate, native_error_norm
 from .kernels import _finite, _points, _positive_int, _reals, kernel_eval
 
 __all__ = [
@@ -226,7 +219,7 @@ def run_rate_study(
         err = f_grid - evaluate(s, grid)
         sq, diff = err * err, np.abs(err)
         nerr = math.nan if f_norm_sq is None else native_error_norm(f_norm_sq, s)
-        ratio = math.nan if f_norm_sq is None else native_norm_sq(s) / f_norm_sq
+        ratio = math.nan if f_norm_sq is None else s.norm_sq / f_norm_sq
         rows.append(
             RateRow(
                 N=N,

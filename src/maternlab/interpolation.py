@@ -10,14 +10,14 @@ One solver serves every kernel.  The kernel e^{-r} p_m(r) is the covariance
 of a Gauss-Markov process with state (f, f', ..., f^(m-1)).  The node states
 minimize its Markov energy with the node values held: one block-tridiagonal
 system in h = m - 1 unknowns per node, factored once by cyclic reduction and
-applied twice; the minimum is ||s||^2.  Its blocks are held entry-major,
-(h, h, N), one length-N array per entry: a solve is O(N) ufunc work over
-O(log N) reduction levels.  Evaluation conditions the process on the two
-node states around each point with the solve's bridge weights.  O(N) memory
-for the solve; for M points O(M + N log M) when they ascend and O(M log N)
-otherwise, O(N + M) memory: nothing is N x N or N x M.  The dense Cholesky
-solve of the Gram matrix (assemble_gram) is its test oracle, kept with the
-tests.
+applied twice; the minimum is ||s||^2, kept as Interpolant.norm_sq.  Its
+blocks are held entry-major, (h, h, N), one length-N array per entry: a
+solve is O(N) ufunc work over O(log N) reduction levels.  Evaluation
+conditions the process on the two node states around each point with the
+solve's bridge weights.  O(N) memory for the solve; for M points
+O(M + N log M) when they ascend and O(M log N) otherwise, O(N + M) memory:
+nothing is N x N or N x M.  The dense Cholesky solve of the Gram matrix
+(assemble_gram) is its test oracle, kept with the tests.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "assemble_gram",
     "interpolate",
     "evaluate",
-    "native_norm_sq",
     "native_error_norm",
 ]
 
@@ -92,8 +91,9 @@ class Interpolant:
     ``states`` holds s(x_j), s'(x_j), ..., s^(m-1)(x_j) per node, shape
     (N, m): its first column is the data, bit for bit.  ``bridge_weights``
     holds the cells' w_j = Q(d_j)^{-1} (z_{j+1} - Phi(d_j) z_j), shape
-    (N - 1, m), which evaluate reads.  ``norm_sq`` is
-    the squared native norm y^T A^{-1} y; the coefficients a = A^{-1} y are
+    (N - 1, m), which evaluate reads.  ``norm_sq`` is the squared native
+    norm y^T A^{-1} y = a^T A a, the minimized Markov energy (a sum of
+    nonnegative terms) clipped at 0; the coefficients a = A^{-1} y are
     never formed.  ``_min_pivot`` is the smallest bound K(0)(1 - rho^2) on
     the Cholesky pivots of A, rho the profile at a node gap.
     """
@@ -104,9 +104,6 @@ class Interpolant:
     bridge_weights: np.ndarray
     norm_sq: float
     _min_pivot: float = field(default=math.nan, compare=False, repr=False)
-
-    def __call__(self, points):
-        return evaluate(self, points)
 
 
 def assemble_gram(k, X):
@@ -317,7 +314,7 @@ def _interpolate_levels(k, sets, values):
         raise ConditioningError(j - starts[i], bounds[j], floor, detail=f"at N={sizes[i]}")
     y = np.concatenate(values)
     return [
-        Interpolant(k, X, z, w, e, float(bounds[i : i + len(X)].min()))
+        Interpolant(k, X, z, w, max(e, 0.0), float(bounds[i : i + len(X)].min()))
         for X, i, (z, w, e) in zip(sets, starts, _solve_markov(d, y, len(coeffs), k0, starts))
     ]
 
@@ -434,32 +431,23 @@ def _cell_evaluator(s, flat):
     return block
 
 
-def native_norm_sq(s):
-    """Squared native norm y^T A^{-1} y = a^T A a of the interpolant.
-
-    The solve takes the minimized Markov energy, a sum of nonnegative
-    terms.
-    """
-    return max(s.norm_sq, 0.0)
-
-
 def native_error_norm(f_norm_sq, s):
     """Native-norm distance ||f - s|| from the Pythagoras split.
 
     For f in the native space with squared norm ``f_norm_sq``, orthogonality
     of the interpolation residual gives ||f - s||^2 = ||f||^2 - ||s||^2.
-    Returns sqrt(max(0, f_norm_sq - native_norm_sq(s))).
+    Returns sqrt(max(0, f_norm_sq - s.norm_sq)).
 
     Raises
     ------
     ValueError
-        When f_norm_sq is negative or not finite, or native_norm_sq(s) exceeds
+        When f_norm_sq is negative or not finite, or s.norm_sq exceeds
         it by more than 1e-10 f_norm_sq, which signals a wrong f_norm_sq or an
         f outside the native space.  The tolerance is relative, so the
         kernel's amplitude does not decide whether a solve is refused.
     """
     f_norm_sq = _finite(f_norm_sq, "f_norm_sq", zero=True)
-    diff = f_norm_sq - native_norm_sq(s)
+    diff = f_norm_sq - s.norm_sq
     if diff < -1e-10 * f_norm_sq:
         raise ValueError(
             f"interpolant norm exceeds f_norm_sq by {-diff:.3e}: "

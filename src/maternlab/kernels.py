@@ -20,9 +20,9 @@ argument into a number or an index; each refusal is a ValueError naming it.
 _positive_int reads m (at most 85, see KernelSpec) and sizes, _finite real
 parameters, _interval the endpoints a < b, _points arrays of finite points,
 radii and values (_reals, its dtype half, lets NaN and inf through) and
-_index indices in 0..size - 1, both through _array.  None reads a bool, a
-string, None, a complex number or an integer too large for a float as a
-number, 2.0 as an index or a ragged sequence as an array.
+_index indices in 0..size - 1, both through _array, and _seed random seeds.
+None reads a bool, a string, None, a complex number or an integer too large
+for a float as a number, 2.0 as an index or a ragged sequence as an array.
 """
 
 from __future__ import annotations
@@ -146,6 +146,16 @@ def _index(v, size, name):
     return arr
 
 
+def _seed(v):
+    # v as a np.random.SeedSequence, None drawing fresh entropy: a nonnegative integer
+    # of any size or a flat sequence of them, no bool (SeedSequence reads True as 1)
+    entries = np.asarray(v, dtype=object)
+    natural = all(isinstance(e, numbers.Integral) and not isinstance(e, bool) and e >= 0 for e in entries.flat)
+    if v is not None and not (natural and (entries.ndim == 1 or isinstance(v, numbers.Integral))):
+        raise ValueError(f"seed must be None, a nonnegative integer or a sequence of them, got {v!r}")
+    return np.random.SeedSequence(v)
+
+
 def paper_amplitude(m):
     """Amplitude 2^(nu-1) * Gamma(nu) for nu = m - 1/2.
 
@@ -177,9 +187,6 @@ class KernelSpec:
     def __post_init__(self):
         object.__setattr__(self, "m", _positive_int(self.m, "m", top=85))
         object.__setattr__(self, "amplitude", _finite(self.amplitude, "amplitude"))
-
-    def __call__(self, r):
-        return kernel_eval(self, r)
 
 
 def kernel_eval(k, r, out=None):

@@ -8,10 +8,12 @@ phi_n = W^{-1/2} u_n are then discretely orthonormal in L2(a, b).  The rule
 costs O(Q^2) time, the eigensolve O(Q^3): one dense eigh below 1536 points,
 and from 1536 on a tridiagonal reduction of each parity half with only the
 kept eigenvectors computed, about 3x faster at Q = 1600 (see _parity_eigh,
-whose LAPACK calls are the package's only use of scipy).
-Both solvers sample the rows of A they read, and the system keeps no Q x Q
-array: from 1536 points the peak is the two halves and a block of rows (0.62
-times A at Q = 1600), below it B and eigh's eigenvectors (2 times A).
+whose LAPACK calls are the package's only use of scipy).  Each solver
+finds every eigenvalue, to merge the halves and to refuse modes at the
+rounding floor, and the system keeps the leading n_modes.  Both sample the
+rows of A they read, and the system keeps no Q x Q array: from 1536 points
+the peak is the two halves and a block of rows (0.62 times A at Q = 1600),
+below it B and eigh's eigenvectors (2 times A).
 
 The eigenfunctions extend off the interval through the eigenvalue equation
 itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
@@ -52,8 +54,6 @@ class MercerSystem:
     eigenfunctions : (n_modes, rule_size) samples of phi_n at the rule
         nodes, discretely L2-orthonormal, sign-fixed so phi_n >= 0 at the
         first rule node.
-    full_spectrum : all rule_size eigenvalues of the discretized operator,
-        for trace and tail diagnostics.
     """
 
     kernel: object
@@ -63,7 +63,6 @@ class MercerSystem:
     weights: np.ndarray
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    full_spectrum: np.ndarray
 
     @property
     def n_modes(self):
@@ -243,18 +242,9 @@ def nystrom_eig(k, a, b, rule_size, n_modes):
     phi = (vecs / sw[:, None]).T
     phi[phi[:, 0] < 0] *= -1.0
     eigvals = vals[:n_modes].copy()
-    for arr in (y, w, eigvals, phi, vals):
+    for arr in (y, w, eigvals, phi):
         arr.setflags(write=False)
-    return MercerSystem(
-        kernel=k,
-        a=a,
-        b=b,
-        nodes=y,
-        weights=w,
-        eigenvalues=eigvals,
-        eigenfunctions=phi,
-        full_spectrum=vals,
-    )
+    return MercerSystem(kernel=k, a=a, b=b, nodes=y, weights=w, eigenvalues=eigvals, eigenfunctions=phi)
 
 
 def eigen_extend(sys, n, x):
@@ -263,10 +253,11 @@ def eigen_extend(sys, n, x):
     Agrees with phi_n on [a, b] (at the rule nodes to the rounding of the
     eigensolve, by the discrete eigenvalue equation) and decays to 0 as |x|
     grows.  Mode indices are zero-based; a sequence of indices n gives one
-    column per mode.  At M points, Q rule nodes and K modes it takes
-    O((Q + M) K m) time and memory.  Raises ValueError for a mode index that
-    is not an integer in range (a bool or a float is none), an empty list of
-    them, a point that is not finite or x of more than one dimension.
+    column per mode, and one mode at a scalar point gives a float.  At M
+    points, Q rule nodes and K modes it takes O((Q + M) K m) time and
+    memory.  Raises ValueError for a mode index that is not an integer in
+    range (a bool or a float is none), an empty list of them, a point that
+    is not finite or x of more than one dimension.
     """
     if _array(n, "mode index").size == 0:
         raise ValueError(f"mode index list {n!r} is empty")
@@ -276,7 +267,9 @@ def eigen_extend(sys, n, x):
         raise ValueError("extension points must be a scalar or 1-D array")
     c = (sys.weights * sys.eigenfunctions[n]).T / sys.eigenvalues[n]
     out = _translate_sum(sys.kernel, sys.nodes, c, flat)
-    return out[0] if np.ndim(x) == 0 else out
+    if np.ndim(x):
+        return out
+    return float(out[0]) if n.ndim == 0 else out[0]
 
 
 def project_samples(sys, samples):

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import _array, _by_blocks, _index, _points, _positive_int, _slices
+from .kernels import _array, _by_blocks, _index, _points, _positive_int, _seed, _slices
 
 __all__ = [
     "WeightedSeqSpace",
@@ -206,7 +206,9 @@ def run_trials(space, n_trials, seed):
     spawned deterministically from the base seed, so results do not depend
     on evaluation order.  n_trials is a nonnegative integer (an integral
     float is taken; a fraction or a bool raises ValueError); with
-    n_trials = 0 the report is a vacuous pass.
+    n_trials = 0 the report is a vacuous pass.  seed is a nonnegative
+    integer or a sequence of them, or None for fresh entropy on every call
+    (a bool, a float or a string raises ValueError).
 
     The extremal unit-coordinate case f = e_1, S = everything else is run
     as a fixed extra trial whenever n_trials > 0; its superconvergence
@@ -219,7 +221,7 @@ def run_trials(space, n_trials, seed):
     """
     n_trials = _positive_int(n_trials, "n_trials", zero=True)
     kappa, M = space.kappa, space.M
-    seeds = np.random.SeedSequence(seed)  # seed=None draws afresh on every call
+    seeds = _seed(seed)
     memo = None
     if n_trials * M <= _MEMO_ENTRIES:
         # keyed by the resolved entropy: a list seed is unhashable

@@ -1,12 +1,12 @@
 """Indicator convolutions, the explicit test function and boundary-condition residuals.
 
-For every kernel K, K * chi_[a,b] = H(x - a) - H(x - b) in closed form, in
-every derivative order 0..2m-1 (order 2m jumps at a and b, since the
-convolved density is the indicator).  box_convolution is the [-1, 1] case
-and convolve_with_indicator the value on any [a, b].  The test function
-f_exact is the unit-amplitude m = 2 box, with a closed-form native norm.
-Outside [-1, 1] the order-m box convolution solves (Id - D^2)^m f = 0 with
-decay, which is what the boundary-condition residuals check.
+For every kernel K, convolve_with_indicator gives K * chi_[a,b] =
+H(x - a) - H(x - b) in closed form, in every derivative order 0..2m-1
+(order 2m jumps at a and b, since the convolved density is the indicator).
+The test function f_exact is its unit-amplitude m = 2 case on [-1, 1], with
+a closed-form native norm.  Outside [-1, 1] the order-m box convolution
+solves (Id - D^2)^m f = 0 with decay, which is what the boundary-condition
+residuals check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from .kernels import KernelSpec, _by_blocks, _capped, _exp_poly, _exp_tail, _horner, _index, _interval, _points, _positive_int
 
 __all__ = [
-    "box_convolution",
     "f_exact",
     "f_native_norm_sq",
     "convolve_with_indicator",
@@ -36,38 +35,9 @@ def _box_terms(m, order):
     return (0.0 if order else -q[0]), tuple(q.tolist())
 
 
-def _indicator(k, a, b, x, order):
-    # (K * chi_[a,b])^(order)(x) = H(x - a) - H(x - b), order already checked;
-    # the constants cancel exactly outside [a, b].  Scalars come back as float.
-    arr = _points(x, "x")
-    const, q = _box_terms(k.m, order)
-    flat, edges = arr.ravel(), np.array([[a], [b]])
-
-    def block(sl):  # (2, rows) work arrays stay in cache
-        u = flat[sl] - edges
-        r = _capped(k.m, np.abs(u))
-        s = np.sign(u) if order % 2 == 0 else np.ones_like(u)
-        h = s * (_horner(q, r) * np.exp(-r))
-        return k.amplitude * (h[0] - h[1] + const * (s[0] - s[1]))
-
-    out = _by_blocks(block, flat.size)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def box_convolution(k, x, order=0):
-    """(K * chi_[-1,1])^(order)(x) = H(x + 1) - H(x - 1) for the kernel
-    K(u) = amplitude exp(-|u|) p(|u|): H = sgn(u) (T(0) - exp(-|u|) T(|u|)),
-    T = sum_k p^(k), at order 0, and K^(order - 1) at orders 1..2m-1; the
-    constants cancel exactly outside [-1, 1].  Scalars come back as float.
-    Raises ValueError for non-finite x, or an order that is not an integer
-    in 0..2m-1 (a bool or a float is none).
-    """
-    return _indicator(k, -1.0, 1.0, x, int(_index(order, 2 * k.m, "order")))
-
-
 def f_exact(x, order=0):
     """f = K * chi_[-1,1] or its derivative of order 0..3, K = (1 + r) e^{-r}."""
-    return box_convolution(KernelSpec(m=2), x, order)
+    return convolve_with_indicator(KernelSpec(m=2), -1.0, 1.0, x, order)
 
 
 def f_native_norm_sq(k=None):
@@ -87,12 +57,30 @@ def f_native_norm_sq(k=None):
     return value / k.amplitude
 
 
-def convolve_with_indicator(k, a, b, x):
-    """The integral of K(|x - y|) dy over [a, b], H(x - a) - H(x - b) with H
-    as in box_convolution: O(1) work per point of a scalar (a float back) or
-    an array x.  Raises ValueError unless a, b and x are finite and a < b."""
+def convolve_with_indicator(k, a, b, x, order=0):
+    """(K * chi_[a,b])^(order)(x) = H(x - a) - H(x - b) for the kernel
+    K(u) = amplitude exp(-|u|) p(|u|): H = sgn(u) (T(0) - exp(-|u|) T(|u|)),
+    T = sum_k p^(k), at order 0, and K^(order - 1) at orders 1..2m-1; the
+    constants cancel exactly outside [a, b].  O(1) work per point of a scalar
+    (a float back) or an array x.  Raises ValueError unless a, b and x are
+    finite and a < b, or for an order that is not an integer in 0..2m-1 (a
+    bool or a float is none).
+    """
     a, b = _interval(a, b)
-    return _indicator(k, a, b, x, 0)
+    order = int(_index(order, 2 * k.m, "order"))
+    arr = _points(x, "x")
+    const, q = _box_terms(k.m, order)
+    flat, edges = arr.ravel(), np.array([[a], [b]])
+
+    def block(sl):  # (2, rows) work arrays stay in cache
+        u = flat[sl] - edges
+        r = _capped(k.m, np.abs(u))
+        s = np.sign(u) if order % 2 == 0 else np.ones_like(u)
+        h = s * (_horner(q, r) * np.exp(-r))
+        return k.amplitude * (h[0] - h[1] + const * (s[0] - s[1]))
+
+    out = _by_blocks(block, flat.size)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _bc_coefficients(order, sign):

@@ -169,6 +169,8 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
         (["mercer", "--domain", "-inf,1"], "need finite a < b, got a=-inf, b=1.0"),
         # d was a kernel parameter once; the lab is one-dimensional
         (["rates", "--kernel", "matern:m=2,d=2"], "unknown kernel parameter 'd'"),
+        # numpy's "expected non-negative integer" named no argument
+        (["seqmodel", "--seed", "-1"], "seed must be None, a nonnegative integer or a sequence of them, got -1"),
     ],
     ids=[
         "mercer-domain",
@@ -179,6 +181,7 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
         "rates-C-minus-inf",
         "mercer-domain-minus-inf",
         "rates-kernel-d",
+        "seqmodel-seed",
     ],
 )
 def test_ranges_the_library_refuses_exit_2(argv, named, tmp_path, capsys):
@@ -191,6 +194,29 @@ def test_ranges_the_library_refuses_exit_2(argv, named, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == f"error: {named}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "out,reason",
+    [("file", "File exists"), ("file/sub", "Not a directory"), ("", "No such file or directory")],
+    ids=["file", "under-a-file", "empty"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["rates", "--nodes", "11,21", "--grid", "501"], ["interp", "--N", "11", "--grid", "51"], ["mercer", "--quad", "20"]],
+    ids=["rates", "interp", "mercer"],
+)
+def test_an_out_that_is_no_directory_exits_2(argv, out, reason, tmp_path, monkeypatch, capsys):
+    # os.makedirs raised FileExistsError for an --out that names a file,
+    # NotADirectoryError for a path under one and FileNotFoundError for an
+    # empty one, and main exited 1 with a traceback; the file is left as it was
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    assert cli.main([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out!r} is not a usable directory: {reason}\n"
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("m", [68, 85, 86, 172, 200])
@@ -473,12 +499,12 @@ def test_only_rules_of_1536_points_or_more_load_scipy_linalg():
 
 _CLOSED_FORM_PROBE = """
 import json, sys
-from maternlab import KernelSpec, box_convolution, f_exact
+from maternlab import KernelSpec, convolve_with_indicator, f_exact
 
 f_exact([-2.0, 0.0, 1.0], 3)
 for m in (1, 2, 3, 4):
     for order in range(2 * m):
-        box_convolution(KernelSpec(m=m), [-2.0, 0.0, 1.0], order)
+        convolve_with_indicator(KernelSpec(m=m), -1.0, 1.0, [-2.0, 0.0, 1.0], order)
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

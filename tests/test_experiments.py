@@ -23,6 +23,7 @@ from maternlab import (
     NodeSet,
     assemble_gram,
     equidistant_nodes,
+    evaluate,
     f_exact,
     f_native_norm_sq,
     fit_rate,
@@ -39,7 +40,7 @@ def test_rms_error_matches_direct_computation():
     X = equidistant_nodes(1.0, 9)
     s = interpolate(k, X, f_exact(X.points))
     grid = np.linspace(-1, 1, 101)
-    err = f_exact(grid) - s(grid)
+    err = f_exact(grid) - evaluate(s, grid)
     inner = np.abs(grid) <= 1.0 - 0.25
     study = run_rate_study(k, 1.0, 0.25, [9], 101, f_exact)
     (row,) = study.rows
@@ -314,7 +315,7 @@ def test_the_d1_solve_needs_no_einsum_or_matmul(monkeypatch):
     for m in (1, 2, 3):
         for pts in (x, sine, pair):
             s = interpolate(KernelSpec(m=m), NodeSet(points=pts, halfwidth=0.8), f_exact(pts))
-            assert np.array_equal(s(pts), s.states[:, 0])
+            assert np.array_equal(evaluate(s, pts), s.states[:, 0])
         run_rate_study(KernelSpec(m=m), 1.2, 0.4, [11, 21, 41], 501, f_exact)
 
 
@@ -377,7 +378,7 @@ def test_rate_rows_equal_the_masked_statistics(m, C, margin, ladder, grid_size):
     for N, row in zip(ladder, study.rows):
         X = equidistant_nodes(C, N)
         s = interpolate(k, X, f_exact(X.points))
-        diff = np.abs(f_exact(grid) - s(grid))
+        diff = np.abs(f_exact(grid) - evaluate(s, grid))
         assert row.rms_global == float(np.sqrt(np.mean(diff**2)))
         assert row.rms_interior == float(np.sqrt(np.mean(diff[inner] ** 2)))
         assert row.maxabs_global == float(diff.max())

@@ -20,7 +20,6 @@ from maternlab import (
     NodeSet,
     WeightedSeqSpace,
     bc_residuals,
-    box_convolution,
     convolve_with_indicator,
     eigen_extend,
     equidistant_nodes,
@@ -65,13 +64,6 @@ def test_amplitude_scales_evaluation():
     k = KernelSpec(m=2, amplitude=3.5)
     assert kernel_eval(k, 0.0) == pytest.approx(3.5, rel=1e-15)
     assert kernel_eval(k, 0.7) == pytest.approx(3.5 * kernel_eval(KernelSpec(m=2), 0.7), rel=1e-15)
-
-
-def test_callable_form_agrees_with_kernel_eval():
-    k = KernelSpec(m=2)
-    rng = np.random.default_rng(2024)
-    r = rng.uniform(0, 4, size=20)
-    assert np.allclose(k(r), kernel_eval(k, r), rtol=0, atol=0)
 
 
 def test_bessel_profile_reduces_to_closed_forms():
@@ -270,13 +262,14 @@ def test_every_real_parameter_is_refused_by_name(param, value):
         call(value)
 
 
-# (call, name) per point array, each called with three entries
+# (call, name) per point array, each called with three entries;
+# "box_convolution" is convolve_with_indicator's [-1, 1] case at order 1
 _POINTS = {
     "kernel_eval": (lambda x: kernel_eval(KernelSpec(m=2), x), "radius"),
     "NodeSet": (lambda x: NodeSet(points=x, halfwidth=1.0), "nodes"),
     "interpolate": (lambda x: interpolate(KernelSpec(m=2), equidistant_nodes(1.0, 3), x), "values"),
     "evaluate": (lambda x: evaluate(_solved(), x), "evaluation points"),
-    "box_convolution": (lambda x: box_convolution(KernelSpec(m=3), x, 1), "x"),
+    "box_convolution": (lambda x: convolve_with_indicator(KernelSpec(m=3), -1.0, 1.0, x, 1), "x"),
     "f_exact": (lambda x: f_exact(x), "x"),
     "convolve_with_indicator": (lambda x: convolve_with_indicator(KernelSpec(m=2), -1.0, 1.0, x), "x"),
     "eigen_extend": (
@@ -353,7 +346,8 @@ def test_point_rule_splits_into_a_dtype_half_and_a_finiteness_check():
 
 
 # (call, name, size) per index argument: a mode of a three-mode system, a
-# subset index of a four-weight space, a derivative order of an m = 3 kernel
+# subset index of a four-weight space, a derivative order of an m = 3
+# kernel's box convolution
 _SYSTEM = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 8, 3)
 _INDICES = {
     "eigen_extend": (lambda n: eigen_extend(_SYSTEM, n, 0.5), "mode index", 3),
@@ -361,7 +355,7 @@ _INDICES = {
     "verify_superconvergence": (
         lambda n: verify_superconvergence(sobolev_weights(4), np.ones(4), n), "subset indices", 4
     ),
-    "box_convolution": (lambda n: box_convolution(KernelSpec(m=3), 0.5, n), "order", 6),
+    "box_convolution": (lambda n: convolve_with_indicator(KernelSpec(m=3), -1.0, 1.0, 0.5, n), "order", 6),
 }
 
 
@@ -376,12 +370,52 @@ _SIZE = object()  # stands for the argument's size, one past its last index
 @pytest.mark.parametrize("entry", sorted(_INDICES))
 def test_every_index_is_refused_by_name(entry, bad):
     # kernels._index: [0, True] used to select modes or subset indices 0 and
-    # 1 (np.asarray makes it int64), box_convolution's order had its own
+    # 1 (np.asarray makes it int64), the box convolution's order had its own
     # operator.index reading, and a ragged list escaped as numpy's
     # "inhomogeneous shape" ValueError, which named no argument
     call, name, size = _INDICES[entry]
     with pytest.raises(ValueError, match=f"^{name} "):
         call(size if bad is _SIZE else bad)
+
+
+_BAD_SEEDS = {
+    "True": True,
+    "np.True_": np.True_,
+    "-1": -1,
+    "1.5": 1.5,
+    "3.0": 3.0,
+    "str": "3",
+    "list-with-True": [True, 2],
+    "list-with-float": [1.0],
+    "list-with--1": [-1],
+    "ragged": [[1, 2], [3]],
+    "2-d": np.array([[1, 2], [3, 4]]),
+    "0-d-array": np.array(7),
+    "set": {1, 2},
+    "complex": 1 + 0j,
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_SEEDS.values()), ids=list(_BAD_SEEDS))
+def test_every_seed_is_refused_by_name(bad):
+    # kernels._seed: True ran silently as seed 1, -1 raised numpy's unnamed
+    # "expected non-negative integer", 1.5 and "3" SeedSequence's TypeError
+    with pytest.raises(ValueError, match="^seed must be None, a nonnegative integer or a sequence of them, got "):
+        run_trials(sobolev_weights(8), 3, bad)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 42, np.int64(5), np.uint8(3), 2**70, [1, 2], (1, 2), np.array([1, 2], dtype=np.uint64), [2**70, 3], [], range(3)],
+    ids=["0", "42", "int64", "uint8", "2**70", "list", "tuple", "uint64-array", "list-with-2**70", "empty", "range"],
+)
+def test_every_seed_numpy_took_keeps_its_draws(seed):
+    # the rule hands the seed on unchanged: the same entropy, the same spawned
+    # children, so bench/oracles.py redraws run_trials' trials bit for bit
+    got, want = kernels._seed(seed), np.random.SeedSequence(seed)
+    assert np.array_equal(got.generate_state(8), want.generate_state(8))
+    for a, b in zip(got.spawn(3), want.spawn(3)):
+        assert np.array_equal(a.generate_state(4), b.generate_state(4))
 
 
 def test_index_rule_returns_integer_arrays_and_keeps_a_scalar_0d():
@@ -417,7 +451,7 @@ def test_far_radii_give_zero_not_nan(m):
     # read inf * 0 = NaN there
     k = KernelSpec(m=m)
     X = equidistant_nodes(1.2, 11)
-    s = interpolate(k, X, box_convolution(k, X.points))
+    s = interpolate(k, X, convolve_with_indicator(k, -1.0, 1.0, X.points))
     sys_ = nystrom_eig(k, -1.0, 1.0, 40, 3)
     for r in (1e200, 1e300):
         near_and_far = np.array([1.0, r])
@@ -426,7 +460,7 @@ def test_far_radii_give_zero_not_nan(m):
         assert np.array_equal(kernel_eval(k, near_and_far, out=near_and_far), want)  # in place
         for x in (r, -r):
             for order in range(2 * m):
-                assert box_convolution(k, x, order) == 0.0, (x, order)
+                assert convolve_with_indicator(k, -1.0, 1.0, x, order) == 0.0, (x, order)
             assert convolve_with_indicator(k, -1.0, 1.0, x) == 0.0
             assert evaluate(s, x) == 0.0
             assert np.array_equal(eigen_extend(sys_, [0, 1, 2], x), [0.0, 0.0, 0.0])

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,13 +105,26 @@ def test_twenty_leading_eigenvalues_match_the_transcendental_roots():
     assert np.all(errs[400] < errs[200] / 3.0), errs[200] / errs[400]
 
 
+def _solve_with_spectrum(k, a, b, rule_size, n_modes):
+    # nystrom_eig, and every eigenvalue that its eigensolver returned
+    name = "_parity_eigh" if rule_size >= mercer._PARITY_MIN_RULE else "_dense_eigh"
+    real, seen = getattr(mercer, name), []
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    with mock.patch.object(mercer, name, spy):
+        sys_ = nystrom_eig(k, a, b, rule_size, n_modes)
+    return sys_, seen[0][0]
+
+
 def test_trace_identity():
     # sum of all discrete eigenvalues equals (b - a) * K(0) exactly
-    k = KernelSpec(m=1)
-    sys_ = nystrom_eig(k, -1.0, 1.0, 150, 10)
-    assert float(np.sum(sys_.full_spectrum)) == pytest.approx(2.0, abs=1e-12)
-    wide = nystrom_eig(KernelSpec(m=2, amplitude=1.5), -0.5, 2.5, 80, 5)
-    assert float(np.sum(wide.full_spectrum)) == pytest.approx(3.0 * 1.5, abs=1e-12)
+    _, spectrum = _solve_with_spectrum(KernelSpec(m=1), -1.0, 1.0, 150, 10)
+    assert float(np.sum(spectrum)) == pytest.approx(2.0, abs=1e-12)
+    wide, spectrum = _solve_with_spectrum(KernelSpec(m=2, amplitude=1.5), -0.5, 2.5, 80, 5)
+    assert float(np.sum(spectrum)) == pytest.approx(3.0 * 1.5, abs=1e-12)
     # the rule mapped onto [a, b]: interior nodes, positive weights, and
     # exactness through degree 2Q - 1 on the shifted interval
     assert np.all((wide.nodes > -0.5) & (wide.nodes < 2.5) & (wide.weights > 0))
@@ -287,9 +301,10 @@ def test_in_place_recurrence_repeats_the_expression_loop(n):
 
 
 def _nystrom_full_reorder(k, a, b, rule_size, n_modes, eigh=None):
-    # nystrom_eig with the gram as one kernel_eval call on all Q x Q radii and
-    # all Q eigenvector columns reordered before the leading ones are kept,
-    # or with eigh(sw, A, n_modes) for the eigenpairs
+    # nystrom_eig's fields and the whole spectrum, with the gram as one
+    # kernel_eval call on all Q x Q radii and all Q eigenvector columns
+    # reordered before the leading ones are kept, or with eigh(sw, A, n_modes)
+    # for the eigenpairs
     t, w = _gauss_legendre(rule_size)
     half = 0.5 * (b - a)
     y = half * t + 0.5 * (a + b)
@@ -305,13 +320,8 @@ def _nystrom_full_reorder(k, a, b, rule_size, n_modes, eigh=None):
         vals, vecs = eigh(sw, A, n_modes)
     phi = (vecs[:, :n_modes] / sw[:, None]).T
     phi[phi[:, 0] < 0] *= -1.0
-    return {
-        "nodes": y,
-        "weights": w,
-        "eigenvalues": vals[:n_modes],
-        "eigenfunctions": phi,
-        "full_spectrum": vals,
-    }
+    fields = {"nodes": y, "weights": w, "eigenvalues": vals[:n_modes], "eigenfunctions": phi}
+    return fields, vals
 
 
 @pytest.mark.parametrize(
@@ -321,9 +331,11 @@ def test_kept_columns_match_the_full_reorder(m, a, b, rule, modes, monkeypatch):
     # below 1536 points the dense eigh runs unchanged, bit for bit
     monkeypatch.setattr(mercer, "_parity_eigh", None)
     k = KernelSpec(m=m)
-    sys_ = nystrom_eig(k, a, b, rule, modes)
-    for field, want in _nystrom_full_reorder(k, a, b, rule, modes).items():
+    sys_, spectrum = _solve_with_spectrum(k, a, b, rule, modes)
+    fields, vals = _nystrom_full_reorder(k, a, b, rule, modes)
+    for field, want in fields.items():
         assert np.array_equal(getattr(sys_, field), want), field
+    assert np.array_equal(spectrum, vals)
 
 
 EPS = np.finfo(float).eps
@@ -341,16 +353,15 @@ def test_parity_solve_matches_the_dense_oracle(m, a, b, rule, modes, monkeypatch
     # of the oracle's.
     monkeypatch.setattr(mercer, "_dense_eigh", None)
     k = KernelSpec(m=m)
-    sys_ = nystrom_eig(k, a, b, rule, modes)
-    want = _nystrom_full_reorder(k, a, b, rule, modes)
+    sys_, spectrum = _solve_with_spectrum(k, a, b, rule, modes)
+    want, full = _nystrom_full_reorder(k, a, b, rule, modes)
     for field in ("nodes", "weights"):
         assert np.array_equal(getattr(sys_, field), want[field]), field
     sw = np.sqrt(sys_.weights)
     B = sw[:, None] * _kernel_rows(k, sys_.nodes, sys_.nodes) * sw
-    full = want["full_spectrum"]
     norm = np.max(np.abs(full))  # ||B||_2 of the symmetric B
-    assert np.max(np.abs(sys_.full_spectrum - full)) <= 4 * EPS * norm
-    assert np.array_equal(sys_.eigenvalues, sys_.full_spectrum[:modes])
+    assert np.max(np.abs(spectrum - full)) <= 4 * EPS * norm
+    assert np.array_equal(sys_.eigenvalues, spectrum[:modes])
     U = (sys_.eigenfunctions * sw).T
     assert np.max(np.linalg.norm(B @ U - U * sys_.eigenvalues, axis=0)) <= 8 * EPS * norm
     assert np.max(np.abs(U.T @ U - np.eye(modes))) <= rule * EPS
@@ -377,7 +388,7 @@ def test_kept_modes_stop_at_the_rounding_floor():
     kept = nystrom_eig(KernelSpec(m=6), -1.0, 1.0, 200, 10)  # kappa_10 / kappa_1 = 1.7e-12
     assert kept.eigenvalues[-1] > 200 * EPS * kept.eigenvalues[0]
     for m in (7, 10):
-        full = nystrom_eig(KernelSpec(m=m), -1.0, 1.0, 200, 1).full_spectrum
+        _, full = _solve_with_spectrum(KernelSpec(m=m), -1.0, 1.0, 200, 1)
         floor = 200 * EPS * full[0]
         n = int(np.argmax(full <= floor))  # the first mode at the floor, zero-based
         named = f"eigenvalue {n + 1} of 10 requested modes ({full[n]:.3e}) is at or below the rounding floor"
@@ -461,10 +472,12 @@ def test_blocked_gram_and_folded_halves_repeat_the_expressions(rule, m, a, b):
     # fresh sample).  Every field matches the whole-array expressions bit for
     # bit, and so does the blocked gram that the Gram checks sample.
     k = KernelSpec(m=m)
-    sys_ = nystrom_eig(k, a, b, rule, 24)
+    sys_, spectrum = _solve_with_spectrum(k, a, b, rule, 24)
     eigh = _parity_eigh_by_expressions if rule >= 1536 else None
-    for field, want in _nystrom_full_reorder(k, a, b, rule, 24, eigh).items():
+    fields, vals = _nystrom_full_reorder(k, a, b, rule, 24, eigh)
+    for field, want in fields.items():
         assert np.array_equal(getattr(sys_, field), want), field
+    assert np.array_equal(spectrum, vals)
     y = sys_.nodes
     assert np.array_equal(_kernel_rows(k, y, y), kernel_eval(k, np.abs(y[:, None] - y[None, :])))
 
@@ -585,7 +598,7 @@ def test_extension_agrees_at_nodes_and_decays():
     far = eigen_extend(sys_, 0, np.array([6.0, 10.0]))
     assert np.all(np.abs(far) < 1e-2)
     assert abs(far[1]) < abs(far[0])
-    assert isinstance(eigen_extend(sys_, 0, 0.5), float)
+    assert type(eigen_extend(sys_, 0, 0.5)) is float
     with pytest.raises(ValueError):
         eigen_extend(sys_, 6, 0.5)
 
@@ -788,7 +801,6 @@ def test_structured_sum_matches_the_dense_oracle(case, m, amp):
         weights=np.ones(centres.size),
         eigenvalues=ones,
         eigenfunctions=c.T,
-        full_spectrum=ones,
     )
     got = eigen_extend(sys_, range(c.shape[1]), xs)
     want = kernel_eval(k, np.abs(xs[:, None] - centres[None, :])) @ c

@@ -159,12 +159,14 @@ def test_every_error_type_is_raised_and_given_an_exit_code():
 
 
 # Public functions that no other module and no public function of their
-# own calls, and that the benchmark does not name either, each with the
-# ROADMAP item that reserves it; a function that leaves this list gets a
+# own calls, and public methods and properties (Class.name) that nothing
+# outside their class reads, that the benchmark does not name either, each
+# with the ROADMAP item that reserves it; one that leaves this list gets a
 # caller first, or goes.
 RESERVED = {
     "project_samples": "ROADMAP item 5: the eigencoefficient range test calls it",
     "verify_superconvergence": "ROADMAP item 5: the spectral-rate study calls it",
+    "NodeSet.spacing": "ROADMAP item 3: the rate study reports the fill distance",
 }
 
 
@@ -188,9 +190,14 @@ def test_every_public_function_has_a_caller_or_a_reason():
     # A public function that only the tests call is code that only the
     # tests use: it needs a caller in another module under src/maternlab/
     # (cli.py included) or in a public function of its own module, a place
-    # in the benchmark, or a line in RESERVED saying why it stays.
+    # in the benchmark, or a line in RESERVED saying why it stays.  So does
+    # each public method and property of a public class, __call__ counted
+    # as public: a reader outside its class under src/maternlab/, a read in
+    # the benchmark, or a line in RESERVED.  Calling an instance names no
+    # __call__, so a __call__ always needs the line.
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(Path(mercer.__file__).parent.glob("*.py"))}
-    uncalled = set()
+    bench = set().union(*(_referenced(ast.parse((BENCH / name).read_text())) for name in ("workloads.py", "reference.py")))
+    uncalled, methods = set(), 0
     for module in MODULES:
         stem = module.__name__.rsplit(".", 1)[1]
         public = {
@@ -203,6 +210,16 @@ def test_every_public_function_has_a_caller_or_a_reason():
             own = set().union(*(_referenced(node) for other, node in public.items() if other != name))
             if name not in callers | own:
                 uncalled.add(name)
+        classes = [node for node in trees[stem].body if isinstance(node, ast.ClassDef) and node.name in module.__all__]
+        for cls in classes:
+            outside = set().union(*(_referenced(node) for tree in trees.values() for node in tree.body if node is not cls))
+            for item in cls.body:
+                if not isinstance(item, ast.FunctionDef) or (item.name.startswith("_") and item.name != "__call__"):
+                    continue
+                methods += 1
+                if item.name not in outside | bench:
+                    uncalled.add(f"{cls.name}.{item.name}")
+    assert methods >= 5, "too few public methods and properties found: the search is broken"
     unreserved = uncalled - _named_by_the_benchmark() - set(RESERVED)
     assert not unreserved, f"no caller, no benchmark use and no reservation: delete {sorted(unreserved)}"
     assert set(RESERVED) <= uncalled, f"reserved but called, drop from RESERVED: {sorted(set(RESERVED) - uncalled)}"
@@ -215,7 +232,7 @@ READS_ITS_OWN_ARGUMENTS = {
     "cli": "parses the strings of argv, which the library's rules then check",
     "output": "is not re-exported, and writes what the CLI hands it",
 }
-READERS = {"np.asarray", "np.array", "float", "int", "operator.index"}
+READERS = {"np.asarray", "np.array", "float", "int", "operator.index", "np.random.SeedSequence"}
 
 
 def _public_callables(tree, public):
@@ -236,7 +253,7 @@ def test_arguments_are_read_by_the_rules_in_kernels():
     # kernels is the one module that decides how an argument becomes a
     # number or an index: no public function, method or __post_init__
     # elsewhere hands one of its parameters, or a field self.<name>, to
-    # np.asarray, np.array, float, int or operator.index
+    # np.asarray, np.array, float, int, operator.index or np.random.SeedSequence
     readers, seen = [], 0
     for path in sorted(Path(mercer.__file__).parent.glob("*.py")):
         if path.stem in READS_ITS_OWN_ARGUMENTS or path.stem == "__init__":

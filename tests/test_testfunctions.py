@@ -16,7 +16,6 @@ from mpmath import mp
 
 from maternlab import (
     KernelSpec,
-    box_convolution,
     bc_residuals,
     convolve_with_indicator,
     f_exact,
@@ -94,18 +93,18 @@ def test_order_must_be_a_true_integer(order):
     with pytest.raises(ValueError, match="order must be an integer"):
         f_exact(0.5, order)
     with pytest.raises(ValueError, match="order must be an integer"):
-        box_convolution(KernelSpec(m=3), 0.5, order)
+        convolve_with_indicator(KernelSpec(m=3), -1.0, 1.0, 0.5, order)
 
 
 def test_integer_like_orders_and_the_order_range():
     assert f_exact(0.5, np.int64(1)) == f_exact(0.5, 1)
     for m in (1, 2, 3, 4):
         k = KernelSpec(m=m)
-        box_convolution(k, 0.5, 2 * m - 1)
+        convolve_with_indicator(k, -1.0, 1.0, 0.5, 2 * m - 1)
         with pytest.raises(ValueError, match=f"0..{2 * m - 1}"):
-            box_convolution(k, 0.5, 2 * m)  # jumps at +-1
+            convolve_with_indicator(k, -1.0, 1.0, 0.5, 2 * m)  # jumps at +-1
     with pytest.raises(ValueError, match="finite"):
-        box_convolution(KernelSpec(m=2), [0.0, np.inf])
+        convolve_with_indicator(KernelSpec(m=2), -1.0, 1.0, [0.0, np.inf])
 
 
 def test_scalar_and_array_forms():
@@ -158,7 +157,7 @@ def test_box_convolution_every_order_matches_30_digits(m):
     k = KernelSpec(m=m)
     with mp.workdps(30):
         for order in range(2 * m):
-            got = box_convolution(k, _BOX_XS, order)
+            got = convolve_with_indicator(k, -1.0, 1.0, _BOX_XS, order)
             for x, value in zip(_BOX_XS, got):
                 ref = float(_mp_box(m, order, x))
                 assert abs(value - ref) <= 2e-15, (order, x, value, ref)
@@ -173,17 +172,17 @@ def test_box_convolution_parity_continuity_and_amplitude(m):
     x = np.r_[np.random.default_rng(77).uniform(-5.0, 5.0, 200), -1.0, 0.0, 1.0]
     eps = 1e-9
     for order in range(2 * m):
-        assert np.array_equal(box_convolution(k, -x, order), (-1) ** order * box_convolution(k, x, order))
+        assert np.array_equal(convolve_with_indicator(k, -1.0, 1.0, -x, order), (-1) ** order * convolve_with_indicator(k, -1.0, 1.0, x, order))
         for bp in BREAKPOINTS:
-            around = box_convolution(k, [bp - eps, bp, bp + eps], order)
+            around = convolve_with_indicator(k, -1.0, 1.0, [bp - eps, bp, bp + eps], order)
             assert np.max(np.abs(np.diff(around))) < 1e-7, (order, bp, around)
         assert np.array_equal(
-            box_convolution(KernelSpec(m=m, amplitude=2.5), x, order),
-            2.5 * box_convolution(k, x, order),
+            convolve_with_indicator(KernelSpec(m=m, amplitude=2.5), -1.0, 1.0, x, order),
+            2.5 * convolve_with_indicator(k, -1.0, 1.0, x, order),
         )
     # order 1 is K(x + 1) - K(x - 1) from the kernel's own coefficients
     assert np.array_equal(
-        box_convolution(k, x, 1), kernel_eval(k, np.abs(x + 1.0)) - kernel_eval(k, np.abs(x - 1.0))
+        convolve_with_indicator(k, -1.0, 1.0, x, 1), kernel_eval(k, np.abs(x + 1.0)) - kernel_eval(k, np.abs(x - 1.0))
     )
 
 
@@ -374,7 +373,7 @@ def test_order_m_residuals_vanish_for_the_box_convolution(m):
     k = KernelSpec(m=m)
 
     def g(x, n):
-        return box_convolution(k, x, n)
+        return convolve_with_indicator(k, -1.0, 1.0, x, n)
 
     outside = bc_residuals(g, -1.2, 1.2, order=m)
     assert len(outside) == 2 * m and max(abs(v) for v in outside) <= 1e-14
