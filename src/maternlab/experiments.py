@@ -45,7 +45,7 @@ def equidistant_nodes(C, N):
 
 
 def fit_rate(h, e, all_levels=False):
-    """Least-squares slope of log e against log h.
+    """Least-squares slope of log e against log h, for distinct spacings h.
 
     Levels whose e is NaN or below 1e-13 are dropped.  By default the fit
     runs over the ceil(L/2) + 1 finest (smallest h) of the L usable levels;
@@ -61,6 +61,8 @@ def fit_rate(h, e, all_levels=False):
         raise ValueError("h and e must be matching 1-D vectors")
     if not np.all(h > 0):
         raise ValueError("h must be finite and positive")
+    if not np.all(np.diff(np.sort(h))):  # np.unique would import numpy.ma (0.9 MB)
+        raise ValueError(f"h must not repeat a spacing, got {h.tolist()}")
     keep = np.isfinite(e) & (e >= ERROR_FLOOR)
     hs = h[keep]
     es = e[keep]

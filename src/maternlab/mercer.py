@@ -281,35 +281,31 @@ def project_samples(sys, samples):
     return sys.eigenfunctions @ (sys.weights * samples)
 
 
-def _native_gram(sys, modes):
-    # (W Phi) A (W Phi)^T / kappa kappa^T over the modes, mirrored to exact symmetry: each
-    # _slices block of rows of A is sampled into its rows of A (W Phi)^T by one BLAS-3 call
-    wphi, y = sys.weights * sys.eigenfunctions[modes], sys.nodes
-    a_wphi = np.empty((y.size, wphi.shape[0]))
-    for b in _slices(y.size, y.size):
-        np.matmul(_kernel_rows(sys.kernel, y[b], y), wphi.T, out=a_wphi[b])
-    kappa = sys.eigenvalues[modes]
-    gram = wphi @ a_wphi / (kappa[:, None] * kappa)
-    return np.triu(gram) + np.triu(gram, 1).T
-
-
 def hk_gram_extended(sys, j, l):
-    """Native-space inner product (phi_j^E, phi_l^E)_K, discretized.
+    """Native-space inner product (phi_j^E, phi_l^E)_K, discretized: entry
+    (j, l) of hk_gram_matrix.
 
     Uses the identity (phi_j^E, phi_l^E)_K =
     (1/(kappa_j kappa_l)) * double integral of phi_j(x) K(|x-y|) phi_l(y)
-    over [a,b]^2, evaluated with the rule, whose kernel samples A it draws
-    afresh as hk_gram_matrix does.  Expected value: delta_jl / kappa_l
-    (orthogonality carries over from L2 to the native space).  Raises
-    ValueError unless j and l are single mode indices in range.
+    over [a,b]^2, evaluated with the rule.  Expected value: delta_jl /
+    kappa_l (orthogonality carries over from L2 to the native space).
+    Raises ValueError unless j and l are single mode indices in range.
     """
     for n in (j, l):
         if _index(n, sys.n_modes, "mode index").ndim:
             raise ValueError(f"mode index {n!r} is not a single integer")
-    return float(_native_gram(sys, [j, l])[0, 1])
+    return float(hk_gram_matrix(sys)[j, l])
 
 
 def hk_gram_matrix(sys):
-    """Matrix of hk_gram_extended over all modes, exactly symmetric, from one blocked
-    product (W Phi) A (W Phi)^T: O(Q^2 K) time, O(Q K) memory beside a block of A."""
-    return _native_gram(sys, slice(None))
+    """Native-space Gram matrix of the extensions over all modes, exactly symmetric, from
+    one blocked product (W Phi) A (W Phi)^T: O(Q^2 K) time, O(Q K) memory beside a block of A."""
+    # (W Phi) A (W Phi)^T / kappa kappa^T, mirrored to exact symmetry: each _slices
+    # block of rows of A is sampled into its rows of A (W Phi)^T by one BLAS-3 call
+    wphi, y = sys.weights * sys.eigenfunctions, sys.nodes
+    a_wphi = np.empty((y.size, wphi.shape[0]))
+    for b in _slices(y.size, y.size):
+        np.matmul(_kernel_rows(sys.kernel, y[b], y), wphi.T, out=a_wphi[b])
+    kappa = sys.eigenvalues
+    gram = wphi @ a_wphi / (kappa[:, None] * kappa)
+    return np.triu(gram) + np.triu(gram, 1).T

@@ -16,6 +16,12 @@ eps = max over excluded n of sqrt(kappa_n), the projection error obeys
 the second requiring only that v_f = f./kappa is the l2 preimage of f.
 Both are exact finite-dimensional statements; run_trials checks both, and
 verify_superconvergence the second, with a 1e-12 additive tolerance.
+Both hold term by term, so no draw can fail them: the trials check the
+arithmetic, and the extremal case e_1 the sharpness of the constant.  The
+model predicts a rate: on the kernel's spectrum, partial sums of
+(f_n/kappa_n)^2 growing like N^beta give 2m - beta/2 in h (criterion 5).
+run_trials draws through one generator of blocks, _draws, whose blocks
+_memo_draws keeps when they hold at most 2^19 entries.
 The presets take M, and run_trials its trial count, by kernels._positive_int:
 an integral float is taken, and a fraction or a bool raises ValueError.
 """
@@ -28,7 +34,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import _array, _by_blocks, _index, _points, _positive_int, _seed, _slices
+from .kernels import _array, _index, _points, _positive_int, _seed, _slices
 
 __all__ = [
     "WeightedSeqSpace",
@@ -163,15 +169,19 @@ class TrialReport:
         )
 
 
-def _draw(seeds, g, coin):
-    """Standard normals into g and coin flips into coin, one row per trial,
-    each from its own child of seeds; children are spawned a block at a
-    time, and successive spawns continue the child count."""
-    for b in _slices(len(g), 8 * g.shape[1]):  # 2^15 / M trials a block
-        for i, child in enumerate(seeds.spawn(b.stop - b.start), b.start):
+def _draws(entropy, n_trials, M):
+    """Blocks of 2^15 / M trials as (first trial, standard normals, coin
+    flips), one row per trial, each from its own child of
+    SeedSequence(entropy), the children spawned in trial order."""
+    seeds = np.random.SeedSequence(entropy)
+    for b in _slices(n_trials, 8 * M):
+        n = b.stop - b.start
+        g, coin = np.empty((n, M)), np.empty((n, M), dtype=bool)
+        for i, child in enumerate(seeds.spawn(n)):
             rng = np.random.default_rng(child)
-            g[i] = rng.standard_normal(g.shape[1])
-            coin[i] = rng.random(g.shape[1]) < 0.5
+            g[i] = rng.standard_normal(M)
+            coin[i] = rng.random(M) < 0.5
+        yield b.start, g, coin
 
 
 # draws of at most this many n_trials * M entries (4.5 MB) outlive the call
@@ -179,12 +189,12 @@ _MEMO_ENTRIES = 1 << 19
 
 
 @lru_cache(maxsize=1)
-def _memo_draws(n_trials, M, entropy):
-    """Read-only draws of one seed, shared by the presets that use it."""
-    g, coin = np.empty((n_trials, M)), np.empty((n_trials, M), dtype=bool)
-    _draw(np.random.SeedSequence(entropy), g, coin)
-    g.flags.writeable = coin.flags.writeable = False
-    return g, coin
+def _memo_draws(entropy, n_trials, M):
+    """The blocks of _draws, read-only, shared by the presets that use one seed."""
+    blocks = tuple(_draws(entropy, n_trials, M))
+    for _, g, coin in blocks:
+        g.flags.writeable = coin.flags.writeable = False
+    return blocks
 
 
 def _counterexample(trial, f, keep, std, sup, i):
@@ -217,41 +227,30 @@ def run_trials(space, n_trials, seed):
     Trials are drawn and checked in blocks of 2^15 / M, and only counts,
     ratios and the first counterexample are kept between blocks, so the
     memory beyond the shared draws (at most 4.5 MB, kept for the next
-    call) does not grow with n_trials: about 0.7 MB at M = 64.
+    call) does not grow with n_trials: about 0.65 MB at M = 64.
     """
     n_trials = _positive_int(n_trials, "n_trials", zero=True)
     kappa, M = space.kappa, space.M
-    seeds = _seed(seed)
-    memo = None
-    if n_trials * M <= _MEMO_ENTRIES:
-        # keyed by the resolved entropy: a list seed is unhashable
-        entropy = seeds.entropy
-        memo = _memo_draws(n_trials, M, entropy if np.ndim(entropy) == 0 else tuple(entropy))
-    found = []  # the first failing trial, as the report's counterexample
-
-    def block(b):  # pass counts and sharpest ratios of trials b
-        if memo is None:
-            shape = (b.stop - b.start, M)
-            f, keep = np.empty(shape), np.empty(shape, dtype=bool)
-            _draw(seeds, f, keep)
-            f *= kappa
-        else:
-            f, keep = memo[0][b] * kappa, memo[1][b]
-        std, sup = _check_bounds(kappa, f, keep)
+    entropy = _seed(seed).entropy  # resolved, so None draws afresh; a list is unhashable
+    entropy = entropy if np.ndim(entropy) == 0 else tuple(entropy)
+    draws = _memo_draws if n_trials * M <= _MEMO_ENTRIES else _draws
+    passes, sharpest, found = np.zeros(2, dtype=int), np.zeros(2), None
+    for start, g, coin in draws(entropy, n_trials, M):
+        f = np.multiply(g, kappa, out=g if g.flags.writeable else None)  # memo draws are shared
+        std, sup = _check_bounds(kappa, f, coin)
+        passes += np.sum(std.holds), np.sum(sup.holds)
+        sharpest = np.maximum(sharpest, (_sharpest(std), _sharpest(sup)))
         failed = np.flatnonzero(~(std.holds & sup.holds))
-        if failed.size and not found:
-            found.append(_counterexample(b.start + int(failed[0]), f, keep, std, sup, failed[0]))
-        return [[np.sum(std.holds), np.sum(sup.holds), _sharpest(std), _sharpest(sup)]]
-
-    stats = _by_blocks(block, n_trials, 8 * M)
-    passes, sharpest = stats[:, :2].sum(axis=0), stats[:, 2:].max(axis=0)
+        if failed.size and found is None:  # the first failing trial
+            found = _counterexample(start + int(failed[0]), f, coin, std, sup, failed[0])
+        del f, g, coin, std, sup  # before the next block is drawn
     extremal_ratio = 1.0
     if n_trials > 0:
         f = np.eye(1, M)
         keep = f == 0
         std, sup = _check_bounds(kappa, f, keep)
-        if not (found or (std.holds[0] and sup.holds[0])):
-            found.append(_counterexample("extremal", f, keep, std, sup, 0))
+        if found is None and not (std.holds[0] and sup.holds[0]):
+            found = _counterexample("extremal", f, keep, std, sup, 0)
         extremal_ratio = float(sup.lhs[0] / sup.rhs[0])
     return TrialReport(
         trials=n_trials,
@@ -260,5 +259,5 @@ def run_trials(space, n_trials, seed):
         sharpest_standard=float(sharpest[0]),
         sharpest_super=float(sharpest[1]),
         extremal_ratio=extremal_ratio,
-        counterexample=found[0] if found else None,
+        counterexample=found,
     )

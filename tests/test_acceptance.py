@@ -17,7 +17,6 @@ from scipy.optimize import brentq
 import maternlab.cli as cli
 from maternlab import (
     KernelSpec,
-    analytic_weights,
     bc_residuals,
     convolve_with_indicator,
     eigen_extend,
@@ -27,9 +26,8 @@ from maternlab import (
     f_native_norm_sq,
     interpolate,
     nystrom_eig,
+    project_samples,
     run_rate_study,
-    run_trials,
-    sobolev_weights,
 )
 
 LADDER = [11, 21, 41, 81, 161]
@@ -116,24 +114,41 @@ def test_criterion_4_native_norm_decay_exponent():
     )
 
 
-def test_criterion_5_sequence_space_bounds_exact():
+def test_criterion_5_sequence_model_predicts_the_rate():
+    # The sequence-space model on the m = 2 kernel's own spectrum on [-C, C]
+    # (Nystrom, Q = 1600, 240 modes) with f_n = c_n, the coefficients of f:
+    # when the partial sums of (c_n/kappa_n)^2 grow like N^beta and kappa_n
+    # falls like n^-2m, the model's bound predicts the rate 2m - beta/2 in h.
+    # beta is the log-log slope of the partial sums over N = 120..240.  The
+    # prediction must lie within 0.1 of the global rate the rate study
+    # measures, for f = K_j * chi_[-1,1]: at C = 1.2 with j = 2 the sums
+    # converge (beta < 0.1, rate 2m), and where the boundary or a rougher
+    # density cuts the rate they grow (beta > 2.5).  Scaling kappa_n by
+    # n^0.1 or by n^-0.1 moves the prediction by 0.1 and fails it.
     t0 = time.perf_counter()
-    reports = [
-        run_trials(space, 1000, 42)
-        for space in (sobolev_weights(64), analytic_weights(64))
-    ]
+    k, m = KernelSpec(m=2), 2
+    N = np.arange(120, 241)
+    systems, rows = {}, []
+    for j, C in ((2, 1.2), (2, 0.8), (1, 1.2), (3, 1.2)):
+        f = lambda x, j=j: convolve_with_indicator(KernelSpec(m=j), -1.0, 1.0, x)
+        if C not in systems:
+            systems[C] = nystrom_eig(k, -C, C, 1600, 240)
+        sys_ = systems[C]
+        sums = np.cumsum((project_samples(sys_, f(sys_.nodes)) / sys_.eigenvalues) ** 2)
+        beta = np.polyfit(np.log(N), np.log(sums[N - 1]), 1)[0]
+        measured = run_rate_study(k, C, 0.2, [11, 21, 41, 81, 161, 321], 6001, f).global_rate
+        rows.append((j, C, beta, 2 * m - beta / 2, measured))
     elapsed = time.perf_counter() - t0
-    all_hold = all(r.all_pass for r in reports)
-    extremal_ok = all(abs(r.extremal_ratio - 1.0) <= 1e-12 for r in reports)
-    ok = all_hold and extremal_ok and elapsed < 1.0
-    detail = (
-        f"{sum(r.trials for r in reports)} trials, extremal ratios "
-        f"{', '.join(f'{r.extremal_ratio:.12f}' for r in reports)}, {elapsed:.2f}s"
+    close = all(abs(predicted - measured) <= 0.1 for _, _, _, predicted, measured in rows)
+    betas = [beta for _, _, beta, _, _ in rows]
+    ok = close and betas[0] < 0.1 and min(betas[1:]) > 2.5 and elapsed < 5.0
+    detail = "; ".join(
+        f"K{j}*chi C={C}: beta {beta:.3f}, predicted {predicted:.3f}, measured {measured:.3f}"
+        for j, C, beta, predicted, measured in rows
     )
-    assert _verdict(5, ok, detail), (
-        f"bounds must hold in every trial with the extremal case sharp "
-        f"within 1e-12 and under 1s; holds={all_hold}, extremal={extremal_ok}, "
-        f"{elapsed:.2f}s"
+    assert _verdict(5, ok, f"{detail}, {elapsed:.2f}s"), (
+        f"expected each prediction 2m - beta/2 within 0.1 of the measured global rate, beta < 0.1 "
+        f"for K2*chi at C=1.2, beta > 2.5 for the other rows, under 5s; got {detail} in {elapsed:.2f}s"
     )
 
 

@@ -98,6 +98,19 @@ def test_fit_rate_rejects_non_finite_spacings(bad, capfd):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "h, e",
+    [([0.1, 0.1, 0.1, 0.4], [1e-4, 2e-4, 3e-4, 2.6e-2]), ([0.1, 0.1], [1e-4, 2e-4])],
+    ids=["finest-half-all-equal", "two-equal"],
+)
+def test_fit_rate_refuses_repeated_spacings(h, e):
+    # equal h are no ladder: the first case's finest-half fit saw three
+    # equal h and returned 1.870, the second 1.925, each with only numpy's
+    # RankWarning
+    with pytest.raises(ValueError, match=re.escape(f"h must not repeat a spacing, got {h}")):
+        fit_rate(h, e)
+
+
 def test_fit_rate_drops_a_nan_level():
     # e is read by kernels._reals, which lets NaN through: a NaN level, as
     # the native_err of a study without f_norm_sq, is left out of the fit

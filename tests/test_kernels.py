@@ -263,13 +263,13 @@ def test_every_real_parameter_is_refused_by_name(param, value):
 
 
 # (call, name) per point array, each called with three entries;
-# "box_convolution" is convolve_with_indicator's [-1, 1] case at order 1
+# "convolve_with_indicator-order" takes the m = 3 case on [-1, 1] at order 1
 _POINTS = {
     "kernel_eval": (lambda x: kernel_eval(KernelSpec(m=2), x), "radius"),
     "NodeSet": (lambda x: NodeSet(points=x, halfwidth=1.0), "nodes"),
     "interpolate": (lambda x: interpolate(KernelSpec(m=2), equidistant_nodes(1.0, 3), x), "values"),
     "evaluate": (lambda x: evaluate(_solved(), x), "evaluation points"),
-    "box_convolution": (lambda x: convolve_with_indicator(KernelSpec(m=3), -1.0, 1.0, x, 1), "x"),
+    "convolve_with_indicator-order": (lambda x: convolve_with_indicator(KernelSpec(m=3), -1.0, 1.0, x, 1), "x"),
     "f_exact": (lambda x: f_exact(x), "x"),
     "convolve_with_indicator": (lambda x: convolve_with_indicator(KernelSpec(m=2), -1.0, 1.0, x), "x"),
     "eigen_extend": (
@@ -347,7 +347,7 @@ def test_point_rule_splits_into_a_dtype_half_and_a_finiteness_check():
 
 # (call, name, size) per index argument: a mode of a three-mode system, a
 # subset index of a four-weight space, a derivative order of an m = 3
-# kernel's box convolution
+# kernel's convolution with an indicator
 _SYSTEM = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, 8, 3)
 _INDICES = {
     "eigen_extend": (lambda n: eigen_extend(_SYSTEM, n, 0.5), "mode index", 3),
@@ -355,7 +355,7 @@ _INDICES = {
     "verify_superconvergence": (
         lambda n: verify_superconvergence(sobolev_weights(4), np.ones(4), n), "subset indices", 4
     ),
-    "box_convolution": (lambda n: convolve_with_indicator(KernelSpec(m=3), -1.0, 1.0, 0.5, n), "order", 6),
+    "convolve_with_indicator-order": (lambda n: convolve_with_indicator(KernelSpec(m=3), -1.0, 1.0, 0.5, n), "order", 6),
 }
 
 

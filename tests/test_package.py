@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -78,6 +79,22 @@ def test_names_the_benchmark_uses_resolve():
     assert {"nystrom_eig", "eigen_extend", "hk_gram_matrix"} <= called
     for name in called:
         assert hasattr(maternlab, name), name
+
+
+def test_the_benchmark_self_test_rewrites_only_report_fields():
+    # bench/selftest.py corrupts reports by dataclasses.replace(report,
+    # field=...); a renamed field would break its run without failing any
+    # other test, since no test runs it
+    calls = [
+        node
+        for node in ast.walk(ast.parse((BENCH / "selftest.py").read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "dataclasses.replace"
+    ]
+    keywords = {kw.arg for call in calls for kw in call.keywords}
+    assert len(calls) >= 5 and keywords, "no dataclasses.replace call found: the search is broken"
+    reports = (experiments.RateStudy, experiments.RateRow, seqmodel.TrialReport)
+    fields = {f.name for cls in reports for f in dataclasses.fields(cls)}
+    assert keywords <= fields, sorted(keywords - fields)
 
 
 def test_only_the_parity_eigensolve_imports_scipy():
