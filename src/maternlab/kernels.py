@@ -11,8 +11,8 @@ exp(-r) p_m(r), p_m the reverse Bessel polynomial,
 which is r^nu K_nu(r) / (2^(nu-1) Gamma(nu)) with nu = m - 1/2.  The lab
 works on the line only (d = 1), where the native space of the kernel with
 smoothness index m is norm-equivalent to the Sobolev space W_2^m.
-_translate_sum sums translates c_q K(|x - y_q|) (mercer.eigen_extend's
-extensions), _kernel_rows samples kernel matrices and _slices blocks
+_translate_sum sums translates c_q K(|x - y_q|) (mercer's extensions and
+Gram checks), _kernel_rows samples kernel matrices and _slices blocks
 points, the one blocking rule (_by_blocks joins one result per slice).
 
 The argument rules live here, one per kind, and no other module turns an
@@ -106,8 +106,9 @@ def _finite(v, name, zero=False):
 
 
 def _interval(a, b):
-    # the endpoints as floats: finite real numbers with a < b
-    if not (_real(a) and _real(b) and a < b):
+    # the endpoints as floats: finite real numbers with a < b and a finite
+    # length b - a, which then bounds every radius between points of [a, b]
+    if not (_real(a) and _real(b) and a < b and math.isfinite(float(b) - float(a))):
         raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
     return float(a), float(b)
 

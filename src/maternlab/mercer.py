@@ -18,9 +18,9 @@ below it B and eigh's eigenvectors (2 times A).
 The eigenfunctions extend off the interval through the eigenvalue equation
 itself, kappa_n phi_n^E = K * (chi phi_n), and the extensions inherit the
 native-space orthogonality kappa_l (phi_j^E, phi_l^E)_K = delta_jl, which
-the Gram checks verify discretely by one blocked product (W Phi) A (W Phi)^T.
-Extensions are sums of kernel translates at the nodes, summed by moments in
-O((Q + M) K m) for M points and K modes (kernels._translate_sum).
+the Gram checks verify discretely by (W Phi) A (W Phi)^T.  Extensions and
+A (W Phi)^T sum kernel translates at the nodes by moments, O((Q + M) K m) for
+M points and K modes (kernels._translate_sum): only the eigensolve samples A.
 """
 
 from __future__ import annotations
@@ -77,12 +77,14 @@ def _gauss_legendre(n):
     k = np.arange(1, n // 2 + 1)
     x = (1 - (n - 1) / (8 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
     x = np.append(x, np.zeros(n % 2))  # odd n: the root 0
+    # float scalars and a positional out: fewer conversions per ufunc call, same IEEE operations
+    steps = [(2.0 * j - 1, j - 1.0, float(j)) for j in range(2, n + 1)]
     for step in range(4):  # three Newton steps, then P_n' at the nodes
         prev, p, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
-        for j in range(2, n + 1):  # ((2j - 1) x p - (j - 1) prev) / j in place
-            np.multiply(x, 2 * j - 1, out=nxt)
+        for c, d, j in steps:  # ((2j - 1) x p - (j - 1) prev) / j in place
+            np.multiply(x, c, nxt)
             nxt *= p
-            prev *= j - 1
+            prev *= d
             nxt -= prev
             nxt /= j
             prev, p, nxt = p, nxt, prev
@@ -298,14 +300,11 @@ def hk_gram_extended(sys, j, l):
 
 
 def hk_gram_matrix(sys):
-    """Native-space Gram matrix of the extensions over all modes, exactly symmetric, from
-    one blocked product (W Phi) A (W Phi)^T: O(Q^2 K) time, O(Q K) memory beside a block of A."""
-    # (W Phi) A (W Phi)^T / kappa kappa^T, mirrored to exact symmetry: each _slices
-    # block of rows of A is sampled into its rows of A (W Phi)^T by one BLAS-3 call
-    wphi, y = sys.weights * sys.eigenfunctions, sys.nodes
-    a_wphi = np.empty((y.size, wphi.shape[0]))
-    for b in _slices(y.size, y.size):
-        np.matmul(_kernel_rows(sys.kernel, y[b], y), wphi.T, out=a_wphi[b])
+    """Native-space Gram matrix (W Phi) A (W Phi)^T / kappa kappa^T of the extensions over
+    all modes, mirrored to exact symmetry, with A (W Phi)^T summed by moments
+    (kernels._translate_sum): O(Q K (K + m)) time, O(Q K m) memory, no kernel sampled."""
+    wphi = sys.weights * sys.eigenfunctions
+    a_wphi = _translate_sum(sys.kernel, sys.nodes, wphi.T, sys.nodes)
     kappa = sys.eigenvalues
     gram = wphi @ a_wphi / (kappa[:, None] * kappa)
     return np.triu(gram) + np.triu(gram, 1).T

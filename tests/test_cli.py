@@ -167,6 +167,8 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
         # "expected one argument"
         (["rates", "--C", "-inf"], "C must be finite and positive, got -inf"),
         (["mercer", "--domain", "-inf,1"], "need finite a < b, got a=-inf, b=1.0"),
+        # b - a = inf warned from inside numpy, then named a radius
+        (["mercer", "--domain=-1e308,1e308", "--quad", "20", "--modes", "2"], "need finite a < b, got a=-1e+308, b=1e+308"),
         # d was a kernel parameter once; the lab is one-dimensional
         (["rates", "--kernel", "matern:m=2,d=2"], "unknown kernel parameter 'd'"),
         # numpy's "expected non-negative integer" named no argument
@@ -180,6 +182,7 @@ def test_bad_configuration_maps_to_exit_2(tmp_path, capsys):
         "bc-check-inf",
         "rates-C-minus-inf",
         "mercer-domain-minus-inf",
+        "mercer-domain-length-inf",
         "rates-kernel-d",
         "seqmodel-seed",
     ],
@@ -364,10 +367,10 @@ def test_mercer_extends_all_modes_without_a_kernel_matrix(tmp_path, monkeypatch)
     # the rule and the extension both sample through the kernels module
     monkeypatch.setattr(kernels, "kernel_eval", counted)
     assert cli.main(["mercer", "--modes", "10", "--out", str(tmp_path)]) == 0
-    # the rule's own 200 x 200 samples are the only kernel evaluations, once
-    # for B before the eigensolve and once for the gram after it: the 401
-    # extension points never meet the 200 rule nodes in one array
-    assert sizes == [200 * 200] * 2, sizes
+    # the rule's own 200 x 200 samples for B before the eigensolve are the
+    # only kernel evaluations: the Gram check and the 401 extension points
+    # sum kernel translates by moments, sampling no kernel matrix
+    assert sizes == [200 * 200], sizes
 
 
 def test_mercer_truncation_maps_to_exit_3(tmp_path, capsys):

@@ -262,6 +262,23 @@ def test_every_real_parameter_is_refused_by_name(param, value):
         call(value)
 
 
+@pytest.mark.parametrize("a, b", [(-1e308, 1e308), (-1.5e308, 0.5e308)])
+@pytest.mark.parametrize("call", ["nystrom_eig", "convolve_with_indicator", "bc_residuals"])
+def test_an_interval_whose_length_overflows_is_refused(call, a, b):
+    # kernels._interval: finite a < b with b - a = inf used to pass, so the
+    # rule nodes were not finite (nystrom_eig warned "invalid value
+    # encountered in subtract", then named a radius it was never given),
+    # convolve_with_indicator returned 4.0 and bc_residuals zeros; b - a
+    # bounds every radius between points of the interval
+    calls = {
+        "nystrom_eig": lambda: nystrom_eig(KernelSpec(m=1), a, b, 20, 2),
+        "convolve_with_indicator": lambda: convolve_with_indicator(KernelSpec(m=2), a, b, 0.0),
+        "bc_residuals": lambda: bc_residuals(f_exact, a, b),
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(f'need finite a < b, got a={a!r}, b={b!r}')}$"):
+        calls[call]()
+
+
 # (call, name) per point array, each called with three entries;
 # "convolve_with_indicator-order" takes the m = 3 case on [-1, 1] at order 1
 _POINTS = {

@@ -470,7 +470,7 @@ def test_blocked_gram_and_folded_halves_repeat_the_expressions(rule, m, a, b):
     # The solvers sample the rows they read in blocks (the parity halves are
     # folded from fresh blocks of the top rows, B is scaled in place in a
     # fresh sample).  Every field matches the whole-array expressions bit for
-    # bit, and so does the blocked gram that the Gram checks sample.
+    # bit, and so does the blocked gram that they sample.
     k = KernelSpec(m=m)
     sys_, spectrum = _solve_with_spectrum(k, a, b, rule, 24)
     eigh = _parity_eigh_by_expressions if rule >= 1536 else None
@@ -543,17 +543,34 @@ def test_system_holds_no_rule_by_rule_array(rule):
         assert np.size(value) <= rule * (sys_.n_modes + 1), field
 
 
-def test_gram_check_holds_one_gram():
-    # The Gram checks sample the gram one block of rows at a time and hold
-    # only A (W Phi)^T beside it: 0.18 x the gram's size for m = 1 and
-    # 0.26 x for m = 3, whose blocks hold a Horner polynomial beside them
-    # (1.0 x or more with the whole gram sampled); hk_gram_extended reads
-    # its entry of hk_gram_matrix
+@pytest.mark.parametrize("rule", [1600, 2400])
+def test_gram_check_holds_no_rule_by_rule_array(rule):
+    # The Gram checks sum A (W Phi)^T by moments: each side's moments and
+    # their gathers at the nodes are m arrays of Q x K, so the peak is
+    # O(Q K m), 6.2 x 8 Q K for m = 1 and 11.3 x for m = 3 at K = 48, at
+    # 1600 and at 2400 points.  One Q x Q array is 33 x 8 Q K at 1600 points
+    # and 50 x at 2400.  hk_gram_extended reads its entry of hk_gram_matrix.
+    modes = 48
     for m in (1, 3):
-        sys_ = nystrom_eig(KernelSpec(m=m), -1.0, 1.0, 1600, 48)
+        sys_ = nystrom_eig(KernelSpec(m=m), -1.0, 1.0, rule, modes)
         for check in (lambda: hk_gram_matrix(sys_), lambda: hk_gram_extended(sys_, 0, 1)):
             peak = _traced_peak(check)
-            assert peak <= 0.35 * 8 * 1600**2, (m, peak / (8 * 1600**2))
+            assert peak <= (3 * m + 6) * 8 * rule * modes, (m, peak / (8 * rule * modes))
+
+
+def test_gram_check_samples_no_kernel_matrix(monkeypatch):
+    # nystrom_eig samples the gram once; the Gram checks evaluate no kernel
+    sys_ = nystrom_eig(KernelSpec(m=2), -1.0, 1.0, 200, 10)
+    calls = []
+
+    def counted(k, r, out=None):
+        calls.append(np.size(r))
+        return kernel_eval(k, r, out)
+
+    monkeypatch.setattr(kernels, "kernel_eval", counted)
+    hk_gram_matrix(sys_)
+    hk_gram_extended(sys_, 2, 3)
+    assert calls == []
 
 
 _GATE_PROBE = """
@@ -575,8 +592,9 @@ def test_native_gram_gate_holds_for_one_and_two_blas_threads(threads):
     # The benchmark's gates are 1.1 x the frozen max|kappa G - I| of the
     # spectral_checks gram (Q = 1600, 48 modes) and of the CLI's (Q = 200,
     # 10 modes).  The dense eigh met the first only with two BLAS threads
-    # (1.113e-13 with one); the blocked product reads 3.3e-14 and 2.5e-14
-    # there, and 1.12e-14 at Q = 200 with either.
+    # (1.113e-13 with one); the moment sum reads 6.3e-14 and 7.2e-14 there
+    # (limit 1.016e-13; the long-double form 3.2e-14 and 3.1e-14), and
+    # 1.09e-14 at Q = 200 with either (limit 1.311e-14).
     frozen = json.loads((Path(__file__).resolve().parents[1] / "bench" / "frozen.json").read_text())
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     src = str(Path(maternlab.__file__).resolve().parents[1])
@@ -861,33 +879,45 @@ def test_native_gram_from_the_h1_norm(rule):
     assert np.max(np.abs((H - hk_gram_matrix(sys_)) * kappa)) <= 1e-12
 
 
-@pytest.mark.parametrize("rule,modes", [(200, 10), (400, 40)])
-def test_gram_check_matches_the_long_double_quadratic_form(rule, modes, monkeypatch):
+def _assert_gram_matches_the_long_double_form(sys_):
     # G = (W Phi) A (W Phi)^T / kappa kappa^T from the same double inputs,
-    # summed in long double.  In double, W Phi rounds each entry once, the
-    # two products of length Q each add gamma_Q |.| (A >= 0) and the scaling
-    # two roundings, so |G - G_ld| <= gamma_{2Q+4} |W Phi| A |W Phi|^T /
-    # kappa kappa^T, with gamma_n = n u / (1 - n u) and u = eps / 2.  A
-    # dropped or repeated row of A moves entries by far more than that
-    # bound; the mirror makes G symmetric bit for bit.  Blocks of 37 rows
-    # (one block of all Q at the default size) sum several blocks and a
-    # short last one.
-    sys_ = nystrom_eig(KernelSpec(m=1), -1.0, 1.0, rule, modes)
-    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 37 * rule)
+    # with A sampled densely and every product summed in long double.  The
+    # double Gram sums A (W Phi)^T by moments (kernels._translate_sum), whose
+    # a-priori rounding bound per entry, eps (Q + 4 + 2 r) of the summed
+    # |terms|, grows with the interval; what it reads is 0.08 to 0.9 % of
+    # gamma_{2Q+4} |W Phi| A |W Phi|^T / kappa kappa^T, the dense product's
+    # bound (W Phi rounding once, two sums of length Q, two roundings in the
+    # scaling; gamma_n = n u / (1 - n u), u = eps / 2), which the test keeps.
+    # A dropped or repeated term moves entries by far more than that bound;
+    # the mirror makes G symmetric bit for bit.
     ld = np.longdouble
-    A = _kernel_rows(sys_.kernel, sys_.nodes, sys_.nodes)
+    A = _kernel_rows(sys_.kernel, sys_.nodes, sys_.nodes).astype(ld)
     wphi = sys_.weights.astype(ld) * sys_.eigenfunctions.astype(ld)
     kappa = sys_.eigenvalues.astype(ld)
     scale = np.outer(kappa, kappa)
-    want = wphi @ A.astype(ld) @ wphi.T / scale
+    want = wphi @ A @ wphi.T / scale
+    rule, modes = sys_.nodes.size, sys_.n_modes
     u = EPS / 2
     gamma = (2 * rule + 4) * u / (1 - (2 * rule + 4) * u)
-    bound = gamma * (np.abs(wphi) @ A.astype(ld) @ np.abs(wphi).T) / scale
+    bound = gamma * (np.abs(wphi) @ A @ np.abs(wphi).T) / scale
     got = hk_gram_matrix(sys_)
     assert np.array_equal(got, got.T)
-    assert np.all(np.abs(got - want) <= bound)
+    assert np.all(np.abs(got - want) <= bound), float(np.max(np.abs(got - want) / bound))
     for j, l in [(0, 0), (0, 1), (1, modes - 1), (modes - 1, modes - 1), (modes // 2, 2)]:
         assert abs(hk_gram_extended(sys_, j, l) - want[j, l]) <= bound[j, l], (j, l)
+
+
+@pytest.mark.parametrize("rule,modes", [(200, 10), (400, 40)])
+def test_gram_check_matches_the_long_double_quadratic_form(rule, modes):
+    _assert_gram_matches_the_long_double_form(nystrom_eig(KernelSpec(m=1), -1.0, 1.0, rule, modes))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("a, b, rule, modes", [(-0.3, 1.7, 1600, 48), (0.0, 6.0, 400, 40), (-10.0, 10.0, 800, 40)])
+def test_gram_check_matches_the_long_double_form_on_long_intervals(m, a, b, rule, modes):
+    # intervals of 2, 6 and 20 units reach the moment sum's blocks of unit
+    # length and its carries between them, on both sides of every node
+    _assert_gram_matches_the_long_double_form(nystrom_eig(KernelSpec(m=m), a, b, rule, modes))
 
 
 def test_system_is_frozen_and_read_only():

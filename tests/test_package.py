@@ -123,6 +123,29 @@ def test_only_the_parity_eigensolve_imports_scipy():
     assert importers == {"mercer._parity_eigh"}
 
 
+def test_only_the_eigensolve_and_the_interpolation_gram_sample_kernel_matrices():
+    # kernels._kernel_rows samples a dense kernel matrix: nystrom_eig's rule
+    # gram and assemble_gram's interpolation gram.  Sums of kernel translates
+    # (the extensions, the Gram checks) go by moments, so a second dense
+    # sampling elsewhere fails here and has to be added knowingly.
+    readers = set()
+
+    def visit(node, scope):  # scope: module.function of the enclosing def
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if "_kernel_rows" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                readers.add(scope)
+            visit(child, scope)
+
+    for path in sorted(Path(mercer.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert {"mercer.nystrom_eig.rows", "interpolation.assemble_gram"} <= readers, "the search is broken"
+    allowed = ("kernels", "mercer.nystrom_eig", "interpolation.assemble_gram")
+    assert sorted(s for s in readers if not any(f"{s}.".startswith(f"{p}.") for p in allowed)) == []
+
+
 def test_only_post_init_writes_frozen_fields():
     # object.__setattr__ writes a field of a frozen dataclass.  Only
     # __post_init__ may, while the value is built, so an instance stays a
